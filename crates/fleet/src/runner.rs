@@ -40,7 +40,7 @@
 //! are bit-identical to the in-process path at any worker count, over
 //! any transport, under any failure the supervisor can recover from.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -173,7 +173,10 @@ impl FleetConfig {
     /// Resolves the worker binary: explicit config, then the
     /// `FIRM_FLEET_WORKER` environment variable, then a binary named
     /// `firm-fleet-worker` next to the current executable (or one
-    /// directory up, covering cargo's `deps/` test layout).
+    /// directory up, covering cargo's `deps/` test layout), then the
+    /// same name in the target directory's `release` and `debug`
+    /// profile dirs — a test binary of one package finds the worker a
+    /// plain `cargo build --release` left behind.
     ///
     /// # Panics
     ///
@@ -199,14 +202,7 @@ impl FleetConfig {
         }
         let exe = std::env::current_exe()
             .map_err(|e| format!("cannot locate the current executable: {e}"))?;
-        let name = format!("firm-fleet-worker{}", std::env::consts::EXE_SUFFIX);
-        let mut candidates = Vec::new();
-        if let Some(dir) = exe.parent() {
-            candidates.push(dir.join(&name));
-            if let Some(up) = dir.parent() {
-                candidates.push(up.join(&name));
-            }
-        }
+        let candidates = worker_bin_candidates(&exe);
         for candidate in &candidates {
             if candidate.exists() {
                 return Ok(candidate.clone());
@@ -219,6 +215,34 @@ impl FleetConfig {
             candidates
         ))
     }
+}
+
+/// Where a `firm-fleet-worker` may sit relative to the running
+/// executable `exe`, most specific first: beside it, one directory up,
+/// then the target directory's `release` and `debug` profile dirs.
+fn worker_bin_candidates(exe: &Path) -> Vec<PathBuf> {
+    let name = format!("firm-fleet-worker{}", std::env::consts::EXE_SUFFIX);
+    let mut candidates = Vec::new();
+    let Some(dir) = exe.parent() else {
+        return candidates;
+    };
+    candidates.push(dir.join(&name));
+    let Some(up) = dir.parent() else {
+        return candidates;
+    };
+    candidates.push(up.join(&name));
+    // `deps/` and `examples/` sit inside the profile dir.
+    let nested = dir.ends_with("deps") || dir.ends_with("examples");
+    let profile_dir = if nested { up } else { dir };
+    if let Some(target_dir) = profile_dir.parent() {
+        for profile in ["release", "debug"] {
+            let sibling = target_dir.join(profile).join(&name);
+            if !candidates.contains(&sibling) {
+                candidates.push(sibling);
+            }
+        }
+    }
+    candidates
 }
 
 /// The result of a round-trip fleet run: train the shared agent across
@@ -541,6 +565,39 @@ mod tests {
     use super::*;
     use crate::scenario::builtin_catalog;
     use firm_sim::SimDuration;
+
+    /// A root-package test binary (`target/debug/deps/…`) must reach the
+    /// worker a release build left in the sibling profile dir, after the
+    /// same-profile places; a bin in the profile dir itself likewise.
+    #[test]
+    fn worker_candidates_fall_back_to_sibling_profile_dirs() {
+        let name = format!("firm-fleet-worker{}", std::env::consts::EXE_SUFFIX);
+        let at = |dir: &str| Path::new(dir).join(&name);
+        assert_eq!(
+            worker_bin_candidates(Path::new("/r/target/debug/deps/fleet_determinism-0a1b")),
+            [
+                at("/r/target/debug/deps"),
+                at("/r/target/debug"),
+                at("/r/target/release"),
+            ]
+        );
+        assert_eq!(
+            worker_bin_candidates(Path::new("/r/target/release/firm-fleet")),
+            [
+                at("/r/target/release"),
+                at("/r/target"),
+                at("/r/target/debug"),
+            ]
+        );
+        assert_eq!(
+            worker_bin_candidates(Path::new("/r/target/release/examples/fleet_catalog")),
+            [
+                at("/r/target/release/examples"),
+                at("/r/target/release"),
+                at("/r/target/debug"),
+            ]
+        );
+    }
 
     fn short_catalog(n: usize, secs: u64) -> Vec<Scenario> {
         builtin_catalog()

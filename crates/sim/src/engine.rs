@@ -656,15 +656,32 @@ impl Simulation {
         let inst = &mut self.instances[iid.index()];
         inst.window.arrivals += 1;
         if inst.free_workers() > 0 {
-            inst.busy_workers += 1;
+            self.mutate_instance(iid, |inst| inst.busy_workers += 1);
             self.begin_work(act_idx);
         } else if inst.queue.len() < inst.queue_cap {
-            inst.queue.push_back(act_idx);
+            self.mutate_instance(iid, |inst| inst.queue.push_back(act_idx));
         } else {
             inst.window.drops += 1;
             inst.total_drops += 1;
             self.drop_activity(act_idx);
         }
+    }
+
+    /// Applies `f` to instance `iid`, then folds what it changed into the
+    /// node's contention aggregates. Every write to an instance's
+    /// `busy_workers`, `queue`, `partitions` or `state` goes through
+    /// here, so rate queries never have to walk the node's peers.
+    fn mutate_instance<R>(&mut self, iid: InstanceId, f: impl FnOnce(&mut Instance) -> R) -> R {
+        let inst = &mut self.instances[iid.index()];
+        let (weight_before, reserved_before) = contention::footprint(inst);
+        let out = f(inst);
+        let (weight, reserved) = contention::footprint(inst);
+        let node = &mut self.nodes[inst.node.index()];
+        node.reweigh(weight_before, weight);
+        if reserved != reserved_before {
+            node.set_reserved(iid, reserved);
+        }
+        out
     }
 
     fn begin_work(&mut self, act_idx: usize) {
@@ -691,9 +708,9 @@ impl Simulation {
         let dur = if let Some(d) = demand {
             let inst = &self.instances[iid.index()];
             let node = &self.nodes[inst.node.index()];
-            let rates = contention::effective_rates_iter(
+            let rates = contention::effective_rates(
                 node,
-                contention::node_peers(node, &self.instances),
+                &self.instances,
                 inst,
                 d.llc_ws_mb,
                 d.llc_sensitivity,
@@ -852,13 +869,7 @@ impl Simulation {
         }
         let node = &self.nodes[dst.index()];
         let inst = &self.instances[dst_inst.index()];
-        contention::effective_rate_iter(
-            node,
-            contention::node_peers(node, &self.instances),
-            inst,
-            ResourceKind::NetBw,
-        )
-        .max(1.0)
+        contention::effective_rate(node, &self.instances, inst, ResourceKind::NetBw).max(1.0)
     }
 
     fn complete_activity(&mut self, act_idx: usize, dropped: bool) {
@@ -877,14 +888,19 @@ impl Simulation {
 
         // Free the worker and admit queued work.
         if iid != InstanceId(u32::MAX) && !dropped {
-            let inst = &mut self.instances[iid.index()];
-            inst.busy_workers = inst.busy_workers.saturating_sub(1);
-            inst.window.completions += 1;
-            inst.total_completions += 1;
             let span_latency = (self.now - self.activities[act_idx].arrived).as_micros();
-            inst.window.latency_sum_us += span_latency;
-            if let Some(next) = self.instances[iid.index()].queue.pop_front() {
-                self.instances[iid.index()].busy_workers += 1;
+            let next = self.mutate_instance(iid, |inst| {
+                inst.window.completions += 1;
+                inst.total_completions += 1;
+                inst.window.latency_sum_us += span_latency;
+                inst.busy_workers = inst.busy_workers.saturating_sub(1);
+                let next = inst.queue.pop_front();
+                if next.is_some() {
+                    inst.busy_workers += 1;
+                }
+                next
+            });
+            if let Some(next) = next {
                 self.begin_work(next);
             }
             self.maybe_finish_draining(iid);
@@ -1075,14 +1091,14 @@ impl Simulation {
                                 self.instances[target.index()].stress
                                     [ResourceKind::MemBw.index()] += spec.intensity * 0.7;
                             }
-                            self.nodes[node_idx].contenders.push(ActiveContender {
+                            self.nodes[node_idx].add_contender(ActiveContender {
                                 anomaly: id,
                                 resource,
                                 intensity: spec.intensity * 0.5,
                             });
                         }
                         _ => {
-                            self.nodes[node_idx].contenders.push(ActiveContender {
+                            self.nodes[node_idx].add_contender(ActiveContender {
                                 anomaly: id,
                                 resource,
                                 intensity: spec.intensity,
@@ -1142,12 +1158,14 @@ impl Simulation {
                 .iter()
                 .find(|id| self.instances[id.index()].state == InstanceState::Running)
             {
-                for kind in RESOURCE_KINDS {
-                    if kind != ResourceKind::Cpu {
-                        let p = self.instances[src.index()].partition(kind);
-                        self.instances[iid.index()].set_partition(kind, p);
+                let template = self.instances[src.index()].partitions;
+                self.mutate_instance(iid, |inst| {
+                    for kind in RESOURCE_KINDS {
+                        if kind != ResourceKind::Cpu {
+                            inst.set_partition(kind, template[kind.index()]);
+                        }
                     }
-                }
+                });
             }
         }
         self.schedule(self.now + latency, EventKind::ActuationDone { cmd });
@@ -1223,13 +1241,13 @@ impl Simulation {
                 let node = self.instances[instance.index()].node;
                 let cap = self.nodes[node.index()].capacity(kind);
                 let amount = amount.clamp(cap * 0.001, cap);
-                self.instances[instance.index()].set_partition(kind, Some(amount));
+                self.mutate_instance(instance, |inst| inst.set_partition(kind, Some(amount)));
             }
             Command::ClearPartition { instance, kind } => {
                 // The CPU quota is structural (it defines the worker pool);
                 // it can be resized but not removed.
                 if kind != ResourceKind::Cpu && instance.index() < self.instances.len() {
-                    self.instances[instance.index()].set_partition(kind, None);
+                    self.mutate_instance(instance, |inst| inst.set_partition(kind, None));
                 }
             }
             Command::ScaleOut { service, .. } => {
@@ -1240,7 +1258,7 @@ impl Simulation {
                     .rev()
                     .find(|id| self.instances[id.index()].state == InstanceState::Starting)
                 {
-                    self.instances[iid.index()].state = InstanceState::Running;
+                    self.mutate_instance(iid, |inst| inst.state = InstanceState::Running);
                 }
             }
             Command::ScaleIn { service } => {
@@ -1253,17 +1271,17 @@ impl Simulation {
                     .iter()
                     .min_by_key(|id| self.instances[id.index()].load())
                     .expect("non-empty");
-                self.instances[victim.index()].state = InstanceState::Draining;
+                self.mutate_instance(victim, |inst| inst.state = InstanceState::Draining);
                 self.maybe_finish_draining(victim);
             }
         }
     }
 
     fn maybe_finish_draining(&mut self, iid: InstanceId) {
-        let inst = &mut self.instances[iid.index()];
+        let inst = &self.instances[iid.index()];
         if inst.state == InstanceState::Draining && inst.busy_workers == 0 && inst.queue.is_empty()
         {
-            inst.state = InstanceState::Removed;
+            self.mutate_instance(iid, |inst| inst.state = InstanceState::Removed);
         }
     }
 
@@ -1694,6 +1712,113 @@ mod tests {
         let mut quiet = demo_sim(15);
         quiet.run_for(SimDuration::from_secs(1));
         assert!(quiet.arrival_log().is_empty());
+    }
+
+    /// Each node's maintained aggregates against a from-scratch
+    /// recomputation, and the weight total against the instances'.
+    fn assert_aggregates_current(sim: &Simulation) {
+        let mut total_weight = 0;
+        for node in &sim.nodes {
+            let (weight_sum, reserved) = contention::aggregates_from_scratch(node, &sim.instances);
+            assert_eq!(node.weight_sum, weight_sum);
+            assert_eq!(node.reserved, reserved);
+            for kind in RESOURCE_KINDS {
+                let folded: f64 = node
+                    .contenders()
+                    .iter()
+                    .filter(|c| c.resource == kind)
+                    .map(|c| c.intensity)
+                    .sum();
+                assert_eq!(
+                    node.anomaly_fraction(kind).to_bits(),
+                    folded.min(1.0).to_bits()
+                );
+            }
+            total_weight += node.weight_sum;
+        }
+        let per_instance: u64 = sim
+            .instances
+            .iter()
+            .map(|i| contention::footprint(i).0)
+            .sum();
+        assert_eq!(total_weight, per_instance);
+    }
+
+    #[test]
+    fn node_aggregates_track_random_actuation_and_anomalies() {
+        const STRESSORS: [AnomalyKind; 5] = [
+            AnomalyKind::CpuStress,
+            AnomalyKind::LlcStress,
+            AnomalyKind::MemBwStress,
+            AnomalyKind::IoStress,
+            AnomalyKind::NetBwStress,
+        ];
+        // What the driver must have reached for the run to mean much.
+        let (mut removed, mut reserved_pair, mut over_busy) = (false, false, false);
+        for seed in 0..4 {
+            let mut sim =
+                Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), seed)
+                    .arrivals(Box::new(ConstantArrivals::new(1_200.0)))
+                    .build();
+            let mut rng = SimRng::new(seed ^ 0xA66);
+            for _ in 0..150 {
+                let instance = InstanceId(rng.index(sim.instances.len()) as u32);
+                let service = ServiceId(rng.index(sim.app.services.len()) as u16);
+                let node = sim.instances[instance.index()].node;
+                let kind = RESOURCE_KINDS[rng.index(RESOURCE_KINDS.len())];
+                let stressor = STRESSORS[rng.index(STRESSORS.len())];
+                let length = SimDuration::from_millis(50 + rng.index(400) as u64);
+                match rng.index(9) {
+                    // Large shares, so reservations oversubscribe.
+                    0..=2 => {
+                        let capacity = sim.nodes[node.index()].capacity(kind);
+                        let amount = capacity * rng.uniform_range(0.05, 0.8);
+                        sim.apply(Command::SetPartition {
+                            instance,
+                            kind,
+                            amount,
+                        });
+                    }
+                    3 => {
+                        sim.apply(Command::ClearPartition { instance, kind });
+                    }
+                    4 => {
+                        let warm = rng.chance(0.7);
+                        sim.apply(Command::ScaleOut { service, warm });
+                    }
+                    5 => {
+                        sim.apply(Command::ScaleIn { service });
+                    }
+                    6 => {
+                        sim.inject(AnomalySpec::new(stressor, node, rng.uniform(), length));
+                    }
+                    7 => {
+                        let spec =
+                            AnomalySpec::at_instance(stressor, instance, rng.uniform(), length);
+                        sim.inject(spec);
+                    }
+                    // A CPU quota below the busy count: the worker pool
+                    // shrinks under the work it is running.
+                    _ => {
+                        sim.apply(Command::SetPartition {
+                            instance,
+                            kind: ResourceKind::Cpu,
+                            amount: 0.05,
+                        });
+                    }
+                }
+                sim.run_for(SimDuration::from_millis(1 + rng.index(120) as u64));
+                assert_aggregates_current(&sim);
+
+                removed |= sim
+                    .instances
+                    .iter()
+                    .any(|i| i.state == InstanceState::Removed);
+                reserved_pair |= sim.nodes.iter().any(|n| n.reserved.len() >= 2);
+                over_busy |= sim.instances.iter().any(|i| i.busy_workers > i.workers());
+            }
+        }
+        assert!(removed && reserved_pair && over_busy);
     }
 
     #[test]
