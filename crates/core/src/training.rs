@@ -156,30 +156,33 @@ pub fn replay_experience(
     estimator.train_shared(train_steps)
 }
 
-/// Seeded, deterministic replay priorities for a pooled experience log —
-/// the weighting behind the fleet's *prioritized* one-for-all replay.
+/// The seeded, deterministic replay priority of the transition at
+/// `index` of a pooled experience log — the weighting behind the
+/// fleet's *prioritized* one-for-all replay.
 ///
-/// Each transition's weight is its violation severity (`1 + max(0, −r)`:
+/// The weight is the transition's violation severity (`1 + max(0, −r)`:
 /// the §3.4 reward goes negative exactly when SLOs are violated and
 /// resources sit idle, so the worst incidents — the rare anomaly
 /// classes small tenants contribute — dominate the minibatches instead
 /// of being drowned out by the bulk of healthy steps), plus a tiny
 /// seed-derived jitter that decorrelates equal-severity ties without
-/// ever consulting a clock. The result is a pure function of
-/// `(log, seed)`: log order and the `firm_rng::mix64` stream are both
-/// deterministic, so every worker count, thread count, and submission
-/// schedule computes the same weights.
+/// ever consulting a clock. A pure function of `(seed, index, reward)`,
+/// so every worker count, thread count, and submission schedule
+/// computes the same weight, and a pool that grew by a tail needs only
+/// the tail's priorities computed.
+pub fn replay_priority(seed: u64, index: usize, reward: f64) -> f64 {
+    let severity = (-reward).max(0.0);
+    // 53 uniform bits in [0, 1), scaled to stay a tie-break.
+    let jitter = (firm_rng::mix64(seed, index as u64) >> 11) as f64 / (1u64 << 53) as f64 * 1e-6;
+    1.0 + severity + jitter
+}
+
+/// [`replay_priority`] of every transition of `log`, in log order.
 pub fn replay_priorities(log: &ExperienceLog, seed: u64) -> Vec<f64> {
     log.transitions
         .iter()
         .enumerate()
-        .map(|(i, (_, t))| {
-            let severity = (-t.reward).max(0.0);
-            // 53 uniform bits in [0, 1), scaled to stay a tie-break.
-            let jitter =
-                (firm_rng::mix64(seed, i as u64) >> 11) as f64 / (1u64 << 53) as f64 * 1e-6;
-            1.0 + severity + jitter
-        })
+        .map(|(i, (_, t))| replay_priority(seed, i, t.reward))
         .collect()
 }
 

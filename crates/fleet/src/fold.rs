@@ -1,0 +1,128 @@
+//! The one-for-all fold (§4.3): pool every tenant's experience in a
+//! fixed order, train one shared agent from it.
+//!
+//! A [`Fold`] is the only place results are pooled and trained on. The
+//! batch [`crate::runner::FleetRunner`] absorbs one catalog and trains
+//! once; the resident `firm-serve` coordinator keeps one `Fold` for its
+//! lifetime and retrains after every submission it absorbs. Training is
+//! always **from scratch** on the whole pool with seeds derived from
+//! the fleet seed alone, so the trained weights are a pure function of
+//! *what was absorbed in which order* — which is why a catalog
+//! submitted to a coordinator in sequential slices leaves the same
+//! policy bytes as one batch run.
+
+use firm_core::estimator::{AgentRegime, ResourceEstimator};
+use firm_core::extractor::CriticalComponentExtractor;
+use firm_core::manager::ExperienceLog;
+use firm_core::training::{replay_experience, replay_experience_prioritized, replay_priority};
+
+use crate::report::ScenarioOutcome;
+use crate::runner::FleetConfig;
+
+/// Salt of the shared agent's seed.
+const AGENT_SALT: u64 = 0x0A11;
+/// Salt of the SVM extractor's seed.
+const EXTRACTOR_SALT: u64 = 0x51FE;
+
+/// Ordered outcomes, the pooled experience, and the seeded training of
+/// the shared pipeline from it.
+pub struct Fold {
+    seed: u64,
+    train_steps: usize,
+    prioritized: bool,
+    /// Every absorbed outcome, in absorption order.
+    pub outcomes: Vec<ScenarioOutcome>,
+    /// The pooled experience, in absorption order.
+    pub pooled: ExperienceLog,
+}
+
+impl Fold {
+    /// An empty fold under the config's seed, `train_steps` and
+    /// `replay_priority`.
+    pub fn new(config: &FleetConfig) -> Fold {
+        Fold {
+            seed: config.seed,
+            train_steps: config.train_steps,
+            prioritized: config.replay_priority,
+            outcomes: Vec::new(),
+            pooled: ExperienceLog::default(),
+        }
+    }
+
+    /// Appends one catalog's results, in the order given — the only
+    /// ordering aggregation and training ever see, regardless of which
+    /// worker finished first.
+    pub fn absorb(&mut self, results: Vec<(ScenarioOutcome, ExperienceLog)>) {
+        for (outcome, log) in results {
+            self.outcomes.push(outcome);
+            self.pooled.merge(log);
+        }
+    }
+
+    /// Trains a fresh shared agent on the whole pool (uniform or
+    /// prioritized replay, per the config); returns it with the number
+    /// of updates that actually trained.
+    pub fn train(&self) -> (ResourceEstimator, usize) {
+        let mut estimator = ResourceEstimator::new(AgentRegime::Shared, self.seed ^ AGENT_SALT);
+        let trained = if self.prioritized {
+            replay_experience_prioritized(&mut estimator, &self.pooled, self.train_steps, self.seed)
+        } else {
+            replay_experience(&mut estimator, &self.pooled, self.train_steps)
+        };
+        (estimator, trained)
+    }
+
+    /// Trains a fresh SVM extractor on the pooled ground truth.
+    pub fn train_extractor(&self) -> CriticalComponentExtractor {
+        let mut extractor = CriticalComponentExtractor::new(self.seed ^ EXTRACTOR_SALT);
+        for (features, label) in &self.pooled.svm_examples {
+            extractor.train(features, *label);
+        }
+        extractor
+    }
+
+    /// The replay priorities [`Fold::train`] gives the pooled
+    /// transitions from index `start` on (diagnostics for a pool that
+    /// just grew by that tail).
+    pub fn priorities_from(&self, start: usize) -> impl Iterator<Item = f64> + '_ {
+        let tail = self.pooled.transitions.iter().enumerate().skip(start);
+        tail.map(|(i, (_, t))| replay_priority(self.seed, i, t.reward))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{builtin_catalog, FleetController};
+    use firm_core::training::replay_priorities;
+    use firm_sim::SimDuration;
+
+    /// The serve-side priority histogram reads only the tail a
+    /// submission added; it must see exactly the weights training used.
+    #[test]
+    fn priorities_from_is_the_tail_of_the_whole_pool_priorities() {
+        let scenario = builtin_catalog()
+            .into_iter()
+            .find(|s| s.controller == FleetController::Firm)
+            .expect("the catalog has a FIRM scenario")
+            .with_duration(SimDuration::from_secs(6));
+        let config = FleetConfig {
+            seed: 7,
+            replay_priority: true,
+            ..FleetConfig::default()
+        };
+        let mut fold = Fold::new(&config);
+        fold.absorb(vec![crate::exec::run_one(&scenario, 1)]);
+        let first = fold.pooled.transitions.len();
+        assert!(first > 0, "the scenario harvested no transitions");
+        fold.absorb(vec![crate::exec::run_one(&scenario, 2)]);
+
+        let whole = replay_priorities(&fold.pooled, 7);
+        assert_eq!(
+            fold.priorities_from(first).collect::<Vec<_>>(),
+            whole[first..]
+        );
+        assert_eq!(fold.priorities_from(0).collect::<Vec<_>>(), whole);
+        assert_eq!(fold.outcomes.len(), 2);
+    }
+}

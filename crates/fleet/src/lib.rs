@@ -21,15 +21,18 @@
 //! * [`exec`] — deterministic execution of one scenario from plain data
 //!   and a derived seed, through the workspace's single
 //!   [`firm_core::controller::run_episode`] driver;
-//! * [`runner`] — [`FleetRunner`] shards the catalog across N OS
-//!   worker threads (`std::thread::scope` + channels; no extra
-//!   dependencies). Workers stream completed RL transitions and SVM
-//!   ground-truth labels back to a central trainer that fits one shared
-//!   agent on the pooled, heterogeneous experience — the paper's
-//!   one-for-all regime fed by many apps at once.
-//!   [`FleetRunner::run_round_trip`] then freezes that agent and
-//!   re-runs the catalog in inference mode, reporting per-scenario
-//!   train-vs-deploy deltas (Fig. 11b at fleet scale);
+//! * [`runner`] — [`FleetRunner`] runs the catalog on a supervised
+//!   [`WorkerPool`] (in-process worker threads by default, subprocess
+//!   or TCP workers when configured — one engine either way) and folds
+//!   the results. [`FleetRunner::run_round_trip`] then freezes the
+//!   trained agent and re-runs the catalog in inference mode, reporting
+//!   per-scenario train-vs-deploy deltas (Fig. 11b at fleet scale);
+//! * [`fold`] — the [`Fold`]: outcomes and streamed-home RL
+//!   transitions and SVM ground-truth labels pooled in catalog order,
+//!   and one shared agent trained from scratch on the pooled,
+//!   heterogeneous experience — the paper's one-for-all regime fed by
+//!   many apps at once. The batch runner and the resident `firm-serve`
+//!   coordinator both train through it;
 //! * [`report`] — the aggregated [`FleetReport`] and the round-trip
 //!   [`RoundTripReport`]: per-scenario SLO violation rates, p99
 //!   latencies, mitigation times, train-vs-deploy deltas, and total
@@ -38,15 +41,17 @@
 //!   vocabulary: [`WorkerRequest`] down, and the [`WorkerMessage`]
 //!   tagged union ([`WorkerHello`] handshake, [`WorkerHeartbeat`]
 //!   liveness pulses, responses) back up;
-//! * [`transport`] — how frames reach a worker: [`PipeTransport`]
+//! * [`transport`] — how requests reach a worker: [`PipeTransport`]
 //!   (spawned `firm-fleet-worker` subprocesses on this host) and
 //!   [`TcpTransport`] (`firm-fleet-worker --listen addr` on any host),
-//!   byte-identical frame streams either way;
-//! * [`supervisor`] — worker-pool supervision over any transport:
-//!   idle-queue (JIQ-style) dispatch, per-request timeouts, dead-worker
-//!   detection, and restart-and-replay that cannot move a report byte —
-//!   available as the batch [`supervise`] call or the resident
-//!   [`WorkerPool`] that `firm-serve` keeps running across submissions;
+//!   byte-identical frame streams either way, and [`LocalTransport`]
+//!   (a worker thread in this process, handed the values themselves);
+//! * [`supervisor`] — the [`WorkerPool`], the only way a scenario is
+//!   ever run: idle-queue (JIQ-style) dispatch, per-request timeouts,
+//!   dead-worker detection, and restart-and-replay that cannot move a
+//!   report byte, for every worker kind. [`WorkerPool::run_catalog`] is
+//!   the one catalog driver, shared by the batch runner (a one-shot
+//!   pool) and `firm-serve` (one pool across submissions);
 //! * [`worker`] — the worker-side serve loop behind both modes of the
 //!   `firm-fleet-worker` binary;
 //! * [`ops`] — the [`OpsReport`]: runtime self-metrics (dispatch
@@ -60,8 +65,8 @@
 //! Per-scenario seeds derive from `(fleet seed, catalog index)`,
 //! workers share no mutable state, and all aggregation happens in
 //! catalog order — so a fleet run's report bytes *and* its trained
-//! shared-agent weights are bit-identical at any thread count, at any
-//! subprocess or TCP worker count, and across worker crashes, timeouts,
+//! shared-agent weights are bit-identical at any count of local slots,
+//! subprocess or TCP workers, and across worker crashes, timeouts,
 //! and restarts (a re-dispatched request is byte-identical to the
 //! original; see [`supervisor`]).
 //!
@@ -92,6 +97,7 @@
 
 pub mod catalog;
 pub mod exec;
+pub mod fold;
 pub mod ops;
 pub mod protocol;
 pub mod report;
@@ -104,6 +110,7 @@ pub mod worker;
 
 pub use catalog::{generate_catalog, CatalogSpec};
 pub use exec::{run_one, run_one_sharded, run_one_with};
+pub use fold::Fold;
 pub use ops::{OpsReport, WorkerOps};
 pub use protocol::{
     WorkerHeartbeat, WorkerHello, WorkerMessage, WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
@@ -111,5 +118,7 @@ pub use protocol::{
 pub use report::{FleetReport, FleetTotals, RoundTripReport, ScenarioDelta, ScenarioOutcome};
 pub use runner::{scenario_seed, FleetConfig, FleetResult, FleetRunner, RoundTripResult};
 pub use scenario::{builtin_catalog, FleetController, Scenario};
-pub use supervisor::{supervise, JobDone, PoolJob, SupervisorConfig, WorkerPool};
-pub use transport::{Connection, ConnectionControl, PipeTransport, TcpTransport, Transport};
+pub use supervisor::{JobDone, PoolJob, SupervisorConfig, WorkerPool};
+pub use transport::{
+    Connection, ConnectionControl, Link, LocalTransport, PipeTransport, TcpTransport, Transport,
+};

@@ -58,10 +58,10 @@ impl WireDecode for WorkerOps {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OpsReport {
     /// The coordinator process's registry (dispatch, supervision, and —
-    /// on the in-process thread path — scenario and stage metrics).
+    /// for in-process worker slots — scenario and stage metrics).
     pub coordinator: MetricsSnapshot,
-    /// Per-worker snapshots, sorted by label. Empty on the thread path
-    /// (no worker processes) and missing any worker that died before
+    /// Per-worker snapshots, sorted by label. Empty for in-process
+    /// slots (no worker processes) and missing any worker that died before
     /// its graceful session end.
     pub workers: Vec<WorkerOps>,
 }

@@ -1,73 +1,62 @@
-//! The fleet runtime: shard scenarios across OS threads *or* subprocess
-//! workers, stream experience home, train the shared agent.
+//! The fleet runtime: run a catalog on a supervised worker pool, fold
+//! the experience home, train the shared agent.
+//!
+//! # One engine
+//!
+//! [`FleetRunner`] has no execution loop of its own. Every run starts a
+//! [`WorkerPool`] over one [`Transport`] per worker — subprocess
+//! [`PipeTransport`]s, [`TcpTransport`]s to workers on any host, or,
+//! when neither is configured, in-process [`LocalTransport`] threads —
+//! hands the catalog to [`WorkerPool::run_catalog`], and folds the
+//! catalog-ordered results through one [`Fold`]. Dispatch, liveness and
+//! restart-and-replay are the pool's; see [`crate::supervisor`].
 //!
 //! # Determinism
 //!
 //! Each scenario's seed is derived from the fleet seed and the
 //! scenario's *catalog index* (never from thread identity, process
 //! identity, or timing), and [`crate::exec::run_one`] touches no shared
-//! state. In-process workers claim indices from an atomic counter and
-//! stream `(index, outcome, log)` messages over a channel; the
-//! collector slots them back into catalog order. Aggregation,
-//! experience pooling, and shared-agent training all consume that
-//! ordered view — so the [`FleetReport`] bytes and the trained weights
-//! are identical whether the fleet ran on 1 thread or 64. Thread count
-//! changes wall-clock time, nothing else.
+//! state. Aggregation, experience pooling, and shared-agent training
+//! all consume the catalog-ordered view — so the [`FleetReport`] bytes,
+//! the policy checkpoint and the trained weights are identical at any
+//! worker count, over any transport (the wire codec round-trips every
+//! field exactly; a local slot skips it), under any failure the pool
+//! can recover from. Worker count changes wall-clock time, nothing
+//! else.
 //!
 //! [`FleetConfig::intra_shards`] adds a second, *intra*-scenario axis:
 //! each FIRM control loop fans its trace-ingest and feature-extraction
 //! stages over that many threads between deterministic barriers. Like
-//! the thread count, it is a pure latency knob — every sharded stage is
+//! the worker count, it is a pure latency knob — every sharded stage is
 //! bit-identical to its sequential form — so the two axes compose
-//! freely against one core budget (the thread path divides its worker
-//! count by the shard count).
-//!
-//! # Multi-process and multi-node sharding
-//!
-//! With [`FleetConfig::workers`] set, the runner spawns that many
-//! `firm-fleet-worker` subprocesses; with
-//! [`FleetConfig::remote_workers`] it connects to
-//! `firm-fleet-worker --listen addr` processes on any host. Both paths
-//! go through the same [`crate::supervisor`]: each scenario ships as a
-//! [`crate::protocol::WorkerRequest`] wire frame (scenario + derived
-//! seed, plus the frozen policy on a deployment pass) to whichever
-//! worker is idle, workers answer with `(index, outcome, experience)`
-//! frames, and the coordinator slots them into the same
-//! catalog-ordered view the thread path uses. The wire codec
-//! round-trips every field exactly (`firm-wire`), and a re-dispatched
-//! frame after a crash or timeout is byte-identical to the original —
-//! so the report bytes, the policy checkpoint, and the trained weights
-//! are bit-identical to the in-process path at any worker count, over
-//! any transport, under any failure the supervisor can recover from.
+//! freely against one core budget (local slots number the thread
+//! budget divided by the shard count).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
 use firm_core::controller::PolicyCheckpoint;
-use firm_core::estimator::{AgentRegime, ResourceEstimator};
+use firm_core::estimator::ResourceEstimator;
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_core::manager::ExperienceLog;
-use firm_core::training::{replay_experience, replay_experience_prioritized};
 
-use crate::exec::run_one_sharded;
+use crate::fold::Fold;
 use crate::ops::{OpsReport, WorkerOps};
 use crate::report::{FleetReport, RoundTripReport, ScenarioOutcome};
 use crate::scenario::Scenario;
-use crate::supervisor::{supervise, SupervisorConfig};
-use crate::transport::{PipeTransport, TcpTransport, Transport};
+use crate::supervisor::{SupervisorConfig, WorkerPool};
+use crate::transport::{LocalTransport, PipeTransport, TcpTransport, Transport};
 
 /// Fleet-runtime parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Worker threads; 0 means one per available core. Ignored when
-    /// [`FleetConfig::workers`] or [`FleetConfig::remote_workers`] is
-    /// set.
+    /// The thread budget for in-process worker slots; 0 means one per
+    /// available core. Ignored when [`FleetConfig::workers`] or
+    /// [`FleetConfig::remote_workers`] is set.
     pub threads: usize,
-    /// Subprocess workers; 0 (the default) runs in-process on
-    /// [`FleetConfig::threads`] unless [`FleetConfig::remote_workers`]
+    /// Subprocess workers; 0 (the default) runs on in-process slots
+    /// ([`FleetConfig::threads`]) unless [`FleetConfig::remote_workers`]
     /// is set. Results are bit-identical either way.
     pub workers: usize,
     /// Addresses of `firm-fleet-worker --listen` processes
@@ -94,7 +83,7 @@ pub struct FleetConfig {
     /// its ingest/extract stages over (1, the default, keeps scenarios
     /// single-threaded). A pure latency knob — results are bit-identical
     /// at any value — that trades scenario-level for stage-level
-    /// parallelism: the thread path divides its worker budget by this,
+    /// parallelism: in-process slots number `threads` divided by this,
     /// so `threads` stays the total core budget.
     pub intra_shards: usize,
     /// Prioritized one-for-all replay: weight the central trainer's
@@ -126,7 +115,7 @@ impl Default for FleetConfig {
 
 impl FleetConfig {
     /// Shards over `n` subprocess workers instead of in-process
-    /// threads (0 reverts to the thread path).
+    /// slots (0 reverts to them).
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -168,6 +157,34 @@ impl FleetConfig {
         thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    }
+
+    /// One transport per worker the config names: a [`PipeTransport`]
+    /// for each of `workers` subprocesses (at most `max_pipes` — more
+    /// subprocesses than scenarios would sit idle forever), then a
+    /// [`TcpTransport`] per `remote_workers` address. Empty when no
+    /// worker is configured; an error when the worker binary cannot be
+    /// found.
+    pub fn worker_transports(&self, max_pipes: usize) -> Result<Vec<Box<dyn Transport>>, String> {
+        let pipes = self.workers.min(max_pipes);
+        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
+        if pipes > 0 {
+            let bin = self.try_resolve_worker_bin()?;
+            transports.extend((0..pipes).map(|_| Box::new(PipeTransport::new(bin.clone())) as _));
+        }
+        let remotes = self.remote_workers.iter();
+        transports.extend(remotes.map(|addr| Box::new(TcpTransport::new(addr.clone())) as _));
+        Ok(transports)
+    }
+
+    /// The pool's supervision knobs, as this config sets them.
+    pub fn supervisor_config(&self) -> SupervisorConfig {
+        SupervisorConfig {
+            request_timeout: (self.request_timeout_ms > 0)
+                .then(|| Duration::from_millis(self.request_timeout_ms)),
+            max_attempts: self.max_attempts.max(1),
+            intra_shards: self.intra_shards.max(1),
+        }
     }
 
     /// Resolves the worker binary: explicit config, then the
@@ -309,90 +326,53 @@ impl FleetRunner {
         &self.config
     }
 
-    /// Executes every scenario across the worker pool and aggregates.
+    /// Runs every scenario on the configured workers — or, with none
+    /// configured, on in-process worker slots — and aggregates.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics (a scenario run itself panicked)
-    /// or if `scenarios` is empty.
+    /// As [`FleetRunner::run_with_transports`], and if the worker
+    /// binary cannot be found.
     pub fn run(&self, scenarios: &[Scenario]) -> FleetResult {
-        let (slots, worker_ops) = self.execute(scenarios, None);
-        self.aggregate(slots, worker_ops)
+        self.run_with_transports(scenarios, self.transports(scenarios.len()))
     }
 
     /// Runs the catalog over caller-supplied transports instead of the
-    /// config's `workers`/`remote_workers` — the injection point for
-    /// fault harnesses (`firm-chaos` wraps the stock transports) and
-    /// custom deployments. Dispatch, liveness, and restart-and-replay
-    /// behave exactly as in the supervised path of [`FleetRunner::run`];
-    /// aggregation is shared, so a run over wrapped transports is held
-    /// to the same bit-identity contract as any other.
+    /// config's — the injection point for fault harnesses (`firm-chaos`
+    /// wraps the stock transports) and custom deployments. Everything
+    /// else is [`FleetRunner::run`], so a run over wrapped transports is
+    /// held to the same bit-identity contract as any other.
     ///
     /// # Panics
     ///
     /// Panics if `scenarios` or `transports` is empty, an initial
     /// connection fails, or a scenario exhausts
-    /// [`FleetConfig::max_attempts`].
+    /// [`FleetConfig::max_attempts`] (a panicking scenario does, on
+    /// every worker that tries it) — a fleet result built from partial
+    /// data would silently break the determinism contract, so there is
+    /// nothing sensible to salvage.
     pub fn run_with_transports(
         &self,
         scenarios: &[Scenario],
         transports: Vec<Box<dyn Transport>>,
     ) -> FleetResult {
-        assert!(!scenarios.is_empty(), "fleet needs at least one scenario");
-        assert!(!transports.is_empty(), "fleet needs at least one transport");
-        let config = self.supervisor_config();
-        let (slots, worker_ops) = supervise(transports, scenarios, self.config.seed, None, &config);
-        self.aggregate(slots, worker_ops)
-    }
-
-    /// Folds per-scenario results into the final [`FleetResult`]: the
-    /// aggregation tail shared by every execution path.
-    fn aggregate(
-        &self,
-        slots: Vec<(ScenarioOutcome, ExperienceLog)>,
-        worker_ops: Vec<WorkerOps>,
-    ) -> FleetResult {
-        let fleet_seed = self.config.seed;
-
-        // Catalog-order aggregation: the only ordering the results ever
-        // see, regardless of which worker finished first.
-        let mut outcomes = Vec::with_capacity(slots.len());
-        let mut pooled = ExperienceLog::default();
-        for (outcome, log) in slots {
-            outcomes.push(outcome);
-            pooled.merge(log);
-        }
-        let report = FleetReport::new(fleet_seed, outcomes);
-
+        let (results, worker_ops) = self.run_pass(scenarios, transports, None);
+        let mut fold = Fold::new(&self.config);
+        fold.absorb(results);
         // Central shared-agent training from the pooled, ordered
         // experience (the paper's one-for-all regime, fed by
         // heterogeneous tenants instead of one app).
-        let mut estimator = ResourceEstimator::new(AgentRegime::Shared, fleet_seed ^ 0x0A11);
-        let trained_updates = if self.config.replay_priority {
-            replay_experience_prioritized(
-                &mut estimator,
-                &pooled,
-                self.config.train_steps,
-                fleet_seed,
-            )
-        } else {
-            replay_experience(&mut estimator, &pooled, self.config.train_steps)
-        };
-        let mut extractor = CriticalComponentExtractor::new(fleet_seed ^ 0x51FE);
-        for (features, label) in &pooled.svm_examples {
-            extractor.train(features, *label);
-        }
-
+        let (estimator, trained_updates) = fold.train();
+        let extractor = fold.train_extractor();
         // Assembled last so the coordinator snapshot includes the
         // aggregation and training it just did. Diagnostics only: the
         // report and weights above were already final.
         let ops = OpsReport::new(firm_obs::metrics().snapshot(), worker_ops);
-
         FleetResult {
-            report,
+            report: FleetReport::new(self.config.seed, fold.outcomes),
             estimator,
             extractor,
-            pooled,
+            pooled: fold.pooled,
             trained_updates,
             ops,
         }
@@ -405,12 +385,12 @@ impl FleetRunner {
     /// passes with the per-scenario deltas.
     ///
     /// Like [`FleetRunner::run`], the whole round trip is bit-identical
-    /// at any thread count: the deploy pass derives per-scenario seeds
+    /// at any worker count: the deploy pass derives per-scenario seeds
     /// the same way and runs a frozen (deterministic) policy.
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panics or `scenarios` is empty.
+    /// As [`FleetRunner::run`].
     pub fn run_round_trip(&self, scenarios: &[Scenario]) -> RoundTripResult {
         let train = self.run(scenarios);
         let (actor, critic) = train.estimator.shared_agent().export_weights();
@@ -420,8 +400,9 @@ impl FleetRunner {
         // process-cumulative registries; the train pass's OpsReport
         // already tells the operability story, so they are not kept
         // separately.
-        let (slots, _deploy_ops) = self.execute(scenarios, Some(&policy));
-        let outcomes = slots.into_iter().map(|(outcome, _)| outcome).collect();
+        let transports = self.transports(scenarios.len());
+        let (results, _deploy_ops) = self.run_pass(scenarios, transports, Some(&policy));
+        let outcomes = results.into_iter().map(|(outcome, _)| outcome).collect();
         let deploy = FleetReport::new(self.config.seed, outcomes);
 
         RoundTripResult {
@@ -431,132 +412,43 @@ impl FleetRunner {
         }
     }
 
-    /// Runs every scenario across the worker pool (threads or
-    /// subprocesses, per the config), returning results in catalog
-    /// order. The shared skeleton of the training and deployment
+    /// The transports of one pass over `jobs` scenarios: the config's
+    /// workers, or — with none configured — one local slot per
+    /// scenario, up to `effective_threads / intra_shards` (each
+    /// scenario spawns `intra_shards` stage threads at its barriers, so
+    /// total concurrency stays ≈ `effective_threads` whichever way the
+    /// product is split).
+    fn transports(&self, jobs: usize) -> Vec<Box<dyn Transport>> {
+        let configured = self
+            .config
+            .worker_transports(jobs)
+            .unwrap_or_else(|e| panic!("{e}"));
+        if !configured.is_empty() {
+            return configured;
+        }
+        let slots = (self.config.effective_threads() / self.config.intra_shards.max(1))
+            .max(1)
+            .min(jobs);
+        (0..slots).map(|_| Box::new(LocalTransport) as _).collect()
+    }
+
+    /// One pass of the catalog through a one-shot [`WorkerPool`]:
+    /// results in catalog order, plus each worker's session-end metrics
+    /// snapshot. The shared skeleton of the training and deployment
     /// passes; `policy` deploys a frozen agent into FIRM scenarios.
-    fn execute(
+    fn run_pass(
         &self,
         scenarios: &[Scenario],
+        transports: Vec<Box<dyn Transport>>,
         policy: Option<&PolicyCheckpoint>,
     ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
         assert!(!scenarios.is_empty(), "fleet needs at least one scenario");
-        if self.config.workers > 0 || !self.config.remote_workers.is_empty() {
-            self.execute_supervised(scenarios, policy)
-        } else {
-            // The thread path has no worker processes; its scenario and
-            // stage metrics land directly in this process's registry.
-            (self.execute_threads(scenarios, policy), Vec::new())
-        }
-    }
-
-    /// The in-process path: OS threads claiming catalog indices from an
-    /// atomic counter.
-    ///
-    /// With [`FleetConfig::intra_shards`] above 1, scenario workers and
-    /// intra-scenario shards are co-scheduled against one core budget:
-    /// each scenario runner spawns `intra_shards` stage threads at its
-    /// barriers, so the scenario-worker count is the thread budget
-    /// divided by the shard count (floor 1). Total concurrency stays
-    /// ≈ `effective_threads` whichever way the product is split, and
-    /// because sharded results are bit-identical, the split is
-    /// invisible in the report.
-    fn execute_threads(
-        &self,
-        scenarios: &[Scenario],
-        policy: Option<&PolicyCheckpoint>,
-    ) -> Vec<(ScenarioOutcome, ExperienceLog)> {
-        let intra_shards = self.config.intra_shards.max(1);
-        let threads = (self.config.effective_threads() / intra_shards)
-            .max(1)
-            .min(scenarios.len());
-        let fleet_seed = self.config.seed;
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, ScenarioOutcome, ExperienceLog)>();
-        let mut slots: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
-            (0..scenarios.len()).map(|_| None).collect();
-
-        thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let next = &next;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(i) else {
-                        break;
-                    };
-                    let seed = scenario_seed(fleet_seed, i);
-                    let (outcome, log) = run_one_sharded(scenario, seed, policy, intra_shards);
-                    // The collector hanging up is impossible while the
-                    // scope lives; a send error would mean a collector
-                    // bug, so surface it.
-                    tx.send((i, outcome, log)).expect("collector alive");
-                });
-            }
-            drop(tx);
-            // Collect on the scope's owning thread while workers run.
-            for (i, outcome, log) in rx {
-                slots[i] = Some((outcome, log));
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every scenario ran"))
-            .collect()
-    }
-
-    /// The sharded path: build one [`Transport`] per worker —
-    /// [`PipeTransport`]s for [`FleetConfig::workers`] subprocesses,
-    /// [`TcpTransport`]s for every [`FleetConfig::remote_workers`]
-    /// address — and hand the catalog to the [`crate::supervisor`],
-    /// which owns dispatch (idle-queue, one outstanding scenario per
-    /// worker), liveness (per-request timeout, heartbeat silence, EOF),
-    /// and restart-and-replay. Results come back in catalog order, so
-    /// aggregation is byte-identical to the thread path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker binary cannot be found or spawned, an
-    /// initial connection fails, or a scenario exhausts
-    /// [`FleetConfig::max_attempts`] — a fleet result built from
-    /// partial data would silently break the determinism contract, so
-    /// there is nothing sensible to salvage.
-    fn execute_supervised(
-        &self,
-        scenarios: &[Scenario],
-        policy: Option<&PolicyCheckpoint>,
-    ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
-        // More subprocesses than scenarios would sit idle forever.
-        let pipes = self.config.workers.min(scenarios.len());
-        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        if pipes > 0 {
-            let bin = self.config.resolve_worker_bin();
-            transports.extend(
-                (0..pipes).map(|_| Box::new(PipeTransport::new(bin.clone())) as Box<dyn Transport>),
-            );
-        }
-        transports.extend(
-            self.config
-                .remote_workers
-                .iter()
-                .map(|addr| Box::new(TcpTransport::new(addr.clone())) as Box<dyn Transport>),
-        );
-
-        let config = self.supervisor_config();
-        supervise(transports, scenarios, self.config.seed, policy, &config)
-    }
-
-    /// The supervisor knobs derived from the fleet config, shared by
-    /// the stock supervised path and [`FleetRunner::run_with_transports`].
-    fn supervisor_config(&self) -> SupervisorConfig {
-        SupervisorConfig {
-            request_timeout: (self.config.request_timeout_ms > 0)
-                .then(|| Duration::from_millis(self.config.request_timeout_ms)),
-            max_attempts: self.config.max_attempts.max(1),
-            intra_shards: self.config.intra_shards.max(1),
-        }
+        assert!(!transports.is_empty(), "fleet needs at least one transport");
+        let pool = WorkerPool::start(transports, self.config.supervisor_config())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let results = pool.run_catalog(scenarios, self.config.seed, 0, policy, &mut |_| {});
+        let worker_ops = pool.shutdown();
+        (results.unwrap_or_else(|e| panic!("{e}")), worker_ops)
     }
 }
 
@@ -657,7 +549,12 @@ mod tests {
             train_steps: 64,
             ..FleetConfig::default()
         });
+        let dispatched = firm_obs::metrics().counter("fleet.dispatch.total");
+        let dispatched_before = dispatched.get();
         let result = runner.run(&scenarios);
+        // With no worker configured the catalog still goes through a
+        // WorkerPool (the counter is process-wide, hence "at least").
+        assert!(dispatched.get() - dispatched_before >= 3);
         assert_eq!(result.report.scenarios.len(), 3);
         // Catalog order is preserved.
         for (s, o) in scenarios.iter().zip(&result.report.scenarios) {

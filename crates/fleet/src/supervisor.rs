@@ -1,6 +1,7 @@
-//! Worker-pool supervision: liveness, restart-and-replay, and
-//! idle-queue dispatch over any [`Transport`] — packaged two ways: the
-//! batch [`supervise`] call and the resident [`WorkerPool`].
+//! The one execution engine: a supervised [`WorkerPool`] with
+//! idle-queue dispatch, liveness and restart-and-replay over any
+//! [`Transport`] — subprocess pipes, TCP sockets and in-process worker
+//! threads ([`crate::transport::LocalTransport`]) alike.
 //!
 //! The pool owns the part of a distributed fleet that the happy path
 //! never sees:
@@ -9,31 +10,36 @@
 //!   whichever worker is idle (distributed-JIQ style), one outstanding
 //!   job per worker, instead of a static round-robin partition. A slow
 //!   tenant therefore delays only itself; the rest of the pool drains
-//!   the queue around it.
+//!   the queue around it. A worker thread is just one more idle worker,
+//!   so the discipline exists once for every worker kind.
 //! * **Liveness** — a per-request timeout catches wedged workers, an
-//!   EOF/error on a worker's stream catches crashed ones immediately,
-//!   and prolonged heartbeat silence catches the silent kind (peer
-//!   alive at the TCP level but frozen).
+//!   EOF/error on a worker's stream catches crashed ones immediately
+//!   (a local thread's panicking scenario closes its channel the same
+//!   way), and prolonged heartbeat silence catches the silent kind
+//!   (peer alive at the TCP level but frozen).
 //! * **Restart-and-replay** — a failed worker's in-flight job goes back
 //!   to the *front* of the queue and is re-dispatched to a healthy
 //!   worker, excluding every worker that already failed it (so a
 //!   poisonous scenario cannot ping-pong onto the same machine). The
 //!   slot itself is reconnected through its transport — a respawned
-//!   subprocess or a fresh TCP session — and rejoins the pool; if the
-//!   reconnect fails the slot is retired and the survivors absorb its
-//!   share.
+//!   subprocess, a fresh TCP session, a fresh thread — and rejoins the
+//!   pool; if the reconnect fails, or the worker speaks another
+//!   protocol version, the slot is retired and the survivors absorb
+//!   its share.
 //!
-//! # Batch vs resident
+//! # One pool, two lifetimes
 //!
-//! [`supervise`] is the batch shape: run one catalog, return results in
-//! catalog order, panic on anything unrecoverable (a batch report
-//! missing a scenario would silently break the determinism contract).
-//! It is a thin wrapper over [`WorkerPool`], the resident shape that
-//! `firm-fleet serve` runs for days: jobs are [`PoolJob`]s submitted at
-//! any time from any thread, each completion (or unrecoverable failure)
-//! is delivered as a [`JobDone`] on the job's own reply channel, and a
-//! failure fails *that job*, never the pool — the fleet keeps serving
-//! every other submission.
+//! Every scenario the workspace ever runs goes through a [`WorkerPool`]:
+//! jobs are [`PoolJob`]s submitted at any time from any thread, each
+//! completion (or unrecoverable failure) is delivered as a [`JobDone`]
+//! on the job's own reply channel, and a failure fails *that job*,
+//! never the pool. [`WorkerPool::run_catalog`] is the one catalog
+//! driver on top: submit every scenario, collect into catalog order.
+//! The batch [`crate::runner::FleetRunner`] starts a pool, runs one
+//! catalog and shuts it down (panicking on an `Err` — a report missing
+//! a scenario would silently break the determinism contract); the
+//! resident `firm-fleet serve` keeps one pool for days and calls
+//! `run_catalog` once per submission.
 //!
 //! # Why failures cannot move the report
 //!
@@ -48,6 +54,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::Write;
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -62,7 +69,8 @@ use crate::protocol::{WorkerHello, WorkerMessage, WorkerRequest, PROTOCOL_VERSIO
 use crate::report::ScenarioOutcome;
 use crate::runner::scenario_seed;
 use crate::scenario::Scenario;
-use crate::transport::Transport;
+use crate::transport::{ConnectionControl, Link, Transport};
+use crate::worker::serve_local;
 
 /// Event target for everything the coordinator side emits.
 const TARGET: &str = "fleet supervisor";
@@ -75,10 +83,8 @@ pub struct SupervisorConfig {
     /// `None` disables the timeout (crash detection still applies).
     pub request_timeout: Option<Duration>,
     /// How many workers may fail one job before the pool gives up on
-    /// it. A batch [`supervise`] then panics (a report missing a
-    /// scenario would silently break the determinism contract); a
-    /// resident pool delivers the failure on the job's reply channel
-    /// and keeps serving everything else.
+    /// it, delivers the failure on the job's reply channel, and keeps
+    /// serving everything else.
     pub max_attempts: usize,
     /// Intra-scenario stage fan-out shipped on every request frame
     /// ([`WorkerRequest::intra_shards`]); 1 keeps workers sequential.
@@ -131,77 +137,13 @@ pub struct JobDone {
     pub result: Result<(ScenarioOutcome, ExperienceLog), String>,
 }
 
-/// Runs `scenarios` over a pool of transport-backed workers and returns
-/// `(outcome, experience)` in catalog order — the supervised equivalent
-/// of the in-process thread path, bit-identical to it — plus each
-/// worker's session-end metrics snapshot (labeled `slot<N>:<transport>`,
-/// missing for workers that died before a graceful session end). The
-/// snapshots are pure diagnostics: they ride a separate frame and never
-/// touch the results.
-///
-/// # Panics
-///
-/// Panics when the fleet cannot finish exactly: an initial connection
-/// fails, a scenario exhausts [`SupervisorConfig::max_attempts`], or
-/// every worker dies. (The resident [`WorkerPool`] underneath reports
-/// these as per-job [`JobDone`] failures; the batch shape has no
-/// partial result worth salvaging, so it panics.)
-pub fn supervise(
-    transports: Vec<Box<dyn Transport>>,
-    scenarios: &[Scenario],
-    fleet_seed: u64,
-    policy: Option<&PolicyCheckpoint>,
-    config: &SupervisorConfig,
-) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
-    assert!(
-        !transports.is_empty(),
-        "supervisor needs at least one worker"
-    );
-    let pool = WorkerPool::start(transports, config.clone()).unwrap_or_else(|e| panic!("{e}"));
-    let policy = policy.map(|p| Arc::new(p.clone()));
-    let (reply_tx, reply_rx) = mpsc::channel();
-    for (i, scenario) in scenarios.iter().enumerate() {
-        pool.submit(PoolJob {
-            index: i as u64,
-            seed: scenario_seed(fleet_seed, i),
-            scenario: scenario.clone(),
-            policy: policy.clone(),
-            reply: reply_tx.clone(),
-        });
-    }
-    drop(reply_tx);
-
-    let mut results: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
-        (0..scenarios.len()).map(|_| None).collect();
-    for _ in 0..scenarios.len() {
-        let done = reply_rx
-            .recv()
-            .expect("the pool delivers every submitted job");
-        match done.result {
-            Ok(r) => {
-                let cell = &mut results[done.index as usize];
-                assert!(cell.is_none(), "job {} completed twice", done.index);
-                *cell = Some(r);
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-    let worker_ops = pool.shutdown();
-    let results = results
-        .into_iter()
-        .map(|slot| slot.expect("every scenario ran"))
-        .collect();
-    (results, worker_ops)
-}
-
-/// A resident, supervised worker pool: submit [`PoolJob`]s from any
-/// thread at any time, get [`JobDone`] deliveries on each job's reply
-/// channel as workers finish. Dispatch, liveness, and
-/// restart-and-replay behave exactly as in the batch [`supervise`]
-/// shape (it *is* this pool underneath) — the difference is lifecycle:
-/// the pool outlives any one catalog, failures are delivered instead of
-/// thrown, and [`WorkerPool::shutdown`] ends it gracefully, collecting
-/// the workers' session-end metrics.
+/// A supervised worker pool: submit [`PoolJob`]s from any thread at
+/// any time, get [`JobDone`] deliveries on each job's reply channel as
+/// workers finish. The pool outlives any one catalog, failures are
+/// delivered instead of thrown, and [`WorkerPool::shutdown`] ends it
+/// gracefully, collecting the workers' session-end metrics (labeled
+/// `slot<N>:<transport>`; pure diagnostics that ride a separate frame
+/// and never touch the results).
 pub struct WorkerPool {
     msgs: mpsc::Sender<PoolMsg>,
     thread: Mutex<Option<JoinHandle<()>>>,
@@ -260,6 +202,64 @@ impl WorkerPool {
                 index: job.index,
                 result: Err("worker pool is shut down".to_string()),
             });
+        }
+    }
+
+    /// Runs one catalog: submits every scenario (job index
+    /// `base_index + i`, seed [`scenario_seed`]`(seed, index)`, `policy`
+    /// deployed when set), calls `on_done` with each delivery the moment
+    /// it lands, and returns `(outcome, experience)` in catalog order.
+    /// On failure the error is the first casualty's; the remaining
+    /// deliveries are still drained, so nothing of this catalog is left
+    /// in flight when the call returns.
+    pub fn run_catalog(
+        &self,
+        scenarios: &[Scenario],
+        seed: u64,
+        base_index: u64,
+        policy: Option<&PolicyCheckpoint>,
+        on_done: &mut dyn FnMut(&JobDone),
+    ) -> Result<Vec<(ScenarioOutcome, ExperienceLog)>, String> {
+        let policy = policy.map(|p| Arc::new(p.clone()));
+        let (reply_tx, reply_rx) = mpsc::channel();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let index = base_index + i as u64;
+            self.submit(PoolJob {
+                index,
+                seed: scenario_seed(seed, index as usize),
+                scenario: scenario.clone(),
+                policy: policy.clone(),
+                reply: reply_tx.clone(),
+            });
+        }
+        drop(reply_tx);
+
+        let mut results: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
+            (0..scenarios.len()).map(|_| None).collect();
+        let mut failure = None;
+        for _ in 0..scenarios.len() {
+            let Ok(done) = reply_rx.recv() else {
+                failure.get_or_insert_with(|| "the worker pool died mid-catalog".to_string());
+                break;
+            };
+            on_done(&done);
+            match done.result {
+                Ok(r) => {
+                    let cell = &mut results[(done.index - base_index) as usize];
+                    assert!(cell.is_none(), "job {} completed twice", done.index);
+                    *cell = Some(r);
+                }
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
+        }
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(results
+                .into_iter()
+                .map(|slot| slot.expect("every scenario delivered"))
+                .collect()),
         }
     }
 
@@ -380,12 +380,15 @@ enum EventKind {
 
 /// The live half of a slot: one open connection plus its pump threads.
 struct Live {
-    /// Frames queued here are written by a dedicated thread, so a
-    /// worker that stops reading can never block the coordinator loop.
-    frames: mpsc::Sender<String>,
-    writer: JoinHandle<()>,
-    reader: JoinHandle<()>,
-    control: Box<dyn crate::transport::ConnectionControl>,
+    /// Requests queued here leave the coordinator loop at once: a
+    /// stream's writer thread frames and writes them (so a worker that
+    /// stops reading can never block the loop), a local worker thread
+    /// receives the values themselves.
+    requests: mpsc::Sender<WorkerRequest>,
+    /// The threads serving this connection, joined at graceful teardown.
+    pumps: Vec<JoinHandle<()>>,
+    /// `None` for a local worker thread, which cannot be killed.
+    control: Option<Box<dyn ConnectionControl>>,
     generation: u64,
     hello: Option<WorkerHello>,
     /// When the last frame (of any kind) arrived — heartbeat silence is
@@ -400,7 +403,8 @@ enum SlotState {
         job: u64,
         dispatched: Instant,
     },
-    /// Reconnect failed; the slot is out of the pool for good.
+    /// Reconnect failed or the worker speaks another protocol version;
+    /// the slot is out of the pool for good.
     Retired,
 }
 
@@ -435,6 +439,9 @@ struct PoolRuntime {
     jobs: HashMap<u64, JobEntry>,
     next_job: u64,
     obs: CoordMetrics,
+    /// Why the most recent slot retired, for the error of a job no
+    /// worker is left to run.
+    last_retirement: String,
     /// Each slot's session-end metrics frame, when one arrived.
     worker_metrics: Vec<Option<MetricsSnapshot>>,
     /// The generation of each slot's most recently torn-down
@@ -474,6 +481,7 @@ impl PoolRuntime {
             jobs: HashMap::new(),
             next_job: 0,
             obs: CoordMetrics::new(),
+            last_retirement: String::new(),
             worker_metrics,
             final_generation,
             shutdown: None,
@@ -503,7 +511,8 @@ impl PoolRuntime {
                 Some(PoolMsg::Worker(event)) => self.handle_event(event),
                 Some(PoolMsg::Cmd(Command::Submit(job))) => self.enqueue(*job),
                 Some(PoolMsg::Cmd(Command::Shutdown { done })) => {
-                    firm_obs::event(Level::Info, TARGET)
+                    // Debug: every batch run ends its one-shot pool.
+                    firm_obs::event(Level::Debug, TARGET)
                         .msg("pool shutdown requested")
                         .field("queued", self.queue.len())
                         .field("in_flight", self.jobs.len() - self.queue.len())
@@ -517,17 +526,6 @@ impl PoolRuntime {
     }
 
     fn enqueue(&mut self, job: PoolJob) {
-        if self.all_retired() {
-            let _ = job.reply.send(JobDone {
-                index: job.index,
-                result: Err(format!(
-                    "job {} has no eligible worker: every worker in the pool \
-                     died and could not be restarted",
-                    job.index
-                )),
-            });
-            return;
-        }
         let id = self.next_job;
         self.next_job += 1;
         self.jobs.insert(
@@ -547,10 +545,11 @@ impl PoolRuntime {
             .all(|s| matches!(s.state, SlotState::Retired))
     }
 
-    /// Fails every queued job once no worker can ever run it. With the
-    /// dispatch eligibility rule (a job excluded from every live slot
-    /// may still go to any of them), the only unrunnable state is a
-    /// fully retired pool.
+    /// Fails every queued job once no worker can ever run it — at once
+    /// for jobs submitted later, since the loop calls this before every
+    /// wait. With the dispatch eligibility rule (a job excluded from
+    /// every live slot may still go to any of them), the only
+    /// unrunnable state is a fully retired pool.
     fn fail_unrunnable(&mut self) {
         if !self.all_retired() {
             return;
@@ -565,8 +564,8 @@ impl PoolRuntime {
                 result: Err(format!(
                     "fleet cannot make progress: job {} has no eligible worker \
                      ({retired} of {retired} slots retired) — every worker died \
-                     or already failed it",
-                    entry.job.index
+                     or already failed it; last retired: {}",
+                    entry.job.index, self.last_retirement
                 )),
             });
         }
@@ -623,9 +622,9 @@ impl PoolRuntime {
         self.obs.queue_depth.set(self.queue.len() as i64);
     }
 
-    /// Ships one request frame; the per-connection policy bookkeeping
-    /// (full weights the first time a connection sees a given
-    /// checkpoint, `reuse_policy` afterwards) lives here.
+    /// Ships one request; the per-connection policy bookkeeping (full
+    /// weights the first time a connection sees a given checkpoint,
+    /// `reuse_policy` afterwards) lives here.
     fn send_job(&mut self, slot_id: usize, id: u64) -> Result<(), ()> {
         let entry = &self.jobs[&id];
         let slot_cached = self.slots[slot_id].wire_policy;
@@ -640,22 +639,19 @@ impl PoolRuntime {
                 }
             }
         };
-        let frame = firm_wire::encode_line(&WorkerRequest {
+        let request = WorkerRequest {
             index: entry.job.index,
             seed: entry.job.seed,
             scenario: entry.job.scenario.clone(),
             policy,
             reuse_policy,
             intra_shards: self.config.intra_shards.max(1) as u64,
-        });
+        };
         let slot = &mut self.slots[slot_id];
         let live = slot.live.as_ref().expect("dispatch checked live");
-        let frame_len = frame.len() as u64;
-        if live.frames.send(frame).is_err() {
+        if live.requests.send(request).is_err() {
             return Err(());
         }
-        self.obs.frames_tx.inc();
-        self.obs.bytes_tx.add(frame_len);
         // The worker mirrors this bookkeeping: a no-policy frame clears
         // its cache, a policy-carrying frame replaces it.
         slot.wire_policy = new_cache;
@@ -762,15 +758,16 @@ impl PoolRuntime {
         }
         match event.kind {
             EventKind::Frame(WorkerMessage::Hello(hello)) => {
-                assert_eq!(
-                    hello.protocol,
-                    PROTOCOL_VERSION,
-                    "{} speaks fleet protocol v{}, this coordinator speaks v{} \
-                     — upgrade the older side",
-                    slot.transport.label(),
-                    hello.protocol,
-                    PROTOCOL_VERSION,
-                );
+                if hello.protocol != PROTOCOL_VERSION {
+                    // A reconnect would meet the same binary: retire.
+                    let reason = format!(
+                        "speaks fleet protocol v{}, this coordinator speaks v{} \
+                         — upgrade the older side",
+                        hello.protocol, PROTOCOL_VERSION,
+                    );
+                    self.replace_worker(event.slot, &reason, false);
+                    return;
+                }
                 firm_obs::event(Level::Debug, TARGET)
                     .msg("worker handshake")
                     .field("slot", event.slot)
@@ -842,6 +839,12 @@ impl PoolRuntime {
     /// reconnect fails. A job that has exhausted its attempts budget is
     /// delivered as a failure instead of requeued; the pool lives on.
     fn recycle(&mut self, slot_id: usize, reason: &str) {
+        self.replace_worker(slot_id, reason, true);
+    }
+
+    /// [`PoolRuntime::recycle`], with `reconnect` off for a worker no
+    /// reconnect can fix: the slot retires at once.
+    fn replace_worker(&mut self, slot_id: usize, reason: &str, reconnect: bool) {
         let label = self.slots[slot_id].transport.label();
         let generation = self.slots[slot_id]
             .live
@@ -889,7 +892,13 @@ impl PoolRuntime {
         }
         self.slots[slot_id].state = SlotState::Idle;
 
-        match self.connect_slot(slot_id) {
+        let reconnected = if reconnect {
+            self.connect_slot(slot_id)
+                .map_err(|e| format!("reconnect failed: {e}"))
+        } else {
+            Err(reason.to_string())
+        };
+        match reconnected {
             Ok(()) => {
                 self.obs.restarts.inc();
                 firm_obs::event(Level::Info, TARGET)
@@ -906,81 +915,108 @@ impl PoolRuntime {
                     .field("attempts", attempts)
                     .emit();
             }
-            Err(e) => {
+            Err(why) => {
                 self.obs.retired.inc();
                 firm_obs::event(Level::Error, TARGET)
-                    .msg("reconnect failed; retiring worker, survivors absorb its share")
+                    .msg("retiring worker; survivors absorb its share")
                     .field("transport", label.as_str())
                     .field("generation", generation)
-                    .field("error", e.to_string())
+                    .field("error", why.as_str())
                     .emit();
                 self.slots[slot_id].state = SlotState::Retired;
+                self.last_retirement = format!("{label} {why}");
             }
         }
     }
 
-    /// Opens a connection for a slot and starts its pump threads.
+    /// Opens a connection for a slot and starts its pump threads — the
+    /// one place that tells a byte stream from a local worker thread.
     fn connect_slot(&mut self, slot_id: usize) -> std::io::Result<()> {
         let slot = &mut self.slots[slot_id];
-        let conn = slot.transport.connect()?;
+        let link = slot.transport.link()?;
         let generation = slot.next_generation;
         slot.next_generation += 1;
 
-        let (frames_tx, frames_rx) = mpsc::channel::<String>();
-        let mut writer_half = conn.writer;
-        let writer = std::thread::spawn(move || {
-            // Exits when the channel closes (graceful: dropping the
-            // sender also drops/EOFs the stream) or a write fails
-            // (the reader thread will surface the death as Closed).
-            for frame in frames_rx {
-                if writer_half
-                    .write_all(frame.as_bytes())
-                    .and_then(|_| writer_half.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        });
-
-        let mut reader_half = conn.reader;
         let events = self.msgs_tx.clone();
-        let frames_rx_ctr = Arc::clone(&self.obs.frames_rx);
-        let bytes_rx_ctr = Arc::clone(&self.obs.bytes_rx);
-        let reader = std::thread::spawn(move || {
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let kind = match reader_half.read_line(&mut line) {
-                    Ok(0) | Err(_) => EventKind::Closed,
-                    Ok(_) if line.trim().is_empty() => continue,
-                    Ok(n) => {
-                        frames_rx_ctr.inc();
-                        bytes_rx_ctr.add(n as u64);
-                        match firm_wire::decode_line::<WorkerMessage>(&line) {
-                            Ok(msg) => EventKind::Frame(msg),
-                            Err(e) => EventKind::BadFrame(e.to_string()),
+        // The pool hanging up just means the fleet is done.
+        let notify = move |kind| {
+            let _ = events.send(PoolMsg::Worker(Event {
+                slot: slot_id,
+                generation,
+                kind,
+            }));
+        };
+        let (requests, outbound) = mpsc::channel::<WorkerRequest>();
+        let (pumps, control) = match link {
+            Link::Stream(conn) => {
+                let mut writer_half = conn.writer;
+                let frames_tx = Arc::clone(&self.obs.frames_tx);
+                let bytes_tx = Arc::clone(&self.obs.bytes_tx);
+                let writer = std::thread::spawn(move || {
+                    // Exits when the channel closes (graceful: dropping
+                    // the sender also drops/EOFs the stream) or a write
+                    // fails (the reader will surface the death as Closed).
+                    for request in outbound {
+                        let frame = firm_wire::encode_line(&request);
+                        frames_tx.inc();
+                        bytes_tx.add(frame.len() as u64);
+                        if writer_half
+                            .write_all(frame.as_bytes())
+                            .and_then(|_| writer_half.flush())
+                            .is_err()
+                        {
+                            break;
                         }
                     }
-                };
-                let closed = matches!(kind, EventKind::Closed);
-                // The pool hanging up just means the fleet is done.
-                let _ = events.send(PoolMsg::Worker(Event {
-                    slot: slot_id,
-                    generation,
-                    kind,
-                }));
-                if closed {
-                    break;
-                }
+                });
+
+                let mut reader_half = conn.reader;
+                let frames_rx_ctr = Arc::clone(&self.obs.frames_rx);
+                let bytes_rx_ctr = Arc::clone(&self.obs.bytes_rx);
+                let reader = std::thread::spawn(move || {
+                    let mut line = String::new();
+                    loop {
+                        line.clear();
+                        let kind = match reader_half.read_line(&mut line) {
+                            Ok(0) | Err(_) => EventKind::Closed,
+                            Ok(_) if line.trim().is_empty() => continue,
+                            Ok(n) => {
+                                frames_rx_ctr.inc();
+                                bytes_rx_ctr.add(n as u64);
+                                match firm_wire::decode_line::<WorkerMessage>(&line) {
+                                    Ok(msg) => EventKind::Frame(msg),
+                                    Err(e) => EventKind::BadFrame(e.to_string()),
+                                }
+                            }
+                        };
+                        let closed = matches!(kind, EventKind::Closed);
+                        notify(kind);
+                        if closed {
+                            break;
+                        }
+                    }
+                });
+                (vec![writer, reader], Some(conn.control))
             }
-        });
+            Link::Local => {
+                let worker = std::thread::Builder::new()
+                    .name("firm-fleet-local".to_string())
+                    .spawn(move || {
+                        // A panicking scenario takes this session down,
+                        // not silently: the pool must still see Closed.
+                        let mut send = |msg| notify(EventKind::Frame(msg));
+                        let session = AssertUnwindSafe(|| serve_local(outbound, &mut send));
+                        let _ = std::panic::catch_unwind(session);
+                        notify(EventKind::Closed);
+                    })?;
+                (vec![worker], None)
+            }
+        };
 
         slot.live = Some(Live {
-            frames: frames_tx,
-            writer,
-            reader,
-            control: conn.control,
+            requests,
+            pumps,
+            control,
             generation,
             hello: None,
             last_frame: Instant::now(),
@@ -997,16 +1033,26 @@ impl PoolRuntime {
             return;
         };
         self.final_generation[slot_id] = Some(live.generation);
-        // Closing the frame channel stops the writer thread, which
-        // drops the write half — EOF for a healthy worker.
-        drop(live.frames);
+        // Closing the request channel ends the session: a stream's
+        // writer thread drops the write half — EOF for a healthy worker
+        // — and a local worker thread leaves its loop.
+        drop(live.requests);
         if !graceful {
-            live.control.kill();
+            // A local thread cannot be killed: if it is still inside a
+            // scenario it is abandoned, not joined — it finishes the
+            // orphaned run (wasted work, as on a TCP worker whose
+            // connection was killed) and whatever it then sends is stale
+            // by generation.
+            let Some(control) = live.control.as_mut() else {
+                return;
+            };
+            control.kill();
         }
-        let _ = live.writer.join();
-        let _ = live.reader.join();
-        if graceful {
-            if let Err(e) = live.control.finish() {
+        for pump in live.pumps {
+            let _ = pump.join();
+        }
+        if let (true, Some(control)) = (graceful, live.control.as_mut()) {
+            if let Err(e) = control.finish() {
                 panic!(
                     "{} failed after completing its work: {e}",
                     self.slots[slot_id].transport.label()
@@ -1071,4 +1117,229 @@ fn quiet_deadline(live: &Live) -> Option<Instant> {
         Some(h) => h.heartbeat_ms,
     };
     (interval > 0).then(|| live.last_frame + quiet_window(interval))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{builtin_catalog, FleetController};
+    use crate::transport::{Connection, LocalTransport};
+    use firm_sim::SimDuration;
+    use firm_workload::LoadShape;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn short_catalog(n: usize) -> Vec<Scenario> {
+        let catalog = builtin_catalog().into_iter().take(n);
+        catalog
+            .map(|s| s.with_duration(SimDuration::from_secs(4)))
+            .collect()
+    }
+
+    /// A scenario whose run panics on any worker (a zero arrival rate
+    /// is rejected when the arrival process is built).
+    fn poisonous() -> Scenario {
+        let mut scenario = builtin_catalog().remove(0);
+        scenario.name = "poisonous".to_string();
+        scenario.load = LoadShape::Steady { rate: 0.0 };
+        scenario.slo_factor = None;
+        scenario.controller = FleetController::Unmanaged;
+        scenario
+    }
+
+    fn local_slots(n: usize) -> Vec<Box<dyn Transport>> {
+        (0..n).map(|_| Box::new(LocalTransport) as _).collect()
+    }
+
+    fn run(pool: &WorkerPool, index: u64, scenario: Scenario) -> JobDone {
+        let (reply, done) = mpsc::channel();
+        pool.submit(PoolJob {
+            index,
+            seed: scenario_seed(1, index as usize),
+            scenario,
+            policy: None,
+            reply,
+        });
+        let first = done.recv().expect("the pool delivers every job");
+        assert!(done.recv().is_err(), "job {index} was delivered twice");
+        first
+    }
+
+    /// A local slot that counts its sessions and, past `sessions_allowed`
+    /// of them, refuses to reconnect.
+    struct CountingLocal {
+        sessions: Arc<AtomicUsize>,
+        sessions_allowed: usize,
+    }
+
+    impl Transport for CountingLocal {
+        fn label(&self) -> String {
+            "counting-local".to_string()
+        }
+
+        fn connect(&mut self) -> std::io::Result<Connection> {
+            LocalTransport.connect()
+        }
+
+        fn link(&mut self) -> std::io::Result<Link> {
+            if self.sessions.fetch_add(1, Ordering::SeqCst) >= self.sessions_allowed {
+                return Err(std::io::Error::other("gone for good"));
+            }
+            LocalTransport.link()
+        }
+    }
+
+    fn counting_slots(
+        n: usize,
+        sessions_allowed: usize,
+    ) -> (Vec<Box<dyn Transport>>, Vec<Arc<AtomicUsize>>) {
+        let counters: Vec<_> = (0..n).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+        let transports = counters.iter().map(|sessions| {
+            Box::new(CountingLocal {
+                sessions: Arc::clone(sessions),
+                sessions_allowed,
+            }) as _
+        });
+        (transports.collect(), counters)
+    }
+
+    #[test]
+    fn a_panicking_scenario_fails_only_its_own_job_after_max_attempts() {
+        let (transports, sessions) = counting_slots(3, usize::MAX);
+        let pool = WorkerPool::start(transports, SupervisorConfig::default()).expect("pool");
+        let err = run(&pool, 0, poisonous()).result.expect_err("job fails");
+        assert!(err.contains("failed on 3 different workers"), "{err}");
+        let good = short_catalog(1).remove(0);
+        let done = run(&pool, 1, good.clone());
+        let (outcome, _) = done.result.expect("the pool serves the next job");
+        assert_eq!(outcome.name, good.name);
+        // Every slot ran one attempt and was restarted once, so no slot
+        // was handed the job twice. (Read after the next job: the pool
+        // delivers a failure before it reconnects the failed slot.)
+        let counts: Vec<_> = sessions.iter().map(|s| s.load(Ordering::SeqCst)).collect();
+        assert_eq!(counts, [2, 2, 2]);
+        assert!(pool.shutdown().is_empty(), "local slots ship no metrics");
+    }
+
+    #[test]
+    fn a_fully_retired_pool_fails_queued_and_later_jobs_at_once() {
+        let (transports, _) = counting_slots(1, 1);
+        let config = SupervisorConfig {
+            max_attempts: 5,
+            ..SupervisorConfig::default()
+        };
+        let pool = WorkerPool::start(transports, config).expect("pool");
+        // The poisonous job takes the only slot down while a healthy
+        // job waits behind it; the reconnect fails, the slot retires.
+        let (reply, done) = mpsc::channel();
+        for (index, scenario) in [poisonous(), short_catalog(1).remove(0)]
+            .into_iter()
+            .enumerate()
+        {
+            pool.submit(PoolJob {
+                index: index as u64,
+                seed: 1,
+                scenario,
+                policy: None,
+                reply: reply.clone(),
+            });
+        }
+        for _ in 0..2 {
+            let err = done.recv().expect("delivered").result.expect_err("fails");
+            assert!(err.contains("no eligible worker"), "{err}");
+            assert!(err.contains("counting-local reconnect failed"), "{err}");
+        }
+        let later = run(&pool, 2, short_catalog(1).remove(0));
+        let err = later.result.expect_err("a retired pool runs nothing");
+        assert!(err.contains("no eligible worker"), "{err}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn run_catalog_is_identical_at_1_2_and_4_local_slots() {
+        let catalog = short_catalog(4);
+        let results: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|slots| {
+                let pool = WorkerPool::start(local_slots(slots), SupervisorConfig::default())
+                    .expect("pool");
+                let mut delivered = 0;
+                let results = pool
+                    .run_catalog(&catalog, 9, 0, None, &mut |_| delivered += 1)
+                    .expect("catalog runs");
+                assert_eq!(delivered, catalog.len());
+                pool.shutdown();
+                results
+            })
+            .collect();
+        for (scenario, (outcome, _)) in catalog.iter().zip(&results[0]) {
+            assert_eq!(scenario.name, outcome.name, "results left catalog order");
+        }
+        assert!(results[0]
+            .iter()
+            .any(|(_, log)| !log.transitions.is_empty()));
+        assert_eq!(results[0], results[1]);
+        assert_eq!(results[0], results[2]);
+    }
+
+    /// A worker whose whole session is one hello from another protocol
+    /// version.
+    struct Skewed;
+
+    struct NoControl;
+
+    impl ConnectionControl for NoControl {
+        fn kill(&mut self) {}
+
+        fn finish(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Transport for Skewed {
+        fn label(&self) -> String {
+            "skewed".to_string()
+        }
+
+        fn connect(&mut self) -> std::io::Result<Connection> {
+            let hello = firm_wire::encode_line(&WorkerMessage::Hello(WorkerHello {
+                protocol: PROTOCOL_VERSION + 1,
+                pid: 1,
+                heartbeat_ms: 0,
+            }));
+            Ok(Connection {
+                writer: Box::new(std::io::sink()),
+                reader: Box::new(std::io::Cursor::new(hello.into_bytes())),
+                control: Box::new(NoControl),
+            })
+        }
+    }
+
+    #[test]
+    fn a_version_skewed_worker_retires_its_slot_not_the_pool() {
+        let skew = format!(
+            "skewed speaks fleet protocol v{}, this coordinator speaks v{PROTOCOL_VERSION} \
+             — upgrade the older side",
+            PROTOCOL_VERSION + 1
+        );
+        let catalog = short_catalog(2);
+
+        // Beside a healthy slot: the survivor absorbs the catalog.
+        let mixed: Vec<Box<dyn Transport>> = vec![Box::new(Skewed), Box::new(LocalTransport)];
+        let pool = WorkerPool::start(mixed, SupervisorConfig::default()).expect("pool");
+        let results = pool.run_catalog(&catalog, 3, 0, None, &mut |_| {});
+        assert_eq!(results.expect("the healthy slot serves").len(), 2);
+        pool.shutdown();
+
+        // Alone: the job fails with the skew spelled out, and the pool
+        // thread is still there to answer the next job and the shutdown.
+        let pool =
+            WorkerPool::start(vec![Box::new(Skewed)], SupervisorConfig::default()).expect("pool");
+        for index in 0..2 {
+            let err = run(&pool, index, catalog[0].clone())
+                .result
+                .expect_err("no worker");
+            assert!(err.contains(&skew), "{err}");
+        }
+        pool.shutdown();
+    }
 }

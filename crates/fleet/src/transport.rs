@@ -3,7 +3,8 @@
 //! The fleet protocol ([`crate::protocol`]) is a byte stream of
 //! newline-delimited wire frames in each direction, so a transport only
 //! has to provide three things: a writable half, a readable half, and a
-//! way to terminate the peer. Two implementations exist:
+//! way to terminate the peer. Two implementations move bytes, and a
+//! third skips them:
 //!
 //! * [`PipeTransport`] — spawns a `firm-fleet-worker` subprocess on
 //!   this host and speaks frames over its stdin/stdout (the original
@@ -17,6 +18,11 @@
 //!   enough to ride out a worker restart or a transient partition,
 //!   short enough that a worker that is gone for good does not stall
 //!   redistribution of its work.
+//! * [`LocalTransport`] — a worker *thread* in this process. Its
+//!   [`Transport::link`] is [`Link::Local`]: the pool runs
+//!   [`crate::worker::serve_local`] on a thread of its own and hands it
+//!   the request values themselves, so an in-process slot pays no
+//!   encode or decode.
 //!
 //! The codec does not change between transports — a frame captured from
 //! a pipe byte-for-byte equals the same frame on a socket — which is
@@ -67,8 +73,44 @@ pub trait Transport: Send {
     /// `pipe:firm-fleet-worker` or `tcp:10.0.0.7:7401`.
     fn label(&self) -> String;
 
-    /// Opens a fresh session with the worker.
+    /// Opens a fresh byte-stream session with the worker.
     fn connect(&mut self) -> io::Result<Connection>;
+
+    /// Opens a fresh session in the form the pool consumes. Byte
+    /// transports keep this default; [`LocalTransport`] overrides it.
+    fn link(&mut self) -> io::Result<Link> {
+        self.connect().map(Link::Stream)
+    }
+}
+
+/// A session as the pool consumes it.
+pub enum Link {
+    /// Frames over a byte stream; the pool encodes and decodes.
+    Stream(Connection),
+    /// A worker thread in this process, handed values over a channel.
+    Local,
+}
+
+/// A worker thread in this process: each session is one thread running
+/// the same request step as a `firm-fleet-worker`
+/// ([`crate::worker::serve_local`]); reconnecting starts a fresh one.
+pub struct LocalTransport;
+
+impl Transport for LocalTransport {
+    fn label(&self) -> String {
+        "local".to_string()
+    }
+
+    fn connect(&mut self) -> io::Result<Connection> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "a local worker exchanges values, not bytes: open it with Transport::link",
+        ))
+    }
+
+    fn link(&mut self) -> io::Result<Link> {
+        Ok(Link::Local)
+    }
 }
 
 // ---------------------------------------------------------------------

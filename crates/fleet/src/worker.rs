@@ -24,9 +24,10 @@
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use firm_core::controller::PolicyCheckpoint;
 use firm_obs::Level;
 
 use crate::exec::run_one_sharded;
@@ -157,14 +158,10 @@ fn serve_jobs<R: BufRead, W: Write>(
     writer: &Mutex<W>,
     busy: &AtomicI64,
 ) -> Result<(), ServeError> {
-    // The policy shipped by an earlier frame on this session; later
-    // frames reference it with `reuse_policy` instead of re-sending
-    // the weights.
     let mut cached_policy = None;
     let obs = firm_obs::metrics();
     let frames_rx = obs.counter("worker.frames.rx");
     let bytes_rx = obs.counter("worker.bytes.rx");
-    let requests = obs.counter("worker.requests.total");
     for line in reader.lines() {
         let line = line.map_err(ServeError::Io)?;
         if line.trim().is_empty() {
@@ -174,43 +171,76 @@ fn serve_jobs<R: BufRead, W: Write>(
         bytes_rx.add(line.len() as u64 + 1);
         let req: WorkerRequest =
             firm_wire::decode_line(&line).map_err(|e| ServeError::BadFrame(e.to_string()))?;
-        let policy = if req.reuse_policy {
-            if cached_policy.is_none() {
-                return Err(ServeError::BadFrame(format!(
-                    "frame {} sets reuse_policy but no earlier frame carried a policy",
-                    req.index
-                )));
-            }
-            cached_policy.as_ref()
-        } else {
-            // Move, not clone: the checkpoint is a full weight set and
-            // `req.policy` is never read again.
-            cached_policy = req.policy;
-            cached_policy.as_ref()
-        };
-
-        requests.inc();
-        firm_obs::event(Level::Debug, TARGET)
-            .msg("running scenario")
-            .field("index", req.index)
-            .field("scenario", req.scenario.name.as_str())
-            .field("deploy", policy.is_some())
-            .emit();
         busy.store(req.index as i64, Ordering::Relaxed);
-        let (outcome, experience) =
-            run_one_sharded(&req.scenario, req.seed, policy, req.intra_shards as usize);
+        let response = run_request(req, &mut cached_policy).map_err(ServeError::BadFrame)?;
         busy.store(-1, Ordering::Relaxed);
-
-        write_frame(
-            writer,
-            &WorkerMessage::Response(Box::new(WorkerResponse {
-                index: req.index,
-                outcome,
-                experience,
-            })),
-        )?;
+        write_frame(writer, &WorkerMessage::Response(Box::new(response)))?;
     }
     Ok(())
+}
+
+/// One request → [`run_one_sharded`] → response step: everything a
+/// worker does with a request once it holds the value, so a stream
+/// session and an in-process one run the same code. `cached_policy` is
+/// the session's policy cache: the checkpoint an earlier request
+/// shipped, which later ones reference with `reuse_policy` instead of
+/// re-sending the weights.
+fn run_request(
+    req: WorkerRequest,
+    cached_policy: &mut Option<PolicyCheckpoint>,
+) -> Result<WorkerResponse, String> {
+    if req.reuse_policy {
+        if cached_policy.is_none() {
+            return Err(format!(
+                "frame {} sets reuse_policy but no earlier frame carried a policy",
+                req.index
+            ));
+        }
+    } else {
+        // Move, not clone: the checkpoint is a full weight set and
+        // `req.policy` is never read again.
+        *cached_policy = req.policy;
+    }
+    let policy = cached_policy.as_ref();
+
+    firm_obs::metrics().counter("worker.requests.total").inc();
+    firm_obs::event(Level::Debug, TARGET)
+        .msg("running scenario")
+        .field("index", req.index)
+        .field("scenario", req.scenario.name.as_str())
+        .field("deploy", policy.is_some())
+        .emit();
+    let (outcome, experience) =
+        run_one_sharded(&req.scenario, req.seed, policy, req.intra_shards as usize);
+    Ok(WorkerResponse {
+        index: req.index,
+        outcome,
+        experience,
+    })
+}
+
+/// [`serve_session`] without the bytes — what a pool slot over a
+/// [`crate::transport::LocalTransport`] runs on its worker thread.
+/// Requests arrive as values, the hello and each response leave through
+/// `send`, and the session ends when `requests` closes. No heartbeats
+/// (the hello says so: a thread of the coordinator's own process cannot
+/// die silently) and no metrics frame (its metrics already land in
+/// this process's registry).
+pub fn serve_local(requests: mpsc::Receiver<WorkerRequest>, send: &mut dyn FnMut(WorkerMessage)) {
+    send(WorkerMessage::Hello(WorkerHello {
+        protocol: PROTOCOL_VERSION,
+        pid: std::process::id() as u64,
+        heartbeat_ms: 0,
+    }));
+    let mut cached_policy = None;
+    for req in requests {
+        // A request the pool built cannot be malformed; an Err here
+        // ends the session like any bad frame.
+        let Ok(response) = run_request(req, &mut cached_policy) else {
+            break;
+        };
+        send(WorkerMessage::Response(Box::new(response)));
+    }
 }
 
 /// Writes one whole frame under the lock and flushes, so heartbeat and

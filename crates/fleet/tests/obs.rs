@@ -40,8 +40,8 @@ fn sharded_fleet_ships_worker_metrics_and_a_rich_ops_report() {
     let sharded = FleetRunner::new(config(909).workers(2)).run(&scenarios);
 
     // The ops layer cannot move a result byte: digest parity with the
-    // in-process path even though only the sharded run pays dispatch,
-    // heartbeat, and wire costs.
+    // in-process slots even though only the sharded run pays heartbeat
+    // and wire costs.
     assert_eq!(in_process.report.to_json(), sharded.report.to_json());
     assert_eq!(in_process.report.digest(), sharded.report.digest());
 
@@ -83,8 +83,16 @@ fn sharded_fleet_ships_worker_metrics_and_a_rich_ops_report() {
     let Some(MetricValue::Histogram(dispatch)) = merged.get("fleet.dispatch.latency_us") else {
         panic!("fleet.dispatch.latency_us missing or not a histogram");
     };
+    // Snapshots are process-cumulative and the in-process run went
+    // through a WorkerPool too, so its jobs are in there: the sharded
+    // run's share is the difference.
+    let before = in_process.ops.merged();
+    let Some(MetricValue::Histogram(dispatch_before)) = before.get("fleet.dispatch.latency_us")
+    else {
+        panic!("the in-process run recorded no dispatch latency");
+    };
     assert_eq!(
-        dispatch.count,
+        dispatch.count - dispatch_before.count,
         scenarios.len() as u64,
         "one dispatch-latency sample per completed scenario"
     );
@@ -93,11 +101,14 @@ fn sharded_fleet_ships_worker_metrics_and_a_rich_ops_report() {
         panic!("fleet.heartbeat.gap_us missing or not a histogram");
     };
     assert!(gaps.count > 0, "no inter-frame gaps were observed");
-    assert!(
-        matches!(
-            merged.get("fleet.dispatch.total"),
-            Some(MetricValue::Counter(n)) if *n == scenarios.len() as u64
-        ),
+    let dispatched =
+        |snapshot: &firm_obs::MetricsSnapshot| match snapshot.get("fleet.dispatch.total") {
+            Some(MetricValue::Counter(n)) => *n,
+            _ => panic!("fleet.dispatch.total missing or not a counter"),
+        };
+    assert_eq!(
+        dispatched(&merged) - dispatched(&before),
+        scenarios.len() as u64,
         "fleet.dispatch.total should count every dispatched scenario"
     );
     assert!(

@@ -15,8 +15,9 @@
 //! resident policy is a *product* of the service, never an input to
 //! execution, so concurrent submissions cannot observe each other. The
 //! cumulative shared agent is retrained **from scratch** on the whole
-//! experience pool after each submission folds in (seeded replay,
-//! optionally prioritized). That costs `train_steps` minibatches per
+//! experience pool after each submission folds in (the same
+//! [`firm_fleet::Fold`] the batch runner trains through). That costs
+//! `train_steps` minibatches per
 //! submission, and buys the headline guarantee: the resident state is a
 //! pure function of *what was submitted in which completion order*, not
 //! of when — so submitting a catalog in sequential slices (one seed,
@@ -28,14 +29,11 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use firm_core::controller::PolicyCheckpoint;
-use firm_core::estimator::{AgentRegime, ResourceEstimator};
-use firm_core::manager::ExperienceLog;
-use firm_core::training::{replay_experience, replay_experience_prioritized, replay_priorities};
 use firm_fleet::report::{FleetReport, ScenarioOutcome};
 use firm_fleet::scenario::Scenario;
-use firm_fleet::supervisor::{PoolJob, SupervisorConfig, WorkerPool};
-use firm_fleet::transport::{PipeTransport, TcpTransport, Transport};
-use firm_fleet::{scenario_seed, FleetConfig, WorkerOps};
+use firm_fleet::supervisor::WorkerPool;
+use firm_fleet::transport::Transport;
+use firm_fleet::{FleetConfig, Fold, WorkerOps};
 use firm_obs::{Counter, Gauge, Histogram, Level};
 
 use crate::protocol::SubmissionReport;
@@ -116,11 +114,10 @@ struct ServiceState {
     /// Scenarios admitted but not yet folded (or failed) — what the
     /// backpressure bound meters.
     pending_scenarios: usize,
-    /// Every outcome the service has folded, in submission-completion
-    /// order (within a submission: submission order).
-    outcomes: Vec<ScenarioOutcome>,
-    /// The cumulative experience pool, same order.
-    pooled: ExperienceLog,
+    /// Every outcome and all experience the service has folded, in
+    /// submission-completion order (within a submission: submission
+    /// order).
+    fold: Fold,
     /// The resident one-for-all policy (empty until the first fold).
     policy: PolicyCheckpoint,
     /// Updates that trained in the latest retrain.
@@ -152,29 +149,16 @@ pub struct FleetService {
 impl FleetService {
     /// Builds the worker pool from the config's `workers` subprocess
     /// count and `remote_workers` addresses and connects every slot.
-    /// `threads` is ignored: a resident service always runs supervised
-    /// workers (in-process threads would die with a panicking
-    /// scenario; workers are restartable).
+    /// `threads` is ignored: a resident service runs the workers it was
+    /// told to, and refuses to start without any (in-process slots go
+    /// in through [`FleetService::with_transports`]).
     pub fn new(config: FleetConfig) -> Result<FleetService, String> {
         Self::with_limits(config, ServiceLimits::default())
     }
 
     /// [`FleetService::new`] with explicit admission limits.
     pub fn with_limits(config: FleetConfig, limits: ServiceLimits) -> Result<FleetService, String> {
-        let mut transports: Vec<Box<dyn Transport>> = Vec::new();
-        if config.workers > 0 {
-            let bin = config.try_resolve_worker_bin()?;
-            transports.extend(
-                (0..config.workers)
-                    .map(|_| Box::new(PipeTransport::new(bin.clone())) as Box<dyn Transport>),
-            );
-        }
-        transports.extend(
-            config
-                .remote_workers
-                .iter()
-                .map(|addr| Box::new(TcpTransport::new(addr.clone())) as Box<dyn Transport>),
-        );
+        let transports = config.worker_transports(usize::MAX)?;
         Self::with_transports(config, limits, transports)
     }
 
@@ -192,14 +176,9 @@ impl FleetService {
                 "a resident fleet needs at least one worker (subprocess or remote)".to_string(),
             );
         }
-        let sup = SupervisorConfig {
-            request_timeout: (config.request_timeout_ms > 0)
-                .then(|| std::time::Duration::from_millis(config.request_timeout_ms)),
-            max_attempts: config.max_attempts.max(1),
-            intra_shards: config.intra_shards.max(1),
-        };
-        let pool = WorkerPool::start(transports, sup)?;
+        let pool = WorkerPool::start(transports, config.supervisor_config())?;
         let m = firm_obs::metrics();
+        let fold = Fold::new(&config);
         Ok(FleetService {
             pool,
             config,
@@ -208,8 +187,7 @@ impl FleetService {
                 next_submission: 0,
                 outstanding: 0,
                 pending_scenarios: 0,
-                outcomes: Vec::new(),
-                pooled: ExperienceLog::default(),
+                fold,
                 policy: PolicyCheckpoint {
                     actor: Vec::new(),
                     critic: Vec::new(),
@@ -311,91 +289,65 @@ impl FleetService {
             .field("seed", seed)
             .field("base_index", base_index)
             .emit();
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for (i, scenario) in scenarios.iter().enumerate() {
-            let index = base_index + i as u64;
-            self.pool.submit(PoolJob {
-                index,
-                seed: scenario_seed(seed, index as usize),
-                scenario: scenario.clone(),
-                // Always training-mode: the resident policy is a
-                // product, never an input (see the module docs).
-                policy: None,
-                reply: reply_tx.clone(),
-            });
-        }
-        drop(reply_tx);
         self.bump_depth(n as i64);
-
-        let mut slots: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
-            (0..n).map(|_| None).collect();
-        let mut failure: Option<String> = None;
         let mut received = 0usize;
-        for _ in 0..n {
-            let Ok(done) = reply_rx.recv() else {
-                failure.get_or_insert_with(|| "the worker pool died mid-submission".to_string());
-                break;
-            };
-            received += 1;
-            self.bump_depth(-1);
-            match done.result {
-                Ok((outcome, log)) => {
-                    on_outcome(done.index, &outcome);
-                    let i = (done.index - base_index) as usize;
-                    slots[i] = Some((outcome, log));
+        // Always training-mode: the resident policy is a product, never
+        // an input (see the module docs).
+        let results = self
+            .pool
+            .run_catalog(scenarios, seed, base_index, None, &mut |done| {
+                received += 1;
+                self.bump_depth(-1);
+                if let Ok((outcome, _)) = &done.result {
+                    on_outcome(done.index, outcome);
                 }
-                // Keep draining: the pool delivers every sibling job
-                // too, and leaving them in the channel would leak.
-                Err(e) => {
-                    failure.get_or_insert(e);
-                }
-            }
-        }
+            });
         self.bump_depth(received as i64 - n as i64);
 
-        if let Some(e) = failure {
-            let mut st = self.state.lock().expect("service state lock");
-            st.outstanding -= 1;
-            st.pending_scenarios = st.pending_scenarios.saturating_sub(n);
-            self.quiesced.notify_all();
-            drop(st);
-            firm_obs::event(Level::Error, TARGET)
-                .msg("submission failed")
-                .field("submission", submission)
-                .field("error", e.as_str())
-                .emit();
-            return Err(e);
-        }
+        let results = match results {
+            Ok(results) => results,
+            Err(e) => {
+                let mut st = self.state.lock().expect("service state lock");
+                st.outstanding -= 1;
+                st.pending_scenarios = st.pending_scenarios.saturating_sub(n);
+                self.quiesced.notify_all();
+                drop(st);
+                firm_obs::event(Level::Error, TARGET)
+                    .msg("submission failed")
+                    .field("submission", submission)
+                    .field("error", e.as_str())
+                    .emit();
+                return Err(e);
+            }
+        };
 
         // Fold + retrain under the state lock: concurrent submissions
         // serialize here, in completion order.
         let mut st = self.state.lock().expect("service state lock");
-        let mut sub_outcomes = Vec::with_capacity(n);
-        let pooled_before = st.pooled.transitions.len();
-        for slot in slots {
-            let (outcome, log) = slot.expect("every scenario delivered");
-            st.outcomes.push(outcome.clone());
-            st.pooled.merge(log);
-            sub_outcomes.push(outcome);
-        }
-        let trained = self.retrain(&mut st);
+        let sub_outcomes = results.iter().map(|(o, _)| o.clone()).collect();
+        let pooled_before = st.fold.pooled.transitions.len();
+        st.fold.absorb(results);
+        let (estimator, trained) = st.fold.train();
+        let (actor, critic) = estimator.shared_agent().export_weights();
+        st.policy = PolicyCheckpoint { actor, critic };
+        st.trained_updates = trained as u64;
         if self.config.replay_priority {
             // Diagnostics for the weighting itself: the histogram shows
             // whether violation-heavy transitions are actually getting
             // the intended extra mass.
-            let priorities = replay_priorities(&st.pooled, self.config.seed);
-            for p in &priorities[pooled_before..] {
+            for p in st.fold.priorities_from(pooled_before) {
                 self.obs.replay_priority.record((p * 1000.0) as u64);
             }
         }
+        let pooled = &st.fold.pooled;
         let report = SubmissionReport {
             submission,
             cumulative: false,
             report: FleetReport::new(seed, sub_outcomes),
             policy: st.policy.clone(),
-            pooled_transitions: st.pooled.transitions.len() as u64,
-            pooled_svm: st.pooled.svm_examples.len() as u64,
-            trained_updates: trained,
+            pooled_transitions: pooled.transitions.len() as u64,
+            pooled_svm: pooled.svm_examples.len() as u64,
+            trained_updates: trained as u64,
         };
         st.outstanding -= 1;
         st.pending_scenarios = st.pending_scenarios.saturating_sub(n);
@@ -424,28 +376,6 @@ impl FleetService {
         self.run(id, seed, base_index, scenarios, on_outcome)
     }
 
-    /// Retrains the resident shared agent from scratch on the whole
-    /// cumulative pool (the determinism anchor — see the module docs)
-    /// and refreshes the resident policy. Returns the updates that
-    /// trained.
-    fn retrain(&self, st: &mut ServiceState) -> u64 {
-        let mut estimator = ResourceEstimator::new(AgentRegime::Shared, self.config.seed ^ 0x0A11);
-        let trained = if self.config.replay_priority {
-            replay_experience_prioritized(
-                &mut estimator,
-                &st.pooled,
-                self.config.train_steps,
-                self.config.seed,
-            )
-        } else {
-            replay_experience(&mut estimator, &st.pooled, self.config.train_steps)
-        };
-        let (actor, critic) = estimator.shared_agent().export_weights();
-        st.policy = PolicyCheckpoint { actor, critic };
-        st.trained_updates = trained as u64;
-        trained as u64
-    }
-
     /// Blocks until every outstanding submission has finished, then
     /// returns the cumulative report: every folded outcome (in
     /// submission-completion order) under the *service's* fleet seed,
@@ -458,10 +388,10 @@ impl FleetService {
         SubmissionReport {
             submission: st.next_submission,
             cumulative: true,
-            report: FleetReport::new(self.config.seed, st.outcomes.clone()),
+            report: FleetReport::new(self.config.seed, st.fold.outcomes.clone()),
             policy: st.policy.clone(),
-            pooled_transitions: st.pooled.transitions.len() as u64,
-            pooled_svm: st.pooled.svm_examples.len() as u64,
+            pooled_transitions: st.fold.pooled.transitions.len() as u64,
+            pooled_svm: st.fold.pooled.svm_examples.len() as u64,
             trained_updates: st.trained_updates,
         }
     }

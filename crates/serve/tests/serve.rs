@@ -13,12 +13,13 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 
 use firm_fleet::worker::{serve_session, ServeOptions};
 use firm_fleet::{
-    builtin_catalog, generate_catalog, CatalogSpec, FleetConfig, FleetRunner, Scenario,
+    builtin_catalog, generate_catalog, CatalogSpec, FleetConfig, FleetResult, FleetRunner,
+    LocalTransport, Scenario, Transport,
 };
 use firm_serve::protocol::{ClientRequest, ServerMessage, SubmitRequest};
 use firm_serve::{
     BackoffPolicy, ClientError, FleetServer, FleetService, ServeClient, ServiceLimits,
-    PROTOCOL_VERSION,
+    SubmissionReport, PROTOCOL_VERSION,
 };
 use firm_sim::SimDuration;
 
@@ -64,6 +65,32 @@ fn start_server(workers: usize, seed: u64, train_steps: usize, priority: bool) -
         ..FleetConfig::default()
     };
     FleetServer::start("127.0.0.1:0", config).expect("server starts")
+}
+
+/// The resident state after sequential slices must be the batch run's:
+/// report bytes, pool sizes, trained updates and policy weights.
+fn assert_reproduces_batch(cumulative: &SubmissionReport, batch: &FleetResult) {
+    assert_eq!(
+        cumulative.report.to_json(),
+        batch.report.to_json(),
+        "cumulative report bytes diverged from the batch run"
+    );
+    assert_eq!(cumulative.report.digest(), batch.report.digest());
+    assert_eq!(
+        cumulative.pooled_transitions,
+        batch.pooled.transitions.len() as u64
+    );
+    assert_eq!(
+        cumulative.pooled_svm,
+        batch.pooled.svm_examples.len() as u64
+    );
+    assert_eq!(cumulative.trained_updates, batch.trained_updates as u64);
+    let (actor, critic) = batch.estimator.shared_agent().export_weights();
+    assert_eq!(
+        cumulative.policy.actor, actor,
+        "resident actor weights diverged from the batch-trained agent"
+    );
+    assert_eq!(cumulative.policy.critic, critic);
 }
 
 /// Two clients submit different catalogs concurrently; each streamed
@@ -170,27 +197,34 @@ fn sequential_slices_reproduce_the_batch_run_exactly() {
     })
     .run(&catalog);
 
-    assert_eq!(
-        cumulative.report.to_json(),
-        batch.report.to_json(),
-        "cumulative report bytes diverged from the batch run"
-    );
-    assert_eq!(cumulative.report.digest(), batch.report.digest());
-    assert_eq!(
-        cumulative.pooled_transitions,
-        batch.pooled.transitions.len() as u64
-    );
-    assert_eq!(
-        cumulative.pooled_svm,
-        batch.pooled.svm_examples.len() as u64
-    );
-    assert_eq!(cumulative.trained_updates, batch.trained_updates as u64);
-    let (actor, critic) = batch.estimator.shared_agent().export_weights();
-    assert_eq!(
-        cumulative.policy.actor, actor,
-        "resident actor weights diverged from the batch-trained agent"
-    );
-    assert_eq!(cumulative.policy.critic, critic);
+    assert_reproduces_batch(&cumulative, &batch);
+}
+
+/// The same guarantee with no worker process or socket anywhere: the
+/// service's pool runs on two in-process slots, and sequential slices
+/// still leave the batch run's digest and policy bytes.
+#[test]
+fn sequential_slices_over_local_slots_reproduce_the_batch_digest() {
+    let catalog = short_catalog(4, 6);
+    let config = FleetConfig {
+        seed: 7,
+        train_steps: 24,
+        replay_priority: true,
+        ..FleetConfig::default()
+    };
+    let slots: Vec<Box<dyn Transport>> = vec![Box::new(LocalTransport), Box::new(LocalTransport)];
+    let service = FleetService::with_transports(config.clone(), ServiceLimits::default(), slots)
+        .expect("service starts over local slots");
+    for (base, slice) in [(0, &catalog[..2]), (2, &catalog[2..])] {
+        service
+            .run_submission(7, base, slice, &mut |_, _| {})
+            .expect("slice runs");
+    }
+    let cumulative = service.drain();
+    assert!(service.shutdown().is_empty(), "local slots ship no metrics");
+
+    let batch = FleetRunner::new(config).run(&catalog);
+    assert_reproduces_batch(&cumulative, &batch);
 }
 
 /// Satellite regression: a client that vanishes mid-catalog (drops the
