@@ -6,7 +6,39 @@ use firm_bench::{banner, section};
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_ml::ddpg::DdpgConfig;
 use firm_sim::anomaly::ANOMALY_KINDS;
-use firm_telemetry::metric::METRIC_KINDS;
+
+/// Table 2 as the paper groups it: each source, then its metrics paired
+/// with the `firm_sim::telemetry_probe::InstanceSnapshot` field the
+/// control loop reads them from.
+const TABLE2: [(&str, &[(&str, &str)]); 3] = [
+    (
+        "cAdvisor & Prometheus",
+        &[
+            ("cpu_usage_seconds_total", "usage[Cpu]"),
+            ("memory_usage_bytes", "usage[Llc]"),
+            ("fs_write/read_seconds", "usage[IoBw]"),
+            ("fs_usage_bytes", "usage[IoBw] x window"),
+            ("network_transmit/receive_bytes_total", "usage[NetBw]"),
+            ("processes", "workers"),
+        ],
+    ),
+    (
+        "Linux perf subsystem",
+        &[
+            ("offcore_response.*.llc_hit/miss.*_DRAM", "mem_inflation"),
+            ("per-core DRAM access (Fig. 1)", "per_core_dram_mbps"),
+        ],
+    ),
+    (
+        "tracing agents",
+        &[
+            ("span latency", "mean_latency_us"),
+            ("queue length", "avg_queue_len"),
+            ("dropped requests", "drops"),
+            ("arrival rate", "arrivals; TelemetryWindow::arrival_rate"),
+        ],
+    ),
+];
 
 fn main() {
     banner(
@@ -15,9 +47,11 @@ fn main() {
     );
 
     section("Table 2: collected telemetry data and sources");
-    println!("  {:<44} source", "metric");
-    for m in METRIC_KINDS {
-        println!("  {:<44} {}", m.name(), m.paper_source());
+    println!("  {:<44} {:<22} InstanceSnapshot field", "metric", "source");
+    for (source, rows) in TABLE2 {
+        for (metric, field) in rows {
+            println!("  {metric:<44} {source:<22} {field}");
+        }
     }
 
     section("Table 3: state-action space of the RL agent");

@@ -410,7 +410,7 @@ pub fn run_episode(
                 }
             }
         }
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        lats.sort_by(f64::total_cmp);
         let window_p99 = firm_sim::stats::sample_quantile(&lats, 0.99);
         let window_mean = if lats.is_empty() {
             0.0

@@ -4,8 +4,8 @@
 //! This crate wires the substrates together into the architecture of
 //! Fig. 6 of the paper:
 //!
-//! 1. the **Tracing Coordinator** (`firm-trace`) collects spans and
-//!    telemetry (`firm-telemetry`) — ①;
+//! 1. the **Tracing Coordinator** (`firm-trace`) collects spans; Table 2
+//!    telemetry is the simulator's `TelemetryWindow`, read in place — ①;
 //! 2. the **Extractor** ([`extractor`]) detects SLO violations
 //!    ([`slo`]), extracts critical paths (Algorithm 1, in `firm-trace`)
 //!    and localizes critical instances with per-CP/per-instance

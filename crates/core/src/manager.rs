@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use firm_ml::ddpg::Transition;
 use firm_sim::telemetry_probe::{InstanceSnapshot, TelemetryWindow};
 use firm_sim::{InstanceId, ServiceId, SimDuration, SimTime, Simulation, RESOURCE_KINDS};
-use firm_telemetry::TelemetryCollector;
 use firm_trace::TracingCoordinator;
 
 use crate::deployment::DeploymentModule;
@@ -137,7 +136,8 @@ pub struct FirmManager {
     /// Configuration.
     pub config: FirmConfig,
     coordinator: TracingCoordinator,
-    collector: TelemetryCollector,
+    /// The previous window's `arrival_rate`: the denominator of `WCt`.
+    prev_arrival_rate: Option<f64>,
     monitor: SloMonitor,
     extractor: CriticalComponentExtractor,
     estimator: ResourceEstimator,
@@ -147,7 +147,6 @@ pub struct FirmManager {
     last_tick: SimTime,
     episode_reward: f64,
     stats: ManagerStats,
-    last_telemetry: Option<TelemetryWindow>,
     experience: ExperienceLog,
     timers: StageTimers,
     /// Intra-scenario fan-out for the ingest/extract stages.
@@ -181,7 +180,7 @@ impl FirmManager {
     pub fn new(config: FirmConfig) -> Self {
         FirmManager {
             coordinator: TracingCoordinator::new(200_000),
-            collector: TelemetryCollector::new(256),
+            prev_arrival_rate: None,
             monitor: SloMonitor::default(),
             extractor: CriticalComponentExtractor::new(config.seed ^ 0x5111),
             estimator: ResourceEstimator::new(config.regime, config.seed),
@@ -191,7 +190,6 @@ impl FirmManager {
             last_tick: SimTime::ZERO,
             episode_reward: 0.0,
             stats: ManagerStats::default(),
-            last_telemetry: None,
             experience: ExperienceLog::default(),
             timers: StageTimers::new(),
             pool: firm_par::ShardPool::new(config.intra_shards),
@@ -204,12 +202,6 @@ impl FirmManager {
     /// these logs to a central shared-agent trainer.
     pub fn drain_experience(&mut self) -> ExperienceLog {
         std::mem::take(&mut self.experience)
-    }
-
-    /// The telemetry window consumed by the most recent tick (the
-    /// manager drains the simulator; observers read it from here).
-    pub fn last_telemetry(&self) -> Option<&TelemetryWindow> {
-        self.last_telemetry.as_ref()
     }
 
     /// Counters.
@@ -249,7 +241,7 @@ impl FirmManager {
     /// replay buffers) is preserved.
     pub fn reset_environment(&mut self) {
         self.coordinator = TracingCoordinator::new(200_000);
-        self.collector = TelemetryCollector::new(256);
+        self.prev_arrival_rate = None;
         self.pending.clear();
         self.last_tick = SimTime::ZERO;
     }
@@ -264,6 +256,16 @@ impl FirmManager {
         }
         self.estimator.episode_reset();
         std::mem::take(&mut self.episode_reward)
+    }
+
+    /// `WCt` of Table 3: this window's offered arrival rate over the
+    /// previous window's; `1.0` when there is no previous window or it
+    /// saw no arrivals. Remembers `rate` for the next tick.
+    fn workload_change(&mut self, rate: f64) -> f64 {
+        match self.prev_arrival_rate.replace(rate) {
+            Some(prev) if prev.abs() > 1e-12 => rate / prev,
+            _ => 1.0,
+        }
     }
 
     fn snapshot_map(telemetry: &TelemetryWindow) -> BTreeMap<u32, &InstanceSnapshot> {
@@ -298,12 +300,11 @@ impl FirmManager {
         self.last_tick = sim.now();
         self.stats.ticks += 1;
 
-        // ① Ingest traces and telemetry. Graph/critical-path builds fan
-        // out over the shard pool; the merge is input-ordered, so the
-        // store is byte-identical at any shard count.
+        // ① Ingest traces. Graph/critical-path builds fan out over the
+        // shard pool; the merge is input-ordered, so the store is
+        // byte-identical at any shard count.
         let ingest_started = std::time::Instant::now();
         self.coordinator.ingest_sharded(completed, &self.pool);
-        self.collector.collect(&telemetry);
         self.timers
             .ingest
             .record(ingest_started.elapsed().as_micros() as u64);
@@ -315,8 +316,8 @@ impl FirmManager {
         if assessment.any_violation() {
             self.stats.violation_ticks += 1;
         }
-        let wc = self.collector.workload_change();
-        let mix = telemetry.request_mix.clone();
+        let wc = self.workload_change(telemetry.arrival_rate);
+        let mix = &telemetry.request_mix;
         let snapshots = Self::snapshot_map(&telemetry);
 
         // ③ Complete pending transitions with this window's outcome.
@@ -326,7 +327,7 @@ impl FirmManager {
         let train_started = std::time::Instant::now();
         let pending = std::mem::take(&mut self.pending);
         for p in pending {
-            self.complete_transition(p, &snapshots, assessment.sv, wc, &mix, false);
+            self.complete_transition(p, &snapshots, assessment.sv, wc, mix, false);
         }
         train_spent += train_started.elapsed();
 
@@ -393,7 +394,7 @@ impl FirmManager {
                         continue;
                     };
                     // ⑤ RL action.
-                    let state = self.state_builder.build(snap, assessment.sv, wc, &mix);
+                    let state = self.state_builder.build(snap, assessment.sv, wc, mix);
                     let action = if self.config.training && self.config.explore {
                         self.estimator.act_explore(cand.service, &state)
                     } else {
@@ -449,7 +450,6 @@ impl FirmManager {
             let cutoff = SimTime::from_micros(sim.now().as_micros() - horizon.as_micros());
             self.coordinator.evict_before(cutoff);
         }
-        self.last_telemetry = Some(telemetry);
         self.timers.train.record(train_spent.as_micros() as u64);
         assessment
     }
@@ -600,6 +600,102 @@ mod tests {
             est.shared_agent().export_weights()
         };
         assert_eq!(train(&log), train(&log));
+    }
+
+    #[test]
+    fn workload_change_tracks_rate() {
+        let mut sim =
+            Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), 17).build();
+        let mut mgr = FirmManager::new(FirmConfig::default());
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(mgr.workload_change(sim.drain_telemetry().arrival_rate), 1.0);
+        sim.inject(AnomalySpec::new(
+            AnomalyKind::WorkloadVariation,
+            NodeId(0),
+            1.0,
+            SimDuration::from_secs(2),
+        ));
+        sim.run_for(SimDuration::from_secs(2));
+        let wc = mgr.workload_change(sim.drain_telemetry().arrival_rate);
+        assert!(wc > 2.0, "wc={wc}");
+    }
+
+    #[test]
+    fn workload_change_is_one_without_a_usable_previous_rate() {
+        let mut mgr = FirmManager::new(FirmConfig::default());
+        assert_eq!(mgr.workload_change(100.0), 1.0, "first window after new");
+        assert_eq!(mgr.workload_change(150.0), 1.5);
+        mgr.reset_environment();
+        assert_eq!(mgr.workload_change(75.0), 1.0, "first window after reset");
+        assert_eq!(mgr.workload_change(0.0), 0.0);
+        assert_eq!(mgr.workload_change(10.0), 1.0, "previous window was idle");
+    }
+
+    /// WCt oracle: every recorded transition's `state[1]` / `next_state[1]`
+    /// must be the clamped ratio of the arrival rates of the windows the
+    /// test itself drained — recomputed here, compared bit for bit.
+    #[test]
+    fn recorded_wc_is_the_ratio_of_consecutive_window_rates() {
+        let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), 85)
+            .arrivals(Box::new(PoissonArrivals::new(50.0)))
+            .build();
+        let mut mgr = FirmManager::new(FirmConfig {
+            training: true,
+            record_experience: true,
+            ..FirmConfig::default()
+        });
+        for (kind, intensity) in [
+            (AnomalyKind::MemBwStress, 1.0),
+            (AnomalyKind::NetworkDelay, 0.15),
+        ] {
+            let span = SimDuration::from_secs(15);
+            sim.inject(AnomalySpec::new(kind, NodeId(0), intensity, span));
+        }
+        let expected = |rates: &[f64], t: usize| {
+            let wc = match t.checked_sub(1).map(|p| rates[p]) {
+                Some(prev) if prev.abs() > 1e-12 => rates[t] / prev,
+                _ => 1.0,
+            };
+            wc.clamp(0.0, 3.0).to_bits()
+        };
+        let mut rates = Vec::new();
+        let mut checked = 0;
+        for t in 0..11 {
+            if t == 4 {
+                sim.inject(AnomalySpec::new(
+                    AnomalyKind::WorkloadVariation,
+                    NodeId(0),
+                    1.0,
+                    SimDuration::from_secs(3),
+                ));
+            }
+            sim.run_for(SimDuration::from_secs(1));
+            let completed = sim.drain_completed();
+            let telemetry = sim.drain_telemetry();
+            rates.push(telemetry.arrival_rate);
+            mgr.tick_window(&mut sim, completed, telemetry);
+            // What tick t completes, tick t-1 opened.
+            for (_, tr) in mgr.drain_experience().transitions {
+                assert!(!tr.done);
+                assert_eq!(tr.state[1].to_bits(), expected(&rates, t - 1), "t={t}");
+                assert_eq!(tr.next_state[1].to_bits(), expected(&rates, t), "t={t}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no transitions to check");
+        assert!(
+            rates.windows(2).any(|w| w[1] / w[0] > 2.0),
+            "WC never moved"
+        );
+
+        mgr.end_episode(&sim.drain_telemetry(), 1.0);
+        let terminal = mgr.drain_experience().transitions;
+        assert!(!terminal.is_empty(), "no pending transitions to flush");
+        for (_, tr) in terminal {
+            assert!(tr.done);
+            assert_eq!(tr.state[1].to_bits(), expected(&rates, rates.len() - 1));
+            assert_eq!(tr.next_state[1], 1.0);
+        }
     }
 
     /// The control loop's output — learned weights, counters, recorded

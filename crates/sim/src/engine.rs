@@ -1653,6 +1653,29 @@ mod tests {
     }
 
     #[test]
+    fn llc_stress_raises_mem_inflation() {
+        // logic-b (mem-bound, on node 0) is the victim: its synthetic
+        // LLC-miss signal must rise between two drained windows.
+        let victim = InstanceId(2);
+        let inflation = |t: &TelemetryWindow| {
+            let snap = t.instances.iter().find(|s| s.instance == victim);
+            snap.expect("victim exists").mem_inflation
+        };
+        let mut sim = demo_sim(17);
+        sim.run_for(SimDuration::from_secs(1));
+        let before = inflation(&sim.drain_telemetry());
+        sim.inject(AnomalySpec::new(
+            AnomalyKind::LlcStress,
+            NodeId(0),
+            0.95,
+            SimDuration::from_secs(2),
+        ));
+        sim.run_for(SimDuration::from_secs(2));
+        let after = inflation(&sim.drain_telemetry());
+        assert!(after > before, "before={before} after={after}");
+    }
+
+    #[test]
     fn cpu_quota_squeeze_causes_queueing() {
         let mut sim = demo_sim(11);
         sim.run_for(SimDuration::from_secs(1));

@@ -2,8 +2,25 @@
 //!
 //! The real FIRM deployment scrapes cAdvisor/Prometheus and the Linux perf
 //! subsystem (Table 2). The simulator exports the equivalent observables
-//! through [`InstanceSnapshot`] and [`NodeSnapshot`]; the `firm-telemetry`
-//! crate turns them into named metric time series.
+//! through [`InstanceSnapshot`] and [`NodeSnapshot`], and every consumer
+//! (the FIRM manager's Table 3 state, both baselines, the episode
+//! timeline) reads the drained [`TelemetryWindow`] directly — there is no
+//! metric store beside it. Where each Table 2 metric lives:
+//!
+//! | Table 2 metric | paper source | carried by |
+//! |---|---|---|
+//! | `cpu_usage_seconds_total` | cAdvisor & Prometheus | [`InstanceSnapshot::usage`] `[Cpu]`, cores |
+//! | `memory_usage_bytes` | cAdvisor & Prometheus | [`InstanceSnapshot::usage`] `[Llc]`, MB of working set |
+//! | `fs_write/read_seconds` | cAdvisor & Prometheus | [`InstanceSnapshot::usage`] `[IoBw]`, MB/s |
+//! | `fs_usage_bytes` | cAdvisor & Prometheus | [`InstanceSnapshot::usage`] `[IoBw]` × [`InstanceSnapshot::window`] |
+//! | `network_transmit/receive_bytes_total` | cAdvisor & Prometheus | [`InstanceSnapshot::usage`] `[NetBw]`, MB/s |
+//! | `processes` | cAdvisor & Prometheus | [`InstanceSnapshot::workers`] |
+//! | `offcore_response.*.llc_hit/miss.*_DRAM` | Linux perf subsystem | [`InstanceSnapshot::mem_inflation`] over [`InstanceSnapshot::usage`] `[MemBw]` |
+//! | per-core DRAM access (Fig. 1) | Linux perf subsystem | [`InstanceSnapshot::per_core_dram_mbps`] |
+//! | span latency | tracing agents | [`InstanceSnapshot::mean_latency_us`] |
+//! | queue length | tracing agents | [`InstanceSnapshot::avg_queue_len`] |
+//! | dropped requests | tracing agents | [`InstanceSnapshot::drops`] |
+//! | arrival rate | tracing agents | [`InstanceSnapshot::arrivals`] per window; cluster-wide [`TelemetryWindow::arrival_rate`] |
 
 use crate::ids::{InstanceId, NodeId, ServiceId};
 use crate::instance::InstanceState;

@@ -13,10 +13,10 @@
 //! This crate is the facade over the workspace:
 //!
 //! * [`sim`] — deterministic discrete-event cluster/microservice
-//!   simulator (the Kubernetes-cluster substitute);
+//!   simulator (the Kubernetes-cluster substitute), which also exports
+//!   the Table 2 telemetry as `telemetry_probe::TelemetryWindow`;
 //! * [`trace`] — spans, execution history graphs, graph store, and
 //!   Algorithm 1 critical-path extraction;
-//! * [`telemetry`] — Table 2 metrics and collectors;
 //! * [`ml`] — from-scratch MLP/DDPG/SVM substrate;
 //! * [`workload`] — the four benchmark topologies and load shapes;
 //! * [`core`] — FIRM itself: extractor, RL estimator, deployment
@@ -74,7 +74,6 @@ pub use firm_ml as ml;
 pub use firm_obs as obs;
 pub use firm_serve as serve;
 pub use firm_sim as sim;
-pub use firm_telemetry as telemetry;
 pub use firm_trace as trace;
 pub use firm_wire as wire;
 pub use firm_workload as workload;
