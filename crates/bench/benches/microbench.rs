@@ -5,6 +5,11 @@
 //! * `ddpg` — actor inference and one training update (§3.4 reports
 //!   0.21 ± 0.1 ms per update and 40.5 ± 4 ms per inference step, the
 //!   latter dominated by data collection in their deployment);
+//! * `kernel` — one train step's linear-algebra primitives at the exact
+//!   shapes the paper's networks hit (batch 64, hidden 40×40, critic in
+//!   23, actor in 8): forward `x·Wᵀ`, input gradients `dz·W`,
+//!   weight/bias gradient accumulation, activation maps, and
+//!   Algorithm 3's target-network soft update;
 //! * `simulator` — discrete-event throughput on Social Network;
 //! * `extractor` — Algorithm 2 feature computation over a window.
 //!
@@ -18,7 +23,10 @@ use std::time::Instant;
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition};
+use firm_ml::nn::{Activation, Mlp};
+use firm_ml::rng::MlRng;
 use firm_ml::svm::IncrementalSvm;
+use firm_ml::Matrix;
 use firm_sim::spec::ClusterSpec;
 use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_trace::critical_path::critical_path;
@@ -99,6 +107,103 @@ fn bench_ddpg() {
     bench("ddpg/train_step", 1_000, || agent.train_step());
 }
 
+/// The paper's minibatch size — every kernel case runs at this height.
+const BATCH: usize = 64;
+/// Hidden width of both paper networks (two 40-unit layers).
+const HIDDEN: usize = 40;
+
+/// Layer widths of the paper's critic (23→40→40→1) and actor
+/// (8→40→40→5), exactly what [`DdpgConfig::paper`] builds.
+const NET_DIMS: [[usize; 4]; 2] = [
+    [STATE_DIM + ACTION_DIM, HIDDEN, HIDDEN, 1],
+    [ACTOR_STATE_DIM, HIDDEN, HIDDEN, ACTION_DIM],
+];
+
+fn random_matrix(rows: usize, cols: usize, rng: &mut MlRng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| rng.uniform_range(-1.0, 1.0))
+}
+
+/// A gradient-like matrix with ReLU-style zeros (~40% of entries), so
+/// the backward kernels' zero-skip paths see realistic sparsity.
+fn masked_matrix(rows: usize, cols: usize, rng: &mut MlRng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| {
+        if rng.uniform() < 0.4 {
+            0.0
+        } else {
+            rng.uniform_range(-1.0, 1.0)
+        }
+    })
+}
+
+/// One paper layer's operands: input `x`, weights `w`, the upstream
+/// gradient `dz`, and the buffers the three matmul kernels write.
+struct Layer {
+    x: Matrix,
+    w: Matrix,
+    dz: Matrix,
+    out: Matrix,
+    grad_in: Matrix,
+    grad_w: Matrix,
+    grad_b: Vec<f64>,
+}
+
+/// Each case is one pass over every paper layer, as one train step does.
+fn bench_kernels() {
+    const ITERS: u64 = 2_000;
+    let rng = &mut MlRng::new(7);
+    let mut layers: Vec<Layer> = NET_DIMS
+        .iter()
+        .flat_map(|dims| dims.windows(2))
+        .map(|io| Layer {
+            x: random_matrix(BATCH, io[0], rng),
+            w: random_matrix(io[1], io[0], rng),
+            dz: masked_matrix(BATCH, io[1], rng),
+            out: Matrix::zeros(BATCH, io[1]),
+            grad_in: Matrix::zeros(BATCH, io[0]),
+            grad_w: Matrix::zeros(io[1], io[0]),
+            grad_b: vec![0.0; io[1]],
+        })
+        .collect();
+    bench("kernel/matmul_fwd", ITERS, || {
+        for l in &mut layers {
+            l.x.matmul_transpose_b_into(&l.w, &mut l.out);
+        }
+    });
+    bench("kernel/matmul_bwd", ITERS, || {
+        for l in &mut layers {
+            l.dz.matmul_into(&l.w, &mut l.grad_in);
+        }
+    });
+    bench("kernel/grad_acc", ITERS, || {
+        for l in &mut layers {
+            l.dz.transpose_matmul_acc(&l.x, &mut l.grad_w);
+            l.dz.col_sums_acc(&mut l.grad_b);
+        }
+    });
+
+    // Four hidden ReLUs and the actor's tanh output. The maps run in
+    // place on their own output: ReLU is idempotent and tanh stays in
+    // (-1, 1), so every iteration does the same element work.
+    let mut relus: Vec<Matrix> = (0..4).map(|_| random_matrix(BATCH, HIDDEN, rng)).collect();
+    let mut tanh = random_matrix(BATCH, ACTION_DIM, rng);
+    bench("kernel/activations", ITERS, || {
+        for m in &mut relus {
+            m.map_inplace(|v| v.max(0.0));
+        }
+        tanh.map_inplace(f64::tanh);
+    });
+
+    // The blend walks every parameter whatever the activations are.
+    let online = NET_DIMS.map(|dims| Mlp::new(&dims, Activation::Relu, Activation::Identity, 11));
+    let mut targets = online.clone();
+    let tau = DdpgConfig::paper(STATE_DIM, ACTOR_STATE_DIM, ACTION_DIM).tau;
+    bench("kernel/soft_update", ITERS, || {
+        for (target, net) in targets.iter_mut().zip(&online) {
+            target.soft_update_from(net, tau);
+        }
+    });
+}
+
 fn bench_simulator() {
     bench("simulator/social_network_1s_at_200rps", 20, || {
         let mut sim =
@@ -130,6 +235,7 @@ fn main() {
     bench_critical_path();
     bench_svm();
     bench_ddpg();
+    bench_kernels();
     bench_simulator();
     bench_extractor();
 }

@@ -23,10 +23,13 @@
 //! `firm-fleet-worker` subprocesses. `--timeout-ms` bounds each
 //! dispatched request so a planned blackhole is reaped in seconds
 //! (timeouts are recovery machinery and may never move a byte).
-//! Observability riders `--log-level` and `--obs-out` mirror
-//! `fleet_throughput`: the JSONL export carries the
-//! `chaos.injected.*`, `fleet.reconnect.backoff_us`, and
-//! retry/recycle counters the soak exercised.
+//! `--out PATH` writes the per-seed rows as JSON; without it the
+//! verdict line on stdout is the whole result. Observability riders:
+//! `--log-level LEVEL` filters the `firm_obs` event stream (overrides
+//! `FIRM_LOG`), and `--obs-out PATH` writes the buffered events plus
+//! the last run's `OpsReport` as firm-wire JSONL — it carries the
+//! `chaos.injected.*`, `fleet.reconnect.backoff_us`, and retry/recycle
+//! counters the soak exercised.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -55,7 +58,7 @@ fn main() {
         .get("remote")
         .map(|v| v.split(',').map(str::to_string).collect())
         .unwrap_or_default();
-    let out_path = args.get("out").unwrap_or("BENCH_chaos.json").to_string();
+    let out_path = args.get("out").map(str::to_string);
     let obs_out = args.get("obs-out").map(str::to_string);
     if let Some(raw) = args.get("log-level") {
         match firm_obs::parse_filter(raw) {
@@ -98,7 +101,7 @@ fn main() {
     let baseline = FleetRunner::new(config.clone()).run(&scenarios);
     let digest = baseline.report.digest();
 
-    let mut rows = Vec::new();
+    let mut rows: Vec<JsonValue> = Vec::new();
     let mut last_ops = None;
     let mut total_injected = 0u64;
     for &chaos_seed in &chaos_seeds {
@@ -159,20 +162,23 @@ fn main() {
         chaos_seeds.len(),
     );
 
-    let rows: Vec<JsonValue> = rows;
-    let doc = Obj::new()
-        .field("bench", "chaos_soak")
-        .field("scenarios", scenarios.len())
-        .field("sim_seconds_each", seconds)
-        .field("seed", seed)
-        .field("slots", slots)
-        .field("transport", if remote.is_empty() { "pipe" } else { "tcp" })
-        .field("report_digest", format!("{digest:016x}"))
-        .field("total_injected", total_injected)
-        .field("runs", rows);
-    let mut json = doc.build().render();
-    json.push('\n');
-    std::fs::write(&out_path, &json).expect("write BENCH_chaos.json");
+    if let Some(path) = &out_path {
+        let mut json = Obj::new()
+            .field("bench", "chaos_soak")
+            .field("scenarios", scenarios.len())
+            .field("sim_seconds_each", seconds)
+            .field("seed", seed)
+            .field("slots", slots)
+            .field("transport", if remote.is_empty() { "pipe" } else { "tcp" })
+            .field("report_digest", format!("{digest:016x}"))
+            .field("total_injected", total_injected)
+            .field("runs", rows)
+            .build()
+            .render();
+        json.push('\n');
+        std::fs::write(path, &json).expect("write --out file");
+        println!("wrote {path}");
+    }
 
     if let Some(path) = &obs_out {
         let mut jsonl = firm_obs::drain_events_jsonl();
@@ -182,5 +188,4 @@ fn main() {
         std::fs::write(path, jsonl).expect("write --obs-out file");
         println!("wrote {path}");
     }
-    println!("wrote {out_path}");
 }

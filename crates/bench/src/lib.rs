@@ -1,40 +1,52 @@
 //! Shared harness code for the figure/table reproduction binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index) and prints the rows/series
-//! the paper plots, plus a `paper:` reference line so the shapes can be
-//! compared at a glance. Binaries accept `--key value` arguments for the
-//! knobs that trade fidelity for runtime (episodes, seconds, rates).
+//! paper (the README's "Reproducing the paper's figures and tables"
+//! lists them) and prints the rows/series the paper plots, plus a
+//! `paper:` reference line so the shapes can be compared at a glance.
+//! Binaries accept `--key value` arguments for the knobs that trade
+//! fidelity for runtime (episodes, seconds, rates).
 
 use firm_sim::Histogram;
 
 /// Parses `--key value` pairs from `std::env::args`.
+///
+/// A typo must not silently run the default experiment: a key with no
+/// value, a value that is itself a `--key`, a stray token, or a value
+/// that does not parse as the requested number prints the offending
+/// pair and exits with status 2.
 #[derive(Debug, Clone)]
 pub struct Args {
     pairs: Vec<(String, String)>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Self::from_env()
-    }
+/// Reports a malformed command line and exits with status 2.
+fn usage_error(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 impl Args {
     /// Collects arguments from the process environment.
     pub fn from_env() -> Self {
-        let raw: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_raw(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(e))
+    }
+
+    /// Pairs up raw `--key value` tokens, rejecting anything else.
+    fn from_raw(raw: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut raw = raw.into_iter();
         let mut pairs = Vec::new();
-        let mut i = 0;
-        while i + 1 < raw.len() {
-            if let Some(key) = raw[i].strip_prefix("--") {
-                pairs.push((key.to_string(), raw[i + 1].clone()));
-                i += 2;
-            } else {
-                i += 1;
+        while let Some(token) = raw.next() {
+            let Some(key) = token.strip_prefix("--") else {
+                return Err(format!("expected a `--key`, found `{token}`"));
+            };
+            match raw.next() {
+                Some(value) if !value.starts_with("--") => pairs.push((key.to_string(), value)),
+                Some(value) => return Err(format!("`{token}` has no value (next is `{value}`)")),
+                None => return Err(format!("`{token}` has no value")),
             }
         }
-        Args { pairs }
+        Ok(Args { pairs })
     }
 
     /// Builds from explicit pairs (tests).
@@ -49,16 +61,25 @@ impl Args {
 
     /// A `u64` argument with a default.
     pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(key, default).unwrap_or_else(|e| usage_error(e))
     }
 
     /// An `f64` argument with a default.
     pub fn f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.parsed(key, default).unwrap_or_else(|e| usage_error(e))
+    }
+
+    /// The value of `key` parsed as `T`; `default` only when absent.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| {
+                format!(
+                    "`--{key} {v}` is not a valid {}",
+                    std::any::type_name::<T>()
+                )
+            }),
+        }
     }
 
     /// A raw argument value.
@@ -69,30 +90,6 @@ impl Args {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Peak resident-set size of this process in KiB, read from
-/// `/proc/self/status` `VmHWM` (the kernel's high-water mark, so it
-/// captures the whole run regardless of when it is sampled). Returns 0
-/// on platforms without procfs — bench JSON then records the absence
-/// honestly instead of a fabricated number.
-pub fn peak_rss_kb() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    return rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                }
-            }
-        }
-    }
-    0
 }
 
 /// Prints a figure/table banner.
@@ -164,21 +161,6 @@ pub fn print_cdf(label: &str, hist: &Histogram) {
     println!("  (n={})", hist.count());
 }
 
-/// Prints a CDF from a raw sample in microseconds.
-pub fn print_sample_cdf(label: &str, mut lats: Vec<f64>) {
-    const QS: [f64; 9] = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999];
-    lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    print!("  {label:<22}");
-    for q in QS {
-        print!(
-            " p{:<4}={:>9.2}ms",
-            q * 100.0,
-            firm_sim::stats::sample_quantile(&lats, q) / 1e3
-        );
-    }
-    println!("  (n={})", lats.len());
-}
-
 /// Formats a ratio as `x.x×` with a guard for division by ~zero.
 pub fn factor(numerator: f64, denominator: f64) -> String {
     if denominator.abs() < 1e-12 {
@@ -202,6 +184,31 @@ mod tests {
     }
 
     #[test]
+    fn args_reject_unparsable_values() {
+        let a = Args::from_pairs(&[("seconds", "2O"), ("rate", "fast")]);
+        let err = a.parsed("seconds", 5u64).expect_err("2O is not a u64");
+        assert!(err.contains("--seconds 2O"), "{err}");
+        let err = a.parsed("rate", 1.0f64).expect_err("fast is not an f64");
+        assert!(err.contains("--rate fast"), "{err}");
+        assert_eq!(a.parsed("missing", 7u64), Ok(7));
+    }
+
+    #[test]
+    fn args_reject_valueless_and_stray_tokens() {
+        let raw = |tokens: &[&str]| Args::from_raw(tokens.iter().map(|t| t.to_string()));
+        let ok = raw(&["--seconds", "5", "--shift", "-2"]).expect("well-formed pairs");
+        assert_eq!(ok.u64("seconds", 0), 5);
+        assert_eq!(ok.f64("shift", 0.0), -2.0);
+        // A valueless flag must not swallow the next key.
+        let err = raw(&["--flag", "--seconds", "5"]).expect_err("flag has no value");
+        assert!(err.contains("--flag") && err.contains("--seconds"), "{err}");
+        let err = raw(&["--seconds", "5", "--out"]).expect_err("trailing key");
+        assert!(err.contains("--out"), "{err}");
+        let err = raw(&["seconds", "5"]).expect_err("stray token");
+        assert!(err.contains("seconds"), "{err}");
+    }
+
+    #[test]
     fn summary_math() {
         let s = summarize_us(vec![1_000.0, 2_000.0, 3_000.0, 100_000.0]);
         assert_eq!(s.n, 4);
@@ -215,13 +222,5 @@ mod tests {
     fn factor_formats() {
         assert_eq!(factor(10.0, 2.0), "5.0x");
         assert_eq!(factor(1.0, 0.0), "n/a");
-    }
-
-    #[test]
-    fn peak_rss_is_positive_on_linux() {
-        let kb = peak_rss_kb();
-        if cfg!(target_os = "linux") {
-            assert!(kb > 0, "VmHWM parsed as {kb}");
-        }
     }
 }

@@ -26,7 +26,8 @@
 //!
 //! Recording costs one atomic load when filtered out and a handful of
 //! relaxed atomic RMWs when not, which is what keeps the instrumented
-//! hot path within the <2% budget `BENCH_fleet.json` tracks.
+//! hot path within the <2% budget the benchmark's `obs.overhead_share`
+//! tracks.
 //!
 //! ```
 //! firm_obs::event(firm_obs::Level::Debug, "example")

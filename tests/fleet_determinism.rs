@@ -244,10 +244,10 @@ fn replay_scenario_is_bit_identical_to_its_recording_source() {
     }
 }
 
-/// The seed-7 benchmark-catalog golden: the exact configuration
-/// `fleet_throughput` records in `BENCH_fleet.json` (full builtin
-/// catalog, 20 simulated seconds per scenario, fleet seed 7, 128
-/// shared-trainer steps) must keep producing the digest pinned there.
+/// The seed-7 builtin-catalog golden: one fixed configuration (full
+/// builtin catalog, 20 simulated seconds per scenario, fleet seed 7,
+/// 128 shared-trainer steps) must keep producing the digest pinned
+/// here.
 ///
 /// This is the safety net for performance work: any hot-path
 /// "optimization" that changes an RNG draw, a float fold order, or a

@@ -24,14 +24,14 @@ use std::sync::atomic::Ordering;
 use firm::chaos::{ChaosTransport, FaultPlan};
 use firm::fleet::transport::{TcpTransport, Transport};
 use firm::fleet::worker::{serve_session, ServeOptions};
-use firm::fleet::{generate_catalog, CatalogSpec, FleetConfig, FleetRunner, Scenario};
+use firm::fleet::{generate_catalog, CatalogSpec, FleetConfig, FleetResult, FleetRunner, Scenario};
 use firm::sim::SimDuration;
 
 /// The golden digest for `generate_catalog(CatalogSpec::new(7, 1))`
 /// run with fleet seed 7 (the catalog's own default durations). Moving
 /// it means the sampler, the scenario wire shape, or the execution
-/// path changed behavior — bump deliberately, with the BENCH_scale
-/// ladder regenerated in the same commit.
+/// path changed behavior — bump deliberately, re-pinning the sf=10 and
+/// sf=100 digests in `benchmark/expected.json` in the same change.
 const SF1_SEED7_DIGEST: &str = "6a71ecd96f3fbc64";
 
 fn sf1_catalog() -> Vec<Scenario> {
@@ -71,77 +71,63 @@ fn spawn_tcp_worker() -> String {
 /// The headline golden: the (catalog seed 7, sf=1) generated catalog
 /// produces one pinned digest — bit-identical report bytes, pooled
 /// experience, and trained weights at 1, 2, and 4 threads, across two
-/// subprocess workers, and at intra_shards 2.
+/// subprocess workers, and at intra_shards 2. The sf=10 catalog
+/// (shortened to 2 simulated seconds) runs the same ladder unpinned:
+/// sf=1 tenants all have `replica_factor` 1, so it is the input that
+/// sends scaled-out applications through the pipe transport.
 #[test]
 fn generated_sf1_seed7_digest_is_pinned_across_threads_workers_and_shards() {
-    let catalog = sf1_catalog();
-    let base = FleetRunner::new(config(1)).run(&catalog);
-    assert_eq!(
-        format!("{:016x}", base.report.digest()),
-        SF1_SEED7_DIGEST,
-        "the generated sf=1 catalog digest moved — sampler or execution drifted"
-    );
-    let base_json = base.report.to_json();
-    let base_pooled = firm::wire::encode_string(&base.pooled);
-    let base_weights = base.estimator.shared_agent().export_weights();
+    let sf10_short: Vec<Scenario> = generate_catalog(&CatalogSpec::new(7, 10))
+        .into_iter()
+        .map(|s| s.with_duration(SimDuration::from_secs(2)))
+        .collect();
+    assert!(sf10_short.iter().any(|s| s.replica_factor > 1));
 
-    for threads in [2usize, 4] {
-        let r = FleetRunner::new(config(threads)).run(&catalog);
-        assert_eq!(
-            base_json,
-            r.report.to_json(),
-            "generated-catalog report bytes diverged at {threads} threads"
-        );
-        assert_eq!(
-            base_pooled,
-            firm::wire::encode_string(&r.pooled),
-            "generated-catalog pooled experience diverged at {threads} threads"
-        );
-        assert_eq!(
-            base_weights,
-            r.estimator.shared_agent().export_weights(),
-            "generated-catalog weights diverged at {threads} threads"
-        );
+    for (label, catalog, pinned) in [
+        ("sf=1", sf1_catalog(), Some(SF1_SEED7_DIGEST)),
+        ("sf=10", sf10_short, None),
+    ] {
+        let base = FleetRunner::new(config(1)).run(&catalog);
+        if let Some(pinned) = pinned {
+            assert_eq!(
+                format!("{:016x}", base.report.digest()),
+                pinned,
+                "the generated {label} catalog digest moved — sampler or execution drifted"
+            );
+        }
+        let assert_matches_base = |r: &FleetResult, what: &str| {
+            assert_eq!(
+                base.report.to_json(),
+                r.report.to_json(),
+                "generated {label} report bytes diverged {what}"
+            );
+            assert_eq!(
+                firm::wire::encode_string(&base.pooled),
+                firm::wire::encode_string(&r.pooled),
+                "generated {label} pooled experience diverged {what}"
+            );
+            assert_eq!(
+                base.estimator.shared_agent().export_weights(),
+                r.estimator.shared_agent().export_weights(),
+                "generated {label} weights diverged {what}"
+            );
+        };
+
+        for threads in [2usize, 4] {
+            let r = FleetRunner::new(config(threads)).run(&catalog);
+            assert_matches_base(&r, &format!("at {threads} threads"));
+        }
+
+        // Across the process boundary: two supervised subprocess workers
+        // exercise the v6 scenario wire codec (replica_factor, slo_penalty)
+        // end to end.
+        let workers = FleetRunner::new(config(1).workers(2)).run(&catalog);
+        assert_matches_base(&workers, "across the subprocess boundary");
+
+        // Intra-scenario sharding stays a pure wall-clock knob.
+        let sharded = FleetRunner::new(config(1).intra_shards(2)).run(&catalog);
+        assert_matches_base(&sharded, "at intra_shards 2");
     }
-
-    // Across the process boundary: two supervised subprocess workers
-    // exercise the v6 scenario wire codec (replica_factor, slo_penalty)
-    // end to end.
-    let workers = FleetRunner::new(FleetConfig {
-        workers: 2,
-        seed: 7,
-        train_steps: 64,
-        ..FleetConfig::default()
-    })
-    .run(&catalog);
-    assert_eq!(
-        base_json,
-        workers.report.to_json(),
-        "generated-catalog report bytes diverged across the subprocess boundary"
-    );
-    assert_eq!(
-        base_pooled,
-        firm::wire::encode_string(&workers.pooled),
-        "generated-catalog pooled experience diverged across the subprocess boundary"
-    );
-    assert_eq!(
-        base_weights,
-        workers.estimator.shared_agent().export_weights(),
-        "generated-catalog weights diverged across the subprocess boundary"
-    );
-
-    // Intra-scenario sharding stays a pure wall-clock knob.
-    let sharded = FleetRunner::new(config(1).intra_shards(2)).run(&catalog);
-    assert_eq!(
-        base_json,
-        sharded.report.to_json(),
-        "generated-catalog report bytes moved at intra_shards 2"
-    );
-    assert_eq!(base_pooled, firm::wire::encode_string(&sharded.pooled));
-    assert_eq!(
-        base_weights,
-        sharded.estimator.shared_agent().export_weights()
-    );
 }
 
 /// The same golden under seeded chaos: fault plans over TCP workers
