@@ -24,11 +24,10 @@ use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition};
 use firm_ml::nn::{Activation, Mlp};
-use firm_ml::rng::MlRng;
 use firm_ml::svm::IncrementalSvm;
 use firm_ml::Matrix;
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration, Simulation};
+use firm_sim::{PoissonArrivals, SimDuration, SimRng, Simulation};
 use firm_trace::critical_path::critical_path;
 use firm_trace::graph::ExecutionHistoryGraph;
 use firm_trace::TracingCoordinator;
@@ -119,13 +118,13 @@ const NET_DIMS: [[usize; 4]; 2] = [
     [ACTOR_STATE_DIM, HIDDEN, HIDDEN, ACTION_DIM],
 ];
 
-fn random_matrix(rows: usize, cols: usize, rng: &mut MlRng) -> Matrix {
+fn random_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.uniform_range(-1.0, 1.0))
 }
 
 /// A gradient-like matrix with ReLU-style zeros (~40% of entries), so
 /// the backward kernels' zero-skip paths see realistic sparsity.
-fn masked_matrix(rows: usize, cols: usize, rng: &mut MlRng) -> Matrix {
+fn masked_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| {
         if rng.uniform() < 0.4 {
             0.0
@@ -150,7 +149,7 @@ struct Layer {
 /// Each case is one pass over every paper layer, as one train step does.
 fn bench_kernels() {
     const ITERS: u64 = 2_000;
-    let rng = &mut MlRng::new(7);
+    let rng = &mut SimRng::new(7);
     let mut layers: Vec<Layer> = NET_DIMS
         .iter()
         .flat_map(|dims| dims.windows(2))

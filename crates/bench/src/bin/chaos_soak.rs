@@ -48,12 +48,7 @@ fn main() {
     let seed = args.u64("seed", 7);
     let workers = args.u64("workers", 2) as usize;
     let timeout_ms = args.u64("timeout-ms", 3_000);
-    let chaos_seeds: Vec<u64> = args
-        .get("chaos-seeds")
-        .unwrap_or("1,2,3")
-        .split(',')
-        .map(|s| s.trim().parse().expect("--chaos-seeds takes integers"))
-        .collect();
+    let chaos_seeds = args.list("chaos-seeds", &[1u64, 2, 3]);
     let remote: Vec<String> = args
         .get("remote")
         .map(|v| v.split(',').map(str::to_string).collect())

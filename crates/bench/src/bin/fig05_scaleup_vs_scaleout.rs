@@ -148,10 +148,7 @@ fn main() {
     let args = Args::from_env();
     let seconds = args.u64("seconds", 20);
     let seed = args.u64("seed", 31);
-    let loads: Vec<f64> = match args.get("loads") {
-        Some(s) => s.split(',').filter_map(|x| x.parse().ok()).collect(),
-        None => vec![50.0, 100.0, 200.0, 300.0, 450.0, 600.0],
-    };
+    let loads = args.list("loads", &[50.0, 100.0, 200.0, 300.0, 450.0, 600.0]);
 
     banner(
         "Fig. 5",

@@ -13,8 +13,8 @@ use firm_sim::Histogram;
 ///
 /// A typo must not silently run the default experiment: a key with no
 /// value, a value that is itself a `--key`, a stray token, or a value
-/// that does not parse as the requested number prints the offending
-/// pair and exits with status 2.
+/// that does not parse as the requested number (or list of numbers)
+/// prints the offending pair and exits with status 2.
 #[derive(Debug, Clone)]
 pub struct Args {
     pairs: Vec<(String, String)>,
@@ -80,6 +80,34 @@ impl Args {
                 )
             }),
         }
+    }
+
+    /// A comma-separated list argument with a default.
+    pub fn list<T: std::str::FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T> {
+        self.parsed_list(key, default)
+            .unwrap_or_else(|e| usage_error(e))
+    }
+
+    /// Every comma-separated item of `key` parsed as `T`; `default` only
+    /// when absent.
+    fn parsed_list<T: std::str::FromStr + Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(default.to_vec());
+        };
+        v.split(',')
+            .map(|item| {
+                item.trim().parse().map_err(|_| {
+                    format!(
+                        "`--{key} {v}`: item `{item}` is not a valid {}",
+                        std::any::type_name::<T>()
+                    )
+                })
+            })
+            .collect()
     }
 
     /// A raw argument value.
@@ -206,6 +234,32 @@ mod tests {
         assert!(err.contains("--out"), "{err}");
         let err = raw(&["seconds", "5"]).expect_err("stray token");
         assert!(err.contains("seconds"), "{err}");
+    }
+
+    #[test]
+    fn args_reject_a_bad_list_item_instead_of_dropping_it() {
+        let raw = |tokens: &[&str]| Args::from_raw(tokens.iter().map(|t| t.to_string())).unwrap();
+        let a = raw(&[
+            "--loads",
+            "50, 100,200",
+            "--typo",
+            "50,1OO,200",
+            "--one",
+            "x",
+        ]);
+        assert_eq!(a.parsed_list("loads", &[1.0]), Ok(vec![50.0, 100.0, 200.0]));
+        assert_eq!(a.parsed_list("missing", &[7u64, 8]), Ok(vec![7, 8]));
+        let err = a
+            .parsed_list("typo", &[1.0])
+            .expect_err("1OO is not a number");
+        assert!(
+            err.contains("--typo 50,1OO,200") && err.contains("`1OO`"),
+            "{err}"
+        );
+        assert!(
+            a.parsed_list("one", &[1u64]).is_err(),
+            "an all-bad list ran empty"
+        );
     }
 
     #[test]

@@ -38,24 +38,6 @@ impl ChaosTransport {
         }
     }
 
-    /// Wraps every transport of a fleet with its slot's derived plan —
-    /// the one-liner the soak harness uses.
-    pub fn wrap_all(
-        transports: Vec<Box<dyn Transport>>,
-        chaos_seed: u64,
-    ) -> Vec<Box<dyn Transport>> {
-        transports
-            .into_iter()
-            .enumerate()
-            .map(|(slot, inner)| {
-                Box::new(ChaosTransport::new(
-                    inner,
-                    FaultPlan::derive(chaos_seed, slot),
-                )) as Box<dyn Transport>
-            })
-            .collect()
-    }
-
     /// The plan this transport delivers.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan

@@ -25,9 +25,7 @@
 //! shared agent back onto its catalog (the paper's round-trip claim).
 
 use firm_sim::telemetry_probe::TelemetryWindow;
-use firm_sim::{
-    AnomalyId, CompletedRequest, Histogram, ResourceKind, SimDuration, SimTime, Simulation,
-};
+use firm_sim::{AnomalyId, CompletedRequest, Histogram, SimDuration, SimTime, Simulation};
 
 use crate::baselines::{AimdController, K8sHpaController};
 use crate::injector::AnomalyInjector;
@@ -183,21 +181,13 @@ impl Controller for AimdController {
     }
 }
 
-/// One point of the per-tick timeline (Fig. 1 / Fig. 10 series).
+/// One point of the per-tick timeline (Fig. 10 series).
 #[derive(Debug, Clone, Copy)]
 pub struct TimelinePoint {
     /// Tick end time.
     pub at: SimTime,
-    /// p99 end-to-end latency in the tick window (us), 0 if no traffic.
-    pub p99_us: f64,
-    /// Mean end-to-end latency in the window (us).
-    pub mean_us: f64,
     /// Sum of requested CPU limits (cores).
     pub requested_cpu: f64,
-    /// Cluster-average CPU utilization of running instances.
-    pub cpu_utilization: f64,
-    /// Mean per-core DRAM access of instance 0's node (Fig. 1 series).
-    pub per_core_dram: f64,
     /// Drops in the window.
     pub drops: u64,
 }
@@ -384,7 +374,6 @@ pub fn run_episode(
         let completed = sim.drain_completed();
         let telemetry = sim.drain_telemetry();
 
-        let mut lats: Vec<f64> = Vec::new();
         let mut window_drops = 0u64;
         for r in &completed {
             if r.dropped {
@@ -399,7 +388,6 @@ pub fn run_episode(
                 }
             } else {
                 let us = r.latency.as_micros();
-                lats.push(us as f64);
                 if measuring {
                     latency.record(us);
                     latency_sum_us += us as u128;
@@ -410,38 +398,6 @@ pub fn run_episode(
                 }
             }
         }
-        lats.sort_by(f64::total_cmp);
-        let window_p99 = firm_sim::stats::sample_quantile(&lats, 0.99);
-        let window_mean = if lats.is_empty() {
-            0.0
-        } else {
-            lats.iter().sum::<f64>() / lats.len() as f64
-        };
-
-        // Timeline inputs that come from the window's telemetry, read
-        // before ownership moves into the tick.
-        let cpu_util = {
-            let running: Vec<_> = telemetry
-                .instances
-                .iter()
-                .filter(|i| i.state == firm_sim::instance::InstanceState::Running)
-                .collect();
-            if running.is_empty() {
-                0.0
-            } else {
-                running
-                    .iter()
-                    .map(|i| i.utilization.get(ResourceKind::Cpu))
-                    .sum::<f64>()
-                    / running.len() as f64
-            }
-        };
-        let per_core_dram = telemetry
-            .instances
-            .first()
-            .map(|i| i.per_core_dram_mbps)
-            .unwrap_or(0.0);
-
         let decision = controller.tick(
             sim,
             TickContext {
@@ -460,11 +416,7 @@ pub fn run_episode(
         }
         timeline.push(TimelinePoint {
             at: sim.now(),
-            p99_us: window_p99,
-            mean_us: window_mean,
             requested_cpu,
-            cpu_utilization: cpu_util,
-            per_core_dram,
             drops: window_drops,
         });
 

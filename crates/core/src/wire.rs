@@ -8,7 +8,7 @@
 //! shortest round-trip rendering, so a policy that crosses the wire
 //! deploys bit-identical weights.
 
-use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::wire_struct;
 
 use crate::baselines::{AimdConfig, K8sConfig};
 use crate::controller::PolicyCheckpoint;
@@ -16,138 +16,43 @@ use crate::extractor::InstanceFeatures;
 use crate::injector::CampaignConfig;
 use crate::manager::ExperienceLog;
 
-impl WireEncode for PolicyCheckpoint {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("actor", &self.actor)
-            .field("critic", &self.critic)
-            .build()
-    }
-}
+wire_struct!(PolicyCheckpoint { actor, critic });
 
-impl WireDecode for PolicyCheckpoint {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(PolicyCheckpoint {
-            actor: v.field("actor")?,
-            critic: v.field("critic")?,
-        })
-    }
-}
+wire_struct!(InstanceFeatures {
+    instance,
+    service,
+    ri,
+    ci,
+    samples,
+});
 
-impl WireEncode for InstanceFeatures {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("instance", self.instance)
-            .field("service", self.service)
-            .field("ri", self.ri)
-            .field("ci", self.ci)
-            .field("samples", self.samples)
-            .build()
-    }
-}
+wire_struct!(ExperienceLog {
+    transitions,
+    svm_examples,
+});
 
-impl WireDecode for InstanceFeatures {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(InstanceFeatures {
-            instance: v.field("instance")?,
-            service: v.field("service")?,
-            ri: v.field("ri")?,
-            ci: v.field("ci")?,
-            samples: v.field("samples")?,
-        })
-    }
-}
+wire_struct!(CampaignConfig {
+    lambda,
+    kinds,
+    intensity,
+    duration,
+    target_nodes,
+    container_level,
+});
 
-impl WireEncode for ExperienceLog {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("transitions", &self.transitions)
-            .field("svm_examples", &self.svm_examples)
-            .build()
-    }
-}
+wire_struct!(K8sConfig {
+    target_utilization,
+    tolerance,
+    max_replicas,
+    downscale_stabilization_ticks,
+});
 
-impl WireDecode for ExperienceLog {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(ExperienceLog {
-            transitions: v.field("transitions")?,
-            svm_examples: v.field("svm_examples")?,
-        })
-    }
-}
-
-impl WireEncode for CampaignConfig {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("lambda", self.lambda)
-            .field("kinds", &self.kinds)
-            .field("intensity", self.intensity)
-            .field("duration", self.duration)
-            .field("target_nodes", &self.target_nodes)
-            .field("container_level", self.container_level)
-            .build()
-    }
-}
-
-impl WireDecode for CampaignConfig {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(CampaignConfig {
-            lambda: v.field("lambda")?,
-            kinds: v.field("kinds")?,
-            intensity: v.field("intensity")?,
-            duration: v.field("duration")?,
-            target_nodes: v.field("target_nodes")?,
-            container_level: v.field("container_level")?,
-        })
-    }
-}
-
-impl WireEncode for K8sConfig {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("target_utilization", self.target_utilization)
-            .field("tolerance", self.tolerance)
-            .field("max_replicas", self.max_replicas)
-            .field(
-                "downscale_stabilization_ticks",
-                self.downscale_stabilization_ticks,
-            )
-            .build()
-    }
-}
-
-impl WireDecode for K8sConfig {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(K8sConfig {
-            target_utilization: v.field("target_utilization")?,
-            tolerance: v.field("tolerance")?,
-            max_replicas: v.field("max_replicas")?,
-            downscale_stabilization_ticks: v.field("downscale_stabilization_ticks")?,
-        })
-    }
-}
-
-impl WireEncode for AimdConfig {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("additive_step", self.additive_step)
-            .field("beta", self.beta)
-            .field("low_utilization", self.low_utilization)
-            .field("cpu_bounds", self.cpu_bounds)
-            .build()
-    }
-}
-
-impl WireDecode for AimdConfig {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(AimdConfig {
-            additive_step: v.field("additive_step")?,
-            beta: v.field("beta")?,
-            low_utilization: v.field("low_utilization")?,
-            cpu_bounds: v.field("cpu_bounds")?,
-        })
-    }
-}
+wire_struct!(AimdConfig {
+    additive_step,
+    beta,
+    low_utilization,
+    cpu_bounds,
+});
 
 #[cfg(test)]
 mod tests {
@@ -166,6 +71,14 @@ mod tests {
         assert_round_trip(&policy);
         let back: PolicyCheckpoint = decode_string(&encode_string(&policy)).unwrap();
         assert_eq!(back.digest(), policy.digest(), "weight bits changed");
+        let small = PolicyCheckpoint {
+            actor: vec![0.5, -0.25],
+            critic: vec![1.0 / 3.0],
+        };
+        assert_eq!(
+            encode_string(&small),
+            r#"{"actor":[0.5,-0.25],"critic":[0.3333333333333333]}"#
+        );
     }
 
     #[test]
@@ -193,6 +106,14 @@ mod tests {
         ));
         assert_round_trip(&log);
         assert_round_trip(&ExperienceLog::default());
+        let features = r#"{"instance":9,"service":3,"ri":0.87,"ci":2.4,"samples":17}"#;
+        assert_eq!(encode_string(&log.svm_examples[0].0), features);
+        assert_eq!(
+            encode_string(&log),
+            format!(
+                r#"{{"transitions":[[3,{{"state":[0.25,-0.5],"action":[1],"reward":-0.125,"next_state":[0.3,0.7],"done":false}}]],"svm_examples":[[{features},true]]}}"#
+            )
+        );
     }
 
     #[test]
@@ -200,13 +121,26 @@ mod tests {
         assert_round_trip(&K8sConfig::default());
         assert_round_trip(&AimdConfig::default());
         assert_round_trip(&CampaignConfig::default());
-        assert_round_trip(&CampaignConfig {
+        assert_eq!(
+            encode_string(&K8sConfig::default()),
+            r#"{"target_utilization":0.8,"tolerance":0.1,"max_replicas":8,"downscale_stabilization_ticks":6}"#
+        );
+        assert_eq!(
+            encode_string(&AimdConfig::default()),
+            r#"{"additive_step":1,"beta":0.9,"low_utilization":0.4,"cpu_bounds":[0.5,16]}"#
+        );
+        let campaign = CampaignConfig {
             lambda: 0.5,
             kinds: ANOMALY_KINDS.to_vec(),
             intensity: (0.1, 0.9),
             duration: (SimDuration::from_secs(1), SimDuration::from_secs(4)),
             target_nodes: vec![firm_sim::NodeId(0), firm_sim::NodeId(2)],
             container_level: false,
-        });
+        };
+        assert_round_trip(&campaign);
+        assert_eq!(
+            encode_string(&campaign),
+            r#"{"lambda":0.5,"kinds":["Workload Variation","Network Delay","CPU Utilization","LLC Bandwidth & Capacity","Memory Bandwidth","I/O Bandwidth","Network Bandwidth"],"intensity":[0.1,0.9],"duration":[1000000,4000000],"target_nodes":[0,2],"container_level":false}"#
+        );
     }
 }

@@ -211,18 +211,18 @@ fn sample_tenant(spec: &CatalogSpec, i: usize) -> Scenario {
 
     // Draws 3+: load shape. The base rate carries ±30% jitter; shape
     // parameters are relative, so `scaled` lifts the whole curve.
-    let jitter = 0.7 + 0.6 * rng.next_f64();
+    let jitter = 0.7 + 0.6 * rng.uniform();
     let base = spec.base_rate * jitter;
     let shape = match rng.next_below(3) {
         0 => LoadShape::Steady { rate: base },
         1 => LoadShape::Diurnal {
             base,
-            amplitude: 0.25 + 0.35 * rng.next_f64(),
+            amplitude: 0.25 + 0.35 * rng.uniform(),
             period_secs: 30 + rng.next_below(31),
         },
         _ => LoadShape::FlashCrowd {
             base,
-            multiplier: 2.0 + 2.0 * rng.next_f64(),
+            multiplier: 2.0 + 2.0 * rng.uniform(),
             every_secs: 15 + rng.next_below(16),
             crest_secs: 3 + rng.next_below(4),
         },

@@ -17,7 +17,7 @@
 //! the frames landed.
 
 use firm_obs::MetricsSnapshot;
-use firm_wire::{Context, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 
 /// One worker's session-end metrics, labeled by its slot and transport
 /// (`"slot0:pipe:firm-fleet-worker"`, `"slot2:tcp:10.0.0.7:7401"`).
@@ -30,23 +30,7 @@ pub struct WorkerOps {
     pub metrics: MetricsSnapshot,
 }
 
-impl WireEncode for WorkerOps {
-    fn encode(&self) -> JsonValue {
-        Obj::tagged("worker_ops")
-            .field("label", self.label.as_str())
-            .field("metrics", &self.metrics)
-            .build()
-    }
-}
-
-impl WireDecode for WorkerOps {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(WorkerOps {
-            label: v.field("label")?,
-            metrics: v.field("metrics")?,
-        })
-    }
-}
+wire_struct!(WorkerOps tagged "worker_ops" { label, metrics });
 
 /// Runtime observability for one fleet run: the coordinator's own
 /// metrics plus every worker's session-end snapshot, in deterministic
@@ -92,14 +76,13 @@ impl OpsReport {
     }
 }
 
+// Hand-written: decode validates the `"ops_report"` tag itself (no
+// frame enum dispatches on it first).
 impl WireEncode for OpsReport {
     fn encode(&self) -> JsonValue {
         Obj::tagged("ops_report")
             .field("coordinator", &self.coordinator)
-            .field(
-                "workers",
-                JsonValue::Array(self.workers.iter().map(|w| w.encode()).collect()),
-            )
+            .field("workers", &self.workers)
             .build()
     }
 }
@@ -112,17 +95,9 @@ impl WireDecode for OpsReport {
                 v.tag()?
             )));
         }
-        let workers_doc: JsonValue = v.field("workers")?;
-        let workers = workers_doc
-            .as_array()
-            .context("workers")?
-            .iter()
-            .map(WorkerOps::decode)
-            .collect::<Result<Vec<_>, _>>()
-            .context("workers")?;
         Ok(OpsReport {
             coordinator: v.field("coordinator")?,
-            workers,
+            workers: v.field("workers")?,
         })
     }
 }
@@ -172,6 +147,14 @@ mod tests {
     #[test]
     fn ops_reports_round_trip_through_the_wire() {
         firm_wire::assert_round_trip(&OpsReport::default());
+        let ops = WorkerOps {
+            label: "slot0:tcp:127.0.0.1:7401".into(),
+            metrics: MetricsSnapshot::default(),
+        };
+        assert_eq!(
+            firm_wire::encode_string(&ops),
+            r#"{"type":"worker_ops","label":"slot0:tcp:127.0.0.1:7401","metrics":{"type":"metrics","entries":[]}}"#
+        );
         firm_wire::assert_round_trip(&OpsReport::new(
             snapshot("fleet", 1),
             vec![WorkerOps {

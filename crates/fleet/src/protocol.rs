@@ -33,7 +33,7 @@
 use firm_core::controller::PolicyCheckpoint;
 use firm_core::manager::ExperienceLog;
 use firm_obs::MetricsSnapshot;
-use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_struct, DecodeError, JsonValue, WireDecode, WireEncode};
 
 use crate::report::ScenarioOutcome;
 use crate::scenario::Scenario;
@@ -80,31 +80,14 @@ pub struct WorkerRequest {
     pub intra_shards: u64,
 }
 
-impl WireEncode for WorkerRequest {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("index", self.index)
-            .field("seed", self.seed)
-            .field("scenario", &self.scenario)
-            .field("policy", &self.policy)
-            .field("reuse_policy", self.reuse_policy)
-            .field("intra_shards", self.intra_shards)
-            .build()
-    }
-}
-
-impl WireDecode for WorkerRequest {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(WorkerRequest {
-            index: v.field("index")?,
-            seed: v.field("seed")?,
-            scenario: v.field("scenario")?,
-            policy: v.field("policy")?,
-            reuse_policy: v.field("reuse_policy")?,
-            intra_shards: v.field("intra_shards")?,
-        })
-    }
-}
+wire_struct!(WorkerRequest {
+    index,
+    seed,
+    scenario,
+    policy,
+    reuse_policy,
+    intra_shards,
+});
 
 /// One completed unit of work streamed back to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,25 +101,13 @@ pub struct WorkerResponse {
     pub experience: ExperienceLog,
 }
 
-impl WireEncode for WorkerResponse {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("index", self.index)
-            .field("outcome", &self.outcome)
-            .field("experience", &self.experience)
-            .build()
-    }
-}
-
-impl WireDecode for WorkerResponse {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(WorkerResponse {
-            index: v.field("index")?,
-            outcome: v.field("outcome")?,
-            experience: v.field("experience")?,
-        })
-    }
-}
+// Untagged: the supervisor reads responses inside the tagged
+// `WorkerMessage::Response` envelope, standalone frames carry no tag.
+wire_struct!(WorkerResponse {
+    index,
+    outcome,
+    experience,
+});
 
 /// The handshake: the first frame a worker writes on every session,
 /// before it reads any work.
@@ -153,6 +124,8 @@ pub struct WorkerHello {
     pub heartbeat_ms: u64,
 }
 
+wire_struct!(WorkerHello tagged "hello" { protocol, pid, heartbeat_ms });
+
 /// A liveness pulse. Workers emit one every `heartbeat_ms` while a
 /// session is open; the supervisor uses silence (no heartbeat *and* no
 /// response for several intervals) as its dead-worker signal.
@@ -162,6 +135,8 @@ pub struct WorkerHeartbeat {
     /// `None` while idle between jobs.
     pub busy: Option<u64>,
 }
+
+wire_struct!(WorkerHeartbeat tagged "heartbeat" { busy });
 
 /// Every frame a worker can write: the session handshake, liveness
 /// pulses, and completed work. Encoded as a tagged union
@@ -183,20 +158,21 @@ pub enum WorkerMessage {
     Metrics(MetricsSnapshot),
 }
 
+// Hand-written: a tagged union dispatching on `"type"`; each arm is
+// its payload's own codec.
 impl WireEncode for WorkerMessage {
     fn encode(&self) -> JsonValue {
         match self {
-            WorkerMessage::Hello(h) => Obj::tagged("hello")
-                .field("protocol", h.protocol)
-                .field("pid", h.pid)
-                .field("heartbeat_ms", h.heartbeat_ms)
-                .build(),
-            WorkerMessage::Heartbeat(hb) => Obj::tagged("heartbeat").field("busy", hb.busy).build(),
-            WorkerMessage::Response(r) => Obj::tagged("response")
-                .field("index", r.index)
-                .field("outcome", &r.outcome)
-                .field("experience", &r.experience)
-                .build(),
+            WorkerMessage::Hello(h) => h.encode(),
+            WorkerMessage::Heartbeat(hb) => hb.encode(),
+            // The envelope is the response's own frame behind a tag.
+            WorkerMessage::Response(r) => {
+                let mut fields = vec![("type".to_string(), "response".encode())];
+                if let JsonValue::Object(body) = r.encode() {
+                    fields.extend(body);
+                }
+                JsonValue::Object(fields)
+            }
             // A MetricsSnapshot already encodes as a tagged "metrics"
             // object, so the variant reuses its frame shape directly.
             WorkerMessage::Metrics(m) => m.encode(),
@@ -207,16 +183,9 @@ impl WireEncode for WorkerMessage {
 impl WireDecode for WorkerMessage {
     fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
         match v.tag()? {
-            "hello" => Ok(WorkerMessage::Hello(WorkerHello {
-                protocol: v.field("protocol")?,
-                pid: v.field("pid")?,
-                heartbeat_ms: v.field("heartbeat_ms")?,
-            })),
-            "heartbeat" => Ok(WorkerMessage::Heartbeat(WorkerHeartbeat {
-                busy: v.field("busy")?,
-            })),
-            // A response envelope is a tagged WorkerResponse: same
-            // fields, so the plain decoder reads it (it ignores the
+            "hello" => Ok(WorkerMessage::Hello(WorkerHello::decode(v)?)),
+            "heartbeat" => Ok(WorkerMessage::Heartbeat(WorkerHeartbeat::decode(v)?)),
+            // The plain decoder reads the envelope (it ignores the
             // extra "type" field).
             "response" => Ok(WorkerMessage::Response(Box::new(WorkerResponse::decode(
                 v,
@@ -233,19 +202,27 @@ mod tests {
     use crate::exec::run_one;
     use crate::scenario::builtin_catalog;
     use firm_sim::SimDuration;
-    use firm_wire::{assert_round_trip, decode_line, encode_line};
+    use firm_wire::{assert_round_trip, decode_line, encode_line, encode_string};
 
     #[test]
     fn requests_round_trip_with_and_without_a_policy() {
         let scenario = builtin_catalog().remove(0);
-        assert_round_trip(&WorkerRequest {
+        let fresh = WorkerRequest {
             index: 3,
             seed: u64::MAX,
             scenario: scenario.clone(),
             policy: None,
             reuse_policy: false,
             intra_shards: 1,
-        });
+        };
+        assert_round_trip(&fresh);
+        assert_eq!(
+            encode_string(&fresh),
+            format!(
+                r#"{{"index":3,"seed":18446744073709551615,"scenario":{},"policy":null,"reuse_policy":false,"intra_shards":1}}"#,
+                encode_string(&scenario)
+            )
+        );
         assert_round_trip(&WorkerRequest {
             index: 0,
             seed: 1,
@@ -286,19 +263,37 @@ mod tests {
         assert_eq!(frame.matches('\n').count(), 1, "frame is not one line");
         let back: WorkerResponse = decode_line(&frame).expect("frame decodes");
         assert_eq!(back, resp);
+        // Standalone responses stay untagged.
+        assert_eq!(
+            encode_string(&resp),
+            format!(
+                r#"{{"index":7,"outcome":{},"experience":{}}}"#,
+                encode_string(&resp.outcome),
+                encode_string(&resp.experience)
+            )
+        );
     }
 
     #[test]
     fn control_frames_round_trip() {
-        assert_round_trip(&WorkerMessage::Hello(WorkerHello {
+        let hello = WorkerMessage::Hello(WorkerHello {
             protocol: PROTOCOL_VERSION,
             pid: 4242,
             heartbeat_ms: 200,
-        }));
-        assert_round_trip(&WorkerMessage::Heartbeat(WorkerHeartbeat { busy: None }));
-        assert_round_trip(&WorkerMessage::Heartbeat(WorkerHeartbeat {
-            busy: Some(11),
-        }));
+        });
+        let idle = WorkerMessage::Heartbeat(WorkerHeartbeat { busy: None });
+        let busy = WorkerMessage::Heartbeat(WorkerHeartbeat { busy: Some(11) });
+        for (frame, golden) in [
+            (
+                &hello,
+                r#"{"type":"hello","protocol":6,"pid":4242,"heartbeat_ms":200}"#,
+            ),
+            (&idle, r#"{"type":"heartbeat","busy":null}"#),
+            (&busy, r#"{"type":"heartbeat","busy":11}"#),
+        ] {
+            assert_round_trip(frame);
+            assert_eq!(encode_string(frame), golden);
+        }
     }
 
     #[test]
@@ -325,12 +320,19 @@ mod tests {
             .remove(4)
             .with_duration(SimDuration::from_secs(4));
         let (outcome, experience) = run_one(&scenario, 9);
-        let msg = WorkerMessage::Response(Box::new(WorkerResponse {
+        let resp = WorkerResponse {
             index: 2,
             outcome,
             experience,
-        }));
+        };
+        let golden = format!(
+            r#"{{"type":"response","index":2,"outcome":{},"experience":{}}}"#,
+            encode_string(&resp.outcome),
+            encode_string(&resp.experience)
+        );
+        let msg = WorkerMessage::Response(Box::new(resp));
         assert_round_trip(&msg);
+        assert_eq!(encode_string(&msg), golden);
         let frame = encode_line(&msg);
         match decode_line::<WorkerMessage>(&frame).expect("frame decodes") {
             WorkerMessage::Response(r) => assert_eq!(r.index, 2),

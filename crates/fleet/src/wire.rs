@@ -13,12 +13,13 @@
 //! str` instances the in-process path uses, via [`Benchmark`]'s wire
 //! decode and [`FleetController`]'s label set.
 
-use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 use firm_workload::apps::Benchmark;
 
 use crate::report::{FleetReport, RoundTripReport, ScenarioDelta, ScenarioOutcome};
 use crate::scenario::{FleetController, Scenario};
 
+// Hand-written: a label enum, decoded by `FromStr` lookup.
 impl WireEncode for FleetController {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.label().to_string())
@@ -31,48 +32,26 @@ impl WireDecode for FleetController {
     }
 }
 
-impl WireEncode for Scenario {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("name", &self.name)
-            .field("benchmark", self.benchmark)
-            .field("nodes", self.nodes)
-            .field("load", &self.load)
-            .field("campaign", &self.campaign)
-            .field("controller", self.controller)
-            .field("duration_us", self.duration)
-            .field("control_interval_us", self.control_interval)
-            .field("warmup_us", self.warmup)
-            .field("slo_factor", self.slo_factor)
-            .field("k8s", &self.k8s)
-            .field("aimd", &self.aimd)
-            .field("replica_factor", self.replica_factor)
-            .field("slo_penalty", self.slo_penalty)
-            .build()
-    }
-}
+wire_struct!(Scenario {
+    name,
+    benchmark,
+    nodes,
+    load,
+    campaign,
+    controller,
+    duration as "duration_us",
+    control_interval as "control_interval_us",
+    warmup as "warmup_us",
+    slo_factor,
+    k8s,
+    aimd,
+    replica_factor,
+    slo_penalty,
+});
 
-impl WireDecode for Scenario {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(Scenario {
-            name: v.field("name")?,
-            benchmark: v.field("benchmark")?,
-            nodes: v.field("nodes")?,
-            load: v.field("load")?,
-            campaign: v.field("campaign")?,
-            controller: v.field("controller")?,
-            duration: v.field("duration_us")?,
-            control_interval: v.field("control_interval_us")?,
-            warmup: v.field("warmup_us")?,
-            slo_factor: v.field("slo_factor")?,
-            k8s: v.field("k8s")?,
-            aimd: v.field("aimd")?,
-            replica_factor: v.field("replica_factor")?,
-            slo_penalty: v.field("slo_penalty")?,
-        })
-    }
-}
-
+// Hand-written: renders the derived `violation_rate` without decoding
+// it, and decodes its `&'static str` labels through `Benchmark` /
+// `FleetController`.
 impl WireEncode for ScenarioOutcome {
     fn encode(&self) -> JsonValue {
         Obj::new()
@@ -126,6 +105,8 @@ impl WireDecode for ScenarioOutcome {
     }
 }
 
+// Hand-written: `totals` is rendered for readers and recomputed on
+// decode.
 impl WireEncode for FleetReport {
     fn encode(&self) -> JsonValue {
         let t = &self.totals;
@@ -161,6 +142,8 @@ impl WireDecode for FleetReport {
     }
 }
 
+// Hand-written: `controller` decodes through `FleetController` to its
+// `&'static str` label.
 impl WireEncode for ScenarioDelta {
     fn encode(&self) -> JsonValue {
         Obj::new()
@@ -197,6 +180,8 @@ impl WireDecode for ScenarioDelta {
     }
 }
 
+// Hand-written: decode validates that the two passes line up and
+// recomputes `deltas`.
 impl WireEncode for RoundTripReport {
     fn encode(&self) -> JsonValue {
         Obj::new()
@@ -275,6 +260,10 @@ mod tests {
         for scenario in builtin_catalog() {
             assert_round_trip(&scenario);
         }
+        assert_eq!(
+            encode_string(&builtin_catalog()[0]),
+            r#"{"name":"social-steady-firm","benchmark":"Social Network","nodes":4,"load":{"shape":"steady","rate":250},"campaign":{"lambda":0.33,"kinds":["CPU Utilization","LLC Bandwidth & Capacity","Memory Bandwidth","I/O Bandwidth","Network Bandwidth"],"intensity":[0.4,1],"duration":[2000000,8000000],"target_nodes":[],"container_level":true},"controller":"FIRM","duration_us":30000000,"control_interval_us":1000000,"warmup_us":5000000,"slo_factor":1.4,"k8s":{"target_utilization":0.8,"tolerance":0.1,"max_replicas":8,"downscale_stabilization_ticks":6},"aimd":{"additive_step":1,"beta":0.9,"low_utilization":0.4,"cpu_bounds":[0.5,16]},"replica_factor":1,"slo_penalty":false}"#
+        );
     }
 
     #[test]

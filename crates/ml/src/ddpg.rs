@@ -21,7 +21,7 @@
 use crate::linalg::Matrix;
 use crate::nn::{Activation, Mlp};
 use crate::optim::{Adam, Optimizer};
-use crate::rng::MlRng;
+use firm_rng::Xoshiro256;
 
 /// One environment transition.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +138,7 @@ impl ReplayBuffer {
     }
 
     /// Samples `n` transitions uniformly with replacement.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut MlRng) -> Vec<&'a Transition> {
+    pub fn sample<'a>(&'a self, n: usize, rng: &mut Xoshiro256) -> Vec<&'a Transition> {
         let mut idx = Vec::with_capacity(n);
         self.sample_indices_into(n, rng, &mut idx);
         idx.into_iter().map(|i| &self.data[i]).collect()
@@ -148,7 +148,7 @@ impl ReplayBuffer {
     /// first) — the one sampling scheme, shared by [`ReplayBuffer::sample`]
     /// and the allocation-free minibatch assembly in
     /// [`DdpgAgent::train_step`].
-    pub fn sample_indices_into(&self, n: usize, rng: &mut MlRng, out: &mut Vec<usize>) {
+    pub fn sample_indices_into(&self, n: usize, rng: &mut Xoshiro256, out: &mut Vec<usize>) {
         out.clear();
         for _ in 0..n {
             out.push(rng.index(self.data.len()));
@@ -165,7 +165,7 @@ impl ReplayBuffer {
     pub fn sample_weighted_indices_into(
         &mut self,
         n: usize,
-        rng: &mut MlRng,
+        rng: &mut Xoshiro256,
         out: &mut Vec<usize>,
     ) {
         debug_assert!(self.weighted, "weighted sampling without priorities");
@@ -193,7 +193,7 @@ impl ReplayBuffer {
     pub fn sample_minibatch_indices_into(
         &mut self,
         n: usize,
-        rng: &mut MlRng,
+        rng: &mut Xoshiro256,
         out: &mut Vec<usize>,
     ) {
         if self.weighted {
@@ -224,9 +224,9 @@ impl OuNoise {
     }
 
     /// Advances the process and returns the noise sample.
-    pub fn step(&mut self, rng: &mut MlRng) -> Vec<f64> {
+    pub fn step(&mut self, rng: &mut Xoshiro256) -> Vec<f64> {
         for x in &mut self.state {
-            *x += self.theta * (0.0 - *x) + self.sigma * rng.normal();
+            *x += self.theta * (0.0 - *x) + self.sigma * rng.standard_normal();
         }
         self.state.clone()
     }
@@ -348,7 +348,7 @@ pub struct DdpgAgent {
     critic_opt: Adam,
     replay: ReplayBuffer,
     noise: OuNoise,
-    rng: MlRng,
+    rng: Xoshiro256,
     train_steps: u64,
     scratch: TrainScratch,
 }
@@ -387,7 +387,7 @@ impl DdpgAgent {
             noise: OuNoise::new(config.action_dim, config.noise_theta, config.noise_sigma),
             actor_opt: Adam::new(config.actor_lr),
             critic_opt: Adam::new(config.critic_lr),
-            rng: MlRng::new(seed ^ 0xA5A5),
+            rng: Xoshiro256::new(seed ^ 0xA5A5),
             actor,
             actor_target,
             critic,
@@ -406,11 +406,6 @@ impl DdpgAgent {
     /// Training steps performed so far.
     pub fn train_steps(&self) -> u64 {
         self.train_steps
-    }
-
-    /// Stored transitions.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
     }
 
     fn actor_view<'a>(&self, state: &'a [f64]) -> &'a [f64] {
@@ -661,7 +656,7 @@ mod tests {
         buf.push_with_priority(t(99.0), 100.0);
         assert!(buf.weighted());
 
-        let mut rng = MlRng::new(7);
+        let mut rng = Xoshiro256::new(7);
         let mut idx = Vec::new();
         let mut hot = 0usize;
         let draws = 2_000;
@@ -690,8 +685,8 @@ mod tests {
         // Minibatch dispatch picks the uniform scheme: identical draws
         // to sample_indices_into from an identically seeded RNG.
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut rng1 = MlRng::new(3);
-        let mut rng2 = MlRng::new(3);
+        let mut rng1 = Xoshiro256::new(3);
+        let mut rng2 = Xoshiro256::new(3);
         buf.sample_minibatch_indices_into(32, &mut rng1, &mut a);
         buf.sample_indices_into(32, &mut rng2, &mut b);
         assert_eq!(a, b);
@@ -700,7 +695,7 @@ mod tests {
     #[test]
     fn prioritized_training_is_deterministic_and_distinct_from_uniform() {
         let fill = |agent: &mut DdpgAgent, weighted: bool| {
-            let mut rng = MlRng::new(42);
+            let mut rng = Xoshiro256::new(42);
             for i in 0..200 {
                 let s = vec![rng.uniform(), rng.uniform(), rng.uniform()];
                 let t = Transition {
@@ -735,7 +730,7 @@ mod tests {
     #[test]
     fn ou_noise_is_zero_mean_and_resettable() {
         let mut noise = OuNoise::new(2, 0.15, 0.2);
-        let mut rng = MlRng::new(5);
+        let mut rng = Xoshiro256::new(5);
         let mut sum = [0.0; 2];
         let n = 20_000;
         for _ in 0..n {
@@ -788,7 +783,7 @@ mod tests {
     #[test]
     fn learns_contextual_bandit() {
         let mut agent = DdpgAgent::new(toy_config(), 4);
-        let mut env_rng = MlRng::new(99);
+        let mut env_rng = Xoshiro256::new(99);
         let reward_of = |s: &[f64], a: &[f64]| -> f64 {
             // Optimal: a0 = 0.8·s0, a1 = −0.5·s1.
             let d0 = a[0] - 0.8 * s[0];

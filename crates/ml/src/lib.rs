@@ -34,7 +34,6 @@ pub mod linalg;
 pub mod metrics;
 pub mod nn;
 pub mod optim;
-pub mod rng;
 pub mod svm;
 pub mod wire;
 
@@ -43,5 +42,4 @@ pub use linalg::Matrix;
 pub use metrics::{accuracy, auc, roc_curve};
 pub use nn::{Activation, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use rng::MlRng;
 pub use svm::IncrementalSvm;

@@ -7,7 +7,7 @@
 //! import/export for target networks and transfer learning.
 
 use crate::linalg::Matrix;
-use crate::rng::MlRng;
+use firm_rng::Xoshiro256;
 
 /// Element-wise activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ struct Linear {
 }
 
 impl Linear {
-    fn new(fan_in: usize, fan_out: usize, act: Activation, rng: &mut MlRng) -> Self {
+    fn new(fan_in: usize, fan_out: usize, act: Activation, rng: &mut Xoshiro256) -> Self {
         // Xavier-uniform initialization.
         let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
         let w = Matrix::from_fn(fan_out, fan_in, |_, _| rng.uniform_range(-limit, limit));
@@ -170,7 +170,7 @@ impl Mlp {
     /// Panics if fewer than two dims are given.
     pub fn new(dims: &[usize], hidden: Activation, output: Activation, seed: u64) -> Self {
         assert!(dims.len() >= 2, "need at least input and output dims");
-        let mut rng = MlRng::new(seed);
+        let mut rng = Xoshiro256::new(seed);
         let mut layers = Vec::with_capacity(dims.len() - 1);
         for i in 0..dims.len() - 1 {
             let act = if i + 2 == dims.len() { output } else { hidden };
@@ -546,7 +546,7 @@ mod tests {
     fn sgd_learns_linear_map() {
         // y = 2x0 - x1; a linear net should fit it quickly.
         let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, Activation::Identity, 5);
-        let mut rng = MlRng::new(6);
+        let mut rng = Xoshiro256::new(6);
         let lr = 0.05;
         let mut last_loss = f64::MAX;
         for epoch in 0..400 {

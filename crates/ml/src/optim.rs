@@ -100,12 +100,12 @@ mod tests {
     use super::*;
     use crate::linalg::Matrix;
     use crate::nn::Activation;
-    use crate::rng::MlRng;
+    use firm_rng::Xoshiro256;
 
     fn train(optimizer: &mut dyn Optimizer, seed: u64) -> f64 {
         // Fit y = x0 * x1 on [-1, 1]²: needs the hidden layer.
         let mut net = Mlp::new(&[2, 16, 1], Activation::Tanh, Activation::Identity, seed);
-        let mut rng = MlRng::new(seed + 100);
+        let mut rng = Xoshiro256::new(seed + 100);
         let mut final_loss = f64::MAX;
         for epoch in 0..600 {
             let xs: Vec<f64> = (0..64).map(|_| rng.uniform_range(-1.0, 1.0)).collect();

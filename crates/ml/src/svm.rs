@@ -12,7 +12,7 @@
 //! * a linear model over `φ` is trained online with the regularized
 //!   hinge-loss SGD update, one example at a time (`partial_fit`).
 
-use crate::rng::MlRng;
+use firm_rng::Xoshiro256;
 
 /// Random Fourier feature map approximating an RBF kernel.
 #[derive(Debug, Clone)]
@@ -35,10 +35,10 @@ impl RandomFourierFeatures {
     pub fn new(input_dim: usize, features: usize, gamma: f64, seed: u64) -> Self {
         assert!(input_dim > 0 && features > 0, "dimensions must be positive");
         assert!(gamma > 0.0, "gamma must be positive");
-        let mut rng = MlRng::new(seed);
+        let mut rng = Xoshiro256::new(seed);
         let scale = (2.0 * gamma).sqrt();
         let w = (0..features * input_dim)
-            .map(|_| rng.normal() * scale)
+            .map(|_| rng.standard_normal() * scale)
             .collect();
         let b = (0..features)
             .map(|_| rng.uniform_range(0.0, 2.0 * core::f64::consts::PI))
@@ -123,11 +123,6 @@ impl IncrementalSvm {
         svm
     }
 
-    /// Sets the positive-class weight.
-    pub fn set_pos_weight(&mut self, w: f64) {
-        self.pos_weight = w.max(0.0);
-    }
-
     /// Examples seen so far.
     pub fn seen(&self) -> u64 {
         self.seen
@@ -175,7 +170,13 @@ impl IncrementalSvm {
     }
 
     /// Fits a batch by shuffled passes over the data.
-    pub fn fit_epochs(&mut self, xs: &[Vec<f64>], labels: &[bool], epochs: usize, rng: &mut MlRng) {
+    pub fn fit_epochs(
+        &mut self,
+        xs: &[Vec<f64>],
+        labels: &[bool],
+        epochs: usize,
+        rng: &mut Xoshiro256,
+    ) {
         assert_eq!(xs.len(), labels.len(), "example/label length mismatch");
         let mut order: Vec<usize> = (0..xs.len()).collect();
         for _ in 0..epochs {
@@ -216,7 +217,7 @@ mod tests {
     /// Concentric data: inner disk is positive, outer ring negative — a
     /// linear SVM cannot separate this; the RBF approximation must.
     fn ring_data(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<bool>) {
-        let mut rng = MlRng::new(seed);
+        let mut rng = Xoshiro256::new(seed);
         let mut xs = Vec::new();
         let mut labels = Vec::new();
         for i in 0..n {
@@ -237,7 +238,7 @@ mod tests {
     fn separates_nonlinear_rings() {
         let (xs, labels) = ring_data(600, 2);
         let mut svm = IncrementalSvm::new(2, 200, 1.0, 0.05, 1e-4, 3);
-        let mut rng = MlRng::new(4);
+        let mut rng = Xoshiro256::new(4);
         svm.fit_epochs(&xs, &labels, 10, &mut rng);
 
         let (test_xs, test_labels) = ring_data(400, 5);

@@ -4,33 +4,17 @@
 //! round-trip float rendering means a transition that crosses a process
 //! boundary trains the shared agent to *bit-identical* weights.
 
-use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::wire_struct;
 
 use crate::ddpg::Transition;
 
-impl WireEncode for Transition {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("state", &self.state)
-            .field("action", &self.action)
-            .field("reward", self.reward)
-            .field("next_state", &self.next_state)
-            .field("done", self.done)
-            .build()
-    }
-}
-
-impl WireDecode for Transition {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(Transition {
-            state: v.field("state")?,
-            action: v.field("action")?,
-            reward: v.field("reward")?,
-            next_state: v.field("next_state")?,
-            done: v.field("done")?,
-        })
-    }
-}
+wire_struct!(Transition {
+    state,
+    action,
+    reward,
+    next_state,
+    done,
+});
 
 #[cfg(test)]
 mod tests {
@@ -46,5 +30,16 @@ mod tests {
             next_state: vec![1e-300, 1e300],
             done: true,
         });
+        let small = Transition {
+            state: vec![0.25, -0.5],
+            action: vec![1.0],
+            reward: -0.125,
+            next_state: vec![0.3, 0.7],
+            done: false,
+        };
+        assert_eq!(
+            firm_wire::encode_string(&small),
+            r#"{"state":[0.25,-0.5],"action":[1],"reward":-0.125,"next_state":[0.3,0.7],"done":false}"#
+        );
     }
 }

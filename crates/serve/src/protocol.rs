@@ -21,7 +21,7 @@
 use firm_core::controller::PolicyCheckpoint;
 use firm_fleet::report::{FleetReport, ScenarioOutcome};
 use firm_fleet::scenario::Scenario;
-use firm_wire::{Context, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 
 pub use firm_fleet::PROTOCOL_VERSION;
 
@@ -44,38 +44,12 @@ pub struct SubmitRequest {
     pub scenarios: Vec<Scenario>,
 }
 
-impl WireEncode for SubmitRequest {
-    fn encode(&self) -> JsonValue {
-        Obj::tagged("submit")
-            .field("protocol", self.protocol)
-            .field("seed", self.seed)
-            .field("base_index", self.base_index)
-            .field(
-                "scenarios",
-                JsonValue::Array(self.scenarios.iter().map(|s| s.encode()).collect()),
-            )
-            .build()
-    }
-}
-
-impl WireDecode for SubmitRequest {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        let scenarios_doc: JsonValue = v.field("scenarios")?;
-        let scenarios = scenarios_doc
-            .as_array()
-            .context("scenarios")?
-            .iter()
-            .map(Scenario::decode)
-            .collect::<Result<Vec<_>, _>>()
-            .context("scenarios")?;
-        Ok(SubmitRequest {
-            protocol: v.field("protocol")?,
-            seed: v.field("seed")?,
-            base_index: v.field("base_index")?,
-            scenarios,
-        })
-    }
-}
+wire_struct!(SubmitRequest tagged "submit" {
+    protocol,
+    seed,
+    base_index,
+    scenarios,
+});
 
 /// Every frame a client can write, as a tagged union
 /// (`{"type":"submit"|"drain"|"shutdown", ...}`).
@@ -108,6 +82,8 @@ impl ClientRequest {
     }
 }
 
+// Hand-written: a tagged union whose `drain` / `shutdown` variants
+// carry their fields inline.
 impl WireEncode for ClientRequest {
     fn encode(&self) -> JsonValue {
         match self {
@@ -170,33 +146,15 @@ pub struct SubmissionReport {
     pub trained_updates: u64,
 }
 
-impl WireEncode for SubmissionReport {
-    fn encode(&self) -> JsonValue {
-        Obj::tagged("report")
-            .field("submission", self.submission)
-            .field("cumulative", self.cumulative)
-            .field("report", &self.report)
-            .field("policy", &self.policy)
-            .field("pooled_transitions", self.pooled_transitions)
-            .field("pooled_svm", self.pooled_svm)
-            .field("trained_updates", self.trained_updates)
-            .build()
-    }
-}
-
-impl WireDecode for SubmissionReport {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(SubmissionReport {
-            submission: v.field("submission")?,
-            cumulative: v.field("cumulative")?,
-            report: v.field("report")?,
-            policy: v.field("policy")?,
-            pooled_transitions: v.field("pooled_transitions")?,
-            pooled_svm: v.field("pooled_svm")?,
-            trained_updates: v.field("trained_updates")?,
-        })
-    }
-}
+wire_struct!(SubmissionReport tagged "report" {
+    submission,
+    cumulative,
+    report,
+    policy,
+    pooled_transitions,
+    pooled_svm,
+    trained_updates,
+});
 
 /// Every frame the server can write, as a tagged union
 /// (`{"type":"accepted"|"outcome"|"report"|"error", ...}`).
@@ -244,6 +202,8 @@ pub enum ServerMessage {
     },
 }
 
+// Hand-written: a tagged union whose `accepted` / `outcome` / `error`
+// variants carry their fields inline.
 impl WireEncode for ServerMessage {
     fn encode(&self) -> JsonValue {
         match self {
@@ -311,7 +271,7 @@ impl WireDecode for ServerMessage {
 mod tests {
     use super::*;
     use firm_fleet::builtin_catalog;
-    use firm_wire::{assert_round_trip, decode_line, encode_line};
+    use firm_wire::{assert_round_trip, decode_line, encode_line, encode_string};
 
     fn outcome(name: &str) -> ScenarioOutcome {
         ScenarioOutcome {
@@ -338,12 +298,22 @@ mod tests {
 
     #[test]
     fn client_frames_round_trip() {
-        assert_round_trip(&ClientRequest::Submit(SubmitRequest {
+        let scenarios: Vec<Scenario> = builtin_catalog().into_iter().take(2).collect();
+        let submit = ClientRequest::Submit(SubmitRequest {
             protocol: PROTOCOL_VERSION,
             seed: 7,
             base_index: 3,
-            scenarios: builtin_catalog().into_iter().take(2).collect(),
-        }));
+            scenarios: scenarios.clone(),
+        });
+        assert_round_trip(&submit);
+        assert_eq!(
+            encode_string(&submit),
+            format!(
+                r#"{{"type":"submit","protocol":6,"seed":7,"base_index":3,"scenarios":[{},{}]}}"#,
+                encode_string(&scenarios[0]),
+                encode_string(&scenarios[1])
+            )
+        );
         assert_round_trip(&ClientRequest::Drain {
             protocol: PROTOCOL_VERSION,
         });
@@ -364,7 +334,7 @@ mod tests {
             index: 9,
             outcome: Box::new(outcome("a")),
         });
-        assert_round_trip(&ServerMessage::Report(Box::new(SubmissionReport {
+        let report = SubmissionReport {
             submission: 4,
             cumulative: true,
             report: FleetReport::new(7, vec![outcome("a"), outcome("b")]),
@@ -375,7 +345,14 @@ mod tests {
             pooled_transitions: 40,
             pooled_svm: 400,
             trained_updates: 128,
-        })));
+        };
+        let golden = format!(
+            r#"{{"type":"report","submission":4,"cumulative":true,"report":{},"policy":{{"actor":[0.5,-0.25],"critic":[0.3333333333333333]}},"pooled_transitions":40,"pooled_svm":400,"trained_updates":128}}"#,
+            encode_string(&report.report)
+        );
+        let frame = ServerMessage::Report(Box::new(report));
+        assert_round_trip(&frame);
+        assert_eq!(encode_string(&frame), golden);
         assert_round_trip(&ServerMessage::Error {
             submission: 0,
             message: "protocol skew: client v4, server v5".into(),

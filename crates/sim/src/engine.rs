@@ -415,11 +415,6 @@ impl Simulation {
         self.paused_arrivals = paused;
     }
 
-    /// Replaces the arrival process from now on.
-    pub fn set_arrivals(&mut self, arrivals: Box<dyn ArrivalProcess>) {
-        self.arrivals = arrivals;
-    }
-
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -1056,11 +1051,6 @@ impl Simulation {
         id
     }
 
-    /// Cancels an anomaly immediately.
-    pub fn cancel_anomaly(&mut self, id: AnomalyId) {
-        self.on_anomaly_end(id);
-    }
-
     fn on_anomaly_start(&mut self, id: AnomalyId) {
         let Some(&(_, spec, _)) = self.active_anomalies.iter().find(|(a, _, _)| *a == id) else {
             return;
@@ -1382,11 +1372,6 @@ impl Simulation {
                 capacity: node.spec.capacity,
                 anomaly_load: node.anomaly_load(),
                 used: node_used[ni],
-                live_instances: node
-                    .instances
-                    .iter()
-                    .filter(|id| self.instances[id.index()].state == InstanceState::Running)
-                    .count() as u32,
             });
         }
 

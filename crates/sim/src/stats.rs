@@ -232,16 +232,6 @@ impl Welford {
         }
     }
 
-    /// Sample (Bessel-corrected) variance, or 0 with fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

@@ -85,8 +85,6 @@ pub struct NodeSnapshot {
     pub anomaly_load: ResourceVec,
     /// Sum of instance usage rates on the node.
     pub used: ResourceVec,
-    /// Number of live (running) instances.
-    pub live_instances: u32,
 }
 
 impl NodeSnapshot {
@@ -129,7 +127,6 @@ mod tests {
             capacity: ResourceVec::new(48.0, 25_600.0, 35.0, 2_000.0, 1_250.0),
             anomaly_load: ResourceVec::ZERO,
             used: ResourceVec::new(24.0, 51_200.0, 0.0, 0.0, 0.0),
-            live_instances: 3,
         };
         assert!((snap.utilization(ResourceKind::Cpu) - 0.5).abs() < 1e-12);
         assert_eq!(snap.utilization(ResourceKind::MemBw), 1.0);

@@ -11,6 +11,8 @@ use crate::anomaly::{AnomalyKind, ANOMALY_KINDS};
 use crate::ids::{InstanceId, NodeId, ServiceId};
 use crate::time::SimDuration;
 
+// Hand-written (not `wire_struct!`): a newtype travels as its bare
+// integer, not as an object.
 impl WireEncode for SimDuration {
     fn encode(&self) -> JsonValue {
         JsonValue::U64(self.as_micros())
@@ -23,6 +25,7 @@ impl WireDecode for SimDuration {
     }
 }
 
+// Newtype ids, likewise bare integers.
 macro_rules! wire_id {
     ($($ty:ident => $raw:ty),*) => {$(
         impl WireEncode for $ty {
@@ -41,6 +44,7 @@ macro_rules! wire_id {
 
 wire_id!(NodeId => u16, ServiceId => u16, InstanceId => u32);
 
+// Hand-written: a label enum, decoded by lookup in `ANOMALY_KINDS`.
 impl WireEncode for AnomalyKind {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.label().to_string())

@@ -9,19 +9,15 @@
 //! the simulator has a global clock, so that concern disappears.
 
 use firm_par::ShardPool;
-use firm_sim::{CompletedRequest, InstanceId, RequestTypeId, SimTime};
+use firm_sim::{CompletedRequest, RequestTypeId, SimTime};
 
 use crate::critical_path::CriticalPath;
-use crate::depgraph::ServiceDependencyGraph;
 use crate::store::{build_stored, StoredTrace, TraceStore};
 
 /// Span-collection and query front-end.
 #[derive(Debug)]
 pub struct TracingCoordinator {
     store: TraceStore,
-    depgraph: ServiceDependencyGraph,
-    sampling: f64,
-    skipped: u64,
 }
 
 impl TracingCoordinator {
@@ -29,26 +25,12 @@ impl TracingCoordinator {
     pub fn new(capacity: usize) -> Self {
         TracingCoordinator {
             store: TraceStore::new(capacity),
-            depgraph: ServiceDependencyGraph::new(),
-            sampling: 1.0,
-            skipped: 0,
         }
-    }
-
-    /// Sets the trace sampling fraction in `[0, 1]` (head-based sampling,
-    /// as in Jaeger); traces are accepted deterministically by trace-id
-    /// hash so replicas agree.
-    pub fn set_sampling(&mut self, fraction: f64) {
-        self.sampling = fraction.clamp(0.0, 1.0);
     }
 
     /// Ingests a batch of completed requests.
     pub fn ingest(&mut self, requests: Vec<CompletedRequest>) {
         for r in requests {
-            if !self.accept(&r) {
-                continue;
-            }
-            self.depgraph.observe(&r);
             self.store.ingest(r);
         }
     }
@@ -56,15 +38,14 @@ impl TracingCoordinator {
     /// Ingests a batch with the graph/critical-path construction fanned
     /// out over `pool`'s shards.
     ///
-    /// Ingestion splits into three phases: a sequential pre-pass
-    /// (sampling decision + dependency-graph observation, both
-    /// order-sensitive), a parallel build of each accepted trace's
-    /// graph and critical path ([`build_stored`] is pure, and each
-    /// shard owns a disjoint contiguous index range), and a sequential
-    /// merge that inserts the built traces in input order. Because the
-    /// build is pure and the merge is index-ordered, the store ends up
-    /// byte-identical to [`TracingCoordinator::ingest`] at any shard
-    /// count — the property `tests/fleet_determinism.rs` pins.
+    /// Ingestion splits into two phases: a parallel build of each
+    /// trace's graph and critical path ([`build_stored`] is pure, and
+    /// each shard owns a disjoint contiguous index range), and a
+    /// sequential merge that inserts the built traces in input order.
+    /// Because the build is pure and the merge is index-ordered, the
+    /// store ends up byte-identical to [`TracingCoordinator::ingest`]
+    /// at any shard count — the property `tests/fleet_determinism.rs`
+    /// pins.
     ///
     /// Small windows fall back to the sequential path: below a few
     /// dozen traces, spawn-and-join overhead exceeds the build work.
@@ -75,17 +56,10 @@ impl TracingCoordinator {
         if pool.is_sequential() || requests.len() < MIN_PARALLEL {
             return self.ingest(requests);
         }
-        let mut accepted: Vec<Option<CompletedRequest>> = Vec::with_capacity(requests.len());
-        for r in requests {
-            if !self.accept(&r) {
-                continue;
-            }
-            self.depgraph.observe(&r);
-            accepted.push(Some(r));
-        }
+        let mut requests: Vec<Option<CompletedRequest>> = requests.into_iter().map(Some).collect();
         let mut built: Vec<Option<StoredTrace>> = Vec::new();
-        built.resize_with(accepted.len(), || None);
-        pool.zip_chunks(&mut accepted, &mut built, |_, reqs, outs| {
+        built.resize_with(requests.len(), || None);
+        pool.zip_chunks(&mut requests, &mut built, |_, reqs, outs| {
             for (r, out) in reqs.iter_mut().zip(outs) {
                 *out = build_stored(r.take().expect("each request consumed once"));
             }
@@ -95,37 +69,9 @@ impl TracingCoordinator {
         }
     }
 
-    /// The head-based sampling decision for one request; counts skips.
-    fn accept(&mut self, r: &CompletedRequest) -> bool {
-        if self.sampling >= 1.0 {
-            return true;
-        }
-        // Cheap splitmix-style hash of the trace id.
-        let mut x = r.trace_id.raw().wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        let u = (x >> 11) as f64 / (1u64 << 53) as f64;
-        if u >= self.sampling {
-            self.skipped += 1;
-            return false;
-        }
-        true
-    }
-
     /// The underlying store.
     pub fn store(&self) -> &TraceStore {
         &self.store
-    }
-
-    /// The aggregated service dependency graph.
-    pub fn dependency_graph(&self) -> &ServiceDependencyGraph {
-        &self.depgraph
-    }
-
-    /// Traces skipped by sampling.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
     }
 
     /// Critical paths of traces finished at or after `since` (non-dropped
@@ -152,12 +98,6 @@ impl TracingCoordinator {
             .filter(|t| !t.dropped)
             .map(|t| t.latency.as_micros() as f64)
             .collect()
-    }
-
-    /// Aligned per-instance/per-CP latency pairs since `since` (Alg. 2's
-    /// `(Ti, TCP)`).
-    pub fn instance_latency_pairs(&self, since: SimTime, instance: InstanceId) -> Vec<(f64, f64)> {
-        self.store.instance_latency_pairs(since, instance)
     }
 
     /// Evicts traces finished before `before` to bound memory.
@@ -193,23 +133,6 @@ mod tests {
         // Every CP starts at the frontend.
         assert!(cps.iter().all(|cp| cp.entries[0].service.raw() == 0));
         assert_eq!(c.latencies_since(SimTime::ZERO, RequestTypeId(0)).len(), n);
-        assert!(!c.dependency_graph().services().is_empty());
-    }
-
-    #[test]
-    fn sampling_reduces_ingestion_deterministically() {
-        let rs = run(2);
-        let n = rs.len();
-        let mut a = TracingCoordinator::new(10_000);
-        a.set_sampling(0.5);
-        a.ingest(rs.clone());
-        let mut b = TracingCoordinator::new(10_000);
-        b.set_sampling(0.5);
-        b.ingest(rs);
-        assert_eq!(a.store().len(), b.store().len());
-        assert!(a.store().len() < n);
-        assert!(a.store().len() > n / 5);
-        assert_eq!(a.skipped() + a.store().total_ingested(), n as u64);
     }
 
     #[test]
@@ -220,30 +143,16 @@ mod tests {
         let rs = sim.drain_completed();
         assert!(rs.len() >= 64, "need enough traces to cross MIN_PARALLEL");
 
-        let fingerprint = |c: &TracingCoordinator| {
-            let traces: Vec<String> = c.store().all().map(|t| format!("{t:?}")).collect();
-            (
-                traces,
-                c.skipped(),
-                c.store().total_ingested(),
-                format!("{:?}", c.dependency_graph()),
-            )
+        let fingerprint = |c: &TracingCoordinator| -> Vec<String> {
+            c.store().all().map(|t| format!("{t:?}")).collect()
         };
 
-        for sampling in [1.0, 0.5] {
-            let mut seq = TracingCoordinator::new(10_000);
-            seq.set_sampling(sampling);
-            seq.ingest(rs.clone());
-            for shards in [1, 2, 3, 4] {
-                let mut par = TracingCoordinator::new(10_000);
-                par.set_sampling(sampling);
-                par.ingest_sharded(rs.clone(), &firm_par::ShardPool::new(shards));
-                assert_eq!(
-                    fingerprint(&seq),
-                    fingerprint(&par),
-                    "shards={shards} sampling={sampling}"
-                );
-            }
+        let mut seq = TracingCoordinator::new(10_000);
+        seq.ingest(rs.clone());
+        for shards in [1, 2, 3, 4] {
+            let mut par = TracingCoordinator::new(10_000);
+            par.ingest_sharded(rs.clone(), &firm_par::ShardPool::new(shards));
+            assert_eq!(fingerprint(&seq), fingerprint(&par), "shards={shards}");
         }
     }
 

@@ -50,16 +50,6 @@ impl CriticalPath {
         self.entries.iter().map(|e| e.service).collect()
     }
 
-    /// True if `service` lies on this path.
-    pub fn contains_service(&self, service: ServiceId) -> bool {
-        self.entries.iter().any(|e| e.service == service)
-    }
-
-    /// True if `instance` lies on this path.
-    pub fn contains_instance(&self, instance: InstanceId) -> bool {
-        self.entries.iter().any(|e| e.instance == instance)
-    }
-
     /// Sum of exclusive times; ≤ `total` (the gap is network transfer
     /// time, which belongs to no span).
     pub fn exclusive_sum(&self) -> SimDuration {

@@ -15,8 +15,6 @@
 //!   standing in for the paper's Neo4j instance.
 //! * [`coordinator::TracingCoordinator`] — the stateless ingestion and
 //!   query front-end used by FIRM's Extractor.
-//! * [`depgraph::ServiceDependencyGraph`] — the aggregated service
-//!   dependency graph (Definition 2.1).
 //!
 //! # Examples
 //!
@@ -39,12 +37,10 @@
 
 pub mod coordinator;
 pub mod critical_path;
-pub mod depgraph;
 pub mod graph;
 pub mod store;
 
 pub use coordinator::TracingCoordinator;
 pub use critical_path::{critical_path, CriticalPath, PathEntry};
-pub use depgraph::ServiceDependencyGraph;
 pub use graph::{ExecutionHistoryGraph, SiblingRelation};
 pub use store::{StoredTrace, TraceStore};

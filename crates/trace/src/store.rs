@@ -74,8 +74,6 @@ pub fn build_stored(request: CompletedRequest) -> Option<StoredTrace> {
 pub struct TraceStore {
     traces: VecDeque<StoredTrace>,
     capacity: usize,
-    ingested: u64,
-    rejected: u64,
 }
 
 impl TraceStore {
@@ -89,8 +87,6 @@ impl TraceStore {
         TraceStore {
             traces: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            ingested: 0,
-            rejected: 0,
         }
     }
 
@@ -105,20 +101,18 @@ impl TraceStore {
     }
 
     /// Inserts the result of [`build_stored`]: the sequential,
-    /// order-sensitive half of ingestion (rejection accounting,
-    /// capacity eviction, deque append). Callers that build traces on
+    /// order-sensitive half of ingestion (capacity eviction, deque
+    /// append). Callers that build traces on
     /// shard threads feed the results back through here in input order,
     /// which keeps the store byte-identical to sequential ingestion.
     pub fn insert_built(&mut self, built: Option<StoredTrace>) -> bool {
         let Some(trace) = built else {
-            self.rejected += 1;
             return false;
         };
         if self.traces.len() == self.capacity {
             self.traces.pop_front();
         }
         self.traces.push_back(trace);
-        self.ingested += 1;
         true
     }
 
@@ -130,16 +124,6 @@ impl TraceStore {
     /// True when the store holds no traces.
     pub fn is_empty(&self) -> bool {
         self.traces.is_empty()
-    }
-
-    /// Total traces ever ingested.
-    pub fn total_ingested(&self) -> u64 {
-        self.ingested
-    }
-
-    /// Traces rejected as malformed.
-    pub fn total_rejected(&self) -> u64 {
-        self.rejected
     }
 
     /// All stored traces, oldest first.
@@ -224,7 +208,6 @@ mod tests {
             assert!(store.ingest(t));
         }
         assert_eq!(store.len(), n);
-        assert_eq!(store.total_ingested(), n as u64);
         assert_eq!(store.since(SimTime::ZERO).count(), n);
         assert_eq!(
             store.since_of_type(SimTime::ZERO, RequestTypeId(0)).count(),
@@ -255,7 +238,6 @@ mod tests {
         bad.spans.retain(|s| s.parent.is_some());
         let mut store = TraceStore::new(16);
         assert!(!store.ingest(bad));
-        assert_eq!(store.total_rejected(), 1);
         assert!(store.is_empty());
     }
 

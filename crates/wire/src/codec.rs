@@ -246,6 +246,41 @@ impl JsonValue {
     }
 }
 
+/// Declares a plain struct's wire shape once: generates both
+/// [`WireEncode`] and [`WireDecode`] from a single ordered field list,
+/// so the two directions cannot drift apart.
+///
+/// `wire_struct!(Ty { a, b as "b_us" })` encodes an object whose keys
+/// are the field names (or the `as` key) in list order, and decodes by
+/// reading the same keys back. `wire_struct!(Ty tagged "tag" { .. })`
+/// prepends `"type": "tag"` like [`Obj::tagged`]; decode does not check
+/// the tag — the frame enum that dispatched on [`JsonValue::tag`]
+/// already did. Codecs that validate, derive a field, or decode through
+/// another type stay hand-written. The crate-level docs have an example.
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident $(tagged $tag:literal)? { $($field:ident $(as $key:literal)?),* $(,)? }) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::Obj::new()
+                    $(.field("type", $tag))?
+                    $(.field($crate::wire_struct!(@key $field $($key)?), &self.$field))*
+                    .build()
+            }
+        }
+
+        impl $crate::WireDecode for $ty {
+            fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
+                Ok($ty {
+                    $($field: v.field($crate::wire_struct!(@key $field $($key)?))?,)*
+                })
+            }
+        }
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+}
+
 // ---------------------------------------------------------------------
 // Primitive and container impls.
 // ---------------------------------------------------------------------
@@ -480,29 +515,51 @@ mod tests {
         struct Inner {
             items: Vec<u64>,
         }
-        impl WireDecode for Inner {
-            fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-                Ok(Inner {
-                    items: v.field("items")?,
-                })
-            }
-        }
+        wire_struct!(Inner { items });
         #[derive(Debug, PartialEq)]
         struct Outer {
             inner: Inner,
         }
-        impl WireDecode for Outer {
-            fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-                Ok(Outer {
-                    inner: v.field("outer")?,
-                })
-            }
-        }
+        wire_struct!(Outer { inner as "outer" });
         let doc = parse(r#"{"outer":{"items":[1,"two"]}}"#).unwrap();
         let err = Outer::decode(&doc).unwrap_err();
         assert_eq!(err.path, "outer.items[1]");
         assert!(err.msg.contains("expected unsigned integer"));
         assert!(err.to_string().contains("outer.items[1]"));
+    }
+
+    #[test]
+    fn wire_struct_renders_its_field_list_and_reports_wire_keys() {
+        #[derive(Debug, PartialEq)]
+        struct Probe {
+            name: String,
+            timeout: u64,
+        }
+        wire_struct!(Probe tagged "probe" { name, timeout as "timeout_ms" });
+
+        let probe = Probe {
+            name: "p".into(),
+            timeout: 250,
+        };
+        assert_round_trip(&probe);
+        assert_eq!(
+            encode_string(&probe),
+            r#"{"type":"probe","name":"p","timeout_ms":250}"#
+        );
+        let missing = decode_string::<Probe>(r#"{"type":"probe","name":"p","timeout":250}"#);
+        let Err(WireError::Decode(e)) = missing else {
+            panic!("decoded without its wire key: {missing:?}");
+        };
+        assert_eq!(
+            (e.path.as_str(), e.msg.as_str()),
+            ("timeout_ms", "missing field")
+        );
+        let mistyped = decode_string::<Probe>(r#"{"name":"p","timeout_ms":"soon"}"#);
+        let Err(WireError::Decode(e)) = mistyped else {
+            panic!("decoded a string as u64: {mistyped:?}");
+        };
+        assert_eq!(e.path, "timeout_ms");
+        assert!(e.msg.contains("expected unsigned integer"), "{e}");
     }
 
     #[test]

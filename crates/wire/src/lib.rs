@@ -14,7 +14,9 @@
 //!   returns `Err` instead of panicking;
 //! * [`WireEncode`] / [`WireDecode`] — the codec traits, with the
 //!   round-trip contract `decode(encode(x)) == x` checked by
-//!   [`assert_round_trip`] in every owning crate;
+//!   [`assert_round_trip`] in every owning crate; a plain struct
+//!   declares its shape once through [`wire_struct!`], which generates
+//!   both halves from one field list;
 //! * [`encode_line`] / [`decode_line`] — newline-delimited frames for
 //!   the fleet's subprocess worker protocol (the escaper guarantees a
 //!   rendered document never contains a raw newline).
@@ -30,29 +32,18 @@
 //! # Example
 //!
 //! ```
-//! use firm_wire::{decode_string, encode_string, JsonValue, Obj, WireDecode, WireEncode};
+//! use firm_wire::{decode_string, encode_string, wire_struct};
 //!
 //! #[derive(Debug, PartialEq)]
 //! struct Sample {
 //!     seed: u64,
-//!     rate: f64,
+//!     window: u64,
 //! }
+//! wire_struct!(Sample tagged "sample" { seed, window as "window_us" });
 //!
-//! impl WireEncode for Sample {
-//!     fn encode(&self) -> JsonValue {
-//!         Obj::new().field("seed", self.seed).field("rate", self.rate).build()
-//!     }
-//! }
-//!
-//! impl WireDecode for Sample {
-//!     fn decode(v: &JsonValue) -> Result<Self, firm_wire::DecodeError> {
-//!         Ok(Sample { seed: v.field("seed")?, rate: v.field("rate")? })
-//!     }
-//! }
-//!
-//! let x = Sample { seed: u64::MAX, rate: 2.5 };
+//! let x = Sample { seed: u64::MAX, window: 250 };
 //! let bytes = encode_string(&x);
-//! assert_eq!(bytes, r#"{"seed":18446744073709551615,"rate":2.5}"#);
+//! assert_eq!(bytes, r#"{"type":"sample","seed":18446744073709551615,"window_us":250}"#);
 //! assert_eq!(decode_string::<Sample>(&bytes).unwrap(), x);
 //! ```
 

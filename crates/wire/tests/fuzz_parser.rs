@@ -38,7 +38,7 @@ fn gen_doc(rng: &mut Xoshiro256, depth: usize) -> JsonValue {
         1 => JsonValue::Bool(rng.next_u64().is_multiple_of(2)),
         2 => JsonValue::U64(rng.next_u64()),
         3 => JsonValue::I64(-((rng.next_u64() >> 1) as i64)),
-        4 => JsonValue::F64((rng.next_f64() - 0.5) * 1e6),
+        4 => JsonValue::F64((rng.uniform() - 0.5) * 1e6),
         5 => {
             let mut s = String::new();
             for _ in 0..rng.next_below(12) {

@@ -209,12 +209,6 @@ impl AppBuilder {
         self
     }
 
-    /// Overrides the initial replica count of a service.
-    pub fn with_replicas(&mut self, service: ServiceId, replicas: u32) -> &mut Self {
-        self.services[service.index()].initial_replicas = replicas;
-        self
-    }
-
     /// Finalizes and validates the application.
     ///
     /// # Panics

@@ -13,6 +13,8 @@ use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 use crate::apps::{Benchmark, ALL_BENCHMARKS};
 use crate::generator::{LoadShape, ReplayTrace};
 
+// Hand-written (not `wire_struct!`): a label enum, decoded by lookup
+// in `ALL_BENCHMARKS`.
 impl WireEncode for Benchmark {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.name().to_string())
@@ -29,6 +31,8 @@ impl WireDecode for Benchmark {
     }
 }
 
+// Hand-written: private fields behind accessors, and decode re-validates
+// the constructor contract.
 impl WireEncode for ReplayTrace {
     fn encode(&self) -> JsonValue {
         Obj::new()
@@ -65,6 +69,8 @@ impl WireDecode for ReplayTrace {
     }
 }
 
+// Hand-written: an enum whose variants carry their fields inline
+// behind a `"shape"` tag.
 impl WireEncode for LoadShape {
     fn encode(&self) -> JsonValue {
         match self {
