@@ -10,7 +10,9 @@
 //!   23, actor in 8): forward `x·Wᵀ`, input gradients `dz·W`,
 //!   weight/bias gradient accumulation, activation maps, and
 //!   Algorithm 3's target-network soft update;
-//! * `simulator` — discrete-event throughput on Social Network;
+//! * `simulator` — discrete-event throughput on Social Network, with
+//!   spans recorded and span-free;
+//! * `slo` — `calibrate_slos` at replica fan-out ×10;
 //! * `extractor` — Algorithm 2 feature computation over a window.
 //!
 //! The container image carries no external crates, so this is a plain
@@ -204,13 +206,33 @@ fn bench_kernels() {
 }
 
 fn bench_simulator() {
-    bench("simulator/social_network_1s_at_200rps", 20, || {
-        let mut sim =
-            Simulation::builder(ClusterSpec::small(4), Benchmark::SocialNetwork.build(), 11)
-                .arrivals(Box::new(PoissonArrivals::new(200.0)))
-                .build();
-        sim.run_for(SimDuration::from_secs(1));
-        sim.stats().completions
+    for (name, spans) in [
+        ("simulator/social_network_1s_at_200rps", true),
+        ("simulator/social_network_1s_at_200rps_span_free", false),
+    ] {
+        bench(name, 20, || {
+            let mut sim =
+                Simulation::builder(ClusterSpec::small(4), Benchmark::SocialNetwork.build(), 11)
+                    .arrivals(Box::new(PoissonArrivals::new(200.0)))
+                    .record_spans(spans)
+                    .build();
+            sim.run_for(SimDuration::from_secs(1));
+            sim.stats().completions
+        });
+    }
+}
+
+/// SLO calibration at the sf=100 catalog's replica fan-out (x10): the
+/// span-free 2 s + 8 s run every calibrated scenario pays before its
+/// episode starts.
+fn bench_calibrate_slos() {
+    let mut app = Benchmark::SocialNetwork.build();
+    firm_workload::builder::scale_replicas(&mut app, 10);
+    let cluster = ClusterSpec::small(4);
+    bench("slo/calibrate_slos/social_network_x10_at_200rps", 5, || {
+        let mut app = app.clone();
+        firm_core::slo::calibrate_slos(&mut app, &cluster, 200.0, 1.5, 11);
+        app.request_types[0].slo_latency_us
     });
 }
 
@@ -236,5 +258,6 @@ fn main() {
     bench_ddpg();
     bench_kernels();
     bench_simulator();
+    bench_calibrate_slos();
     bench_extractor();
 }

@@ -10,10 +10,14 @@
 //!   limit while its SLO is violated and multiplicatively decreases it
 //!   when the container is underutilized.
 
-use firm_sim::{Command, CompletedRequest, ResourceKind, ServiceId, SimTime, Simulation};
-use firm_trace::TracingCoordinator;
+use std::collections::VecDeque;
 
-use crate::slo::SloMonitor;
+use firm_sim::spec::AppSpec;
+use firm_sim::{
+    Command, CompletedRequest, RequestTypeId, ResourceKind, ServiceId, SimTime, Simulation,
+};
+
+use crate::slo::{SloAssessment, SloMonitor};
 
 /// Kubernetes horizontal-pod-autoscaler configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,14 +135,32 @@ impl Default for AimdConfig {
     }
 }
 
+/// What AIMD keeps of one completed request: it acts on end-to-end
+/// latency alone, never on a span. Dropped requests are kept too (and
+/// skipped at assessment), so capacity and eviction count every request
+/// as the trace store this window replaced did.
+#[derive(Debug, Clone, Copy)]
+struct LatencySample {
+    finished: SimTime,
+    request_type: RequestTypeId,
+    latency_us: f64,
+    dropped: bool,
+}
+
+/// Most requests the latency window holds; the oldest are dropped first.
+const LATENCY_WINDOW_CAPACITY: usize = 100_000;
+
 /// The AIMD baseline: per-container CPU-limit control. Owns its own
-/// tracing view: feed each window's completed traces in with
+/// latency window: feed each window's completed requests in with
 /// [`AimdController::ingest`], then [`AimdController::tick`].
 #[derive(Debug)]
 pub struct AimdController {
     config: AimdConfig,
     monitor: SloMonitor,
-    coordinator: TracingCoordinator,
+    /// In ingestion order, which is the simulator's *finalization*
+    /// order: `finished` is the root-response time and a background span
+    /// can outlive it, so `finished` is not monotone along the deque.
+    window: VecDeque<LatencySample>,
     /// Limit updates issued.
     pub limit_ops: u64,
 }
@@ -149,20 +171,56 @@ impl AimdController {
         AimdController {
             config,
             monitor: SloMonitor::default(),
-            coordinator: TracingCoordinator::new(100_000),
+            window: VecDeque::new(),
             limit_ops: 0,
         }
     }
 
-    /// Feeds one window's completed traces into the controller's
-    /// tracing view (call before [`AimdController::tick`]).
+    /// Feeds one window's completed requests into the controller's
+    /// latency window (call before [`AimdController::tick`]). Only the
+    /// end-to-end fields are read, so span-free requests serve as well.
     pub fn ingest(&mut self, completed: Vec<CompletedRequest>) {
-        self.coordinator.ingest(completed);
+        for r in completed {
+            if self.window.len() == LATENCY_WINDOW_CAPACITY {
+                self.window.pop_front();
+            }
+            self.window.push_back(LatencySample {
+                finished: r.finished,
+                request_type: r.request_type,
+                latency_us: r.latency.as_micros() as f64,
+                dropped: r.dropped,
+            });
+        }
+    }
+
+    /// The SLO assessment over requests finished at or after
+    /// `window_start`. The bound is inclusive, so a request finishing
+    /// exactly on a tick boundary is assessed in both adjacent windows —
+    /// pinned behaviour (every digest covers it), not an invitation to
+    /// fix it here.
+    fn assess(&self, app: &AppSpec, window_start: SimTime) -> SloAssessment {
+        self.monitor.assess_latencies(app, |rt| {
+            self.window
+                .iter()
+                .filter(|s| s.finished >= window_start && s.request_type == rt && !s.dropped)
+                .map(|s| s.latency_us)
+                .collect()
+        })
+    }
+
+    /// Drops samples from the front while they finished before `before`,
+    /// stopping at the first that did not: stragglers behind it stay
+    /// until the front catches up (or capacity pushes them out), and
+    /// [`AimdController::assess`] filters them by time regardless.
+    fn evict_before(&mut self, before: SimTime) {
+        while self.window.front().is_some_and(|s| s.finished < before) {
+            self.window.pop_front();
+        }
     }
 
     /// One control pass: additive increase on SLO violation (on every
     /// running container of a violating request path), multiplicative
-    /// decrease on low utilization. Evicts traces older than
+    /// decrease on low utilization. Evicts samples older than
     /// `window_start` afterwards.
     pub fn tick(
         &mut self,
@@ -170,10 +228,7 @@ impl AimdController {
         telemetry: &firm_sim::telemetry_probe::TelemetryWindow,
         window_start: SimTime,
     ) {
-        let assessment = self
-            .monitor
-            .assess(sim.app(), &self.coordinator, window_start);
-        let violating = assessment.any_violation();
+        let violating = self.assess(sim.app(), window_start).any_violation();
 
         for inst in &telemetry.instances {
             if inst.state != firm_sim::instance::InstanceState::Running {
@@ -202,8 +257,8 @@ impl AimdController {
             }
         }
         // The assessment window never looks back past its start; keep
-        // the trace store bounded.
-        self.coordinator.evict_before(window_start);
+        // the latency window bounded.
+        self.evict_before(window_start);
     }
 }
 
@@ -323,6 +378,105 @@ mod tests {
         }
         let raised = sim.total_requested_cpu();
         assert!(raised > decayed, "no increase: {decayed} → {raised}");
+        assert!(aimd.limit_ops > 0);
+    }
+
+    fn request(finished_ms: u64, latency_ms: u64, dropped: bool) -> CompletedRequest {
+        let finished = SimTime::ZERO + SimDuration::from_millis(finished_ms);
+        let latency = SimDuration::from_millis(latency_ms);
+        CompletedRequest {
+            trace_id: firm_sim::TraceId(finished_ms),
+            request_type: RequestTypeId(0),
+            started: SimTime::from_micros(finished.as_micros() - latency.as_micros()),
+            finished,
+            latency,
+            dropped,
+            spans: Vec::new(),
+        }
+    }
+
+    /// The window's inherited quirks, pinned (every digest covers them):
+    /// the inclusive lower bound assesses a request finishing exactly on
+    /// a tick boundary in both adjacent windows, and eviction stops at
+    /// the first fresh front, leaving stragglers behind it.
+    #[test]
+    fn boundary_request_is_assessed_in_both_adjacent_windows() {
+        let app = AppSpec::three_tier_demo(); // SLO 100 ms.
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let mut aimd = AimdController::new(AimdConfig::default());
+        // Span-free requests: only the end-to-end fields are read.
+        aimd.ingest(vec![
+            request(400, 10, false),
+            request(1_000, 900, false), // Exactly on the 1 s boundary.
+            request(900, 800, true),    // Dropped: never a latency sample.
+        ]);
+        let first = aimd.assess(&app, at(0));
+        assert!(first.any_violation());
+        aimd.evict_before(at(0));
+
+        aimd.ingest(vec![request(1_500, 10, false)]);
+        let second = aimd.assess(&app, at(1_000));
+        assert!(second.any_violation(), "boundary request left the window");
+        aimd.evict_before(at(1_000));
+        // The 400 ms front went; the 1 s request is a fresh front, so
+        // the 900 ms straggler behind it stays.
+        assert_eq!(aimd.window.len(), 3);
+
+        let third = aimd.assess(&app, at(2_000));
+        assert!(!third.any_violation());
+        assert_eq!(third.sv, 1.0, "an empty window assumes no violation");
+        aimd.evict_before(at(2_000));
+        assert!(aimd.window.is_empty());
+    }
+
+    /// The latency window against the trace-store path it replaced, kept
+    /// here as the reference: over 500 control ticks with anomalies
+    /// coming and going and AIMD itself actuating, both must reach the
+    /// same assessment every tick and hold the same number of entries.
+    #[test]
+    fn latency_window_agrees_with_the_trace_store_it_replaced() {
+        let mut app = AppSpec::three_tier_demo();
+        app.request_types[0].slo_latency_us = 6_000;
+        let mut sim = Simulation::builder(ClusterSpec::small(2), app, 75)
+            .arrivals(Box::new(PoissonArrivals::new(150.0)))
+            .build();
+        let mut aimd = AimdController::new(AimdConfig::default());
+        let mut reference = firm_trace::TracingCoordinator::new(LATENCY_WINDOW_CAPACITY);
+        let monitor = SloMonitor::default();
+        let kinds = [
+            AnomalyKind::CpuStress,
+            AnomalyKind::MemBwStress,
+            AnomalyKind::NetworkDelay,
+            AnomalyKind::WorkloadVariation,
+        ];
+        let (mut violating, mut healthy) = (0, 0);
+        for tick in 0..500 {
+            if tick % 40 == 5 {
+                let kind = kinds[(tick / 40) % kinds.len()];
+                let length = SimDuration::from_secs(3);
+                sim.inject(AnomalySpec::new(kind, NodeId(0), 0.95, length));
+            }
+            let start = sim.now();
+            sim.run_for(SimDuration::from_millis(200));
+            let completed = sim.drain_completed();
+            reference.ingest(completed.clone());
+            aimd.ingest(completed);
+
+            let expected = monitor.assess(sim.app(), &reference, start);
+            let got = aimd.assess(sim.app(), start);
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "tick {tick}");
+            if got.any_violation() {
+                violating += 1;
+            } else {
+                healthy += 1;
+            }
+
+            let telemetry = sim.drain_telemetry();
+            aimd.tick(&mut sim, &telemetry, start);
+            reference.evict_before(start);
+            assert_eq!(aimd.window.len(), reference.store().len(), "tick {tick}");
+        }
+        assert!(violating > 20 && healthy > 20, "{violating} / {healthy}");
         assert!(aimd.limit_ops > 0);
     }
 }

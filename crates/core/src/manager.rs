@@ -300,6 +300,16 @@ impl FirmManager {
         self.last_tick = sim.now();
         self.stats.ticks += 1;
 
+        // The store rejects a span-less request silently, and an empty
+        // window reads as "no traces ⇒ no violation": fail loudly instead.
+        debug_assert!(
+            completed
+                .iter()
+                .all(|r| r.dropped || r.root_span().is_some()),
+            "FIRM ingested a served request without a root span: its simulation must be \
+             built with SimulationBuilder::record_spans(true)"
+        );
+
         // ① Ingest traces. Graph/critical-path builds fan out over the
         // shard pool; the merge is input-ordered, so the store is
         // byte-identical at any shard count.

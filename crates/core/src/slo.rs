@@ -52,13 +52,24 @@ impl SloMonitor {
         coordinator: &TracingCoordinator,
         since: SimTime,
     ) -> SloAssessment {
+        self.assess_latencies(app, |rt| coordinator.latencies_since(since, rt))
+    }
+
+    /// Assesses one window given each request type's end-to-end
+    /// latencies (us, non-dropped requests only, any order) — the SV rule
+    /// itself, for callers that keep latencies without a trace store.
+    pub fn assess_latencies(
+        &self,
+        app: &AppSpec,
+        mut latencies: impl FnMut(RequestTypeId) -> Vec<f64>,
+    ) -> SloAssessment {
         let mut per_type = Vec::with_capacity(app.request_types.len());
         let mut violated = Vec::new();
         let mut worst_sv: f64 = 1.0;
 
         for (i, rt) in app.request_types.iter().enumerate() {
             let rt_id = RequestTypeId(i as u16);
-            let mut lats = coordinator.latencies_since(since, rt_id);
+            let mut lats = latencies(rt_id);
             let (p99, sv) = if lats.is_empty() {
                 // No traces ⇒ assume no violation (§3.4).
                 (0.0, 1.0)
@@ -118,6 +129,12 @@ pub fn window_violates(
 /// Calibrates each request type's SLO to `factor ×` its measured healthy
 /// p99 at the given load — the usual way operators pick tail SLOs. Runs
 /// a short unmanaged, anomaly-free simulation and mutates `app`.
+///
+/// The run reads each request's type, latency and drop flag and nothing
+/// else, so it is built with `record_spans(false)`: same draws, same
+/// events, same latencies as the span-recording engine
+/// (`tests/span_free_twin.rs` holds the two together), without a span
+/// vector per request.
 pub fn calibrate_slos(
     app: &mut AppSpec,
     cluster: &firm_sim::spec::ClusterSpec,
@@ -127,6 +144,7 @@ pub fn calibrate_slos(
 ) {
     let mut sim = firm_sim::Simulation::builder(cluster.clone(), app.clone(), seed)
         .arrivals(Box::new(firm_sim::PoissonArrivals::new(rate)))
+        .record_spans(false)
         .build();
     sim.run_for(firm_sim::SimDuration::from_secs(2));
     sim.drain_completed();

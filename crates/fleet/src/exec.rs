@@ -8,6 +8,13 @@
 //! result depends only on `(scenario, seed, policy)` — the property the
 //! fleet's bit-identity guarantee rests on.
 //!
+//! Spans are recorded on demand: the simulation keeps per-request
+//! [`firm_sim::SpanRecord`]s only when the scenario's controller reads
+//! them ([`FleetController::reads_spans`] — FIRM alone), and SLO
+//! calibration never does. A span-free simulation draws the same random
+//! numbers and processes the same events as a span-recording one, so
+//! this moves no result byte (`tests/span_free_twin.rs`).
+//!
 //! [`run_one_with`] additionally accepts a frozen [`PolicyCheckpoint`]:
 //! FIRM scenarios then run the shared agent in pure inference mode
 //! (no training, no exploration, no experience tap) — the deployment
@@ -66,6 +73,31 @@ fn build_controller(
     }
 }
 
+/// Builds the scenario's calibrated simulation, recording spans only if
+/// its controller reads them.
+fn build_simulation(scenario: &Scenario, seed: u64) -> Simulation {
+    let cluster = ClusterSpec::small(scenario.nodes.max(1));
+    let mut app = scenario.benchmark.build();
+    if scenario.replica_factor > 1 {
+        // Scale fan-out before SLO calibration so calibrated targets
+        // reflect the topology that actually serves the run.
+        firm_workload::builder::scale_replicas(&mut app, scenario.replica_factor);
+    }
+    if let Some(factor) = scenario.slo_factor {
+        calibrate_slos(
+            &mut app,
+            &cluster,
+            scenario.load.mean_rate(),
+            factor,
+            seed ^ 0x510C_A11B,
+        );
+    }
+    Simulation::builder(cluster, app, seed)
+        .arrivals(scenario.load.build())
+        .record_spans(scenario.controller.reads_spans())
+        .build()
+}
+
 /// Runs one scenario to completion; returns its measurements and the
 /// experience log (empty for non-FIRM controllers).
 pub fn run_one(scenario: &Scenario, seed: u64) -> (ScenarioOutcome, ExperienceLog) {
@@ -94,25 +126,7 @@ pub fn run_one_sharded(
     intra_shards: usize,
 ) -> (ScenarioOutcome, ExperienceLog) {
     let wall = std::time::Instant::now();
-    let cluster = ClusterSpec::small(scenario.nodes.max(1));
-    let mut app = scenario.benchmark.build();
-    if scenario.replica_factor > 1 {
-        // Scale fan-out before SLO calibration so calibrated targets
-        // reflect the topology that actually serves the run.
-        firm_workload::builder::scale_replicas(&mut app, scenario.replica_factor);
-    }
-    if let Some(factor) = scenario.slo_factor {
-        calibrate_slos(
-            &mut app,
-            &cluster,
-            scenario.load.mean_rate(),
-            factor,
-            seed ^ 0x510C_A11B,
-        );
-    }
-    let mut sim = Simulation::builder(cluster, app, seed)
-        .arrivals(scenario.load.build())
-        .build();
+    let mut sim = build_simulation(scenario, seed);
     let services = sim.app().services.len();
 
     let mut controller = build_controller(scenario, seed, services, policy, intra_shards);
@@ -248,6 +262,62 @@ mod tests {
                 format!("{log_n:?}"),
                 "experience moved at {shards} shards"
             );
+        }
+    }
+
+    /// One 12-second scenario per controller: FIRM, K8s, AIMD, unmanaged.
+    fn one_scenario_per_controller() -> Vec<Scenario> {
+        let catalog = builtin_catalog();
+        [
+            FleetController::Firm,
+            FleetController::K8sHpa,
+            FleetController::Aimd,
+            FleetController::Unmanaged,
+        ]
+        .into_iter()
+        .map(|controller| {
+            let scenario = catalog.iter().find(|s| s.controller == controller);
+            let scenario = scenario.expect("catalog covers every controller").clone();
+            scenario.with_duration(SimDuration::from_secs(12))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn spans_are_recorded_only_for_controllers_that_read_them() {
+        for scenario in one_scenario_per_controller() {
+            let mut sim = build_simulation(&scenario, 7);
+            sim.run_for(SimDuration::from_secs(1));
+            let completed = sim.drain_completed();
+            assert!(
+                completed.len() > 10,
+                "{}: too little traffic",
+                scenario.name
+            );
+            let reads = scenario.controller == FleetController::Firm;
+            assert_eq!(scenario.controller.reads_spans(), reads);
+            for r in &completed {
+                assert_eq!(r.root_span().is_some(), reads, "{}", scenario.name);
+                assert_eq!(!r.spans.is_empty(), reads, "{}", scenario.name);
+            }
+        }
+    }
+
+    /// Outcome fingerprints captured before any simulation ran
+    /// span-free: turning spans off for the span-blind controllers must
+    /// not move a byte of what they measure.
+    #[test]
+    fn outcomes_match_their_full_span_pins() {
+        const PINNED: [u64; 4] = [
+            0x3092_383d_a475_7f6d,
+            0xc5ba_5a65_d446_f117,
+            0xf6e6_0810_5e80_1815,
+            0x867d_cd66_8e5d_d23f,
+        ];
+        for (scenario, pin) in one_scenario_per_controller().iter().zip(PINNED) {
+            let (outcome, _) = run_one(scenario, 7);
+            let digest = firm_wire::fnv64(firm_wire::encode_string(&outcome).as_bytes());
+            assert_eq!(digest, pin, "{}: {digest:#018x}", scenario.name);
         }
     }
 

@@ -42,6 +42,14 @@ impl FleetController {
             FleetController::Aimd => "AIMD",
         }
     }
+
+    /// Whether the controller consumes per-request spans. Only FIRM
+    /// does (its Extractor builds execution-history graphs); the others
+    /// act on end-to-end latency and telemetry, so their simulations
+    /// are built span-free. The single place this is decided.
+    pub const fn reads_spans(self) -> bool {
+        matches!(self, FleetController::Firm)
+    }
 }
 
 impl FromStr for FleetController {

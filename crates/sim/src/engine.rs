@@ -184,6 +184,7 @@ pub struct SimulationBuilder {
     arrivals: Option<Box<dyn ArrivalProcess>>,
     config: EngineConfig,
     record_arrivals: bool,
+    record_spans: bool,
 }
 
 impl SimulationBuilder {
@@ -197,6 +198,21 @@ impl SimulationBuilder {
     /// (off by default: most runs never replay their load).
     pub fn record_arrivals(mut self, record: bool) -> Self {
         self.record_arrivals = record;
+        self
+    }
+
+    /// Whether completed requests carry their [`SpanRecord`]s (on by
+    /// default: FIRM's Extractor builds execution-history graphs from
+    /// them). With `false` the run draws the same random numbers and
+    /// processes the same events in the same order — identical
+    /// latencies, [`RunStats`] and telemetry windows — but every
+    /// [`CompletedRequest::spans`] is empty and no [`CallRecord`] is
+    /// kept. For consumers that read end-to-end latency only: SLO
+    /// calibration and the span-blind baseline controllers. A span-less
+    /// request builds no execution-history graph, so never hand one to a
+    /// trace store.
+    pub fn record_spans(mut self, record: bool) -> Self {
+        self.record_spans = record;
         self
     }
 
@@ -219,6 +235,7 @@ impl SimulationBuilder {
             arrivals,
             config,
             record_arrivals,
+            record_spans,
         } = self;
         app.validate().expect("invalid application spec");
         assert!(!cluster.nodes.is_empty(), "cluster must have nodes");
@@ -251,12 +268,24 @@ impl SimulationBuilder {
             window_mix: Vec::new(),
             paused_arrivals: false,
             record_arrivals,
+            record_spans,
             arrival_log: Vec::new(),
             rt_weights: Vec::new(),
+            chunk_noise: Vec::new(),
             replica_scratch: Vec::new(),
         };
         sim.window_mix = vec![0u64; sim.app.request_types.len()];
         sim.rt_weights = sim.app.request_types.iter().map(|r| r.weight).collect();
+        sim.chunk_noise = sim
+            .app
+            .services
+            .iter()
+            .flat_map(|svc| &svc.behaviors)
+            .map(|b| {
+                let cv = b.as_ref().and_then(|b| b.demand).map_or(0.0, |d| d.cv);
+                SimRng::lognormal_params(1.0, cv)
+            })
+            .collect();
         sim.services = (0..sim.app.services.len())
             .map(|_| ServiceRuntime::default())
             .collect();
@@ -315,11 +344,18 @@ pub struct Simulation {
     window_mix: Vec<u64>,
     paused_arrivals: bool,
     record_arrivals: bool,
+    record_spans: bool,
     arrival_log: Vec<ArrivalRecord>,
     /// Request-type sampling weights, cached at build time (the mix is
     /// part of the immutable [`AppSpec`]) so each arrival avoids
     /// rebuilding the weight vector.
     rt_weights: Vec<f64>,
+    /// Per-chunk service-time noise parameters, `services ×
+    /// request_types` row-major: the `(mu, sigma)` of each behaviour's
+    /// unit-mean log-normal depend only on its `cv`, so they are
+    /// computed once here instead of on every compute chunk. `None`
+    /// where the noise is the constant 1 (no demand, or `cv <= 0`).
+    chunk_noise: Vec<Option<(f64, f64)>>,
     /// Reusable buffer for replica selection (live-replica list).
     replica_scratch: Vec<InstanceId>,
 }
@@ -334,6 +370,7 @@ impl Simulation {
             arrivals: None,
             config: EngineConfig::default(),
             record_arrivals: false,
+            record_spans: true,
         }
     }
 
@@ -531,7 +568,11 @@ impl Simulation {
             // One up-front allocation instead of doubling through the
             // first few span pushes; 8 covers the built-in benchmarks'
             // common trace sizes.
-            spans: Vec::with_capacity(8),
+            spans: if self.record_spans {
+                Vec::with_capacity(8)
+            } else {
+                Vec::new()
+            },
             open_activities: 0,
             root_response_at: None,
             dropped: false,
@@ -717,7 +758,9 @@ impl Simulation {
             let mem_mb = d.mem_mb * chunk_frac * rates.mem_inflation;
             let mem_t = mem_mb / rates.mem_mbps * 1e6;
             let io_t = d.io_mb * chunk_frac / rates.io_mbps * 1e6;
-            let mut noise = self.rng.lognormal_mean_cv(1.0, d.cv);
+            let request_types = self.app.request_types.len();
+            let noise_params = self.chunk_noise[service.index() * request_types + rt.index()];
+            let mut noise = noise_params.map_or(1.0, |p| self.rng.lognormal(p));
             // In-container stressors fluctuate (iBench/pmbw phases), so
             // the victim's slowdown wobbles — the latency-variance
             // signature Algorithm 2's features are built to detect.
@@ -793,7 +836,9 @@ impl Simulation {
             .calls
             .len();
         let src_node = self.instances[my_instance.index()].node;
-        self.activities[act_idx].calls.reserve(ncalls);
+        if self.record_spans {
+            self.activities[act_idx].calls.reserve(ncalls);
+        }
         let mut pending = 0u32;
         for ci in 0..ncalls {
             let call = self
@@ -814,14 +859,16 @@ impl Simulation {
                 rt,
                 call.background,
             );
-            let child_span = self.activities[child].span_id;
-            self.activities[act_idx].calls.push(CallRecord {
-                child_span,
-                target: call.target,
-                sent: self.now,
-                returned: None,
-                background: call.background,
-            });
+            if self.record_spans {
+                let child_span = self.activities[child].span_id;
+                self.activities[act_idx].calls.push(CallRecord {
+                    child_span,
+                    target: call.target,
+                    sent: self.now,
+                    returned: None,
+                    background: call.background,
+                });
+            }
             if !call.background {
                 pending += 1;
             }
@@ -879,7 +926,9 @@ impl Simulation {
             (a.instance, a.trace_slot, a.parent, resp)
         };
 
-        self.emit_span(act_idx, dropped);
+        if self.record_spans {
+            self.emit_span(act_idx, dropped);
+        }
 
         // Free the worker and admit queued work.
         if iid != InstanceId(u32::MAX) && !dropped {
@@ -970,7 +1019,11 @@ impl Simulation {
         if !self.activities[parent_act].live {
             return;
         }
-        self.activities[parent_act].calls[call_idx].returned = Some(self.now);
+        // `call_idx` indexes the parent's call records, which exist only
+        // when spans are recorded.
+        if self.record_spans {
+            self.activities[parent_act].calls[call_idx].returned = Some(self.now);
+        }
         let a = &mut self.activities[parent_act];
         a.pending_children = a.pending_children.saturating_sub(1);
         if a.pending_children == 0 {

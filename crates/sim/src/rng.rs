@@ -82,12 +82,29 @@ impl SimRng {
         if mean <= 0.0 {
             return 0.0;
         }
+        match Self::lognormal_params(mean, cv) {
+            Some(params) => self.lognormal(params),
+            None => mean,
+        }
+    }
+
+    /// The `(mu, sigma)` of the underlying normal for a log-normal with
+    /// the given (positive) mean and coefficient of variation; `None`
+    /// when `cv <= 0`, where the distribution is the constant `mean` and
+    /// draws nothing. Callers with a fixed `cv` compute this once and
+    /// draw through [`SimRng::lognormal`].
+    pub(crate) fn lognormal_params(mean: f64, cv: f64) -> Option<(f64, f64)> {
         if cv <= 0.0 {
-            return mean;
+            return None;
         }
         let sigma2 = (1.0 + cv * cv).ln();
         let mu = mean.ln() - sigma2 / 2.0;
-        (mu + sigma2.sqrt() * self.normal(0.0, 1.0)).exp()
+        Some((mu, sigma2.sqrt()))
+    }
+
+    /// Log-normal draw from precomputed [`SimRng::lognormal_params`].
+    pub(crate) fn lognormal(&mut self, (mu, sigma): (f64, f64)) -> f64 {
+        (mu + sigma * self.normal(0.0, 1.0)).exp()
     }
 
     /// Weighted choice over `weights`; returns the chosen index.
@@ -176,6 +193,28 @@ mod tests {
         let mut rng = SimRng::new(11);
         assert_eq!(rng.lognormal_mean_cv(0.0, 0.5), 0.0);
         assert_eq!(rng.lognormal_mean_cv(5.0, 0.0), 5.0);
+    }
+
+    /// The simulator draws per-chunk noise from parameters tabulated at
+    /// build time; that path must be `lognormal_mean_cv(1.0, cv)` to the
+    /// last bit, draw for draw, including the `cv <= 0` case that draws
+    /// nothing.
+    #[test]
+    fn tabulated_lognormal_matches_mean_cv_bit_for_bit() {
+        for cv in [0.0, 0.15, 0.5, 1.2] {
+            let params = SimRng::lognormal_params(1.0, cv);
+            let (mut table, mut direct) = (SimRng::new(23), SimRng::new(23));
+            for i in 0..10_000 {
+                let a = params.map_or(1.0, |p| table.lognormal(p));
+                let b = direct.lognormal_mean_cv(1.0, cv);
+                assert_eq!(a.to_bits(), b.to_bits(), "cv {cv}, draw {i}");
+            }
+            assert_eq!(
+                table.next_u64(),
+                direct.next_u64(),
+                "cv {cv}: streams apart"
+            );
+        }
     }
 
     #[test]

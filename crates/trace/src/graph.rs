@@ -199,6 +199,76 @@ mod tests {
         assert_eq!(g.edges().count(), 4);
     }
 
+    /// Every request the span-recording engine completes builds a
+    /// graph — served, degraded by an internal drop, or dropped at the
+    /// door, with anomalies and scaling in flight. Controllers that keep
+    /// end-to-end latencies instead of a trace store (AIMD) rest on
+    /// this: the store never silently rejected anything they now count.
+    #[test]
+    fn every_completed_request_builds_under_drops_and_anomalies() {
+        use firm_sim::{AnomalyKind, AnomalySpec, Command, InstanceId, NodeId, ResourceKind};
+        let mut app = AppSpec::three_tier_demo();
+        let frontend = app
+            .service_by_name("frontend")
+            .expect("demo has a frontend");
+        let store = app.service_by_name("store").expect("demo has a store");
+        // Workers block on their downstream calls, so an inner queue
+        // overflows only if the entry admits more requests than the
+        // inner tiers can hold: a wide frontend over short inner queues.
+        for svc in &mut app.services {
+            svc.queue_cap = 2;
+        }
+        app.services[frontend.index()].initial_cpu = 16.0;
+        app.services[frontend.index()].queue_cap = 8;
+        let (mut built, mut dropped, mut degraded) = (0, 0, 0);
+        for seed in [3, 4] {
+            let mut sim = Simulation::builder(ClusterSpec::small(2), app.clone(), seed)
+                .arrivals(Box::new(firm_sim::PoissonArrivals::new(400.0)))
+                .build();
+            for kind in [
+                AnomalyKind::CpuStress,
+                AnomalyKind::MemBwStress,
+                AnomalyKind::NetworkDelay,
+                AnomalyKind::WorkloadVariation,
+            ] {
+                let length = SimDuration::from_secs(3);
+                sim.inject(AnomalySpec::new(kind, NodeId(0), 0.9, length));
+            }
+            // Squeeze the leaf so internal calls drop, then the entry.
+            let squeeze = |sim: &mut Simulation, service| {
+                let instance: InstanceId = sim.replicas(service)[0];
+                sim.apply(Command::SetPartition {
+                    instance,
+                    kind: ResourceKind::Cpu,
+                    amount: 0.05,
+                });
+            };
+            squeeze(&mut sim, store);
+            sim.run_for(SimDuration::from_secs(2));
+            squeeze(&mut sim, frontend);
+            let scale_out = Command::ScaleOut {
+                service: store,
+                warm: true,
+            };
+            sim.apply(scale_out);
+            sim.run_for(SimDuration::from_secs(2));
+            sim.apply(Command::ScaleIn { service: store });
+            sim.run_for(SimDuration::from_secs(1));
+            for req in sim.drain_completed() {
+                let was_dropped = req.dropped;
+                let root_dropped = req.root_span().is_some_and(|s| s.dropped);
+                let g = ExecutionHistoryGraph::build(req).expect("engine emits whole traces");
+                assert!(g.root_span().parent.is_none());
+                built += 1;
+                dropped += u32::from(root_dropped);
+                degraded += u32::from(was_dropped && !root_dropped);
+            }
+        }
+        assert!(built > 1_000, "only {built} traces");
+        assert!(dropped > 0, "no request was dropped at the entry");
+        assert!(degraded > 0, "no request lost an internal call");
+    }
+
     #[test]
     fn children_sorted_by_send_time() {
         let req = one_trace();
