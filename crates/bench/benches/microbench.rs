@@ -94,16 +94,22 @@ fn bench_svm() {
 
 fn bench_ddpg() {
     let mut agent = DdpgAgent::new(DdpgConfig::paper(STATE_DIM, ACTOR_STATE_DIM, ACTION_DIM), 7);
-    let state = vec![0.4; STATE_DIM];
+    // Seeded, varied transitions: with one repeated state every
+    // minibatch row is the same and the ReLU masks never change, which
+    // flatters every branch the train step takes on them.
+    let rng = &mut SimRng::new(7);
+    let mut vector =
+        |dim: usize| -> Vec<f64> { (0..dim).map(|_| rng.uniform_range(-1.0, 1.0)).collect() };
     for i in 0..256 {
         agent.observe(Transition {
-            state: state.clone(),
-            action: vec![0.1; ACTION_DIM],
+            state: vector(STATE_DIM),
+            action: vector(ACTION_DIM),
             reward: (i % 10) as f64 / 10.0,
-            next_state: state.clone(),
+            next_state: vector(STATE_DIM),
             done: i % 50 == 0,
         });
     }
+    let state = vector(STATE_DIM);
     bench("ddpg/inference", 10_000, || agent.act(&state));
     bench("ddpg/train_step", 1_000, || agent.train_step());
 }
@@ -124,8 +130,8 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.uniform_range(-1.0, 1.0))
 }
 
-/// A gradient-like matrix with ReLU-style zeros (~40% of entries), so
-/// the backward kernels' zero-skip paths see realistic sparsity.
+/// A gradient-like matrix with ReLU-style zeros (~40% of entries), as
+/// the backward products see it.
 fn masked_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| {
         if rng.uniform() < 0.4 {
@@ -136,11 +142,13 @@ fn masked_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
     })
 }
 
-/// One paper layer's operands: input `x`, weights `w`, the upstream
-/// gradient `dz`, and the buffers the three matmul kernels write.
+/// One paper layer's operands: input `x`, weights `w` and the k-major
+/// mirror `wt` the forward kernel reads, the upstream gradient `dz`, and
+/// the buffers the three matmul kernels write.
 struct Layer {
     x: Matrix,
     w: Matrix,
+    wt: Matrix,
     dz: Matrix,
     out: Matrix,
     grad_in: Matrix,
@@ -158,6 +166,7 @@ fn bench_kernels() {
         .map(|io| Layer {
             x: random_matrix(BATCH, io[0], rng),
             w: random_matrix(io[1], io[0], rng),
+            wt: Matrix::zeros(0, 0),
             dz: masked_matrix(BATCH, io[1], rng),
             out: Matrix::zeros(BATCH, io[1]),
             grad_in: Matrix::zeros(BATCH, io[0]),
@@ -167,7 +176,10 @@ fn bench_kernels() {
         .collect();
     bench("kernel/matmul_fwd", ITERS, || {
         for l in &mut layers {
-            l.x.matmul_transpose_b_into(&l.w, &mut l.out);
+            // As `Linear::forward_into` runs it: the mirror is rebuilt
+            // from `w` on every pass, so its cost is in the line.
+            l.w.transpose_into(&mut l.wt);
+            l.x.matmul_into(&l.wt, &mut l.out);
         }
     });
     bench("kernel/matmul_bwd", ITERS, || {

@@ -56,8 +56,9 @@ pub struct ReplayBuffer {
     priorities: Vec<f64>,
     /// Set by the first [`ReplayBuffer::push_with_priority`].
     weighted: bool,
-    /// Scratch for the cumulative-weight table, rebuilt per weighted
-    /// minibatch (no allocation after warmup).
+    /// Cumulative-weight table over `priorities`; empty means stale.
+    /// Priorities change only on push, so a push empties it and the
+    /// next weighted draw rebuilds it once.
     cumulative: Vec<f64>,
 }
 
@@ -113,6 +114,7 @@ impl ReplayBuffer {
     }
 
     fn push_at_cursor(&mut self, t: Transition, priority: f64) {
+        self.cumulative.clear();
         if self.data.len() < self.capacity {
             self.data.push(t);
             if self.weighted {
@@ -161,7 +163,7 @@ impl ReplayBuffer {
     /// transition with twice the priority is sampled twice as often.
     /// Deterministic: the draws consume exactly `n` uniform variates
     /// from `rng`, and the table is a pure fold over the stored
-    /// priorities in slot order.
+    /// priorities in slot order, rebuilt only after a push.
     pub fn sample_weighted_indices_into(
         &mut self,
         n: usize,
@@ -169,12 +171,17 @@ impl ReplayBuffer {
         out: &mut Vec<usize>,
     ) {
         debug_assert!(self.weighted, "weighted sampling without priorities");
-        self.cumulative.clear();
-        let mut total = 0.0;
-        for &p in &self.priorities {
-            total += p;
-            self.cumulative.push(total);
+        if self.cumulative.is_empty() {
+            let mut total = 0.0;
+            for &p in &self.priorities {
+                total += p;
+                self.cumulative.push(total);
+            }
         }
+        let total = *self
+            .cumulative
+            .last()
+            .expect("weighted buffer is non-empty");
         out.clear();
         for _ in 0..n {
             let target = rng.uniform() * total;
@@ -325,8 +332,6 @@ struct TrainScratch {
     a_pred: Matrix,
     q_pi: Matrix,
     grad_q: Matrix,
-    gin: Matrix,
-    gin_actor: Matrix,
     da: Matrix,
 }
 
@@ -378,8 +383,7 @@ impl DdpgAgent {
             seed ^ 0xDDD0,
         );
         // Targets start as exact copies (Algorithm 3, line 2).
-        let mut actor_target = actor.clone();
-        actor_target.set_weights(&actor.get_weights());
+        let actor_target = actor.clone();
         let critic_target = critic.clone();
 
         DdpgAgent {
@@ -467,6 +471,13 @@ impl DdpgAgent {
     /// call no matrix is allocated, and the arithmetic (operand values,
     /// per-element fold order) is identical to the allocating
     /// formulation, so trained weights stay bit-for-bit reproducible.
+    ///
+    /// Each of the three backward passes tells [`Mlp::backward_into`]
+    /// what it will read: the critic and actor updates want parameter
+    /// gradients and no input gradient; the critic pass that feeds the
+    /// actor wants the action columns of the input gradient and no
+    /// parameter gradients. Nothing else is computed, and what is
+    /// computed is the same bits as in the full pass.
     pub fn train_step(&mut self) -> Option<TrainStats> {
         let b = self.config.batch_size;
         if self.replay.len() < b {
@@ -524,7 +535,7 @@ impl DdpgAgent {
             loss += d * d / b as f64;
             sc.grad.set(i, 0, 2.0 * d / b as f64);
         }
-        self.critic.backward_into(&sc.grad, &mut sc.gin);
+        self.critic.backward_into(&sc.grad, true, None);
         self.critic_opt.step(&mut self.critic);
 
         // Actor update: ascend ∇_θ E[Q(s, π(s))] via the chain rule
@@ -537,12 +548,12 @@ impl DdpgAgent {
         let q_mean = (0..b).map(|i| sc.q_pi.get(i, 0)).sum::<f64>() / b as f64;
         sc.grad_q.resize(b, 1);
         sc.grad_q.fill(-1.0 / b as f64);
-        self.critic.backward_into(&sc.grad_q, &mut sc.gin);
-        // Discard the critic gradients from this pass; only the actor
-        // should learn from it.
-        self.critic.zero_grads();
-        sc.gin.slice_cols_into(sd, sd + ad, &mut sc.da);
-        self.actor.backward_into(&sc.da, &mut sc.gin_actor);
+        // Only the actor learns from this pass: ask the critic for the
+        // action columns of its input gradient and nothing else, so
+        // its parameter gradients are never computed.
+        self.critic
+            .backward_into(&sc.grad_q, false, Some((sd..sd + ad, &mut sc.da)));
+        self.actor.backward_into(&sc.da, true, None);
         self.actor_opt.step(&mut self.actor);
 
         // Soft target updates (Algorithm 3, lines 14–15).
@@ -667,6 +678,53 @@ mod tests {
         // Expected fraction = 100/109 ≈ 0.917; uniform would be 0.1.
         let frac = hot as f64 / draws as f64;
         assert!(frac > 0.8, "hot index drawn {frac} of the time");
+    }
+
+    #[test]
+    fn cached_cumulative_table_draws_the_rebuild_every_time_stream() {
+        // Reference: the table rebuilt from the priorities before every
+        // minibatch, as the sampler did before it cached it.
+        fn reference(buf: &ReplayBuffer, n: usize, rng: &mut Xoshiro256) -> Vec<usize> {
+            let mut cumulative = Vec::new();
+            let mut total = 0.0;
+            for &p in &buf.priorities {
+                total += p;
+                cumulative.push(total);
+            }
+            (0..n)
+                .map(|_| {
+                    let target = rng.uniform() * total;
+                    cumulative
+                        .partition_point(|&c| c <= target)
+                        .min(buf.data.len() - 1)
+                })
+                .collect()
+        }
+        let t = |r: f64| Transition {
+            state: vec![r],
+            action: vec![0.0],
+            reward: r,
+            next_state: vec![0.0],
+            done: false,
+        };
+        let mut buf = ReplayBuffer::new(8);
+        buf.push(t(0.0)); // an unweighted entry adopted at priority 1.0
+        let (mut rng, mut ref_rng) = (Xoshiro256::new(5), Xoshiro256::new(5));
+        let mut idx = Vec::new();
+        // 20 pushes through a ring of 8: growth, then overwrites, with
+        // plain pushes mixed in and several minibatches between pushes.
+        for i in 0..20 {
+            if i % 3 == 2 {
+                buf.push(t(i as f64));
+            } else {
+                buf.push_with_priority(t(i as f64), 0.5 + (i * 7 % 5) as f64);
+            }
+            for _ in 0..3 {
+                buf.sample_weighted_indices_into(16, &mut rng, &mut idx);
+                assert_eq!(idx, reference(&buf, 16, &mut ref_rng), "after push {i}");
+            }
+        }
+        assert_eq!(buf.len(), 8);
     }
 
     #[test]
@@ -864,5 +922,39 @@ mod tests {
         };
         assert_eq!(mk(11), mk(11));
         assert_ne!(mk(11), mk(12));
+    }
+
+    #[test]
+    fn trained_weights_match_the_golden_captured_before_the_kernel_change() {
+        // Seeded, varied transitions at the paper's dimensions, then
+        // 200 updates; FNV-1a over the exported weights' bits. Both
+        // literals were captured at commit 2a2710d (debug and release
+        // agree), before any kernel, backward or constructor change:
+        // a failure means trained bits moved — do not re-pin.
+        let weights_fnv = |agent: &DdpgAgent| {
+            let (actor, critic) = agent.export_weights();
+            let bytes: Vec<u8> = actor
+                .iter()
+                .chain(&critic)
+                .flat_map(|w| w.to_bits().to_le_bytes())
+                .collect();
+            firm_wire::fnv64(&bytes)
+        };
+        let mut agent = DdpgAgent::new(DdpgConfig::paper(18, 8, 5), 7);
+        assert_eq!(weights_fnv(&agent), 0xd4cf_2df3_8b79_11c3);
+        let mut rng = Xoshiro256::new(23);
+        for i in 0..300 {
+            agent.observe(Transition {
+                state: (0..18).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+                action: (0..5).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+                reward: rng.uniform_range(-2.0, 1.0),
+                next_state: (0..18).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+                done: i % 17 == 0,
+            });
+        }
+        for _ in 0..200 {
+            agent.train_step().expect("buffer holds a batch");
+        }
+        assert_eq!(weights_fnv(&agent), 0x66fe_ee2e_08a1_9e8f);
     }
 }

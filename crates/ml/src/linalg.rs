@@ -1,5 +1,7 @@
 //! Minimal dense linear algebra for the neural-network stack.
 
+use std::ops::Range;
+
 /// A row-major dense matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -125,152 +127,51 @@ impl Matrix {
 
     /// `self · other` written into a caller-provided buffer (no
     /// allocation once `out` has warmed up to the right capacity).
-    ///
-    /// The kernel fuses four `k` steps per pass over the destination
-    /// row, quartering destination-row traffic. Each output element
-    /// still receives its `k` contributions one `+=` at a time in
-    /// strictly ascending `k` order — fusing batches the *passes*, not
-    /// the adds — and a zero `self[r][k]` skips its term exactly as the
-    /// naive kernel does (the backward pass feeds ReLU-masked `dz`
-    /// matrices through here, so the sparsity skip is load-bearing).
-    /// Results are bit-identical to the naive kernel.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let n = other.cols;
-        out.resize(self.rows, n);
-        out.fill(0.0);
-        for r in 0..self.rows {
-            let arow = &self.data[r * self.cols..(r + 1) * self.cols];
-            let dst = &mut out.data[r * n..(r + 1) * n];
-            let mut k = 0;
-            while k + 4 <= self.cols {
-                let (a0, a1, a2, a3) = (arow[k], arow[k + 1], arow[k + 2], arow[k + 3]);
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    let (b0, tail) = other.data[k * n..(k + 4) * n].split_at(n);
-                    let (b1, tail) = tail.split_at(n);
-                    let (b2, b3) = tail.split_at(n);
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        let mut v = *d;
-                        v += a0 * b0[c];
-                        v += a1 * b1[c];
-                        v += a2 * b2[c];
-                        v += a3 * b3[c];
-                        *d = v;
-                    }
-                } else {
-                    // A zero in the block: fall back to one pass per
-                    // non-zero `k` so skipped terms stay skipped.
-                    for (t, &a) in arow[k..k + 4].iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let brow = &other.data[(k + t) * n..(k + t + 1) * n];
-                        for (d, &b) in dst.iter_mut().zip(brow) {
-                            *d += a * b;
-                        }
-                    }
-                }
-                k += 4;
-            }
-            while k < self.cols {
-                let a = arow[k];
-                if a != 0.0 {
-                    let brow = &other.data[k * n..(k + 1) * n];
-                    for (d, &b) in dst.iter_mut().zip(brow) {
-                        *d += a * b;
-                    }
-                }
-                k += 1;
-            }
-        }
+        self.matmul_map_into(other, 0..other.cols, out, |_, sum| sum);
     }
 
-    /// `self · otherᵀ` (m×k · (n×k)ᵀ → m×n).
-    pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_transpose_b_into(other, &mut out);
-        out
-    }
-
-    /// `self · otherᵀ` written into a caller-provided buffer.
+    /// `out[r][j] = epilogue(j, Σ_k self[r][k] · other[k][cols.start + j])`
+    /// — the product restricted to a range of `other`'s columns
+    /// (`out` is m × `cols.len()`), each finished sum passed through
+    /// `epilogue` once. The three things a layer needs from a product
+    /// are this call: the forward pass hands it the k-major weight
+    /// mirror and adds bias and activation in the epilogue instead of
+    /// in two more passes over `out`; the backward pass hands it `W`
+    /// itself and the input-gradient columns its caller will read.
+    /// Every output element is its own fold, from `0.0` in ascending
+    /// `k` (the kernel, `product`, is at the bottom of this file), so a
+    /// restricted product equals those columns of the full one bit for
+    /// bit.
     ///
-    /// The kernel is register-blocked eight wide: eight rows of `other`
-    /// (eight output columns) share one streaming pass over the `self`
-    /// row, cutting traffic on the hot operand 8× and — more
-    /// importantly on the all-forward-passes path — giving the core
-    /// eight *independent* accumulator chains. A single dot product is
-    /// one serial float-add dependency chain (f64 adds cannot be
-    /// reassociated without changing bits); eight interleaved chains
-    /// keep the FMA pipeline full instead of waiting out each add's
-    /// latency. Each output element still folds its dot product
-    /// strictly in `k` order with its own accumulator, so results are
-    /// bit-identical to the naive kernel — blocking changes locality
-    /// and ILP, never summation order. A four-wide step and a scalar
-    /// loop sweep the sub-8 remainder columns.
-    pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, other.cols, "matmul_transpose_b shape mismatch");
-        let k = self.cols;
-        let n = other.rows;
-        out.resize(self.rows, n);
-        for r in 0..self.rows {
-            let arow = &self.data[r * k..(r + 1) * k];
-            let orow = &mut out.data[r * n..(r + 1) * n];
-            let mut j = 0;
-            while j + 8 <= n {
-                let (b0, tail) = other.data[j * k..(j + 8) * k].split_at(k);
-                let (b1, tail) = tail.split_at(k);
-                let (b2, tail) = tail.split_at(k);
-                let (b3, tail) = tail.split_at(k);
-                let (b4, tail) = tail.split_at(k);
-                let (b5, tail) = tail.split_at(k);
-                let (b6, b7) = tail.split_at(k);
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-                let (mut a4, mut a5, mut a6, mut a7) = (0.0, 0.0, 0.0, 0.0);
-                for (i, &a) in arow.iter().enumerate() {
-                    a0 += a * b0[i];
-                    a1 += a * b1[i];
-                    a2 += a * b2[i];
-                    a3 += a * b3[i];
-                    a4 += a * b4[i];
-                    a5 += a * b5[i];
-                    a6 += a * b6[i];
-                    a7 += a * b7[i];
-                }
-                orow[j] = a0;
-                orow[j + 1] = a1;
-                orow[j + 2] = a2;
-                orow[j + 3] = a3;
-                orow[j + 4] = a4;
-                orow[j + 5] = a5;
-                orow[j + 6] = a6;
-                orow[j + 7] = a7;
-                j += 8;
-            }
-            if j + 4 <= n {
-                let (b0, tail) = other.data[j * k..(j + 4) * k].split_at(k);
-                let (b1, tail) = tail.split_at(k);
-                let (b2, b3) = tail.split_at(k);
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
-                for (i, &a) in arow.iter().enumerate() {
-                    a0 += a * b0[i];
-                    a1 += a * b1[i];
-                    a2 += a * b2[i];
-                    a3 += a * b3[i];
-                }
-                orow[j] = a0;
-                orow[j + 1] = a1;
-                orow[j + 2] = a2;
-                orow[j + 3] = a3;
-                j += 4;
-            }
-            while j < n {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                orow[j] = acc;
-                j += 1;
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch or a range past `other`'s
+    /// width.
+    pub fn matmul_map_into(
+        &self,
+        other: &Matrix,
+        cols: Range<usize>,
+        out: &mut Matrix,
+        epilogue: impl Fn(usize, f64) -> f64,
+    ) {
+        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+        assert!(cols.end <= other.cols, "column range out of bounds");
+        out.resize(self.rows, cols.len());
+        out.fill(0.0);
+        let lhs = |[r0, r1]: [usize; 2]| {
+            let pairs = self.row(r0).iter().zip(self.row(r1));
+            pairs.map(|(&x0, &x1)| [x0, x1])
+        };
+        product(lhs, other, cols, out, epilogue);
+    }
+
+    /// `selfᵀ` written into a caller-provided buffer.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
     }
@@ -285,15 +186,9 @@ impl Matrix {
 
     /// `acc += selfᵀ · other`, accumulating directly into the gradient
     /// buffer: the backward pass skips the intermediate product matrix.
-    /// When `acc` starts zeroed the per-element fold order is identical
-    /// to [`Matrix::transpose_matmul`] followed by an element-wise add.
-    ///
-    /// Four sample rows (`m`) are fused per pass over each gradient
-    /// row, so the hot `acc` row is read and written once per four
-    /// samples instead of once per sample. Per output element the
-    /// contributions still land one `+=` at a time in ascending `m`
-    /// order, and a zero `self[m][k]` (ReLU-masked `dz`) skips its term
-    /// exactly as before — bit-identical to the unfused kernel.
+    /// Each element of `acc` receives its contributions one `+=` at a
+    /// time in ascending sample (`m`) order, starting from the value it
+    /// already holds.
     ///
     /// # Panics
     ///
@@ -302,60 +197,13 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
         assert_eq!(acc.rows, self.cols, "transpose_matmul acc shape mismatch");
         assert_eq!(acc.cols, other.cols, "transpose_matmul acc shape mismatch");
-        let n = other.cols;
-        let mut m = 0;
-        while m + 4 <= self.rows {
-            let a0row = &self.data[m * self.cols..(m + 1) * self.cols];
-            let a1row = &self.data[(m + 1) * self.cols..(m + 2) * self.cols];
-            let a2row = &self.data[(m + 2) * self.cols..(m + 3) * self.cols];
-            let a3row = &self.data[(m + 3) * self.cols..(m + 4) * self.cols];
-            let (b0, tail) = other.data[m * n..(m + 4) * n].split_at(n);
-            let (b1, tail) = tail.split_at(n);
-            let (b2, b3) = tail.split_at(n);
-            for k in 0..self.cols {
-                let (a0, a1, a2, a3) = (a0row[k], a1row[k], a2row[k], a3row[k]);
-                if a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0 {
-                    continue;
-                }
-                let dst = &mut acc.data[k * n..(k + 1) * n];
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        let mut v = *d;
-                        v += a0 * b0[c];
-                        v += a1 * b1[c];
-                        v += a2 * b2[c];
-                        v += a3 * b3[c];
-                        *d = v;
-                    }
-                } else {
-                    // Mixed zero/non-zero block: one pass per non-zero
-                    // sample, in `m` order, so skips stay skips.
-                    for (a, brow) in [(a0, b0), (a1, b1), (a2, b2), (a3, b3)] {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (d, &b) in dst.iter_mut().zip(brow) {
-                            *d += a * b;
-                        }
-                    }
-                }
-            }
-            m += 4;
-        }
-        while m < self.rows {
-            let arow = &self.data[m * self.cols..(m + 1) * self.cols];
-            let brow = &other.data[m * n..(m + 1) * n];
-            for (k, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let dst = &mut acc.data[k * n..(k + 1) * n];
-                for (d, &b) in dst.iter_mut().zip(brow) {
-                    *d += a * b;
-                }
-            }
-            m += 1;
-        }
+        // Row `r` of `selfᵀ` is column `r` of `self`: one element per
+        // sample row, and the two rows of a tile sit side by side.
+        let lhs = |[r0, r1]: [usize; 2]| {
+            let samples = self.data.chunks_exact(self.cols);
+            samples.map(move |row| [row[r0], row[r1]])
+        };
+        product(lhs, other, 0..other.cols, acc, |_, sum| sum);
     }
 
     /// Adds `v` to every row (broadcast bias add).
@@ -448,6 +296,81 @@ impl Matrix {
     }
 }
 
+/// The one product kernel: `out[r][j] = epilogue(j, out[r][j] + Σ_k
+/// lhs[r][k] · rhs[k][cols.start + j])`, where `lhs([r0, r1])` streams
+/// rows `r0` and `r1` of the left operand side by side in ascending `k`.
+///
+/// Each output element is one fold — it starts from the value `out`
+/// holds and takes its `k` contributions one `+=` at a time in ascending
+/// `k`, the naive triple loop's operands in the naive order, hence its
+/// bits. What is blocked is *which folds advance together*: a 2-row ×
+/// 8-column tile is sixteen independent accumulators that stay in
+/// vector registers and share one contiguous load of `rhs` per `k`.
+/// Along `k` a fold is a serial chain the compiler may not reassociate;
+/// across columns there is nothing to reassociate, so this is the
+/// direction that vectorises. Columns past the last full tile run as
+/// one 4-wide tile and then one at a time; an odd last row pairs with
+/// itself (same sums, stored twice).
+///
+/// The kernel is dense: a zero on the left (a ReLU-masked `dz`)
+/// contributes `±0.0 · w` instead of being skipped. For finite operands
+/// that is the same fold — a sum that does not start at `-0.0` never
+/// becomes it, and adding `±0.0` to anything else returns it unchanged
+/// — and it spares the backward pass one unpredictable branch
+/// per `dz` element (the masks change every minibatch). A non-finite
+/// `rhs` entry opposite a zero now yields NaN where a skip would have
+/// hidden it.
+fn product<I: Iterator<Item = [f64; 2]>>(
+    lhs: impl Fn([usize; 2]) -> I,
+    rhs: &Matrix,
+    cols: Range<usize>,
+    out: &mut Matrix,
+    epilogue: impl Fn(usize, f64) -> f64,
+) {
+    let n = cols.len();
+    for r0 in (0..out.rows).step_by(2) {
+        let rows = [r0, (r0 + 1).min(out.rows - 1)];
+        let mut j = 0;
+        while j < n {
+            let (at, from) = (rows.map(|r| r * n + j), cols.start + j);
+            let map = |c, sum| epilogue(j + c, sum);
+            j += match n - j {
+                8.. => tile::<8>(lhs(rows), rhs, from, &mut out.data, at, map),
+                4.. => tile::<4>(lhs(rows), rhs, from, &mut out.data, at, map),
+                _ => tile::<1>(lhs(rows), rhs, from, &mut out.data, at, map),
+            };
+        }
+    }
+}
+
+/// One 2-row × `W`-column tile of [`product`]: the folds of `out[at[0]..]`
+/// and `out[at[1]..]` (`W` elements each) against columns `from..from + W`
+/// of `rhs`. Returns `W`.
+#[inline(always)]
+fn tile<const W: usize>(
+    lhs: impl Iterator<Item = [f64; 2]>,
+    rhs: &Matrix,
+    from: usize,
+    out: &mut [f64],
+    at: [usize; 2],
+    epilogue: impl Fn(usize, f64) -> f64,
+) -> usize {
+    let mut sums = at.map(|o| <[f64; W]>::try_from(&out[o..o + W]).expect("W columns"));
+    for ([x0, x1], row) in lhs.zip(rhs.data.chunks_exact(rhs.cols)) {
+        let w: &[f64; W] = row[from..from + W].try_into().expect("W columns");
+        for c in 0..W {
+            sums[0][c] += x0 * w[c];
+            sums[1][c] += x1 * w[c];
+        }
+    }
+    for (o, sums) in at.into_iter().zip(sums) {
+        for (c, sum) in sums.into_iter().enumerate() {
+            out[o + c] = epilogue(c, sum);
+        }
+    }
+    W
+}
+
 /// Dot product of two equal-length slices.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
@@ -466,11 +389,19 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    /// `x · wᵀ` the way a layer's forward pass runs it: the k-major
+    /// mirror of `w`, then the product kernel.
+    fn forward_product(x: &Matrix, w: &Matrix) -> Matrix {
+        let mut wt = Matrix::zeros(3, 3); // wrong warmup shape on purpose
+        w.transpose_into(&mut wt);
+        x.matmul(&wt)
+    }
+
     #[test]
     fn matmul_transpose_b_matches() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let bt = Matrix::from_vec(2, 3, vec![7.0, 9.0, 11.0, 8.0, 10.0, 12.0]);
-        let c = a.matmul_transpose_b(&bt);
+        let c = forward_product(&a, &bt);
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
@@ -544,8 +475,9 @@ mod tests {
     #[test]
     fn blocked_matmul_transpose_b_is_bit_identical_to_naive() {
         // The sweep covers degenerate rows/columns (1×N, N×1, k = 0),
-        // exact 8-wide blocks, widths hitting the 8-, 4-, and
-        // scalar-remainder paths, and the paper's training shapes;
+        // exact 8-wide tiles, widths below a tile and not a multiple of
+        // one, odd and single rows (the last row pairs with itself),
+        // and every (batch, out, in) shape the paper's networks run;
         // irrational-ish values make float order matter.
         for (m, n, k) in [
             (1, 1, 1),
@@ -560,15 +492,45 @@ mod tests {
             (1, 1, 0),
             (64, 40, 23),
             (64, 40, 48),
+            (64, 40, 8),
+            (64, 40, 40),
+            (64, 5, 40),
+            (64, 1, 40),
+            (1, 40, 40),
+            (65, 40, 23),
+            (65, 5, 40),
+            (3, 16, 2),
         ] {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 17) as f64).sin() * 3.7);
             let b = Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 7) as f64).cos() / 1.3);
-            let blocked = a.matmul_transpose_b(&b);
+            let blocked = forward_product(&a, &b);
             let naive = naive_matmul_transpose_b(&a, &b);
             assert_eq!(blocked.rows(), naive.rows());
             assert_eq!(blocked.cols(), naive.cols());
             for (x, y) in blocked.data().iter().zip(naive.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k}");
+            }
+        }
+    }
+
+    #[test]
+    fn restricted_product_is_those_columns_of_the_full_one_after_the_epilogue() {
+        let a = masked(Matrix::from_fn(7, 40, |r, c| {
+            ((r * 29 + c * 11) as f64).sin()
+        }));
+        let b = Matrix::from_fn(40, 23, |r, c| ((r * 19 + c * 3) as f64).cos() * 1.7);
+        let full = a.matmul(&b);
+        let bias: Vec<f64> = (0..23).map(|c| (c as f64).sin()).collect();
+        let mut part = Matrix::zeros(0, 0);
+        for cols in [0..23, 18..23, 3..12, 5..5] {
+            let lo = cols.start;
+            a.matmul_map_into(&b, cols.clone(), &mut part, |j, s| s + bias[lo + j]);
+            assert_eq!((part.rows(), part.cols()), (7, cols.len()));
+            for r in 0..7 {
+                for (j, c) in cols.clone().enumerate() {
+                    let want = full.get(r, c) + bias[c];
+                    assert_eq!(part.get(r, j).to_bits(), want.to_bits(), "{cols:?}");
+                }
             }
         }
     }
@@ -593,8 +555,8 @@ mod tests {
         out
     }
 
-    /// ReLU-like mask: zero out a scattered subset so the fused kernels
-    /// exercise their mixed zero/non-zero fallback paths.
+    /// ReLU-like mask: zero out a scattered subset, so the dense kernel
+    /// is held to the zero-skipping references below.
     fn masked(mut m: Matrix) -> Matrix {
         for (i, x) in m.data_mut().iter_mut().enumerate() {
             if (i * 2_654_435_761) % 7 < 3 {
@@ -606,9 +568,9 @@ mod tests {
 
     #[test]
     fn fused_matmul_into_is_bit_identical_to_naive() {
-        // Dense and ReLU-masked operands, over shapes hitting the
-        // 4-wide fused blocks, the mixed-zero fallback, and the
-        // sub-4 k remainder.
+        // Dense and ReLU-masked operands against the zero-skipping
+        // reference: for finite operands the skipped terms are `±0.0`
+        // and change no bit.
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -671,8 +633,8 @@ mod tests {
         let mut out = Matrix::zeros(9, 9);
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
-        a.matmul_transpose_b_into(&bt, &mut out);
-        assert_eq!(out, a.matmul_transpose_b(&bt));
+        bt.transpose_into(&mut out);
+        assert_eq!(out, Matrix::from_fn(4, 5, |r, c| bt.get(c, r)));
         let c = Matrix::from_fn(3, 2, |r, c| (r + c) as f64);
         a.hstack_into(&c, &mut out);
         assert_eq!(out, a.hstack(&c));

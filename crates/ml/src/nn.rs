@@ -8,6 +8,7 @@
 
 use crate::linalg::Matrix;
 use firm_rng::Xoshiro256;
+use std::ops::Range;
 
 /// Element-wise activation function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,17 +22,9 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, m: &mut Matrix) {
-        match self {
-            Activation::Relu => m.map_inplace(|x| x.max(0.0)),
-            Activation::Tanh => m.map_inplace(f64::tanh),
-            Activation::Identity => {}
-        }
-    }
-
-    /// Scalar form of [`Activation::apply`] — same operations, so the
-    /// slice-based single-sample path matches the matrix path bit for
-    /// bit.
+    /// The activation of one pre-activation value — the one form both
+    /// the batch kernel's epilogue and the single-sample path apply, so
+    /// the two match bit for bit.
     fn apply_scalar(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -59,8 +52,14 @@ impl Activation {
 /// One fully connected layer: `y = act(x·Wᵀ + b)`.
 #[derive(Debug, Clone)]
 struct Linear {
-    /// Weights, `out × in`.
+    /// Weights, `out × in` — the canonical layout every export, import,
+    /// optimizer and [`Mlp::forward_one`] sees.
     w: Matrix,
+    /// `wᵀ` (`in × out`), the k-major operand of the batch forward
+    /// kernel. Private scratch rebuilt from `w` at the top of every
+    /// batch forward pass, so nothing that writes `w` has to know it
+    /// exists.
+    wt: Matrix,
     /// Bias, length `out`.
     b: Vec<f64>,
     /// Activation applied after the affine map.
@@ -86,6 +85,7 @@ impl Linear {
             grad_w: Matrix::zeros(fan_out, fan_in),
             grad_b: vec![0.0; fan_out],
             w,
+            wt: Matrix::zeros(0, 0),
             b: vec![0.0; fan_out],
             act,
             input: Matrix::zeros(0, 0),
@@ -97,27 +97,33 @@ impl Linear {
     /// Forward pass into a caller-provided buffer: no allocation once
     /// the buffers (and the training caches) have warmed up.
     fn forward_into(&mut self, x: &Matrix, out: &mut Matrix, train: bool) {
-        x.matmul_transpose_b_into(&self.w, out);
-        out.add_row_broadcast(&self.b);
-        self.act.apply(out);
+        let Linear { w, wt, b, act, .. } = self;
+        w.transpose_into(wt);
+        x.matmul_map_into(wt, 0..b.len(), out, |j, z| act.apply_scalar(z + b[j]));
         if train {
             self.input.copy_from(x);
             self.output.copy_from(out);
         }
     }
 
-    /// Backpropagates `grad_out` (n × out), accumulating parameter
-    /// gradients; writes the input gradient (n × in) into `gin`.
-    fn backward_into(&mut self, grad_out: &Matrix, gin: &mut Matrix) {
+    /// Backpropagates `grad_out` (n × out) through this layer, producing
+    /// what [`Mlp::backward_into`]'s `params` and `gin` ask for and
+    /// nothing else.
+    fn backward_into(
+        &mut self,
+        grad_out: &Matrix,
+        params: bool,
+        gin: Option<(Range<usize>, &mut Matrix)>,
+    ) {
         let Linear {
             w,
-            b: _,
             act,
             grad_w,
             grad_b,
             input,
             output,
             dz,
+            ..
         } = self;
         // dz = grad_out ⊙ act'(output) — one pass over the flat
         // buffers (same element order as the nested row/column loops,
@@ -134,9 +140,13 @@ impl Linear {
         // dW += dzᵀ · x; db += colsum(dz); dx = dz · W. The gradient
         // products accumulate straight into the gradient buffers — no
         // intermediate matrices.
-        dz.transpose_matmul_acc(input, grad_w);
-        dz.col_sums_acc(grad_b);
-        dz.matmul_into(w, gin);
+        if params {
+            dz.transpose_matmul_acc(input, grad_w);
+            dz.col_sums_acc(grad_b);
+        }
+        if let Some((cols, gin)) = gin {
+            dz.matmul_map_into(w, cols, gin, |_, sum| sum);
+        }
     }
 
     fn zero_grads(&mut self) {
@@ -283,27 +293,43 @@ impl Mlp {
     /// batch size.
     pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let mut gin = Matrix::zeros(0, 0);
-        self.backward_into(grad_out, &mut gin);
+        self.backward_into(grad_out, true, Some((0..self.input_dim, &mut gin)));
         gin
     }
 
-    /// [`Mlp::backward`] into a caller-provided input-gradient buffer
-    /// (allocation-free after warmup).
-    pub fn backward_into(&mut self, grad_out: &Matrix, gin: &mut Matrix) {
-        let n = self.layers.len();
-        if n == 1 {
-            self.layers[0].backward_into(grad_out, gin);
-            return;
-        }
+    /// [`Mlp::backward`] computing only what the caller will read
+    /// (allocation-free after warmup):
+    ///
+    /// * `params` — accumulate the parameter gradients. Without it no
+    ///   layer's `dW`/`db` is computed or touched (a pass that only
+    ///   wants the input gradient, like DDPG's critic-for-the-actor,
+    ///   has nothing to discard afterwards).
+    /// * `gin = Some((cols, buf))` — write columns `cols` of the input
+    ///   gradient into `buf` (n × `cols.len()`); `None` skips the first
+    ///   layer's input-gradient product and leaves every caller buffer
+    ///   alone.
+    ///
+    /// Whatever is produced is bit-identical to the same piece of the
+    /// full pass `backward_into(g, true, Some((0..input_dim, buf)))`:
+    /// the three products of a layer are independent of one another,
+    /// and each input-gradient column is its own fold.
+    pub fn backward_into(
+        &mut self,
+        grad_out: &Matrix,
+        params: bool,
+        gin: Option<(Range<usize>, &mut Matrix)>,
+    ) {
         let Mlp {
             layers, ping, pong, ..
         } = self;
-        layers[n - 1].backward_into(grad_out, ping);
-        for layer in layers.iter_mut().rev().take(n - 1).skip(1) {
-            layer.backward_into(ping, pong);
+        let (last, mut gin) = (layers.len() - 1, gin);
+        for (i, layer) in layers.iter_mut().enumerate().rev() {
+            let grad = if i == last { grad_out } else { &*ping };
+            // Inner layers always hand their full input gradient down.
+            let down = Some((0..layer.w.cols(), &mut *pong));
+            layer.backward_into(grad, params, if i == 0 { gin.take() } else { down });
             std::mem::swap(ping, pong);
         }
-        layers[0].backward_into(ping, gin);
     }
 
     /// Zeroes accumulated parameter gradients.
@@ -468,7 +494,7 @@ mod tests {
         let mut yb = Matrix::zeros(17, 1); // wrong warmup shape on purpose
         let mut ginb = Matrix::zeros(1, 1);
         b.forward_into(&x, &mut yb, true);
-        b.backward_into(&grad, &mut ginb);
+        b.backward_into(&grad, true, Some((0..3, &mut ginb)));
         let mut grads_b = Vec::new();
         b.visit_params(|_, g| grads_b.push(g));
 
@@ -478,6 +504,52 @@ mod tests {
         for (ga, gb) in grads_a.iter().zip(&grads_b) {
             assert_eq!(ga.to_bits(), gb.to_bits());
         }
+    }
+
+    #[test]
+    fn selective_backward_is_the_matching_piece_of_the_full_pass() {
+        // The critic's shape, ReLU hidden layers (so every `dz` is
+        // masked), and the three requests DDPG makes — against the full
+        // pass, bit for bit; what is not requested is not touched.
+        let make = || Mlp::new(&[23, 40, 40, 1], Activation::Relu, Activation::Identity, 31);
+        let x = Matrix::from_fn(64, 23, |r, c| ((r * 23 + c * 7) as f64).sin());
+        let grad = Matrix::from_fn(64, 1, |r, _| ((r * 5) as f64).cos() / 64.0);
+        let grads = |net: &mut Mlp| {
+            let mut g = Vec::new();
+            net.visit_params(|_, grad| g.push(grad.to_bits()));
+            g
+        };
+        let run = |params: bool, cols: Option<std::ops::Range<usize>>| {
+            let mut net = make();
+            net.zero_grads();
+            net.forward(&x, true);
+            // A recognisable buffer: untouched means still this.
+            let mut gin = Matrix::from_fn(2, 2, |_, _| 7.5);
+            net.backward_into(&grad, params, cols.map(|c| (c, &mut gin)));
+            (grads(&mut net), gin)
+        };
+
+        let (full_grads, full_gin) = run(true, Some(0..23));
+        assert!(full_grads.iter().any(|&g| g != 0), "degenerate reference");
+        let untouched = Matrix::from_fn(2, 2, |_, _| 7.5);
+        let zero_grads = vec![0u64; full_grads.len()];
+
+        let (g, gin) = run(true, None);
+        assert_eq!(g, full_grads);
+        assert_eq!(gin, untouched);
+
+        let (g, gin) = run(false, Some(18..23));
+        assert_eq!(g, zero_grads, "parameter gradients were touched");
+        assert_eq!((gin.rows(), gin.cols()), (64, 5));
+        for r in 0..64 {
+            for c in 0..5 {
+                assert_eq!(gin.get(r, c).to_bits(), full_gin.get(r, 18 + c).to_bits());
+            }
+        }
+
+        let (g, gin) = run(false, Some(0..23));
+        assert_eq!(g, zero_grads);
+        assert_eq!(gin, full_gin);
     }
 
     #[test]
