@@ -9,7 +9,8 @@
 //!   shapes the paper's networks hit (batch 64, hidden 40×40, critic in
 //!   23, actor in 8): forward `x·Wᵀ`, input gradients `dz·W`,
 //!   weight/bias gradient accumulation, activation maps, and
-//!   Algorithm 3's target-network soft update;
+//!   Algorithm 3's target-network soft update (the train step and the
+//!   products rerun as `<name>_portable` on the portable kernel);
 //! * `simulator` — discrete-event throughput on Social Network, with
 //!   spans recorded and span-free;
 //! * `slo` — `calibrate_slos` at replica fan-out ×10;
@@ -25,6 +26,7 @@ use std::time::Instant;
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition};
+use firm_ml::linalg::{kernel_isa, with_portable_kernel};
 use firm_ml::nn::{Activation, Mlp};
 use firm_ml::svm::IncrementalSvm;
 use firm_ml::Matrix;
@@ -46,6 +48,13 @@ fn bench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {
     let elapsed = start.elapsed();
     let per_iter = elapsed.as_nanos() as f64 / iters as f64;
     println!("{name:<44} {per_iter:>14.1} ns/iter   ({iters} iters)");
+}
+
+/// [`bench`] on the dispatched product kernel, then again as
+/// `<name>_portable` on the portable instantiation.
+fn bench_both_kernels<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {
+    bench(name, iters, &mut f);
+    with_portable_kernel(|| bench(&format!("{name}_portable"), iters, f));
 }
 
 fn social_traces(seconds: u64) -> Vec<firm_sim::CompletedRequest> {
@@ -111,7 +120,7 @@ fn bench_ddpg() {
     }
     let state = vector(STATE_DIM);
     bench("ddpg/inference", 10_000, || agent.act(&state));
-    bench("ddpg/train_step", 1_000, || agent.train_step());
+    bench_both_kernels("ddpg/train_step", 1_000, || agent.train_step());
 }
 
 /// The paper's minibatch size — every kernel case runs at this height.
@@ -174,7 +183,7 @@ fn bench_kernels() {
             grad_b: vec![0.0; io[1]],
         })
         .collect();
-    bench("kernel/matmul_fwd", ITERS, || {
+    bench_both_kernels("kernel/matmul_fwd", ITERS, || {
         for l in &mut layers {
             // As `Linear::forward_into` runs it: the mirror is rebuilt
             // from `w` on every pass, so its cost is in the line.
@@ -182,12 +191,12 @@ fn bench_kernels() {
             l.x.matmul_into(&l.wt, &mut l.out);
         }
     });
-    bench("kernel/matmul_bwd", ITERS, || {
+    bench_both_kernels("kernel/matmul_bwd", ITERS, || {
         for l in &mut layers {
             l.dz.matmul_into(&l.w, &mut l.grad_in);
         }
     });
-    bench("kernel/grad_acc", ITERS, || {
+    bench_both_kernels("kernel/grad_acc", ITERS, || {
         for l in &mut layers {
             l.dz.transpose_matmul_acc(&l.x, &mut l.grad_w);
             l.dz.col_sums_acc(&mut l.grad_b);
@@ -263,7 +272,10 @@ fn bench_extractor() {
 }
 
 fn main() {
-    println!("firm micro-benchmarks (plain harness, ns/iter)");
+    println!(
+        "firm micro-benchmarks (plain harness, ns/iter, kernel {})",
+        kernel_isa()
+    );
     println!("{}", "-".repeat(74));
     bench_critical_path();
     bench_svm();

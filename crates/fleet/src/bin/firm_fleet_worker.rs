@@ -40,6 +40,7 @@ use firm_obs::Level;
 const TARGET: &str = "firm-fleet-worker";
 
 fn main() {
+    firm_fleet::record_kernel_isa();
     let mut opts = ServeOptions::default();
     let mut listen_addr: Option<String> = None;
     let mut obs_out: Option<String> = None;

@@ -111,7 +111,7 @@ pub mod worker;
 pub use catalog::{generate_catalog, CatalogSpec};
 pub use exec::{run_one, run_one_sharded, run_one_with};
 pub use fold::Fold;
-pub use ops::{OpsReport, WorkerOps};
+pub use ops::{record_kernel_isa, OpsReport, WorkerOps};
 pub use protocol::{
     WorkerHeartbeat, WorkerHello, WorkerMessage, WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
 };

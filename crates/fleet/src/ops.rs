@@ -19,6 +19,13 @@
 use firm_obs::MetricsSnapshot;
 use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 
+/// Sets the gauge `ml.kernel_avx2` to [`firm_ml::linalg::kernel_avx2`]
+/// (1 or 0). Fleet processes call it at start; snapshots carry it.
+pub fn record_kernel_isa() {
+    let avx2 = firm_ml::linalg::kernel_avx2();
+    firm_obs::metrics().gauge("ml.kernel_avx2").set(avx2.into());
+}
+
 /// One worker's session-end metrics, labeled by its slot and transport
 /// (`"slot0:pipe:firm-fleet-worker"`, `"slot2:tcp:10.0.0.7:7401"`).
 #[derive(Debug, Clone, PartialEq, Default)]

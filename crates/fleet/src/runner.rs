@@ -318,6 +318,7 @@ pub struct FleetRunner {
 impl FleetRunner {
     /// Creates a runner.
     pub fn new(config: FleetConfig) -> Self {
+        crate::record_kernel_isa();
         FleetRunner { config }
     }
 

@@ -56,7 +56,12 @@ fn sharded_fleet_ships_worker_metrics_and_a_rich_ops_report() {
     );
     assert!(ops.workers[0].label.starts_with("slot0:pipe:"));
     assert!(ops.workers[1].label.starts_with("slot1:pipe:"));
+    // Every process says which product kernel it ran: the workers are
+    // this binary's siblings on this CPU, so they agree with it.
+    let avx2 = MetricValue::Gauge(firm_ml::linalg::kernel_avx2().into());
+    assert_eq!(ops.coordinator.get("ml.kernel_avx2"), Some(&avx2));
     for w in &ops.workers {
+        assert_eq!(w.metrics.get("ml.kernel_avx2"), Some(&avx2), "{}", w.label);
         let Some(MetricValue::Counter(served)) = w.metrics.get("worker.requests.total") else {
             panic!("{}: worker.requests.total missing", w.label);
         };

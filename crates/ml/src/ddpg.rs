@@ -957,4 +957,13 @@ mod tests {
         }
         assert_eq!(weights_fnv(&agent), 0x66fe_ee2e_08a1_9e8f);
     }
+
+    #[test]
+    fn the_golden_also_holds_on_the_portable_kernel() {
+        // The test above runs the dispatched kernel (AVX2 where the CPU
+        // has it); this one pins the portable instantiation to the same
+        // bits.
+        let golden = trained_weights_match_the_golden_captured_before_the_kernel_change;
+        crate::linalg::with_portable_kernel(golden);
+    }
 }

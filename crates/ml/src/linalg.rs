@@ -163,7 +163,7 @@ impl Matrix {
             let pairs = self.row(r0).iter().zip(self.row(r1));
             pairs.map(|(&x0, &x1)| [x0, x1])
         };
-        product(lhs, other, cols, out, epilogue);
+        dispatch(lhs, other, cols, out, epilogue);
     }
 
     /// `selfᵀ` written into a caller-provided buffer.
@@ -174,14 +174,6 @@ impl Matrix {
                 out.data[c * self.rows + r] = v;
             }
         }
-    }
-
-    /// `selfᵀ · other` ((m×k)ᵀ · m×n → k×n).
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.transpose_matmul_acc(other, &mut out);
-        out
     }
 
     /// `acc += selfᵀ · other`, accumulating directly into the gradient
@@ -203,7 +195,7 @@ impl Matrix {
             let samples = self.data.chunks_exact(self.cols);
             samples.map(move |row| [row[r0], row[r1]])
         };
-        product(lhs, other, 0..other.cols, acc, |_, sum| sum);
+        dispatch(lhs, other, 0..other.cols, acc, |_, sum| sum);
     }
 
     /// Adds `v` to every row (broadcast bias add).
@@ -216,15 +208,8 @@ impl Matrix {
         }
     }
 
-    /// Column sums (length = cols).
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.col_sums_acc(&mut out);
-        out
-    }
-
-    /// `acc[c] += Σ_r self[r][c]` — the allocation-free form of
-    /// [`Matrix::col_sums`] for gradient accumulation.
+    /// `acc[c] += Σ_r self[r][c]`: column sums accumulated into a
+    /// gradient buffer.
     ///
     /// # Panics
     ///
@@ -296,6 +281,61 @@ impl Matrix {
     }
 }
 
+thread_local!(static PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+
+/// Whether this thread's products run the AVX2 instantiation: the CPU
+/// has AVX2 and no [`with_portable_kernel`] is in force.
+pub fn kernel_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")] // std caches the probe: it runs once per process
+    let detected = std::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    detected && !PORTABLE.get()
+}
+
+/// [`kernel_avx2`] as a name for headers: `"avx2"` or `"portable"`.
+pub fn kernel_isa() -> &'static str {
+    ["portable", "avx2"][usize::from(kernel_avx2())]
+}
+
+/// Runs `f` with this thread's products on the portable instantiation,
+/// the reference of the twin tests and `_portable` micro-benchmarks.
+pub fn with_portable_kernel<T>(f: impl FnOnce() -> T) -> T {
+    let was = PORTABLE.replace(true);
+    let result = f();
+    PORTABLE.set(was);
+    result
+}
+
+/// Runs [`product`] as the instantiation [`kernel_avx2`] picks.
+fn dispatch<I: Iterator<Item = [f64; 2]>>(
+    lhs: impl Fn([usize; 2]) -> I,
+    rhs: &Matrix,
+    cols: Range<usize>,
+    out: &mut Matrix,
+    epilogue: impl Fn(usize, f64) -> f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel_avx2() {
+        // SAFETY: `kernel_avx2` is true only where `is_x86_feature_detected!("avx2")` is.
+        return unsafe { product_avx2(lhs, rhs, cols, out, epilogue) };
+    }
+    product(lhs, rhs, cols, out, epilogue)
+}
+
+/// [`product`] compiled for AVX2: four doubles per instruction, not two.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn product_avx2<I: Iterator<Item = [f64; 2]>>(
+    lhs: impl Fn([usize; 2]) -> I,
+    rhs: &Matrix,
+    cols: Range<usize>,
+    out: &mut Matrix,
+    epilogue: impl Fn(usize, f64) -> f64,
+) {
+    product(lhs, rhs, cols, out, epilogue)
+}
+
 /// The one product kernel: `out[r][j] = epilogue(j, out[r][j] + Σ_k
 /// lhs[r][k] · rhs[k][cols.start + j])`, where `lhs([r0, r1])` streams
 /// rows `r0` and `r1` of the left operand side by side in ascending `k`.
@@ -312,6 +352,11 @@ impl Matrix {
 /// one 4-wide tile and then one at a time; an odd last row pairs with
 /// itself (same sums, stored twice).
 ///
+/// This body is compiled twice, portable (SSE2 on x86-64) and as
+/// [`product_avx2`]; [`kernel_avx2`] says which one runs. Their bits
+/// match: same folds in the same order, no `a * b + c` contracted into
+/// an FMA (Rust never does; `fma` is not enabled), the same libm `tanh`.
+///
 /// The kernel is dense: a zero on the left (a ReLU-masked `dz`)
 /// contributes `±0.0 · w` instead of being skipped. For finite operands
 /// that is the same fold — a sum that does not start at `-0.0` never
@@ -320,6 +365,7 @@ impl Matrix {
 /// per `dz` element (the masks change every minibatch). A non-finite
 /// `rhs` entry opposite a zero now yields NaN where a skip would have
 /// hidden it.
+#[inline(always)]
 fn product<I: Iterator<Item = [f64; 2]>>(
     lhs: impl Fn([usize; 2]) -> I,
     rhs: &Matrix,
@@ -389,6 +435,37 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    /// Computes `f` on the portable instantiation — the reference — and,
+    /// where the CPU has AVX2, again on the dispatched one, which must
+    /// match it bit for bit. Returns the reference.
+    fn on_both_kernels(what: &str, f: impl Fn() -> Matrix) -> Matrix {
+        let portable = with_portable_kernel(&f);
+        if !kernel_avx2() {
+            println!("{what}: no AVX2 on this CPU, wide instantiation skipped");
+            return portable;
+        }
+        assert_same_bits(&f(), &portable, &format!("avx2 vs portable, {what}"));
+        portable
+    }
+
+    fn assert_same_bits(x: &Matrix, y: &Matrix, what: &str) {
+        assert_eq!((x.rows(), x.cols()), (y.rows(), y.cols()), "{what}");
+        for (a, b) in x.data().iter().zip(y.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+        }
+    }
+
+    #[test]
+    fn only_the_override_picks_the_portable_instantiation() {
+        let avx2 = kernel_avx2();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(avx2, std::is_x86_feature_detected!("avx2"));
+        assert_eq!(kernel_isa(), if avx2 { "avx2" } else { "portable" });
+        assert!(!with_portable_kernel(kernel_avx2));
+        assert_eq!(with_portable_kernel(kernel_isa), "portable");
+        assert_eq!(kernel_avx2(), avx2, "override not restored");
+    }
+
     /// `x · wᵀ` the way a layer's forward pass runs it: the k-major
     /// mirror of `w`, then the product kernel.
     fn forward_product(x: &Matrix, w: &Matrix) -> Matrix {
@@ -410,7 +487,8 @@ mod tests {
         // aᵀ·b where a: 3×2, b: 3×2 → 2×2.
         let a = Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 10.0, 8.0, 11.0, 9.0, 12.0]);
-        let c = a.transpose_matmul(&b);
+        let mut c = Matrix::zeros(2, 2);
+        a.transpose_matmul_acc(&b, &mut c);
         assert_eq!(c.data(), &[50.0, 68.0, 122.0, 167.0]);
     }
 
@@ -418,7 +496,9 @@ mod tests {
     fn broadcast_and_sums() {
         let mut m = Matrix::zeros(2, 3);
         m.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.col_sums(), vec![2.0, 4.0, 6.0]);
+        let mut sums = vec![0.0; 3];
+        m.col_sums_acc(&mut sums);
+        assert_eq!(sums, vec![2.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -503,13 +583,9 @@ mod tests {
         ] {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 31 + c * 17) as f64).sin() * 3.7);
             let b = Matrix::from_fn(n, k, |r, c| ((r * 13 + c * 7) as f64).cos() / 1.3);
-            let blocked = forward_product(&a, &b);
-            let naive = naive_matmul_transpose_b(&a, &b);
-            assert_eq!(blocked.rows(), naive.rows());
-            assert_eq!(blocked.cols(), naive.cols());
-            for (x, y) in blocked.data().iter().zip(naive.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{n}x{k}");
-            }
+            let what = format!("{m}x{n}x{k}");
+            let blocked = on_both_kernels(&what, || forward_product(&a, &b));
+            assert_same_bits(&blocked, &naive_matmul_transpose_b(&a, &b), &what);
         }
     }
 
@@ -519,16 +595,21 @@ mod tests {
             ((r * 29 + c * 11) as f64).sin()
         }));
         let b = Matrix::from_fn(40, 23, |r, c| ((r * 19 + c * 3) as f64).cos() * 1.7);
-        let full = a.matmul(&b);
+        let full = on_both_kernels("full", || a.matmul(&b));
         let bias: Vec<f64> = (0..23).map(|c| (c as f64).sin()).collect();
-        let mut part = Matrix::zeros(0, 0);
         for cols in [0..23, 18..23, 3..12, 5..5] {
             let lo = cols.start;
-            a.matmul_map_into(&b, cols.clone(), &mut part, |j, s| s + bias[lo + j]);
+            let part = on_both_kernels(&format!("{cols:?}"), || {
+                let mut part = Matrix::zeros(0, 0);
+                a.matmul_map_into(&b, cols.clone(), &mut part, |j, s| {
+                    (s + bias[lo + j]).tanh()
+                });
+                part
+            });
             assert_eq!((part.rows(), part.cols()), (7, cols.len()));
             for r in 0..7 {
                 for (j, c) in cols.clone().enumerate() {
-                    let want = full.get(r, c) + bias[c];
+                    let want = (full.get(r, c) + bias[c]).tanh();
                     assert_eq!(part.get(r, j).to_bits(), want.to_bits(), "{cols:?}");
                 }
             }
@@ -583,41 +664,53 @@ mod tests {
             let a = Matrix::from_fn(m, k, |r, c| ((r * 29 + c * 11) as f64).sin() * 2.1);
             let b = Matrix::from_fn(k, n, |r, c| ((r * 19 + c * 3) as f64).cos() * 1.7);
             for a in [a.clone(), masked(a)] {
-                let mut fused = Matrix::zeros(0, 0);
-                a.matmul_into(&b, &mut fused);
-                let naive = naive_matmul(&a, &b);
-                assert_eq!((fused.rows(), fused.cols()), (naive.rows(), naive.cols()));
-                for (x, y) in fused.data().iter().zip(naive.data()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
-                }
+                let what = format!("{m}x{k}x{n}");
+                let fused = on_both_kernels(&what, || {
+                    let mut fused = Matrix::zeros(0, 0);
+                    a.matmul_into(&b, &mut fused);
+                    fused
+                });
+                assert_same_bits(&fused, &naive_matmul(&a, &b), &what);
             }
         }
     }
 
+    /// Sequential reference for `transpose_matmul_acc`: ascending-`m`
+    /// axpy onto `start` with the zero-skip (the unfused kernel).
+    fn naive_transpose_matmul_acc(dz: &Matrix, x: &Matrix, start: &Matrix) -> Matrix {
+        let mut out = start.clone();
+        for m in 0..dz.rows() {
+            for (k, &a) in dz.row(m).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for c in 0..x.cols() {
+                    let v = out.get(k, c) + a * x.get(m, c);
+                    out.set(k, c, v);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn fused_transpose_matmul_acc_is_bit_identical_to_naive() {
-        // Reference: ascending-m axpy with the zero-skip (the unfused
-        // kernel), against dense and ReLU-masked `dz`.
+        // Dense and ReLU-masked `dz`, each accumulating onto a zero and
+        // onto a non-zero starting gradient.
         for (rows, k, n) in [(1, 1, 1), (6, 3, 4), (64, 40, 23), (65, 7, 9), (3, 2, 8)] {
             let dz = Matrix::from_fn(rows, k, |r, c| ((r * 23 + c * 13) as f64).sin() * 1.9);
             let x = Matrix::from_fn(rows, n, |r, c| ((r * 17 + c * 5) as f64).cos() * 0.8);
+            let held = Matrix::from_fn(k, n, |r, c| ((r * 7 + c * 3) as f64).sin() * 0.3 + 0.1);
             for dz in [dz.clone(), masked(dz)] {
-                let mut fused = Matrix::zeros(k, n);
-                dz.transpose_matmul_acc(&x, &mut fused);
-                let mut naive = Matrix::zeros(k, n);
-                for m in 0..rows {
-                    for (kk, &a) in dz.row(m).iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for c in 0..n {
-                            let v = naive.get(kk, c) + a * x.get(m, c);
-                            naive.set(kk, c, v);
-                        }
-                    }
-                }
-                for (a, b) in fused.data().iter().zip(naive.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{rows}x{k}x{n}");
+                for start in [Matrix::zeros(k, n), held.clone()] {
+                    let what = format!("{rows}x{k}x{n}");
+                    let fused = on_both_kernels(&what, || {
+                        let mut fused = start.clone();
+                        dz.transpose_matmul_acc(&x, &mut fused);
+                        fused
+                    });
+                    let naive = naive_transpose_matmul_acc(&dz, &x, &start);
+                    assert_same_bits(&fused, &naive, &what);
                 }
             }
         }
@@ -648,13 +741,14 @@ mod tests {
         let x = Matrix::from_fn(6, 4, |r, c| ((3 * r + c) as f64).cos());
         let mut acc = Matrix::zeros(3, 4);
         dz.transpose_matmul_acc(&x, &mut acc);
-        let reference = dz.transpose_matmul(&x);
-        for (a, b) in acc.data().iter().zip(reference.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let mut sums = vec![0.0; 3];
+        let reference = naive_transpose_matmul_acc(&dz, &x, &Matrix::zeros(3, 4));
+        assert_same_bits(&acc, &reference, "transpose_matmul_acc");
+        let mut sums = vec![1.0; 3];
         dz.col_sums_acc(&mut sums);
-        assert_eq!(sums, dz.col_sums());
+        let want: Vec<f64> = (0..3)
+            .map(|c| (0..6).fold(1.0, |s, r| s + dz.get(r, c)))
+            .collect();
+        assert_eq!(sums, want);
     }
 
     #[test]

@@ -34,6 +34,7 @@ fn main() {
 }
 
 fn serve(mut args: impl Iterator<Item = String>) {
+    firm_fleet::record_kernel_isa();
     let mut listen: Option<String> = None;
     let mut obs_out: Option<String> = None;
     let mut limits = ServiceLimits::default();

@@ -568,3 +568,54 @@ fn generated_catalog_served_report_matches_batch() {
     let _ = client.shutdown().expect("shutdown");
     server.join();
 }
+
+/// `firm-fleet serve` says which product kernel it ran: the ops report
+/// it writes on exit carries the `ml.kernel_avx2` gauge it set at start,
+/// with the value this process (same build, same CPU) records.
+#[test]
+fn served_ops_report_names_the_product_kernel() {
+    let worker = spawn_tcp_worker();
+    let obs_out =
+        std::env::temp_dir().join(format!("firm-serve-kernel-{}.jsonl", std::process::id()));
+    let mut coordinator = std::process::Command::new(env!("CARGO_BIN_EXE_firm-fleet"))
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--workers",
+            "0",
+            "--remote",
+            &worker,
+        ])
+        .arg("--obs-out")
+        .arg(&obs_out)
+        .env_remove("FIRM_LOG")
+        .stdin(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn firm-fleet serve");
+    let mut stderr = BufReader::new(coordinator.stderr.take().expect("stderr piped"));
+    let mut first = String::new();
+    stderr.read_line(&mut first).expect("startup line");
+    // Keep draining, so later log lines never meet a closed pipe.
+    let drain = std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    let addr = first
+        .split("serving on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("unexpected startup line {first:?}"));
+    let _ = ServeClient::connect(addr)
+        .expect("client connects")
+        .shutdown()
+        .expect("shutdown");
+    assert!(coordinator.wait().expect("coordinator exits").success());
+    let _ = drain.join();
+    let jsonl = std::fs::read_to_string(&obs_out).expect("--obs-out written");
+    let _ = std::fs::remove_file(&obs_out);
+    let last = jsonl.lines().last().expect("an ops_report line");
+    let ops: firm_fleet::OpsReport = firm_wire::decode_line(last).expect("ops_report frame");
+    firm_fleet::record_kernel_isa();
+    let here = firm_obs::metrics().snapshot();
+    let gauge = here.get("ml.kernel_avx2").expect("gauge recorded here");
+    assert_eq!(ops.coordinator.get("ml.kernel_avx2"), Some(gauge));
+}
