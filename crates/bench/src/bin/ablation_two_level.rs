@@ -8,12 +8,12 @@
 //! issued, mitigation quality, and tail latency.
 
 use firm_bench::{banner, paper_note, section, Args};
-use firm_core::experiment::{run_scenario, ControllerKind, ScenarioConfig};
-use firm_core::injector::CampaignConfig;
+use firm_core::controller::{run_episode, EpisodeSpec};
+use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_core::manager::{FirmConfig, FirmManager};
 use firm_core::training::{train_into, TrainingConfig};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration};
+use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
 fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
@@ -45,18 +45,23 @@ fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
     train_into(&app, &cfg, &mut mgr);
     let trained_actions = mgr.stats().actions;
     mgr.config.explore = false;
+    mgr.reset_environment();
 
-    let mut scenario = ScenarioConfig::new(app, ControllerKind::Firm(Box::new(mgr)));
-    scenario.cluster = cluster;
-    scenario.arrivals = Some(Box::new(PoissonArrivals::new(350.0)));
-    scenario.duration = SimDuration::from_secs(seconds);
-    scenario.campaign = Some(CampaignConfig {
+    let mut sim = Simulation::builder(cluster, app, seed)
+        .arrivals(Box::new(PoissonArrivals::new(350.0)))
+        .build();
+    let campaign = CampaignConfig {
         lambda: 0.33,
         intensity: (0.6, 1.0),
         ..Default::default()
-    });
-    scenario.seed = seed;
-    let r = run_scenario(scenario);
+    };
+    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
+    let spec = EpisodeSpec {
+        duration: SimDuration::from_secs(seconds),
+        control_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::from_secs(5),
+    };
+    let r = run_episode(&mut sim, &mut mgr, Some(&mut injector), &spec);
 
     println!(
         "  {:<22} p50={:>8.2}ms p99={:>9.2}ms violations={:>5.1}% drops={:>5} cpu={:>6.1} actions(train)={}",

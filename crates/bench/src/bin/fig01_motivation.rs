@@ -10,20 +10,75 @@
 
 use firm_bench::{banner, paper_note, section, Args};
 use firm_core::baselines::{K8sConfig, K8sHpaController};
-use firm_core::controller::{Controller, TickContext};
+use firm_core::controller::{run_episode, ControlDecision, Controller, EpisodeSpec, TickContext};
 use firm_core::training::{train_firm, TrainingConfig};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{AnomalyKind, AnomalySpec, PoissonArrivals, SimDuration, Simulation};
+use firm_sim::{
+    AnomalyKind, AnomalySpec, InstanceId, PoissonArrivals, ResourceKind, SimDuration, Simulation,
+};
 use firm_workload::apps::Benchmark;
 
-struct Timeline {
-    rows: Vec<(u64, f64, f64, f64)>,
+/// Reporting window, in 1 s control ticks.
+const WINDOW: u64 = 5;
+
+/// One reporting window: end time (s), p99 (ms), mean container CPU
+/// utilization (%), and the victim's per-core DRAM access (MB/s).
+type Row = (u64, f64, f64, f64);
+
+/// What one reporting window has read so far.
+#[derive(Default)]
+struct Window {
+    lats: Vec<f64>,
+    cpu_util_sum: f64,
+    n_util: f64,
+    dram: f64,
 }
 
-/// Drives any [`Controller`] through the Fig. 1 timeline: one shared
-/// code path, window traces drained exactly once (no per-controller
-/// measurement forks, no boundary double-counts).
-fn run(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> Timeline {
+/// Wraps the controller under test: reads each control window's
+/// latencies, CPU utilization and victim DRAM from the tick, closes a
+/// [`Row`] every [`WINDOW`] ticks, then delegates.
+struct Recorder<'a> {
+    inner: &'a mut dyn Controller,
+    victim: InstanceId,
+    ticks: u64,
+    window: Window,
+    rows: Vec<Row>,
+}
+
+impl Controller for Recorder<'_> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision {
+        let w = &mut self.window;
+        for r in &ctx.completed {
+            if !r.dropped {
+                w.lats.push(r.latency.as_micros() as f64);
+            }
+        }
+        for i in &ctx.telemetry.instances {
+            w.cpu_util_sum += i.utilization.get(ResourceKind::Cpu);
+            w.n_util += 1.0;
+            if i.instance == self.victim {
+                w.dram = i.per_core_dram_mbps;
+            }
+        }
+        self.ticks += 1;
+        if self.ticks.is_multiple_of(WINDOW) {
+            let mut w = std::mem::take(&mut self.window);
+            w.lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let p99 = firm_sim::stats::sample_quantile(&w.lats, 0.99) / 1e3;
+            let cpu = w.cpu_util_sum / w.n_util.max(1.0) * 100.0;
+            self.rows.push((self.ticks, p99, cpu, w.dram));
+        }
+        self.inner.tick(sim, ctx)
+    }
+}
+
+/// Runs the Fig. 1 timeline under `controller`, rounded up to whole
+/// reporting windows.
+fn run(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> Vec<Row> {
     let mut app = Benchmark::SocialNetwork.build();
     let cluster = ClusterSpec::small(6);
     firm_core::slo::calibrate_slos(&mut app, &cluster, rate, 1.4, seed);
@@ -46,49 +101,20 @@ fn run(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> T
         firm_sim::SimTime::from_secs(start),
     );
 
-    let mut rows = Vec::new();
-    let window = 5u64;
-    let interval = SimDuration::from_secs(1);
-    let mut t = 0;
-    while t < seconds {
-        // Controllers tick at 1 s inside each 5 s reporting window.
-        let mut lats: Vec<f64> = Vec::new();
-        let mut cpu_util_sum = 0.0;
-        let mut dram = 0.0;
-        let mut n_util = 0.0f64;
-        for _ in 0..window {
-            let window_start = sim.now();
-            sim.run_for(interval);
-            let completed = sim.drain_completed();
-            let telemetry = sim.drain_telemetry();
-            for r in &completed {
-                if !r.dropped {
-                    lats.push(r.latency.as_micros() as f64);
-                }
-            }
-            for i in &telemetry.instances {
-                cpu_util_sum += i.utilization.get(firm_sim::ResourceKind::Cpu);
-                n_util += 1.0;
-                if i.instance == victim {
-                    dram = i.per_core_dram_mbps;
-                }
-            }
-            controller.tick(
-                &mut sim,
-                TickContext {
-                    window_start,
-                    control_interval: interval,
-                    completed,
-                    telemetry,
-                },
-            );
-        }
-        t += window;
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let p99 = firm_sim::stats::sample_quantile(&lats, 0.99) / 1e3;
-        rows.push((t, p99, cpu_util_sum / n_util.max(1.0) * 100.0, dram));
-    }
-    Timeline { rows }
+    let mut recorder = Recorder {
+        inner: controller,
+        victim,
+        ticks: 0,
+        window: Window::default(),
+        rows: Vec::new(),
+    };
+    let spec = EpisodeSpec {
+        duration: SimDuration::from_secs(seconds.div_ceil(WINDOW) * WINDOW),
+        control_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::ZERO,
+    };
+    run_episode(&mut sim, &mut recorder, None, &spec);
+    recorder.rows
 }
 
 fn main() {
@@ -135,7 +161,7 @@ fn main() {
         "  {:>5} | {:>12} {:>9} {:>11} | {:>12} {:>9} {:>11}",
         "t(s)", "K8s p99(ms)", "cpu(%)", "dram(MB/s)", "FIRM p99(ms)", "cpu(%)", "dram(MB/s)"
     );
-    for (a, b) in k8s.rows.iter().zip(&firm.rows) {
+    for (a, b) in k8s.iter().zip(&firm) {
         println!(
             "  {:>5} | {:>12.1} {:>9.1} {:>11.0} | {:>12.1} {:>9.1} {:>11.0}",
             a.0, a.1, a.2, a.3, b.1, b.2, b.3
@@ -143,10 +169,10 @@ fn main() {
     }
 
     // Summary over the anomalous stretch.
-    let mid = |t: &Timeline| {
-        let lo = t.rows.len() / 5;
-        let hi = t.rows.len() * 4 / 5;
-        let xs = &t.rows[lo..hi];
+    let mid = |rows: &[Row]| {
+        let lo = rows.len() / 5;
+        let hi = rows.len() * 4 / 5;
+        let xs = &rows[lo..hi];
         xs.iter().map(|r| r.1).sum::<f64>() / xs.len() as f64
     };
     println!(

@@ -7,33 +7,37 @@
 //! campaign.
 
 use firm_bench::{banner, factor, paper_note, print_cdf, section, Args};
-use firm_core::baselines::{AimdConfig, K8sConfig};
+use firm_core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
+use firm_core::controller::{run_episode, Controller, EpisodeResult, EpisodeSpec};
 use firm_core::estimator::AgentRegime;
-use firm_core::experiment::{run_scenario, ControllerKind, ScenarioConfig, ScenarioResult};
-use firm_core::injector::CampaignConfig;
+use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_core::training::{train_firm, TrainingConfig};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration};
+use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
 fn scenario(
     app: &firm_sim::spec::AppSpec,
-    controller: ControllerKind,
+    controller: &mut dyn Controller,
     seconds: u64,
     rate: f64,
     seed: u64,
-) -> ScenarioResult {
-    let mut cfg = ScenarioConfig::new(app.clone(), controller);
-    cfg.cluster = ClusterSpec::small(6);
-    cfg.arrivals = Some(Box::new(PoissonArrivals::new(rate)));
-    cfg.duration = SimDuration::from_secs(seconds);
-    cfg.campaign = Some(CampaignConfig {
+) -> EpisodeResult {
+    let mut sim = Simulation::builder(ClusterSpec::small(6), app.clone(), seed)
+        .arrivals(Box::new(PoissonArrivals::new(rate)))
+        .build();
+    let campaign = CampaignConfig {
         lambda: 0.33,
         intensity: (0.6, 1.0),
         ..Default::default()
-    });
-    cfg.seed = seed;
-    run_scenario(cfg)
+    };
+    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
+    let spec = EpisodeSpec {
+        duration: SimDuration::from_secs(seconds),
+        control_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::from_secs(5),
+    };
+    run_episode(&mut sim, controller, Some(&mut injector), &spec)
 }
 
 fn main() {
@@ -77,49 +81,24 @@ fn main() {
     let mut validate_app = Benchmark::SocialNetwork.build();
     firm_core::slo::calibrate_slos(&mut validate_app, &ClusterSpec::small(6), rate, 1.4, seed);
 
+    // The trained managers last ran a Train-Ticket episode; start them
+    // clean on the validation app.
+    single.reset_environment();
+    multi.reset_environment();
+    let mut aimd = AimdController::new(AimdConfig::default());
+    let mut k8s = K8sHpaController::new(K8sConfig::default(), validate_app.services.len());
+
     eprintln!("[fig10] running the four managed scenarios...");
-    let results = vec![
-        (
-            "FIRM (Single-RL)",
-            scenario(
-                &validate_app,
-                ControllerKind::Firm(Box::new(single)),
-                seconds,
-                rate,
-                seed,
-            ),
-        ),
-        (
-            "FIRM (Multi-RL)",
-            scenario(
-                &validate_app,
-                ControllerKind::Firm(Box::new(multi)),
-                seconds,
-                rate,
-                seed,
-            ),
-        ),
-        (
-            "AIMD",
-            scenario(
-                &validate_app,
-                ControllerKind::Aimd(AimdConfig::default()),
-                seconds,
-                rate,
-                seed,
-            ),
-        ),
-        (
-            "K8S Auto-scaling",
-            scenario(
-                &validate_app,
-                ControllerKind::K8s(K8sConfig::default()),
-                seconds,
-                rate,
-                seed,
-            ),
-        ),
+    let contenders: [(&str, &mut dyn Controller); 4] = [
+        ("FIRM (Single-RL)", &mut single),
+        ("FIRM (Multi-RL)", &mut multi),
+        ("AIMD", &mut aimd),
+        ("K8S Auto-scaling", &mut k8s),
     ];
+    let results: Vec<(&str, EpisodeResult)> = contenders
+        .into_iter()
+        .map(|(name, ctl)| (name, scenario(&validate_app, ctl, seconds, rate, seed)))
+        .collect();
 
     section("(a) end-to-end latency CDF");
     for (name, r) in &results {
@@ -155,7 +134,7 @@ fn main() {
     }
 
     section("summary vs baselines");
-    let p99 = |r: &ScenarioResult| r.latency.p99() as f64 / 1e3;
+    let p99 = |r: &EpisodeResult| r.latency.p99() as f64 / 1e3;
     let firm_p99 = p99(&results[0].1).min(p99(&results[1].1));
     let aimd = &results[2].1;
     let k8s = &results[3].1;

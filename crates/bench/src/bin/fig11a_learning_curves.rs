@@ -32,7 +32,7 @@ fn convergence_episode(avg: &[f64]) -> usize {
 
 fn main() {
     let args = Args::from_env();
-    let episodes = args.u64("episodes", 150) as usize;
+    let episodes = args.u64_at_least("episodes", 150, 1) as usize;
     let seed = args.u64("seed", 53);
 
     banner(

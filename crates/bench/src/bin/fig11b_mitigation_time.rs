@@ -7,32 +7,34 @@
 //! scenario, measuring the time from SLO violation to recovery.
 
 use firm_bench::{banner, paper_note, section, Args};
-use firm_core::baselines::{AimdConfig, K8sConfig};
+use firm_core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
+use firm_core::controller::{run_episode, Controller, EpisodeSpec};
 use firm_core::estimator::AgentRegime;
-use firm_core::experiment::{run_scenario, ControllerKind, ScenarioConfig};
-use firm_core::injector::CampaignConfig;
+use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_core::manager::{FirmConfig, FirmManager};
 use firm_core::training::{train_into, TrainingConfig};
 use firm_sim::spec::{AppSpec, ClusterSpec};
-use firm_sim::{PoissonArrivals, SimDuration};
+use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
 /// Evaluates mean mitigation time of a controller on the fixed
 /// evaluation scenario (continuous injections for one minute, §4.3).
-fn evaluate(app: &AppSpec, controller: ControllerKind, seed: u64) -> f64 {
-    let mut cfg = ScenarioConfig::new(app.clone(), controller);
-    cfg.cluster = ClusterSpec::small(6);
-    cfg.arrivals = Some(Box::new(PoissonArrivals::new(250.0)));
-    cfg.duration = SimDuration::from_secs(60);
-    cfg.warmup = SimDuration::from_secs(3);
-    cfg.campaign = Some(CampaignConfig {
+fn evaluate(app: &AppSpec, controller: &mut dyn Controller, seed: u64) -> f64 {
+    let mut sim = Simulation::builder(ClusterSpec::small(6), app.clone(), seed)
+        .arrivals(Box::new(PoissonArrivals::new(250.0)))
+        .build();
+    let campaign = CampaignConfig {
         lambda: 0.5,
         intensity: (0.7, 1.0),
         ..Default::default()
-    });
-    cfg.seed = seed;
-    let r = run_scenario(cfg);
-    r.mean_mitigation_secs()
+    };
+    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
+    let spec = EpisodeSpec {
+        duration: SimDuration::from_secs(60),
+        control_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::from_secs(3),
+    };
+    run_episode(&mut sim, controller, Some(&mut injector), &spec).mean_mitigation_secs()
 }
 
 /// Trains a fresh manager for `episodes` episodes in the given regime
@@ -72,7 +74,7 @@ fn checkpoint(app: &AppSpec, regime: AgentRegime, episodes: usize, seed: u64) ->
 fn main() {
     let args = Args::from_env();
     let episodes = args.u64("episodes", 120) as usize;
-    let checkpoints = args.u64("checkpoints", 6) as usize;
+    let checkpoints = args.u64_at_least("checkpoints", 6, 1) as usize;
     let seed = args.u64("seed", 59);
 
     banner(
@@ -84,8 +86,9 @@ fn main() {
     firm_core::slo::calibrate_slos(&mut app, &ClusterSpec::small(6), 250.0, 1.4, seed);
 
     // Flat baselines.
-    let k8s = evaluate(&app, ControllerKind::K8s(K8sConfig::default()), seed);
-    let aimd = evaluate(&app, ControllerKind::Aimd(AimdConfig::default()), seed);
+    let mut hpa = K8sHpaController::new(K8sConfig::default(), app.services.len());
+    let k8s = evaluate(&app, &mut hpa, seed);
+    let aimd = evaluate(&app, &mut AimdController::new(AimdConfig::default()), seed);
 
     section("mitigation time by training progress (seconds; lower is better)");
     println!(
@@ -98,18 +101,10 @@ fn main() {
     for c in 0..=checkpoints {
         let n = c * per_chunk;
         eprintln!("[fig11b] checkpoint at {n} episodes...");
-        let single = checkpoint(&app, AgentRegime::Shared, n, seed);
-        let multi = checkpoint(&app, AgentRegime::PerService, n, seed + 1);
-        let s = evaluate(
-            &app,
-            ControllerKind::Firm(Box::new(single)),
-            seed + 31 + c as u64,
-        );
-        let m = evaluate(
-            &app,
-            ControllerKind::Firm(Box::new(multi)),
-            seed + 61 + c as u64,
-        );
+        let mut single = checkpoint(&app, AgentRegime::Shared, n, seed);
+        let mut multi = checkpoint(&app, AgentRegime::PerService, n, seed + 1);
+        let s = evaluate(&app, &mut single, seed + 31 + c as u64);
+        let m = evaluate(&app, &mut multi, seed + 61 + c as u64);
         println!("  {:>9} {:>14.1} {:>14.1}", n, s, m);
         last_single = s;
     }

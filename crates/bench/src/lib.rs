@@ -64,6 +64,21 @@ impl Args {
         self.parsed(key, default).unwrap_or_else(|e| usage_error(e))
     }
 
+    /// A `u64` argument with a default, rejected below `min` (a count
+    /// the binary divides by or indexes with).
+    pub fn u64_at_least(&self, key: &str, default: u64, min: u64) -> u64 {
+        self.parsed_at_least(key, default, min)
+            .unwrap_or_else(|e| usage_error(e))
+    }
+
+    fn parsed_at_least(&self, key: &str, default: u64, min: u64) -> Result<u64, String> {
+        let v = self.parsed(key, default)?;
+        if v < min {
+            return Err(format!("`--{key} {v}` is below the minimum of {min}"));
+        }
+        Ok(v)
+    }
+
     /// An `f64` argument with a default.
     pub fn f64(&self, key: &str, default: f64) -> f64 {
         self.parsed(key, default).unwrap_or_else(|e| usage_error(e))
@@ -219,6 +234,19 @@ mod tests {
         let err = a.parsed("rate", 1.0f64).expect_err("fast is not an f64");
         assert!(err.contains("--rate fast"), "{err}");
         assert_eq!(a.parsed("missing", 7u64), Ok(7));
+    }
+
+    #[test]
+    fn args_reject_counts_below_their_minimum() {
+        let a = Args::from_pairs(&[("checkpoints", "0"), ("episodes", "1"), ("bad", "x")]);
+        let err = a
+            .parsed_at_least("checkpoints", 6, 1)
+            .expect_err("0 is below 1");
+        assert!(err.contains("--checkpoints 0"), "{err}");
+        assert_eq!(a.parsed_at_least("episodes", 150, 1), Ok(1));
+        assert_eq!(a.parsed_at_least("missing", 6, 1), Ok(6));
+        let err = a.parsed_at_least("bad", 6, 1).expect_err("x is not a u64");
+        assert!(err.contains("--bad x"), "{err}");
     }
 
     #[test]

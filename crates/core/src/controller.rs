@@ -3,8 +3,8 @@
 //! Every resource manager in the workspace — [`FirmManager`], the
 //! [`K8sHpaController`] and [`AimdController`] baselines, and the no-op
 //! [`Unmanaged`] control group — implements the [`Controller`] trait,
-//! and every harness (the single-scenario experiment runner, the fleet
-//! executor, the examples) drives it through one [`run_episode`] loop.
+//! and every harness (online training, the fleet executor, the figure
+//! binaries, the examples) drives it through one [`run_episode`] loop.
 //!
 //! The driver owns the parts that used to be duplicated and drift:
 //!
@@ -456,6 +456,7 @@ pub fn run_episode(
 mod tests {
     use super::*;
     use crate::baselines::{AimdConfig, K8sConfig};
+    use crate::injector::CampaignConfig;
     use crate::manager::FirmConfig;
     use firm_sim::spec::{AppSpec, ClusterSpec};
     use firm_sim::PoissonArrivals;
@@ -466,6 +467,89 @@ mod tests {
         Simulation::builder(ClusterSpec::small(2), app, seed)
             .arrivals(Box::new(PoissonArrivals::new(60.0)))
             .build()
+    }
+
+    /// 30 s of `tight_sim(seed)` under the stressor campaign, measured
+    /// after a 5 s warm-up; returns the injector for its history.
+    fn stressed_episode(ctl: &mut dyn Controller, seed: u64) -> (EpisodeResult, AnomalyInjector) {
+        let mut sim = tight_sim(seed);
+        let mut injector = AnomalyInjector::new(CampaignConfig::stressors_only(), seed ^ 0xF00D);
+        let spec = EpisodeSpec {
+            duration: SimDuration::from_secs(30),
+            control_interval: SimDuration::from_secs(1),
+            warmup: SimDuration::from_secs(5),
+        };
+        let result = run_episode(&mut sim, ctl, Some(&mut injector), &spec);
+        (result, injector)
+    }
+
+    #[test]
+    fn unmanaged_scenario_collects_measurements() {
+        let mut ctl = Unmanaged;
+        let (res, _) = stressed_episode(&mut ctl, 1);
+        assert_eq!(ctl.name(), "none");
+        assert!(res.completions > 500);
+        assert!(res.latency.count() > 500);
+        assert_eq!(res.timeline.len(), 30);
+        assert!(res.mean_requested_cpu > 0.0);
+    }
+
+    #[test]
+    fn managed_scenarios_run_for_all_controllers() {
+        let services = tight_sim(2).app().services.len();
+        let controllers: Vec<Box<dyn Controller>> = vec![
+            Box::new(FirmManager::new(FirmConfig {
+                training: true,
+                ..FirmConfig::default()
+            })),
+            Box::new(K8sHpaController::new(K8sConfig::default(), services)),
+            Box::new(AimdController::new(AimdConfig::default())),
+        ];
+        for (mut ctl, name) in controllers.into_iter().zip(["FIRM", "K8S", "AIMD"]) {
+            assert_eq!(ctl.name(), name);
+            let (res, injector) = stressed_episode(ctl.as_mut(), 2);
+            assert!(res.completions > 300, "{name}: {}", res.completions);
+            // Conservation: every measured request is served or dropped,
+            // every drop is a violation, one timeline point per tick, and
+            // at most one mitigation time per injected anomaly.
+            assert_eq!(res.latency.count() + res.drops, res.completions, "{name}");
+            assert!(res.drops <= res.slo_violations, "{name}");
+            assert!(res.slo_violations <= res.completions, "{name}");
+            assert_eq!(res.timeline.len() as u64, res.ticks, "{name}");
+            assert!(
+                res.mitigation_times.len() <= injector.history().len(),
+                "{name}: {} times for {} injections",
+                res.mitigation_times.len(),
+                injector.history().len()
+            );
+        }
+    }
+
+    #[test]
+    fn mitigation_tracker_measures_recovery() {
+        let mut t = MitigationTracker::new();
+        let tick = SimDuration::from_secs(1);
+        let id = AnomalyId(1);
+        // Anomaly active + violating for 3 ticks, then recovered.
+        t.observe(&[id], true, SimTime::from_secs(1), tick);
+        t.observe(&[id], true, SimTime::from_secs(2), tick);
+        t.observe(&[id], true, SimTime::from_secs(3), tick);
+        t.observe(&[id], false, SimTime::from_secs(4), tick);
+        assert_eq!(t.times().len(), 1);
+        assert_eq!(t.times()[0], SimDuration::from_secs(2));
+    }
+
+    #[test]
+    fn unresolved_anomaly_counts_full_span() {
+        let mut t = MitigationTracker::new();
+        let tick = SimDuration::from_secs(1);
+        let id = AnomalyId(2);
+        t.observe(&[id], true, SimTime::from_secs(1), tick);
+        t.observe(&[id], true, SimTime::from_secs(2), tick);
+        // The anomaly ends while still violating.
+        t.observe(&[], true, SimTime::from_secs(3), tick);
+        assert_eq!(t.times().len(), 1);
+        assert_eq!(t.times()[0], SimDuration::from_secs(2));
     }
 
     fn no_warmup_spec(secs: u64) -> EpisodeSpec {

@@ -23,14 +23,13 @@
 //! [`manager::FirmManager`] runs the full loop; [`baselines`] provides
 //! the Kubernetes-autoscaler and AIMD comparison points; [`controller`]
 //! unifies them behind one [`controller::Controller`] trait and one
-//! [`controller::run_episode`] driver; [`experiment`] and [`training`]
-//! are the harnesses behind every figure and table of the evaluation.
+//! [`controller::run_episode`] driver, which every evaluation harness
+//! and the online trainer in [`training`] run on.
 
 pub mod baselines;
 pub mod controller;
 pub mod deployment;
 pub mod estimator;
-pub mod experiment;
 pub mod extractor;
 pub mod injector;
 pub mod manager;
@@ -45,7 +44,6 @@ pub use controller::{
 };
 pub use deployment::DeploymentModule;
 pub use estimator::{ActionMapper, ResourceEstimator, StateBuilder};
-pub use experiment::{run_scenario, ControllerKind, ScenarioConfig, ScenarioResult};
 pub use extractor::{CriticalComponentExtractor, InstanceFeatures};
 pub use injector::{AnomalyInjector, CampaignConfig};
 pub use manager::{ExperienceLog, FirmConfig, FirmManager};

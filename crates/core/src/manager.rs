@@ -506,19 +506,10 @@ impl FirmManager {
     }
 }
 
-/// Convenience: run a FIRM-managed simulation for `duration`, ticking the
-/// manager at its control interval.
-pub fn run_managed(sim: &mut Simulation, manager: &mut FirmManager, duration: SimDuration) {
-    let deadline = sim.now() + duration;
-    while sim.now() < deadline {
-        sim.run_for(manager.config.control_interval);
-        manager.tick(sim);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{run_episode, EpisodeSpec};
     use firm_sim::spec::{AppSpec, ClusterSpec};
     use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals};
 
@@ -528,13 +519,23 @@ mod tests {
         app
     }
 
+    /// Ticks `mgr` at its control interval for `duration`, no injector.
+    fn run_firm(sim: &mut Simulation, mgr: &mut FirmManager, duration: SimDuration) {
+        let spec = EpisodeSpec {
+            duration,
+            control_interval: mgr.config.control_interval,
+            warmup: SimDuration::ZERO,
+        };
+        run_episode(sim, mgr, None, &spec);
+    }
+
     #[test]
     fn healthy_loop_issues_no_actions() {
         let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), 81)
             .arrivals(Box::new(PoissonArrivals::new(50.0)))
             .build();
         let mut mgr = FirmManager::new(FirmConfig::default());
-        run_managed(&mut sim, &mut mgr, SimDuration::from_secs(5));
+        run_firm(&mut sim, &mut mgr, SimDuration::from_secs(5));
         let stats = mgr.stats();
         assert_eq!(stats.ticks, 5);
         assert_eq!(stats.actions, 0, "acted on a healthy system");
@@ -550,7 +551,7 @@ mod tests {
             ..FirmConfig::default()
         });
         // Warm up, then stress node 0 hard.
-        run_managed(&mut sim, &mut mgr, SimDuration::from_secs(3));
+        run_firm(&mut sim, &mut mgr, SimDuration::from_secs(3));
         sim.inject(AnomalySpec::new(
             AnomalyKind::MemBwStress,
             NodeId(0),
@@ -563,7 +564,7 @@ mod tests {
             0.15,
             SimDuration::from_secs(15),
         ));
-        run_managed(&mut sim, &mut mgr, SimDuration::from_secs(10));
+        run_firm(&mut sim, &mut mgr, SimDuration::from_secs(10));
         let stats = mgr.stats();
         assert!(stats.violation_ticks > 0, "no violations observed");
         assert!(stats.actions > 0, "no mitigation actions");
@@ -593,7 +594,7 @@ mod tests {
             0.15,
             SimDuration::from_secs(15),
         ));
-        run_managed(&mut sim, &mut mgr, SimDuration::from_secs(10));
+        run_firm(&mut sim, &mut mgr, SimDuration::from_secs(10));
         let log = mgr.drain_experience();
         assert!(!log.transitions.is_empty(), "no transitions recorded");
         assert!(!log.svm_examples.is_empty(), "no SVM examples recorded");
@@ -730,7 +731,7 @@ mod tests {
                 1.0,
                 SimDuration::from_secs(10),
             ));
-            run_managed(&mut sim, &mut mgr, SimDuration::from_secs(8));
+            run_firm(&mut sim, &mut mgr, SimDuration::from_secs(8));
             (
                 mgr.shared_weights(),
                 format!("{:?}", mgr.stats()),
@@ -765,7 +766,7 @@ mod tests {
             0.15,
             SimDuration::from_secs(10),
         ));
-        run_managed(&mut sim, &mut mgr, SimDuration::from_secs(6));
+        run_firm(&mut sim, &mut mgr, SimDuration::from_secs(6));
         let telemetry = sim.drain_telemetry();
         let total = mgr.end_episode(&telemetry, 1.0);
         assert!(total != 0.0, "episode collected no reward");

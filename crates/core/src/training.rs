@@ -11,6 +11,7 @@
 use firm_sim::spec::{AppSpec, ClusterSpec};
 use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 
+use crate::controller::{run_episode, EpisodeSpec};
 use crate::estimator::{AgentRegime, ResourceEstimator};
 use crate::injector::{AnomalyInjector, CampaignConfig};
 use crate::manager::{ExperienceLog, FirmConfig, FirmManager};
@@ -99,7 +100,8 @@ pub fn train_firm(app: &AppSpec, config: &TrainingConfig) -> (Vec<EpisodeStats>,
 
 /// Trains an existing manager in place (used for transfer learning:
 /// pass a manager whose estimator was seeded from a trained shared
-/// agent).
+/// agent). Each episode is one [`run_episode`] over a fresh simulation
+/// and injector, unwarmed, closed by [`FirmManager::end_episode`].
 pub fn train_into(
     app: &AppSpec,
     config: &TrainingConfig,
@@ -118,13 +120,13 @@ pub fn train_into(
 
         let actions_before = manager.stats().actions;
         let steps = config.steps_at(episode);
-        for _ in 0..steps {
-            injector.tick(&mut sim);
-            sim.run_for(config.control_interval);
-            manager.tick(&mut sim);
-        }
-        let telemetry = sim.drain_telemetry();
-        let total_reward = manager.end_episode(&telemetry, 1.0);
+        let spec = EpisodeSpec {
+            duration: SimDuration::from_micros(config.control_interval.as_micros() * steps as u64),
+            control_interval: config.control_interval,
+            warmup: SimDuration::ZERO,
+        };
+        run_episode(&mut sim, manager, Some(&mut injector), &spec);
+        let total_reward = manager.end_episode(&sim.drain_telemetry(), 1.0);
         all_stats.push(EpisodeStats {
             episode,
             total_reward,
@@ -324,5 +326,39 @@ mod tests {
         student.estimator_mut().import_shared(&actor, &critic);
         let stats = train_into(&tight_app(), &tiny_config(), &mut student);
         assert_eq!(stats.len(), 6);
+    }
+
+    #[test]
+    fn trained_manager_matches_the_golden_captured_before_the_loop_move() {
+        // A from-scratch leg and a transfer leg; FNV-1a over each
+        // manager's shared weights and every episode's reward bits,
+        // steps and actions. The literal was captured at commit 4d3e786
+        // (debug and release agree), while `train_into` still had its
+        // own tick loop: a failure means training moved — do not re-pin.
+        let mut bytes = Vec::new();
+        let mut record = |manager: &FirmManager, stats: &[EpisodeStats]| {
+            let (actor, critic) = manager.shared_weights();
+            for w in actor.iter().chain(&critic) {
+                bytes.extend(w.to_bits().to_le_bytes());
+            }
+            for s in stats {
+                bytes.extend(s.total_reward.to_bits().to_le_bytes());
+                bytes.extend((s.steps as u64).to_le_bytes());
+                bytes.extend(s.actions.to_le_bytes());
+            }
+        };
+        let (stats, teacher) = train_firm(&tight_app(), &tiny_config());
+        record(&teacher, &stats);
+        let (actor, critic) = teacher.shared_weights();
+        let mut student = FirmManager::new(FirmConfig {
+            training: true,
+            regime: AgentRegime::Transfer,
+            seed: 99,
+            ..FirmConfig::default()
+        });
+        student.estimator_mut().import_shared(&actor, &critic);
+        let stats = train_into(&tight_app(), &tiny_config(), &mut student);
+        record(&student, &stats);
+        assert_eq!(firm_wire::fnv64(&bytes), 0x5a9f_5018_ee5f_5fe3);
     }
 }

@@ -20,9 +20,9 @@
 //! * [`ml`] — from-scratch MLP/DDPG/SVM substrate;
 //! * [`workload`] — the four benchmark topologies and load shapes;
 //! * [`core`] — FIRM itself: extractor, RL estimator, deployment
-//!   module, anomaly injector, baselines, the unified
-//!   `Controller` trait + `run_episode` driver, and the training and
-//!   experiment harnesses;
+//!   module, anomaly injector, baselines, online training, and the
+//!   unified `Controller` trait + `run_episode` driver that every
+//!   harness runs on;
 //! * [`obs`] — zero-dependency runtime observability: leveled
 //!   structured events in a bounded ring buffer (`FIRM_LOG`-filterable,
 //!   exportable as firm-wire JSONL) and an atomic metrics registry
@@ -56,15 +56,22 @@
 //! # Examples
 //!
 //! ```
-//! use firm::core::manager::{run_managed, FirmConfig, FirmManager};
+//! use firm::core::controller::{run_episode, EpisodeSpec};
+//! use firm::core::manager::{FirmConfig, FirmManager};
 //! use firm::sim::{spec::ClusterSpec, SimDuration, Simulation};
 //! use firm::workload::apps::Benchmark;
 //!
 //! let app = Benchmark::HotelReservation.build();
 //! let mut sim = Simulation::builder(ClusterSpec::small(4), app, 7).build();
 //! let mut manager = FirmManager::new(FirmConfig::default());
-//! run_managed(&mut sim, &mut manager, SimDuration::from_secs(3));
-//! assert!(manager.stats().ticks >= 3);
+//! let spec = EpisodeSpec {
+//!     duration: SimDuration::from_secs(3),
+//!     control_interval: SimDuration::from_secs(1),
+//!     warmup: SimDuration::ZERO,
+//! };
+//! let result = run_episode(&mut sim, &mut manager, None, &spec);
+//! assert_eq!(result.ticks, 3);
+//! assert_eq!(manager.stats().ticks, 3);
 //! ```
 
 pub use firm_chaos as chaos;

@@ -1,9 +1,9 @@
 //! Cross-crate integration tests: the full FIRM pipeline over the real
 //! benchmark topologies.
 
-use firm::core::baselines::{K8sConfig, K8sHpaController};
-use firm::core::experiment::{run_scenario, ControllerKind, ScenarioConfig};
-use firm::core::injector::CampaignConfig;
+use firm::core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
+use firm::core::controller::{run_episode, Controller, EpisodeSpec, Unmanaged};
+use firm::core::injector::{AnomalyInjector, CampaignConfig};
 use firm::core::manager::{FirmConfig, FirmManager};
 use firm::sim::{
     spec::ClusterSpec, AnomalyKind, AnomalySpec, PoissonArrivals, SimDuration, Simulation,
@@ -111,16 +111,38 @@ fn firm_mitigation_beats_no_management_under_stress() {
 
 #[test]
 fn scenario_harness_runs_every_benchmark_with_every_controller() {
+    let spec = EpisodeSpec {
+        duration: SimDuration::from_secs(10),
+        control_interval: SimDuration::from_secs(1),
+        warmup: SimDuration::from_secs(2),
+    };
+    let seed = 1;
     for bench in ALL_BENCHMARKS {
-        let mut cfg = ScenarioConfig::new(bench.build(), ControllerKind::K8s(K8sConfig::default()));
-        cfg.cluster = ClusterSpec::small(4);
-        cfg.arrivals = Some(Box::new(PoissonArrivals::new(100.0)));
-        cfg.duration = SimDuration::from_secs(10);
-        cfg.warmup = SimDuration::from_secs(2);
-        cfg.campaign = Some(CampaignConfig::stressors_only());
-        let r = run_scenario(cfg);
-        assert!(r.completions > 100, "{}: {}", bench.name(), r.completions);
-        assert_eq!(r.timeline.len(), 10);
+        let app = bench.build();
+        let controllers: Vec<Box<dyn Controller>> = vec![
+            Box::new(Unmanaged),
+            Box::new(FirmManager::new(FirmConfig {
+                training: true,
+                ..FirmConfig::default()
+            })),
+            Box::new(K8sHpaController::new(
+                K8sConfig::default(),
+                app.services.len(),
+            )),
+            Box::new(AimdController::new(AimdConfig::default())),
+        ];
+        for (mut ctl, name) in controllers.into_iter().zip(["none", "FIRM", "K8S", "AIMD"]) {
+            let mut sim = Simulation::builder(ClusterSpec::small(4), app.clone(), seed)
+                .arrivals(Box::new(PoissonArrivals::new(100.0)))
+                .build();
+            let mut injector =
+                AnomalyInjector::new(CampaignConfig::stressors_only(), seed ^ 0xF00D);
+            let r = run_episode(&mut sim, ctl.as_mut(), Some(&mut injector), &spec);
+            let label = format!("{} under {name}", bench.name());
+            assert_eq!(ctl.name(), name, "{label}");
+            assert!(r.completions > 100, "{label}: {}", r.completions);
+            assert_eq!(r.timeline.len(), 10, "{label}");
+        }
     }
 }
 
