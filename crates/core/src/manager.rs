@@ -130,7 +130,7 @@ struct Pending {
     action: Vec<f64>,
 }
 
-/// The FIRM resource-management framework.
+/// The FIRM framework; its trace store holds one control window of traces.
 #[derive(Debug)]
 pub struct FirmManager {
     /// Configuration.
@@ -162,6 +162,7 @@ struct StageTimers {
     ingest: std::sync::Arc<firm_obs::Histogram>,
     extract: std::sync::Arc<firm_obs::Histogram>,
     train: std::sync::Arc<firm_obs::Histogram>,
+    retained: std::sync::Arc<firm_obs::Histogram>,
 }
 
 impl StageTimers {
@@ -171,6 +172,7 @@ impl StageTimers {
             ingest: m.histogram("stage.ingest_us"),
             extract: m.histogram("stage.extract_us"),
             train: m.histogram("stage.train_us"),
+            retained: m.histogram("stage.retained_traces"),
         }
     }
 }
@@ -207,11 +209,6 @@ impl FirmManager {
     /// Counters.
     pub fn stats(&self) -> ManagerStats {
         self.stats
-    }
-
-    /// The tracing coordinator (read access).
-    pub fn coordinator(&self) -> &TracingCoordinator {
-        &self.coordinator
     }
 
     /// The Algorithm 2 extractor (read access).
@@ -290,6 +287,12 @@ impl FirmManager {
     /// One control tick over an already-drained window: the window's
     /// completed traces and telemetry snapshot are handed in by the
     /// caller (who may have measured them first).
+    ///
+    /// Ends with `evict_before(now)`: tick k reads `finished >=` tick k−1's
+    /// time, which every earlier tick's traces finished by, so the store
+    /// keeps this tick's ingest from its first boundary request
+    /// (`finished == now`, read again next tick) on. Stragglers fail
+    /// `since` either way; the 200 000 capacity now bounds one window.
     pub fn tick_window(
         &mut self,
         sim: &mut Simulation,
@@ -454,12 +457,9 @@ impl FirmManager {
             }
         }
 
-        // Bound memory: keep two minutes of traces.
-        let horizon = SimDuration::from_secs(120);
-        if sim.now() > SimTime::ZERO + horizon {
-            let cutoff = SimTime::from_micros(sim.now().as_micros() - horizon.as_micros());
-            self.coordinator.evict_before(cutoff);
-        }
+        self.coordinator.evict_before(sim.now());
+        let kept = self.coordinator.store().len() as u64;
+        self.timers.retained.record(kept);
         self.timers.train.record(train_spent.as_micros() as u64);
         assessment
     }
@@ -745,6 +745,128 @@ mod tests {
         }
     }
 
+    /// What one [`drive`] run produced.
+    struct Drive {
+        sim: Simulation,
+        stats: ManagerStats,
+        /// FNV-1a over every tick's `SloAssessment` `Debug` output, then
+        /// the recorded experience and the counters.
+        hash: u64,
+        /// Drained requests that finished before their window opened:
+        /// background spans kept them open past the root response.
+        stragglers: usize,
+        /// Drained requests that finished exactly at their tick.
+        boundary: usize,
+    }
+
+    /// Drives a training-mode FIRM over windows the test drains itself,
+    /// ticking at the absolute times `ticks`, on the three-tier demo
+    /// (one background call per request) under two anomaly bursts.
+    fn drive(seed: u64, ticks: &[SimTime]) -> Drive {
+        let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), seed)
+            .arrivals(Box::new(PoissonArrivals::new(40.0)))
+            .build();
+        let mut mgr = FirmManager::new(FirmConfig {
+            training: true,
+            record_experience: true,
+            ..FirmConfig::default()
+        });
+        for (kind, intensity, at) in [
+            (AnomalyKind::MemBwStress, 1.0, 5),
+            (AnomalyKind::NetworkDelay, 0.15, 5),
+            (AnomalyKind::CpuStress, 1.0, 30),
+        ] {
+            let spec = AnomalySpec::new(kind, NodeId(0), intensity, SimDuration::from_secs(15));
+            sim.inject_at(spec, SimTime::from_secs(at));
+        }
+        let mut bytes = Vec::new();
+        let (mut stragglers, mut boundary) = (0, 0);
+        for &at in ticks {
+            let window_start = sim.now();
+            sim.run_until(at);
+            let completed = sim.drain_completed();
+            stragglers += completed
+                .iter()
+                .filter(|r| r.finished < window_start)
+                .count();
+            boundary += completed.iter().filter(|r| r.finished == at).count();
+            let drained: Vec<_> = completed.iter().map(|r| r.trace_id).collect();
+            let telemetry = sim.drain_telemetry();
+            let assessment = mgr.tick_window(&mut sim, completed, telemetry);
+            bytes.extend(format!("{assessment:?}").bytes());
+            // The store holds only traces this tick ingested, in drain
+            // order (a subsequence, so never more than were drained).
+            let mut ingested = drained.iter();
+            assert!(
+                mgr.coordinator
+                    .store()
+                    .all()
+                    .all(|t| ingested.any(|id| *id == t.trace_id)),
+                "tick at {at:?} kept a trace from an earlier window"
+            );
+        }
+        bytes.extend(format!("{:?}{:?}", mgr.drain_experience(), mgr.stats()).bytes());
+        Drive {
+            sim,
+            stats: mgr.stats(),
+            hash: firm_wire::fnv64(&bytes),
+            stragglers,
+            boundary,
+        }
+    }
+
+    /// `n` tick times `interval` apart, except that each tick listed in
+    /// `moved` is pulled back onto the last root response in its window
+    /// that completes its request (no background span still open). A
+    /// probe replays the earlier ticks and runs on to the nominal time;
+    /// the simulation up to that response does not depend on which
+    /// deadline ends the run, so the moved tick drains the request with
+    /// `finished` equal to the tick.
+    fn tick_times(seed: u64, interval: SimDuration, n: u64, moved: &[usize]) -> Vec<SimTime> {
+        let mut ticks: Vec<SimTime> = (1..=n)
+            .map(|k| SimTime::from_micros(k * interval.as_micros()))
+            .collect();
+        for &k in moved {
+            let mut probe = drive(seed, &ticks[..k]).sim;
+            let opened = probe.now();
+            probe.run_until(ticks[k]);
+            ticks[k] = probe
+                .drain_completed()
+                .iter()
+                .filter(|r| r.spans.iter().all(|s| s.end <= r.finished))
+                .map(|r| r.finished)
+                .filter(|&f| f > opened)
+                .max()
+                .expect("a request finished in the window");
+        }
+        ticks
+    }
+
+    /// Oracle for the trace store's retention: FIRM's per-tick outputs
+    /// over a run that crosses two simulated minutes, and over half-second
+    /// windows, with stragglers and boundary requests in both. The pins
+    /// were captured at commit feefb39 (debug and release agree), while
+    /// the manager still kept 120 s of traces: a failure means retention
+    /// changed what FIRM reads — do not re-pin.
+    #[test]
+    fn windowed_retention_moves_no_tick_output() {
+        // (seed, tick interval, ticks, ticks moved onto a boundary, pin);
+        // the moved ticks sit outside the anomaly bursts, where some
+        // request's background span ends before its root response.
+        let runs = [
+            (87, 1_000, 130, [2, 25, 64, 100, 125], 0x99b2_6f1b_d088_d7ef),
+            (88, 500, 90, [3, 8, 42, 50, 58], 0xee12_a8d3_c6b8_3898),
+        ];
+        for (seed, interval_ms, n, moved, pin) in runs {
+            let ticks = tick_times(seed, SimDuration::from_millis(interval_ms), n, &moved);
+            let run = drive(seed, &ticks);
+            assert_eq!(run.hash, pin, "seed {seed}: FIRM's tick outputs moved");
+            assert!(run.stragglers > 0, "seed {seed}: no stragglers");
+            assert!(run.boundary > 0, "seed {seed}: no boundary requests");
+            assert!(run.stats.actions > 0, "seed {seed}: FIRM never acted");
+        }
+    }
+
     #[test]
     fn episode_accounting_resets() {
         let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), 83)
@@ -777,7 +899,7 @@ mod tests {
     fn mitigation_restores_slo_under_contention() {
         // End-to-end sanity: with FIRM managing, tail latency under a
         // long memory-bandwidth anomaly ends up below the unmanaged tail.
-        let run = |managed: bool| -> f64 {
+        let run = |managed: bool| -> (f64, usize) {
             let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), 84)
                 .arrivals(Box::new(PoissonArrivals::new(50.0)))
                 .build();
@@ -793,34 +915,34 @@ mod tests {
                 SimDuration::from_secs(40),
             ));
             // Let the contention bite and the manager react, then
-            // measure the tail over the final stretch.
+            // measure the tail over the final stretch, from the windows
+            // drained here (the manager keeps only the latest one).
             let mut lats = Vec::new();
-            let mut measure_from = SimTime::ZERO;
             for tick in 0..40 {
                 sim.run_for(SimDuration::from_secs(1));
-                if tick == 20 {
-                    measure_from = sim.now();
+                let completed = sim.drain_completed();
+                if tick >= 20 {
+                    lats.extend(
+                        completed
+                            .iter()
+                            .filter(|r| !r.dropped)
+                            .map(|r| r.latency.as_micros() as f64),
+                    );
                 }
                 if managed {
-                    mgr.tick(&mut sim);
-                } else if tick >= 20 {
-                    for r in sim.drain_completed() {
-                        if !r.dropped {
-                            lats.push(r.latency.as_micros() as f64);
-                        }
-                    }
+                    let telemetry = sim.drain_telemetry();
+                    mgr.tick_window(&mut sim, completed, telemetry);
                 }
             }
-            if managed {
-                lats = mgr
-                    .coordinator()
-                    .latencies_since(measure_from, firm_sim::RequestTypeId(0));
-            }
             lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            firm_sim::stats::sample_quantile(&lats, 0.95)
+            (firm_sim::stats::sample_quantile(&lats, 0.95), lats.len())
         };
-        let unmanaged = run(false);
-        let managed = run(true);
+        let (unmanaged, unmanaged_n) = run(false);
+        let (managed, managed_n) = run(true);
+        assert!(
+            unmanaged_n >= 100 && managed_n >= 100,
+            "too few samples: unmanaged {unmanaged_n}, managed {managed_n}"
+        );
         assert!(
             managed < unmanaged,
             "managed p95 {managed} vs unmanaged {unmanaged}"

@@ -2,8 +2,8 @@
 //!
 //! A stateless, replicable data-processing front-end that collects spans
 //! from tracing agents, combines them into execution history graphs, and
-//! stores them in the graph store. FIRM's Extractor queries it for
-//! critical paths and per-instance latency vectors over sliding windows.
+//! stores them in the graph store. FIRM queries it one control window at
+//! a time and evicts older traces after each tick; offline readers keep all.
 //!
 //! In the paper the coordinator also handles clock drift (via Jaeger);
 //! the simulator has a global clock, so that concern disappears.

@@ -1,10 +1,10 @@
 //! A bounded in-memory trace/graph store.
 //!
 //! Stands in for the paper's Neo4j graph database (§3.1): it stores
-//! execution history graphs with their extracted critical paths and
-//! answers the time-windowed queries FIRM's Extractor issues (traces
-//! since t, latency vectors per instance, CP groupings). Capacity is
-//! bounded; the oldest traces are evicted first.
+//! execution history graphs with their critical paths and answers FIRM's
+//! time-windowed queries. Neo4j keeps history; FIRM evicts after every
+//! tick, so its store holds only what the next window's queries can read.
+//! Capacity is bounded too; the oldest traces are evicted first.
 
 use std::collections::VecDeque;
 

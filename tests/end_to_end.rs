@@ -53,8 +53,9 @@ fn full_pipeline_detects_and_localizes_container_stress() {
 #[test]
 fn firm_mitigation_beats_no_management_under_stress() {
     // p95 with FIRM managing must undercut the unmanaged p95 for the
-    // same seed and injection.
-    let run = |managed: bool| -> f64 {
+    // same seed and injection, both read from the windows drained here
+    // (FIRM's trace store keeps only the latest one).
+    let run = |managed: bool| -> (f64, usize) {
         let cluster = ClusterSpec::small(4);
         let mut app = Benchmark::HotelReservation.build();
         firm::core::slo::calibrate_slos(&mut app, &cluster, 400.0, 1.4, 11);
@@ -79,30 +80,29 @@ fn firm_mitigation_beats_no_management_under_stress() {
         let mut lats: Vec<f64> = Vec::new();
         for tick in 0..30 {
             sim.run_for(SimDuration::from_secs(1));
-            if managed {
-                firm.tick(&mut sim);
-            }
+            let completed = sim.drain_completed();
             if tick >= 10 {
-                if managed {
-                    lats.extend(firm.coordinator().latencies_since(
-                        firm::sim::SimTime::from_secs(tick as u64),
-                        firm::sim::RequestTypeId(0),
-                    ));
-                } else {
-                    lats.extend(
-                        sim.drain_completed()
-                            .iter()
-                            .filter(|r| !r.dropped)
-                            .map(|r| r.latency.as_micros() as f64),
-                    );
-                }
+                lats.extend(
+                    completed
+                        .iter()
+                        .filter(|r| !r.dropped && r.request_type == firm::sim::RequestTypeId(0))
+                        .map(|r| r.latency.as_micros() as f64),
+                );
+            }
+            if managed {
+                let telemetry = sim.drain_telemetry();
+                firm.tick_window(&mut sim, completed, telemetry);
             }
         }
         lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        firm::sim::stats::sample_quantile(&lats, 0.95)
+        (firm::sim::stats::sample_quantile(&lats, 0.95), lats.len())
     };
-    let unmanaged = run(false);
-    let managed = run(true);
+    let (unmanaged, unmanaged_n) = run(false);
+    let (managed, managed_n) = run(true);
+    assert!(
+        unmanaged_n >= 100 && managed_n >= 100,
+        "too few samples: unmanaged {unmanaged_n}, managed {managed_n}"
+    );
     assert!(
         managed < unmanaged,
         "FIRM p95 {managed} not better than unmanaged {unmanaged}"

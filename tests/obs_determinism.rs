@@ -75,6 +75,8 @@ fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
         "stage.ingest_us",
         "stage.extract_us",
         "stage.train_us",
+        // Not a timing: the traces FIRM's store holds after each tick.
+        "stage.retained_traces",
         // Recorded only by the intra-sharded (2, 2) grid entry: the
         // merge barrier and each shard's per-tick wall time.
         "stage.shard_merge_us",
