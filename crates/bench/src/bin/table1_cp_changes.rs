@@ -10,9 +10,7 @@ use std::collections::BTreeMap;
 
 use firm_bench::{banner, paper_note, section, Args};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{
-    AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimDuration, SimTime, Simulation,
-};
+use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimDuration, Simulation};
 use firm_trace::TracingCoordinator;
 use firm_workload::fig2_compose_post;
 
@@ -123,5 +121,4 @@ fn main() {
     println!();
     paper_note("<V,CP1>: N=3.2 V=231.6 total=234.8 | <U,CP2>: N=2.3 U=344.6 I=28.9 total=375.8");
     paper_note("<T,CP3>: N=1.9 T=193.1 C=54.0 total=249.0 — the stressed service dominates its CP");
-    let _ = SimTime::ZERO;
 }

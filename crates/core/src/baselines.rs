@@ -8,16 +8,14 @@
 //!   bandwidth contention (CPU utilization never moves).
 //! * **AIMD** (per [34, 93]) additively increases a container's CPU
 //!   limit while its SLO is violated and multiplicatively decreases it
-//!   when the container is underutilized.
+//!   when the container is underutilized. It judges the SLO with the
+//!   shared rule ([`crate::slo::assess`]) over the requests that
+//!   finished since its window opened, drained this tick or the last.
 
-use std::collections::VecDeque;
+use firm_sim::{Command, CompletedRequest, ResourceKind, ServiceId, Simulation};
 
-use firm_sim::spec::AppSpec;
-use firm_sim::{
-    Command, CompletedRequest, RequestTypeId, ResourceKind, ServiceId, SimTime, Simulation,
-};
-
-use crate::slo::{SloAssessment, SloMonitor};
+use crate::controller::TickContext;
+use crate::slo::{assess_requests, SloAssessment};
 
 /// Kubernetes horizontal-pod-autoscaler configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,32 +133,15 @@ impl Default for AimdConfig {
     }
 }
 
-/// What AIMD keeps of one completed request: it acts on end-to-end
-/// latency alone, never on a span. Dropped requests are kept too (and
-/// skipped at assessment), so capacity and eviction count every request
-/// as the trace store this window replaced did.
-#[derive(Debug, Clone, Copy)]
-struct LatencySample {
-    finished: SimTime,
-    request_type: RequestTypeId,
-    latency_us: f64,
-    dropped: bool,
-}
-
-/// Most requests the latency window holds; the oldest are dropped first.
-const LATENCY_WINDOW_CAPACITY: usize = 100_000;
-
-/// The AIMD baseline: per-container CPU-limit control. Owns its own
-/// latency window: feed each window's completed requests in with
-/// [`AimdController::ingest`], then [`AimdController::tick`].
+/// The AIMD baseline: per-container CPU-limit control.
 #[derive(Debug)]
 pub struct AimdController {
     config: AimdConfig,
-    monitor: SloMonitor,
-    /// In ingestion order, which is the simulator's *finalization*
-    /// order: `finished` is the root-response time and a background span
-    /// can outlive it, so `finished` is not monotone along the deque.
-    window: VecDeque<LatencySample>,
+    /// The previous window's drained requests. With this window's they
+    /// are every request that can have finished at or after its start:
+    /// anything drained earlier finished by the tick before the
+    /// previous one, before this window opened.
+    previous: Vec<CompletedRequest>,
     /// Limit updates issued.
     pub limit_ops: u64,
 }
@@ -170,67 +151,28 @@ impl AimdController {
     pub fn new(config: AimdConfig) -> Self {
         AimdController {
             config,
-            monitor: SloMonitor::default(),
-            window: VecDeque::new(),
+            previous: Vec::new(),
             limit_ops: 0,
         }
     }
 
-    /// Feeds one window's completed requests into the controller's
-    /// latency window (call before [`AimdController::tick`]). Only the
-    /// end-to-end fields are read, so span-free requests serve as well.
-    pub fn ingest(&mut self, completed: Vec<CompletedRequest>) {
-        for r in completed {
-            if self.window.len() == LATENCY_WINDOW_CAPACITY {
-                self.window.pop_front();
-            }
-            self.window.push_back(LatencySample {
-                finished: r.finished,
-                request_type: r.request_type,
-                latency_us: r.latency.as_micros() as f64,
-                dropped: r.dropped,
-            });
-        }
-    }
+    /// One control pass over the window `ctx` hands in: additive increase
+    /// on SLO violation (on every running container of a violating
+    /// request path), multiplicative decrease on low utilization.
+    /// Returns the assessment it acted on.
+    ///
+    /// That assessment covers the requests finished at or after
+    /// `ctx.window_start`, drained this tick or the one before. The
+    /// bound is inclusive, so a request finishing exactly on a tick
+    /// boundary is assessed in both adjacent windows — pinned behaviour
+    /// (every digest covers it), not an invitation to fix it here.
+    pub fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> SloAssessment {
+        let window = self.previous.iter().chain(&ctx.completed);
+        let assessment =
+            assess_requests(sim.app(), window.filter(|r| r.finished >= ctx.window_start));
+        let violating = assessment.any_violation();
 
-    /// The SLO assessment over requests finished at or after
-    /// `window_start`. The bound is inclusive, so a request finishing
-    /// exactly on a tick boundary is assessed in both adjacent windows —
-    /// pinned behaviour (every digest covers it), not an invitation to
-    /// fix it here.
-    fn assess(&self, app: &AppSpec, window_start: SimTime) -> SloAssessment {
-        self.monitor.assess_latencies(app, |rt| {
-            self.window
-                .iter()
-                .filter(|s| s.finished >= window_start && s.request_type == rt && !s.dropped)
-                .map(|s| s.latency_us)
-                .collect()
-        })
-    }
-
-    /// Drops samples from the front while they finished before `before`,
-    /// stopping at the first that did not: stragglers behind it stay
-    /// until the front catches up (or capacity pushes them out), and
-    /// [`AimdController::assess`] filters them by time regardless.
-    fn evict_before(&mut self, before: SimTime) {
-        while self.window.front().is_some_and(|s| s.finished < before) {
-            self.window.pop_front();
-        }
-    }
-
-    /// One control pass: additive increase on SLO violation (on every
-    /// running container of a violating request path), multiplicative
-    /// decrease on low utilization. Evicts samples older than
-    /// `window_start` afterwards.
-    pub fn tick(
-        &mut self,
-        sim: &mut Simulation,
-        telemetry: &firm_sim::telemetry_probe::TelemetryWindow,
-        window_start: SimTime,
-    ) {
-        let violating = self.assess(sim.app(), window_start).any_violation();
-
-        for inst in &telemetry.instances {
+        for inst in &ctx.telemetry.instances {
             if inst.state != firm_sim::instance::InstanceState::Running {
                 continue;
             }
@@ -256,9 +198,8 @@ impl AimdController {
                 self.limit_ops += 1;
             }
         }
-        // The assessment window never looks back past its start; keep
-        // the latency window bounded.
-        self.evict_before(window_start);
+        self.previous = ctx.completed;
+        assessment
     }
 }
 
@@ -266,7 +207,7 @@ impl AimdController {
 mod tests {
     use super::*;
     use firm_sim::spec::{AppSpec, ClusterSpec};
-    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimDuration};
+    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimDuration, SimTime};
 
     fn sim(seed: u64, rate: f64) -> Simulation {
         Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), seed)
@@ -343,9 +284,8 @@ mod tests {
         for _ in 0..8 {
             let start = sim.now();
             sim.run_for(SimDuration::from_secs(1));
-            aimd.ingest(sim.drain_completed());
-            let t = sim.drain_telemetry();
-            aimd.tick(&mut sim, &t, start);
+            let ctx = TickContext::drain(&mut sim, start);
+            aimd.tick(&mut sim, ctx);
         }
         let decayed = sim.total_requested_cpu();
         assert!(decayed < initial, "no decay: {initial} → {decayed}");
@@ -372,9 +312,8 @@ mod tests {
         for _ in 0..6 {
             let start = sim.now();
             sim.run_for(SimDuration::from_secs(1));
-            aimd.ingest(sim.drain_completed());
-            let t = sim.drain_telemetry();
-            aimd.tick(&mut sim, &t, start);
+            let ctx = TickContext::drain(&mut sim, start);
+            aimd.tick(&mut sim, ctx);
         }
         let raised = sim.total_requested_cpu();
         assert!(raised > decayed, "no increase: {decayed} → {raised}");
@@ -386,7 +325,7 @@ mod tests {
         let latency = SimDuration::from_millis(latency_ms);
         CompletedRequest {
             trace_id: firm_sim::TraceId(finished_ms),
-            request_type: RequestTypeId(0),
+            request_type: firm_sim::RequestTypeId(0),
             started: SimTime::from_micros(finished.as_micros() - latency.as_micros()),
             finished,
             latency,
@@ -395,44 +334,46 @@ mod tests {
         }
     }
 
-    /// The window's inherited quirks, pinned (every digest covers them):
+    /// The window's inherited quirk, pinned (every digest covers it):
     /// the inclusive lower bound assesses a request finishing exactly on
-    /// a tick boundary in both adjacent windows, and eviction stops at
-    /// the first fresh front, leaving stragglers behind it.
+    /// a tick boundary in both adjacent windows. A request drained after
+    /// its window closed is never assessed.
     #[test]
     fn boundary_request_is_assessed_in_both_adjacent_windows() {
-        let app = AppSpec::three_tier_demo(); // SLO 100 ms.
-        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let mut sim = sim(74, 10.0); // The three-tier demo's SLO is 100 ms.
         let mut aimd = AimdController::new(AimdConfig::default());
+        let mut tick = |start_ms, completed| {
+            sim.run_for(SimDuration::from_secs(1));
+            let ctx = TickContext {
+                window_start: SimTime::ZERO + SimDuration::from_millis(start_ms),
+                completed,
+                telemetry: sim.drain_telemetry(),
+            };
+            aimd.tick(&mut sim, ctx)
+        };
         // Span-free requests: only the end-to-end fields are read.
-        aimd.ingest(vec![
-            request(400, 10, false),
-            request(1_000, 900, false), // Exactly on the 1 s boundary.
-            request(900, 800, true),    // Dropped: never a latency sample.
-        ]);
-        let first = aimd.assess(&app, at(0));
+        let first = tick(
+            0,
+            vec![
+                request(400, 10, false),
+                request(1_000, 900, false), // Exactly on the 1 s boundary.
+                request(900, 800, true),    // Dropped: never a latency sample.
+            ],
+        );
         assert!(first.any_violation());
-        aimd.evict_before(at(0));
 
-        aimd.ingest(vec![request(1_500, 10, false)]);
-        let second = aimd.assess(&app, at(1_000));
+        let second = tick(1_000, vec![request(1_500, 10, false)]);
         assert!(second.any_violation(), "boundary request left the window");
-        aimd.evict_before(at(1_000));
-        // The 400 ms front went; the 1 s request is a fresh front, so
-        // the 900 ms straggler behind it stays.
-        assert_eq!(aimd.window.len(), 3);
 
-        let third = aimd.assess(&app, at(2_000));
-        assert!(!third.any_violation());
+        let third = tick(2_000, vec![request(1_900, 900, false)]);
+        assert!(!third.any_violation(), "a straggler was assessed");
         assert_eq!(third.sv, 1.0, "an empty window assumes no violation");
-        aimd.evict_before(at(2_000));
-        assert!(aimd.window.is_empty());
     }
 
-    /// The latency window against the trace-store path it replaced, kept
-    /// here as the reference: over 500 control ticks with anomalies
-    /// coming and going and AIMD itself actuating, both must reach the
-    /// same assessment every tick and hold the same number of entries.
+    /// The two-window assessment against the trace-store path it
+    /// replaced, kept here as the reference: over 500 control ticks with
+    /// anomalies coming and going and AIMD itself actuating, both must
+    /// reach the same assessment every tick.
     #[test]
     fn latency_window_agrees_with_the_trace_store_it_replaced() {
         let mut app = AppSpec::three_tier_demo();
@@ -441,8 +382,7 @@ mod tests {
             .arrivals(Box::new(PoissonArrivals::new(150.0)))
             .build();
         let mut aimd = AimdController::new(AimdConfig::default());
-        let mut reference = firm_trace::TracingCoordinator::new(LATENCY_WINDOW_CAPACITY);
-        let monitor = SloMonitor::default();
+        let mut reference = firm_trace::TracingCoordinator::new(100_000);
         let kinds = [
             AnomalyKind::CpuStress,
             AnomalyKind::MemBwStress,
@@ -458,23 +398,18 @@ mod tests {
             }
             let start = sim.now();
             sim.run_for(SimDuration::from_millis(200));
-            let completed = sim.drain_completed();
-            reference.ingest(completed.clone());
-            aimd.ingest(completed);
+            let ctx = TickContext::drain(&mut sim, start);
+            reference.ingest(ctx.completed.clone());
 
-            let expected = monitor.assess(sim.app(), &reference, start);
-            let got = aimd.assess(sim.app(), start);
+            let expected = crate::slo::assess(sim.app(), |rt| reference.latencies_since(start, rt));
+            let got = aimd.tick(&mut sim, ctx);
             assert_eq!(format!("{got:?}"), format!("{expected:?}"), "tick {tick}");
             if got.any_violation() {
                 violating += 1;
             } else {
                 healthy += 1;
             }
-
-            let telemetry = sim.drain_telemetry();
-            aimd.tick(&mut sim, &telemetry, start);
             reference.evict_before(start);
-            assert_eq!(aimd.window.len(), reference.store().len(), "tick {tick}");
         }
         assert!(violating > 20 && healthy > 20, "{violating} / {healthy}");
         assert!(aimd.limit_ops > 0);

@@ -30,7 +30,7 @@ use firm_sim::{AnomalyId, CompletedRequest, Histogram, SimDuration, SimTime, Sim
 use crate::baselines::{AimdController, K8sHpaController};
 use crate::injector::AnomalyInjector;
 use crate::manager::{ExperienceLog, FirmManager};
-use crate::slo::{window_violates, SloMonitor};
+use crate::slo::assess_requests;
 
 /// A frozen, serializable policy: the shared DDPG agent's
 /// `(actor, critic)` weights. What a trained fleet exports and a
@@ -64,8 +64,6 @@ impl PolicyCheckpoint {
 pub struct TickContext {
     /// Start of the control window that just elapsed.
     pub window_start: SimTime,
-    /// The control-loop period.
-    pub control_interval: SimDuration,
     /// End-to-end requests completed in the window (drained exactly
     /// once; ownership passes to the controller).
     pub completed: Vec<CompletedRequest>,
@@ -74,11 +72,22 @@ pub struct TickContext {
 }
 
 impl TickContext {
-    /// The shared tail-latency verdict over the window's drained
-    /// traces, for controllers without their own assessment (FIRM's
-    /// coordinator-based [`crate::slo::SloMonitor`] supersedes it).
+    /// Drains the window that opened at `window_start`: its completed
+    /// requests, then its telemetry. Every [`run_episode`] tick is built
+    /// here, and so is every tick a caller steps by hand.
+    pub fn drain(sim: &mut Simulation, window_start: SimTime) -> TickContext {
+        TickContext {
+            window_start,
+            completed: sim.drain_completed(),
+            telemetry: sim.drain_telemetry(),
+        }
+    }
+
+    /// The shared SLO verdict ([`crate::slo::assess`]) over the window's
+    /// drained requests: what every controller reports as `violating`,
+    /// except FIRM, which reports the assessment it acted on.
     pub fn window_violates(&self, sim: &Simulation) -> bool {
-        window_violates(sim.app(), &self.completed, SloMonitor::default().quantile)
+        assess_requests(sim.app(), &self.completed).any_violation()
     }
 }
 
@@ -135,7 +144,7 @@ impl Controller for FirmManager {
     }
 
     fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision {
-        let assessment = self.tick_window(sim, ctx.completed, ctx.telemetry);
+        let assessment = self.tick_window(sim, ctx);
         ControlDecision {
             violating: assessment.any_violation(),
         }
@@ -175,8 +184,7 @@ impl Controller for AimdController {
 
     fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision {
         let violating = ctx.window_violates(sim);
-        self.ingest(ctx.completed);
-        AimdController::tick(self, sim, &ctx.telemetry, ctx.window_start);
+        AimdController::tick(self, sim, ctx);
         ControlDecision { violating }
     }
 }
@@ -371,11 +379,10 @@ pub fn run_episode(
         // trace finishing exactly on a tick boundary count once — the
         // bug the old per-harness loops fixed independently or not at
         // all.
-        let completed = sim.drain_completed();
-        let telemetry = sim.drain_telemetry();
+        let ctx = TickContext::drain(sim, window_start);
 
         let mut window_drops = 0u64;
-        for r in &completed {
+        for r in &ctx.completed {
             if r.dropped {
                 window_drops += 1;
                 if measuring {
@@ -398,15 +405,7 @@ pub fn run_episode(
                 }
             }
         }
-        let decision = controller.tick(
-            sim,
-            TickContext {
-                window_start,
-                control_interval: spec.control_interval,
-                completed,
-                telemetry,
-            },
-        );
+        let decision = controller.tick(sim, ctx);
 
         // Requested CPU reflects the controller's actions this tick.
         let requested_cpu = sim.total_requested_cpu();

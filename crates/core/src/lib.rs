@@ -47,5 +47,5 @@ pub use estimator::{ActionMapper, ResourceEstimator, StateBuilder};
 pub use extractor::{CriticalComponentExtractor, InstanceFeatures};
 pub use injector::{AnomalyInjector, CampaignConfig};
 pub use manager::{ExperienceLog, FirmConfig, FirmManager};
-pub use slo::{SloAssessment, SloMonitor};
+pub use slo::SloAssessment;
 pub use training::{replay_experience, train_firm, EpisodeStats, TrainingConfig};

@@ -13,13 +13,14 @@ use std::collections::BTreeMap;
 
 use firm_ml::ddpg::Transition;
 use firm_sim::telemetry_probe::{InstanceSnapshot, TelemetryWindow};
-use firm_sim::{InstanceId, ServiceId, SimDuration, SimTime, Simulation, RESOURCE_KINDS};
+use firm_sim::{InstanceId, ServiceId, SimDuration, Simulation, RESOURCE_KINDS};
 use firm_trace::TracingCoordinator;
 
+use crate::controller::TickContext;
 use crate::deployment::DeploymentModule;
 use crate::estimator::{reward, AgentRegime, ResourceEstimator, StateBuilder};
 use crate::extractor::{ground_truth_label, CriticalComponentExtractor};
-use crate::slo::{SloAssessment, SloMonitor};
+use crate::slo::{assess, SloAssessment};
 
 /// FIRM configuration.
 #[derive(Debug, Clone)]
@@ -138,13 +139,11 @@ pub struct FirmManager {
     coordinator: TracingCoordinator,
     /// The previous window's `arrival_rate`: the denominator of `WCt`.
     prev_arrival_rate: Option<f64>,
-    monitor: SloMonitor,
     extractor: CriticalComponentExtractor,
     estimator: ResourceEstimator,
     deployment: DeploymentModule,
     state_builder: StateBuilder,
     pending: Vec<Pending>,
-    last_tick: SimTime,
     episode_reward: f64,
     stats: ManagerStats,
     experience: ExperienceLog,
@@ -183,13 +182,11 @@ impl FirmManager {
         FirmManager {
             coordinator: TracingCoordinator::new(200_000),
             prev_arrival_rate: None,
-            monitor: SloMonitor::default(),
             extractor: CriticalComponentExtractor::new(config.seed ^ 0x5111),
             estimator: ResourceEstimator::new(config.regime, config.seed),
             deployment: DeploymentModule::new(),
             state_builder: StateBuilder,
             pending: Vec::new(),
-            last_tick: SimTime::ZERO,
             episode_reward: 0.0,
             stats: ManagerStats::default(),
             experience: ExperienceLog::default(),
@@ -232,15 +229,14 @@ impl FirmManager {
         self.episode_reward
     }
 
-    /// Resets environment-coupled state (traces, pending transitions,
-    /// window clock) when the manager is pointed at a *new* simulation —
-    /// e.g. between training episodes. Learned state (SVM, RL weights,
-    /// replay buffers) is preserved.
+    /// Resets environment-coupled state (traces, the previous arrival
+    /// rate, pending transitions) when the manager is pointed at a *new*
+    /// simulation — e.g. between training episodes. Learned state (SVM,
+    /// RL weights, replay buffers) is preserved.
     pub fn reset_environment(&mut self) {
         self.coordinator = TracingCoordinator::new(200_000);
         self.prev_arrival_rate = None;
         self.pending.clear();
-        self.last_tick = SimTime::ZERO;
     }
 
     /// Ends a training episode: flushes pending transitions as terminal,
@@ -273,34 +269,21 @@ impl FirmManager {
             .collect()
     }
 
-    /// One control tick. Call after advancing the simulation by
-    /// [`FirmConfig::control_interval`]. Drains the simulator's traces
-    /// and telemetry itself; harnesses that drain centrally (the
-    /// [`crate::controller::run_episode`] driver) use
-    /// [`FirmManager::tick_window`] instead.
-    pub fn tick(&mut self, sim: &mut Simulation) -> SloAssessment {
-        let completed = sim.drain_completed();
-        let telemetry = sim.drain_telemetry();
-        self.tick_window(sim, completed, telemetry)
-    }
-
-    /// One control tick over an already-drained window: the window's
-    /// completed traces and telemetry snapshot are handed in by the
-    /// caller (who may have measured them first).
+    /// One control tick over the window `ctx` hands in (built by
+    /// [`TickContext::drain`]): FIRM reads traces finished at or after
+    /// `ctx.window_start`. Returns the assessment it acted on.
     ///
     /// Ends with `evict_before(now)`: tick k reads `finished >=` tick k−1's
     /// time, which every earlier tick's traces finished by, so the store
     /// keeps this tick's ingest from its first boundary request
     /// (`finished == now`, read again next tick) on. Stragglers fail
     /// `since` either way; the 200 000 capacity now bounds one window.
-    pub fn tick_window(
-        &mut self,
-        sim: &mut Simulation,
-        completed: Vec<firm_sim::CompletedRequest>,
-        telemetry: TelemetryWindow,
-    ) -> SloAssessment {
-        let window_start = self.last_tick;
-        self.last_tick = sim.now();
+    pub fn tick_window(&mut self, sim: &mut Simulation, ctx: TickContext) -> SloAssessment {
+        let TickContext {
+            window_start,
+            completed,
+            telemetry,
+        } = ctx;
         self.stats.ticks += 1;
 
         // The store rejects a span-less request silently, and an empty
@@ -323,9 +306,9 @@ impl FirmManager {
             .record(ingest_started.elapsed().as_micros() as u64);
 
         // ② Detect SLO violations.
-        let assessment = self
-            .monitor
-            .assess(sim.app(), &self.coordinator, window_start);
+        let assessment = assess(sim.app(), |rt| {
+            self.coordinator.latencies_since(window_start, rt)
+        });
         if assessment.any_violation() {
             self.stats.violation_ticks += 1;
         }
@@ -511,7 +494,7 @@ mod tests {
     use super::*;
     use crate::controller::{run_episode, EpisodeSpec};
     use firm_sim::spec::{AppSpec, ClusterSpec};
-    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals};
+    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimTime};
 
     fn tight_app() -> AppSpec {
         let mut app = AppSpec::three_tier_demo();
@@ -680,11 +663,11 @@ mod tests {
                     SimDuration::from_secs(3),
                 ));
             }
+            let window_start = sim.now();
             sim.run_for(SimDuration::from_secs(1));
-            let completed = sim.drain_completed();
-            let telemetry = sim.drain_telemetry();
-            rates.push(telemetry.arrival_rate);
-            mgr.tick_window(&mut sim, completed, telemetry);
+            let ctx = TickContext::drain(&mut sim, window_start);
+            rates.push(ctx.telemetry.arrival_rate);
+            mgr.tick_window(&mut sim, ctx);
             // What tick t completes, tick t-1 opened.
             for (_, tr) in mgr.drain_experience().transitions {
                 assert!(!tr.done);
@@ -784,15 +767,15 @@ mod tests {
         for &at in ticks {
             let window_start = sim.now();
             sim.run_until(at);
-            let completed = sim.drain_completed();
+            let ctx = TickContext::drain(&mut sim, window_start);
+            let completed = &ctx.completed;
             stragglers += completed
                 .iter()
                 .filter(|r| r.finished < window_start)
                 .count();
             boundary += completed.iter().filter(|r| r.finished == at).count();
             let drained: Vec<_> = completed.iter().map(|r| r.trace_id).collect();
-            let telemetry = sim.drain_telemetry();
-            let assessment = mgr.tick_window(&mut sim, completed, telemetry);
+            let assessment = mgr.tick_window(&mut sim, ctx);
             bytes.extend(format!("{assessment:?}").bytes());
             // The store holds only traces this tick ingested, in drain
             // order (a subsequence, so never more than were drained).
@@ -919,19 +902,19 @@ mod tests {
             // drained here (the manager keeps only the latest one).
             let mut lats = Vec::new();
             for tick in 0..40 {
+                let window_start = sim.now();
                 sim.run_for(SimDuration::from_secs(1));
-                let completed = sim.drain_completed();
+                let ctx = TickContext::drain(&mut sim, window_start);
                 if tick >= 20 {
                     lats.extend(
-                        completed
+                        ctx.completed
                             .iter()
                             .filter(|r| !r.dropped)
                             .map(|r| r.latency.as_micros() as f64),
                     );
                 }
                 if managed {
-                    let telemetry = sim.drain_telemetry();
-                    mgr.tick_window(&mut sim, completed, telemetry);
+                    mgr.tick_window(&mut sim, ctx);
                 }
             }
             lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

@@ -1,16 +1,18 @@
 //! SLO definitions and violation detection.
 //!
 //! FIRM's Extractor is triggered by end-to-end SLO violations (§3.2).
-//! The monitor assesses each request type's tail latency over the last
-//! control window against its SLO and produces the *SLO violation ratio*
-//! `SV = SLO_latency / current_latency` used in the RL state (Table 3):
-//! `SV ≥ 1` means the SLO holds, `SV < 1` quantifies how badly it is
-//! violated. When no traces arrive, `SV = 1` (the paper's "no message ⇒
-//! no violation" rule).
+//! [`assess`] is the one rule every controller shares: each request
+//! type's tail latency over the last control window against its SLO,
+//! giving the *SLO violation ratio* `SV = SLO_latency / current_latency`
+//! used in the RL state (Table 3): `SV ≥ 1` means the SLO holds, `SV < 1`
+//! quantifies how badly it is violated. When no traces arrive, `SV = 1`
+//! (the paper's "no message ⇒ no violation" rule).
 
 use firm_sim::spec::AppSpec;
-use firm_sim::{RequestTypeId, SimTime};
-use firm_trace::TracingCoordinator;
+use firm_sim::{CompletedRequest, RequestTypeId};
+
+/// The tail quantile latency SLOs are stated at (p99, as in the paper).
+const SLO_QUANTILE: f64 = 0.99;
 
 /// Assessment of one control window.
 #[derive(Debug, Clone)]
@@ -30,100 +32,63 @@ impl SloAssessment {
     }
 }
 
-/// Tail-latency SLO monitor.
-#[derive(Debug, Clone)]
-pub struct SloMonitor {
-    /// Tail quantile to assess (0.99 in the paper's definition of
-    /// latency SLOs).
-    pub quantile: f64,
-}
-
-impl Default for SloMonitor {
-    fn default() -> Self {
-        SloMonitor { quantile: 0.99 }
-    }
-}
-
-impl SloMonitor {
-    /// Assesses the window `[since, now)` from the coordinator's traces.
-    pub fn assess(
-        &self,
-        app: &AppSpec,
-        coordinator: &TracingCoordinator,
-        since: SimTime,
-    ) -> SloAssessment {
-        self.assess_latencies(app, |rt| coordinator.latencies_since(since, rt))
-    }
-
-    /// Assesses one window given each request type's end-to-end
-    /// latencies (us, non-dropped requests only, any order) — the SV rule
-    /// itself, for callers that keep latencies without a trace store.
-    pub fn assess_latencies(
-        &self,
-        app: &AppSpec,
-        mut latencies: impl FnMut(RequestTypeId) -> Vec<f64>,
-    ) -> SloAssessment {
-        let mut per_type = Vec::with_capacity(app.request_types.len());
-        let mut violated = Vec::new();
-        let mut worst_sv: f64 = 1.0;
-
-        for (i, rt) in app.request_types.iter().enumerate() {
-            let rt_id = RequestTypeId(i as u16);
-            let mut lats = latencies(rt_id);
-            let (p99, sv) = if lats.is_empty() {
-                // No traces ⇒ assume no violation (§3.4).
-                (0.0, 1.0)
-            } else {
-                lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-                let p99 = firm_sim::stats::sample_quantile(&lats, self.quantile);
-                let sv = if p99 <= 0.0 {
-                    1.0
-                } else {
-                    (rt.slo_latency_us as f64 / p99).min(2.0)
-                };
-                (p99, sv)
-            };
-            if sv < 1.0 {
-                violated.push(rt_id);
-            }
-            worst_sv = worst_sv.min(sv);
-            per_type.push((rt_id, p99, rt.slo_latency_us, sv));
-        }
-
-        SloAssessment {
-            sv: worst_sv,
-            per_type,
-            violated,
-        }
-    }
-}
-
-/// Assesses one window of already-drained completed requests: true when
-/// any request type's tail latency exceeds its SLO. The drained-trace
-/// counterpart of [`SloMonitor::assess`], shared by the non-FIRM paths
-/// of the single-scenario harness and the fleet executor so the two
-/// can never disagree on what "violating" means.
-pub fn window_violates(
+/// Assesses one window given each request type's end-to-end latencies
+/// (us, non-dropped requests only, any order): a type violates when its
+/// p99 exceeds its SLO, and a type with no latencies never does.
+pub fn assess(
     app: &AppSpec,
-    completed: &[firm_sim::CompletedRequest],
-    quantile: f64,
-) -> bool {
+    mut latencies: impl FnMut(RequestTypeId) -> Vec<f64>,
+) -> SloAssessment {
+    let mut per_type = Vec::with_capacity(app.request_types.len());
+    let mut violated = Vec::new();
+    let mut worst_sv: f64 = 1.0;
+
     for (i, rt) in app.request_types.iter().enumerate() {
-        let mut rt_lats: Vec<f64> = completed
-            .iter()
-            .filter(|r| !r.dropped && r.request_type.index() == i)
-            .map(|r| r.latency.as_micros() as f64)
-            .collect();
-        if rt_lats.is_empty() {
-            continue;
+        let rt_id = RequestTypeId(i as u16);
+        let mut lats = latencies(rt_id);
+        let (p99, sv) = if lats.is_empty() {
+            // No traces ⇒ assume no violation (§3.4).
+            (0.0, 1.0)
+        } else {
+            lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            let p99 = firm_sim::stats::sample_quantile(&lats, SLO_QUANTILE);
+            let sv = if p99 <= 0.0 {
+                1.0
+            } else {
+                (rt.slo_latency_us as f64 / p99).min(2.0)
+            };
+            (p99, sv)
+        };
+        if sv < 1.0 {
+            violated.push(rt_id);
         }
-        rt_lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let p99 = firm_sim::stats::sample_quantile(&rt_lats, quantile);
-        if p99 > rt.slo_latency_us as f64 {
-            return true;
-        }
+        worst_sv = worst_sv.min(sv);
+        per_type.push((rt_id, p99, rt.slo_latency_us, sv));
     }
-    false
+
+    SloAssessment {
+        sv: worst_sv,
+        per_type,
+        violated,
+    }
+}
+
+/// [`assess`] over completed requests, for controllers that read the
+/// drained window instead of a trace store: each type's latencies are
+/// its served (non-dropped) requests'.
+pub(crate) fn assess_requests<'a, I>(app: &AppSpec, requests: I) -> SloAssessment
+where
+    I: IntoIterator<Item = &'a CompletedRequest>,
+    I::IntoIter: Clone,
+{
+    let requests = requests.into_iter();
+    assess(app, |rt| {
+        requests
+            .clone()
+            .filter(|r| !r.dropped && r.request_type == rt)
+            .map(|r| r.latency.as_micros() as f64)
+            .collect()
+    })
 }
 
 /// Calibrates each request type's SLO to `factor ×` its measured healthy
@@ -160,7 +125,7 @@ pub fn calibrate_slos(
             continue;
         }
         lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let p99 = firm_sim::stats::sample_quantile(lats, 0.99);
+        let p99 = firm_sim::stats::sample_quantile(lats, SLO_QUANTILE);
         rt.slo_latency_us = ((p99 * factor) as u64).max(1_000);
     }
 }
@@ -168,8 +133,9 @@ pub fn calibrate_slos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firm_sim::spec::ClusterSpec;
-    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, SimDuration, Simulation};
+    use firm_sim::spec::{ClusterSpec, RequestTypeSpec};
+    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, SimDuration, SimTime, Simulation, TraceId};
+    use firm_trace::TracingCoordinator;
 
     fn setup() -> (Simulation, TracingCoordinator) {
         let sim =
@@ -177,12 +143,17 @@ mod tests {
         (sim, TracingCoordinator::new(100_000))
     }
 
+    /// [`assess`] over every trace the coordinator holds.
+    fn assess_store(app: &AppSpec, coord: &TracingCoordinator) -> SloAssessment {
+        assess(app, |rt| coord.latencies_since(SimTime::ZERO, rt))
+    }
+
     #[test]
     fn healthy_app_has_sv_one() {
         let (mut sim, mut coord) = setup();
         sim.run_for(SimDuration::from_secs(2));
         coord.ingest(sim.drain_completed());
-        let a = SloMonitor::default().assess(sim.app(), &coord, SimTime::ZERO);
+        let a = assess_store(sim.app(), &coord);
         assert!(!a.any_violation());
         assert!(a.sv >= 1.0);
         assert_eq!(a.per_type.len(), 1);
@@ -192,7 +163,7 @@ mod tests {
     #[test]
     fn no_traces_means_no_violation() {
         let (sim, coord) = setup();
-        let a = SloMonitor::default().assess(sim.app(), &coord, SimTime::ZERO);
+        let a = assess_store(sim.app(), &coord);
         assert_eq!(a.sv, 1.0);
         assert!(!a.any_violation());
     }
@@ -227,8 +198,117 @@ mod tests {
         ));
         sim.run_for(SimDuration::from_secs(3));
         coord.ingest(sim.drain_completed());
-        let a = SloMonitor::default().assess(sim.app(), &coord, SimTime::ZERO);
+        let a = assess_store(sim.app(), &coord);
         assert!(a.any_violation(), "sv={} per_type={:?}", a.sv, a.per_type);
         assert!(a.sv < 1.0);
+    }
+
+    /// The drained-window verdict the baselines used before [`assess`]
+    /// was the only SLO rule, kept verbatim as the reference: a type
+    /// violates when its p99 exceeds its SLO, read as `p99 > slo`
+    /// instead of `SV < 1`.
+    fn window_violates(app: &AppSpec, completed: &[CompletedRequest], quantile: f64) -> bool {
+        for (i, rt) in app.request_types.iter().enumerate() {
+            let mut rt_lats: Vec<f64> = completed
+                .iter()
+                .filter(|r| !r.dropped && r.request_type.index() == i)
+                .map(|r| r.latency.as_micros() as f64)
+                .collect();
+            if rt_lats.is_empty() {
+                continue;
+            }
+            rt_lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            let p99 = firm_sim::stats::sample_quantile(&rt_lats, quantile);
+            if p99 > rt.slo_latency_us as f64 {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// An app whose request types carry `slos`, in order.
+    fn app_with_slos(slos: &[u64]) -> AppSpec {
+        let mut app = AppSpec::three_tier_demo();
+        let template = app.request_types[0].clone();
+        app.request_types = slos
+            .iter()
+            .map(|&slo_latency_us| RequestTypeSpec {
+                slo_latency_us,
+                ..template.clone()
+            })
+            .collect();
+        app
+    }
+
+    fn request(rt: u16, latency_us: u64, dropped: bool) -> CompletedRequest {
+        CompletedRequest {
+            trace_id: TraceId(latency_us),
+            request_type: RequestTypeId(rt),
+            started: SimTime::ZERO,
+            finished: SimTime::from_micros(latency_us),
+            latency: SimDuration::from_micros(latency_us),
+            dropped,
+            spans: Vec::new(),
+        }
+    }
+
+    /// `assess(..).any_violation()` against the reference rule over
+    /// seeded random windows and the edges where `SV < 1` and
+    /// `p99 > slo` could part.
+    #[test]
+    fn assess_agrees_with_the_window_rule_it_replaced() {
+        let check = |app: &AppSpec, window: &[CompletedRequest]| {
+            let got = assess_requests(app, window).any_violation();
+            assert_eq!(
+                got,
+                window_violates(app, window, SLO_QUANTILE),
+                "{window:?}"
+            );
+            got
+        };
+
+        // At 2^53 one f64 ulp is 2 us, and every u64 on either side of
+        // it converts exactly.
+        let big = 1u64 << 53;
+        let edges: [(&[u64], Vec<CompletedRequest>, bool); 8] = [
+            // A type with no requests next to a healthy and a violating one.
+            (&[100, 100], vec![request(0, 50, false)], false),
+            (&[100, 100], vec![request(0, 150, false)], true),
+            // A type whose every request was dropped.
+            (
+                &[100, 100],
+                vec![request(1, 900, true), request(1, 900, true)],
+                false,
+            ),
+            // p99 exactly on the SLO, then one ulp above it.
+            (&[100], vec![request(0, 100, false)], false),
+            (&[big], vec![request(0, big, false)], false),
+            (&[big], vec![request(0, big + 2, false)], true),
+            // SLO 0: any positive p99 violates, a zero p99 does not.
+            (&[0], vec![request(0, 5, false)], true),
+            (&[0], vec![request(0, 0, false)], false),
+        ];
+        for (slos, window, expected) in edges {
+            assert_eq!(check(&app_with_slos(slos), &window), expected, "{window:?}");
+        }
+
+        let mut rng = firm_rng::Xoshiro256::new(0x510);
+        let (mut violating, mut healthy) = (0, 0);
+        for _ in 0..2_000 {
+            let types = 1 + rng.next_below(3);
+            let slos: Vec<u64> = (0..types).map(|_| 1 + rng.next_below(6_000)).collect();
+            let window: Vec<CompletedRequest> = (0..rng.next_below(60))
+                .map(|_| {
+                    let rt = rng.next_below(slos.len() as u64) as u16;
+                    request(rt, rng.next_below(3_000), rng.uniform() < 0.1)
+                })
+                .collect();
+            if check(&app_with_slos(&slos), &window) {
+                violating += 1;
+            } else {
+                healthy += 1;
+            }
+        }
+        assert!(violating > 200 && healthy > 200, "{violating} / {healthy}");
     }
 }

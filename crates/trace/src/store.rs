@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use firm_sim::{CompletedRequest, InstanceId, RequestTypeId, SimDuration, SimTime, TraceId};
+use firm_sim::{CompletedRequest, RequestTypeId, SimDuration, SimTime, TraceId};
 
 use crate::critical_path::{critical_path, CriticalPath};
 use crate::graph::ExecutionHistoryGraph;
@@ -151,27 +151,6 @@ impl TraceStore {
         self.since(since).filter(move |t| t.request_type == rt)
     }
 
-    /// Per-instance span-latency samples (us) across traces finished at
-    /// or after `since`, paired with the owning trace's end-to-end
-    /// latency (us) — the aligned `(Ti, TCP)` vectors of Alg. 2.
-    pub fn instance_latency_pairs(&self, since: SimTime, instance: InstanceId) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        for t in self.since(since) {
-            if t.dropped {
-                continue;
-            }
-            for span in &t.graph.spans {
-                if span.instance == instance {
-                    out.push((
-                        span.duration().as_micros() as f64,
-                        t.latency.as_micros() as f64,
-                    ));
-                }
-            }
-        }
-        out
-    }
-
     /// Evicts traces finished before `before`.
     pub fn evict_before(&mut self, before: SimTime) {
         while let Some(front) = self.traces.front() {
@@ -239,23 +218,6 @@ mod tests {
         let mut store = TraceStore::new(16);
         assert!(!store.ingest(bad));
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn latency_pairs_align() {
-        let ts = traces(6, 1);
-        let mut store = TraceStore::new(10_000);
-        let n = ts.len();
-        for t in ts {
-            store.ingest(t);
-        }
-        // Instance 0 is the frontend; it appears in every trace.
-        let pairs = store.instance_latency_pairs(SimTime::ZERO, InstanceId(0));
-        assert_eq!(pairs.len(), n);
-        for (ti, tcp) in pairs {
-            assert!(ti > 0.0);
-            assert!(tcp >= ti * 0.5);
-        }
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //! memory-bandwidth anomaly into a container, and shows FIRM detecting,
 //! localizing, and mitigating the violation.
 
+use firm::core::controller::TickContext;
 use firm::core::manager::{FirmConfig, FirmManager};
+use firm::core::slo::SloAssessment;
 use firm::sim::{
     spec::ClusterSpec, AnomalyKind, AnomalySpec, PoissonArrivals, SimDuration, Simulation,
 };
 use firm::workload::apps::Benchmark;
+
+/// One 1 s control tick: FIRM acts on the window just drained.
+fn tick(sim: &mut Simulation, firm: &mut FirmManager) -> SloAssessment {
+    let window_start = sim.now();
+    sim.run_for(SimDuration::from_secs(1));
+    let ctx = TickContext::drain(sim, window_start);
+    firm.tick_window(sim, ctx)
+}
 
 fn main() {
     let cluster = ClusterSpec::small(4);
@@ -30,8 +40,7 @@ fn main() {
 
     // Healthy warmup.
     for _ in 0..5 {
-        sim.run_for(SimDuration::from_secs(1));
-        firm.tick(&mut sim);
+        tick(&mut sim, &mut firm);
     }
 
     // Stress a container on the read path (§3.6-style injection).
@@ -46,8 +55,7 @@ fn main() {
     println!("injected MemBwStress into {victim} (post-storage-memcached)");
 
     for second in 0..15 {
-        sim.run_for(SimDuration::from_secs(1));
-        let assessment = firm.tick(&mut sim);
+        let assessment = tick(&mut sim, &mut firm);
         println!(
             "t={:>2}s sv={:.2} violating={:<5} actions so far={}",
             second + 6,

@@ -2,14 +2,23 @@
 //! benchmark topologies.
 
 use firm::core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
-use firm::core::controller::{run_episode, Controller, EpisodeSpec, Unmanaged};
+use firm::core::controller::{run_episode, Controller, EpisodeSpec, TickContext, Unmanaged};
 use firm::core::injector::{AnomalyInjector, CampaignConfig};
 use firm::core::manager::{FirmConfig, FirmManager};
+use firm::core::slo::SloAssessment;
 use firm::sim::{
     spec::ClusterSpec, AnomalyKind, AnomalySpec, PoissonArrivals, SimDuration, Simulation,
 };
 use firm::trace::TracingCoordinator;
 use firm::workload::apps::{Benchmark, ALL_BENCHMARKS};
+
+/// One 1 s control tick: FIRM acts on the window just drained.
+fn tick(sim: &mut Simulation, firm: &mut FirmManager) -> SloAssessment {
+    let window_start = sim.now();
+    sim.run_for(SimDuration::from_secs(1));
+    let ctx = TickContext::drain(sim, window_start);
+    firm.tick_window(sim, ctx)
+}
 
 #[test]
 fn full_pipeline_detects_and_localizes_container_stress() {
@@ -25,8 +34,7 @@ fn full_pipeline_detects_and_localizes_container_stress() {
     });
 
     for _ in 0..4 {
-        sim.run_for(SimDuration::from_secs(1));
-        firm.tick(&mut sim);
+        tick(&mut sim, &mut firm);
     }
     let svc = sim.app().service_by_name("post-storage-memcached").unwrap();
     let victim = sim.replicas(svc)[0];
@@ -38,9 +46,7 @@ fn full_pipeline_detects_and_localizes_container_stress() {
     ));
     let mut saw_violation = false;
     for _ in 0..12 {
-        sim.run_for(SimDuration::from_secs(1));
-        let a = firm.tick(&mut sim);
-        saw_violation |= a.any_violation();
+        saw_violation |= tick(&mut sim, &mut firm).any_violation();
     }
     assert!(saw_violation, "the injected stress never broke the SLO");
     assert!(firm.stats().actions > 0, "FIRM never acted");
@@ -79,19 +85,19 @@ fn firm_mitigation_beats_no_management_under_stress() {
         );
         let mut lats: Vec<f64> = Vec::new();
         for tick in 0..30 {
+            let window_start = sim.now();
             sim.run_for(SimDuration::from_secs(1));
-            let completed = sim.drain_completed();
+            let ctx = TickContext::drain(&mut sim, window_start);
             if tick >= 10 {
                 lats.extend(
-                    completed
+                    ctx.completed
                         .iter()
                         .filter(|r| !r.dropped && r.request_type == firm::sim::RequestTypeId(0))
                         .map(|r| r.latency.as_micros() as f64),
                 );
             }
             if managed {
-                let telemetry = sim.drain_telemetry();
-                firm.tick_window(&mut sim, completed, telemetry);
+                firm.tick_window(&mut sim, ctx);
             }
         }
         lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
