@@ -42,7 +42,7 @@ use firm_sim::SimDuration;
 use firm_wire::{JsonValue, Obj};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::parse(std::env::args().skip(1));
     let seconds = args.u64("seconds", 3);
     let take = args.u64("scenarios", 4) as usize;
     let seed = args.u64("seed", 7);

@@ -1,15 +1,27 @@
-//! Shared harness code for the figure/table reproduction binaries.
+//! The paper's figures and tables, and the harness code they share.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (the README's "Reproducing the paper's figures and tables"
-//! lists them) and prints the rows/series the paper plots, plus a
-//! `paper:` reference line so the shapes can be compared at a glance.
-//! Binaries accept `--key value` arguments for the knobs that trade
-//! fidelity for runtime (episodes, seconds, rates).
+//! [`paper`] holds one module per figure or table of the paper (the
+//! README's "Reproducing the paper's figures and tables" lists them);
+//! the `paper` binary runs one by name. Each prints the rows/series the
+//! paper plots, plus a `[paper]` reference line so the shapes can be
+//! compared at a glance, and accepts `--key value` arguments ([`Args`])
+//! for the knobs that trade fidelity for runtime (episodes, seconds,
+//! rates). The experiment setup several figures share lives here:
+//! `calibrated_app`, `poisson_sim`, `training_config` and
+//! `CampaignEpisode`. The crate's other binary, `chaos_soak`, is the
+//! fleet's fault-injection soak, not a figure.
 
-use firm_sim::Histogram;
+use firm_core::controller::{run_episode, Controller, EpisodeResult, EpisodeSpec};
+use firm_core::estimator::AgentRegime;
+use firm_core::injector::{AnomalyInjector, CampaignConfig};
+use firm_core::training::TrainingConfig;
+use firm_sim::spec::{AppSpec, ClusterSpec};
+use firm_sim::{Histogram, PoissonArrivals, SimDuration, Simulation};
+use firm_workload::apps::Benchmark;
 
-/// Parses `--key value` pairs from `std::env::args`.
+pub mod paper;
+
+/// Parses the `--key value` pairs of a command line.
 ///
 /// A typo must not silently run the default experiment: a key with no
 /// value, a value that is itself a `--key`, a stray token, or a value
@@ -27,9 +39,9 @@ fn usage_error(message: String) -> ! {
 }
 
 impl Args {
-    /// Collects arguments from the process environment.
-    pub fn from_env() -> Self {
-        Self::from_raw(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(e))
+    /// Collects arguments from raw `--key value` tokens.
+    pub fn parse(raw: impl IntoIterator<Item = String>) -> Self {
+        Self::from_raw(raw).unwrap_or_else(|e| usage_error(e))
     }
 
     /// Pairs up raw `--key value` tokens, rejecting anything else.
@@ -47,16 +59,6 @@ impl Args {
             }
         }
         Ok(Args { pairs })
-    }
-
-    /// Builds from explicit pairs (tests).
-    pub fn from_pairs(pairs: &[(&str, &str)]) -> Self {
-        Args {
-            pairs: pairs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-        }
     }
 
     /// A `u64` argument with a default.
@@ -143,7 +145,7 @@ pub fn banner(id: &str, caption: &str) {
 }
 
 /// Prints a sub-section rule.
-pub fn section(title: &str) {
+pub(crate) fn section(title: &str) {
     println!(
         "\n-- {title} {}",
         "-".repeat(68usize.saturating_sub(title.len()))
@@ -151,17 +153,13 @@ pub fn section(title: &str) {
 }
 
 /// Prints a `paper:` reference line for shape comparison.
-pub fn paper_note(note: &str) {
+pub(crate) fn paper_note(note: &str) {
     println!("  [paper] {note}");
 }
 
 /// Summary statistics of a sample in milliseconds.
 #[derive(Debug, Clone, Copy)]
-pub struct LatencySummary {
-    /// Sample count.
-    pub n: usize,
-    /// Mean, ms.
-    pub mean_ms: f64,
+pub(crate) struct LatencySummary {
     /// Median, ms.
     pub p50_ms: f64,
     /// 99th percentile, ms.
@@ -169,29 +167,29 @@ pub struct LatencySummary {
 }
 
 /// Summarizes a latency sample given in microseconds.
-pub fn summarize_us(mut lats: Vec<f64>) -> LatencySummary {
+pub(crate) fn summarize_us(lats: Vec<f64>) -> LatencySummary {
     if lats.is_empty() {
         return LatencySummary {
-            n: 0,
-            mean_ms: 0.0,
             p50_ms: 0.0,
             p99_ms: 0.0,
         };
     }
-    lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let n = lats.len();
-    let mean = lats.iter().sum::<f64>() / n as f64;
+    let [p50, p99] = quantiles(lats, [0.5, 0.99]);
     LatencySummary {
-        n,
-        mean_ms: mean / 1e3,
-        p50_ms: firm_sim::stats::sample_quantile(&lats, 0.5) / 1e3,
-        p99_ms: firm_sim::stats::sample_quantile(&lats, 0.99) / 1e3,
+        p50_ms: p50 / 1e3,
+        p99_ms: p99 / 1e3,
     }
+}
+
+/// The `qs` quantiles of a sample.
+pub(crate) fn quantiles<const N: usize>(mut xs: Vec<f64>, qs: [f64; N]) -> [f64; N] {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    qs.map(|q| firm_sim::stats::sample_quantile(&xs, q))
 }
 
 /// Prints the CDF of a histogram (values in us, printed in ms) at the
 /// canonical plotting quantiles.
-pub fn print_cdf(label: &str, hist: &Histogram) {
+pub(crate) fn print_cdf(label: &str, hist: &Histogram) {
     const QS: [f64; 9] = [0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999];
     print!("  {label:<22}");
     for q in QS {
@@ -205,7 +203,7 @@ pub fn print_cdf(label: &str, hist: &Histogram) {
 }
 
 /// Formats a ratio as `x.x×` with a guard for division by ~zero.
-pub fn factor(numerator: f64, denominator: f64) -> String {
+pub(crate) fn factor(numerator: f64, denominator: f64) -> String {
     if denominator.abs() < 1e-12 {
         "n/a".into()
     } else {
@@ -213,9 +211,104 @@ pub fn factor(numerator: f64, denominator: f64) -> String {
     }
 }
 
+/// `bench` built and its SLOs calibrated at 1.4× the healthy p99 on
+/// `cluster` under `rate` requests/s.
+pub(crate) fn calibrated_app(
+    bench: Benchmark,
+    cluster: &ClusterSpec,
+    rate: f64,
+    seed: u64,
+) -> AppSpec {
+    let mut app = bench.build();
+    firm_core::slo::calibrate_slos(&mut app, cluster, rate, 1.4, seed);
+    app
+}
+
+/// A simulation of `app` on `cluster` under Poisson arrivals at `rate`
+/// requests/s.
+pub(crate) fn poisson_sim(cluster: ClusterSpec, app: AppSpec, rate: f64, seed: u64) -> Simulation {
+    Simulation::builder(cluster, app, seed)
+        .arrivals(Box::new(PoissonArrivals::new(rate)))
+        .build()
+}
+
+/// The online-training setup the figures share: 30-tick episodes on
+/// six small nodes under a λ = 0.6 campaign of intensity 0.6–1.0.
+pub(crate) fn training_config(
+    episodes: usize,
+    ramp_episodes: usize,
+    min_steps: usize,
+    arrival_rate: f64,
+    regime: AgentRegime,
+    seed: u64,
+) -> TrainingConfig {
+    TrainingConfig {
+        episodes,
+        max_steps: 30,
+        ramp_episodes,
+        min_steps,
+        arrival_rate,
+        cluster: ClusterSpec::small(6),
+        regime,
+        campaign: CampaignConfig {
+            lambda: 0.6,
+            intensity: (0.6, 1.0),
+            ..Default::default()
+        },
+        seed,
+        ..Default::default()
+    }
+}
+
+/// An evaluation episode under an anomaly campaign: Poisson arrivals
+/// on six small nodes, 1 s control ticks, and an injector seeded from
+/// the episode's seed.
+pub(crate) struct CampaignEpisode {
+    /// Arrival rate, requests/s.
+    pub rate: f64,
+    /// Campaign injection rate λ.
+    pub lambda: f64,
+    /// Campaign intensity range.
+    pub intensity: (f64, f64),
+    /// Episode length, s.
+    pub seconds: u64,
+    /// Leading seconds left out of the measurement.
+    pub warmup_secs: u64,
+}
+
+impl CampaignEpisode {
+    /// Runs `controller` on `app` for one episode.
+    pub fn run(&self, app: &AppSpec, controller: &mut dyn Controller, seed: u64) -> EpisodeResult {
+        let mut sim = poisson_sim(ClusterSpec::small(6), app.clone(), self.rate, seed);
+        let campaign = CampaignConfig {
+            lambda: self.lambda,
+            intensity: self.intensity,
+            ..Default::default()
+        };
+        let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
+        let spec = EpisodeSpec {
+            duration: SimDuration::from_secs(self.seconds),
+            control_interval: SimDuration::from_secs(1),
+            warmup: SimDuration::from_secs(self.warmup_secs),
+        };
+        run_episode(&mut sim, controller, Some(&mut injector), &spec)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Args {
+        fn from_pairs(pairs: &[(&str, &str)]) -> Self {
+            Args {
+                pairs: pairs
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+            }
+        }
+    }
 
     #[test]
     fn args_parse_pairs() {
@@ -293,11 +386,9 @@ mod tests {
     #[test]
     fn summary_math() {
         let s = summarize_us(vec![1_000.0, 2_000.0, 3_000.0, 100_000.0]);
-        assert_eq!(s.n, 4);
-        assert!((s.mean_ms - 26.5).abs() < 1e-9);
         assert!((s.p50_ms - 2.5).abs() < 1e-9);
         assert!(s.p99_ms > 90.0);
-        assert_eq!(summarize_us(vec![]).n, 0);
+        assert_eq!(summarize_us(vec![]).p99_ms, 0.0);
     }
 
     #[test]

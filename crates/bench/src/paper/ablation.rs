@@ -7,19 +7,21 @@
 //! RL agent fed *every* critical-path instance — and compares actions
 //! issued, mitigation quality, and tail latency.
 
-use firm_bench::{banner, paper_note, section, Args};
-use firm_core::controller::{run_episode, EpisodeSpec};
-use firm_core::injector::{AnomalyInjector, CampaignConfig};
+use firm_core::estimator::AgentRegime;
 use firm_core::manager::{FirmConfig, FirmManager};
-use firm_core::training::{train_into, TrainingConfig};
+use firm_core::training::train_into;
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
+use crate::{banner, calibrated_app, paper_note, section, training_config, Args, CampaignEpisode};
+
 fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
-    let cluster = ClusterSpec::small(6);
-    let mut app = Benchmark::SocialNetwork.build();
-    firm_core::slo::calibrate_slos(&mut app, &cluster, 350.0, 1.4, seed);
+    let app = calibrated_app(
+        Benchmark::SocialNetwork,
+        &ClusterSpec::small(6),
+        350.0,
+        seed,
+    );
 
     let mut mgr = FirmManager::new(FirmConfig {
         training: true,
@@ -27,41 +29,27 @@ fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
         seed,
         ..FirmConfig::default()
     });
-    let cfg = TrainingConfig {
+    let cfg = training_config(
         episodes,
-        max_steps: 30,
-        ramp_episodes: (episodes / 3).max(1),
-        min_steps: 10,
-        arrival_rate: 350.0,
-        cluster: cluster.clone(),
-        campaign: CampaignConfig {
-            lambda: 0.6,
-            intensity: (0.6, 1.0),
-            ..Default::default()
-        },
+        (episodes / 3).max(1),
+        10,
+        350.0,
+        AgentRegime::Shared,
         seed,
-        ..Default::default()
-    };
+    );
     train_into(&app, &cfg, &mut mgr);
     let trained_actions = mgr.stats().actions;
     mgr.config.explore = false;
     mgr.reset_environment();
 
-    let mut sim = Simulation::builder(cluster, app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(350.0)))
-        .build();
-    let campaign = CampaignConfig {
+    let episode = CampaignEpisode {
+        rate: 350.0,
         lambda: 0.33,
         intensity: (0.6, 1.0),
-        ..Default::default()
+        seconds,
+        warmup_secs: 5,
     };
-    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
-    let spec = EpisodeSpec {
-        duration: SimDuration::from_secs(seconds),
-        control_interval: SimDuration::from_secs(1),
-        warmup: SimDuration::from_secs(5),
-    };
-    let r = run_episode(&mut sim, &mut mgr, Some(&mut injector), &spec);
+    let r = episode.run(&app, &mut mgr, seed);
 
     println!(
         "  {:<22} p50={:>8.2}ms p99={:>9.2}ms violations={:>5.1}% drops={:>5} cpu={:>6.1} actions(train)={}",
@@ -75,8 +63,7 @@ fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
     );
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let episodes = args.u64("episodes", 40) as usize;
     let seconds = args.u64("seconds", 45);
     let seed = args.u64("seed", 67);

@@ -8,15 +8,18 @@
 //! container CPU utilization, and per-core DRAM access of the victim
 //! node.
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_core::baselines::{K8sConfig, K8sHpaController};
 use firm_core::controller::{run_episode, ControlDecision, Controller, EpisodeSpec, TickContext};
-use firm_core::training::{train_firm, TrainingConfig};
+use firm_core::estimator::AgentRegime;
+use firm_core::training::train_firm;
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{
-    AnomalyKind, AnomalySpec, InstanceId, PoissonArrivals, ResourceKind, SimDuration, Simulation,
-};
+use firm_sim::{AnomalyKind, AnomalySpec, InstanceId, ResourceKind, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
+
+use crate::{
+    banner, calibrated_app, factor, paper_note, poisson_sim, quantiles, section, training_config,
+    Args,
+};
 
 /// Reporting window, in 1 s control ticks.
 const WINDOW: u64 = 5;
@@ -66,9 +69,8 @@ impl Controller for Recorder<'_> {
         }
         self.ticks += 1;
         if self.ticks.is_multiple_of(WINDOW) {
-            let mut w = std::mem::take(&mut self.window);
-            w.lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let p99 = firm_sim::stats::sample_quantile(&w.lats, 0.99) / 1e3;
+            let w = std::mem::take(&mut self.window);
+            let [p99] = quantiles(w.lats, [0.99]).map(|us| us / 1e3);
             let cpu = w.cpu_util_sum / w.n_util.max(1.0) * 100.0;
             self.rows.push((self.ticks, p99, cpu, w.dram));
         }
@@ -78,13 +80,10 @@ impl Controller for Recorder<'_> {
 
 /// Runs the Fig. 1 timeline under `controller`, rounded up to whole
 /// reporting windows.
-fn run(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> Vec<Row> {
-    let mut app = Benchmark::SocialNetwork.build();
+fn timeline(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> Vec<Row> {
     let cluster = ClusterSpec::small(6);
-    firm_core::slo::calibrate_slos(&mut app, &cluster, rate, 1.4, seed);
-    let mut sim = Simulation::builder(cluster, app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let app = calibrated_app(Benchmark::SocialNetwork, &cluster, rate, seed);
+    let mut sim = poisson_sim(cluster, app, rate, seed);
 
     // The anomaly: memory-bandwidth contention on the node hosting the
     // post-storage memcached, from t=60 s to t=240 s (like Fig. 1).
@@ -117,8 +116,7 @@ fn run(controller: &mut dyn Controller, seconds: u64, rate: f64, seed: u64) -> V
     recorder.rows
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 150);
     let rate = args.f64("rate", 350.0);
     let seed = args.u64("seed", 43);
@@ -131,30 +129,15 @@ fn main() {
 
     // Pre-train FIRM online against the injector (§3.6/§4.3).
     eprintln!("[fig01] pre-training FIRM for {episodes} episodes...");
-    let mut train_app = Benchmark::SocialNetwork.build();
-    firm_core::slo::calibrate_slos(&mut train_app, &ClusterSpec::small(6), rate, 1.4, seed);
-    let cfg = TrainingConfig {
-        episodes,
-        max_steps: 30,
-        ramp_episodes: episodes / 3,
-        min_steps: 10,
-        arrival_rate: rate,
-        cluster: ClusterSpec::small(6),
-        campaign: firm_core::injector::CampaignConfig {
-            lambda: 0.6,
-            intensity: (0.6, 1.0),
-            ..Default::default()
-        },
-        seed,
-        ..Default::default()
-    };
+    let train_app = calibrated_app(Benchmark::SocialNetwork, &ClusterSpec::small(6), rate, seed);
+    let cfg = training_config(episodes, episodes / 3, 10, rate, AgentRegime::Shared, seed);
     let (_, mut manager) = train_firm(&train_app, &cfg);
     manager.config.explore = false;
     manager.reset_environment();
 
     let mut hpa = K8sHpaController::new(K8sConfig::default(), train_app.services.len());
-    let k8s = run(&mut hpa, seconds, rate, seed);
-    let firm = run(&mut manager, seconds, rate, seed);
+    let k8s = timeline(&mut hpa, seconds, rate, seed);
+    let firm = timeline(&mut manager, seconds, rate, seed);
 
     section("timeline (anomaly active in the middle three-fifths of the run)");
     println!(
@@ -179,7 +162,7 @@ fn main() {
         "\n  mean p99 during contention: K8s {:.1} ms vs FIRM {:.1} ms ({})",
         mid(&k8s),
         mid(&firm),
-        firm_bench::factor(mid(&k8s), mid(&firm))
+        factor(mid(&k8s), mid(&firm))
     );
     paper_note("K8s: sustained tail spike, CPU util flat (blind); FIRM restores per-core DRAM access and the tail recovers");
 }

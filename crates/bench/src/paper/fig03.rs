@@ -6,18 +6,17 @@
 
 use std::collections::BTreeMap;
 
-use firm_bench::{banner, factor, paper_note, section, Args};
 use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration, SimTime, Simulation};
+use firm_sim::{SimDuration, SimTime};
 use firm_trace::TracingCoordinator;
 use firm_workload::apps::{Benchmark, ALL_BENCHMARKS};
 
+use crate::{banner, factor, paper_note, poisson_sim, quantiles, section, Args};
+
 fn run_benchmark(bench: Benchmark, seconds: u64, rate: f64, seed: u64) {
     let app = bench.build();
-    let mut sim = Simulation::builder(ClusterSpec::paper_cluster(), app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let mut sim = poisson_sim(ClusterSpec::paper_cluster(), app, rate, seed);
     let mut coord = TracingCoordinator::new(400_000);
     // Resource stressors only: workload surges congest every CP at once
     // and blur the per-CP comparison the figure is after.
@@ -45,57 +44,39 @@ fn run_benchmark(bench: Benchmark, seconds: u64, rate: f64, seed: u64) {
             .or_default()
             .push(t.latency.as_micros() as f64);
     }
-    let min_samples = 50;
-    let mut best: Option<(&(u16, Vec<u16>), f64)> = None;
-    let mut worst: Option<(&(u16, Vec<u16>), f64)> = None;
-    for (key, lats) in &groups {
-        if lats.len() < min_samples {
+    // Span count, median and p99 (us) and sample count of every CP with
+    // enough samples to compare; Min/Max-CP are the first of the lowest
+    // and of the highest median.
+    let mut cps: Vec<(usize, f64, f64, usize)> = Vec::new();
+    for ((_, sig), lats) in &groups {
+        if lats.len() < 50 {
             continue;
         }
-        let mut sorted = lats.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med = firm_sim::stats::sample_quantile(&sorted, 0.5);
-        if best.as_ref().map(|(_, m)| med < *m).unwrap_or(true) {
-            best = Some((key, med));
-        }
-        if worst.as_ref().map(|(_, m)| med > *m).unwrap_or(true) {
-            worst = Some((key, med));
-        }
+        let [median, p99] = quantiles(lats.clone(), [0.5, 0.99]);
+        cps.push((sig.len(), median, p99, lats.len()));
     }
-    let (Some((min_key, _)), Some((max_key, _))) = (best, worst) else {
+    let min = cps.iter().min_by(|a, b| a.1.total_cmp(&b.1));
+    let max = cps.iter().rev().max_by(|a, b| a.1.total_cmp(&b.1));
+    let (Some(min), Some(max)) = (min, max) else {
         println!("  (not enough CP diversity at this load)");
         return;
     };
-
-    let stats = |key: &(u16, Vec<u16>)| {
-        let mut lats = groups[key].clone();
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        (
-            firm_sim::stats::sample_quantile(&lats, 0.5) / 1e3,
-            firm_sim::stats::sample_quantile(&lats, 0.99) / 1e3,
-            lats.len(),
-        )
-    };
-    let (min_med, min_p99, min_n) = stats(min_key);
-    let (max_med, max_p99, max_n) = stats(max_key);
-    println!(
-        "  Min-CP: median={min_med:>8.2}ms p99={min_p99:>8.2}ms (n={min_n}, {} spans)",
-        min_key.1.len()
-    );
-    println!(
-        "  Max-CP: median={max_med:>8.2}ms p99={max_p99:>8.2}ms (n={max_n}, {} spans)",
-        max_key.1.len()
-    );
+    for (name, (spans, med, p99, n)) in [("Min", min), ("Max", max)] {
+        println!(
+            "  {name}-CP: median={:>8.2}ms p99={:>8.2}ms (n={n}, {spans} spans)",
+            med / 1e3,
+            p99 / 1e3
+        );
+    }
     println!(
         "  spread: median {}  p99 {}  ({} distinct CPs observed)",
-        factor(max_med, min_med),
-        factor(max_p99, min_p99),
+        factor(max.1 / 1e3, min.1 / 1e3),
+        factor(max.2 / 1e3, min.2 / 1e3),
         groups.len()
     );
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 60);
     let rate = args.f64("rate", 150.0);
     let seed = args.u64("seed", 23);

@@ -6,15 +6,16 @@
 //! congestion) carries the variance. Adding a replica to `text` improves
 //! the end-to-end tail; adding one to `compose-post` barely moves it.
 
-use firm_bench::{banner, paper_note, section, summarize_us, Args};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{Command, PoissonArrivals, ResourceKind, SimDuration, Simulation};
+use firm_sim::{Command, ResourceKind, SimDuration};
 use firm_workload::apps::Benchmark;
 
+use crate::{banner, paper_note, poisson_sim, section, summarize_us, Args};
+
 /// Runs the compose-post workload; optionally scales one service to two
-/// replicas. Returns (text span latencies, compose span latencies,
-/// end-to-end latencies) in us.
-fn run(scale: Option<&str>, seconds: u64, rate: f64, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+/// replicas. Returns [text span latencies, compose span latencies,
+/// end-to-end latencies] in us.
+fn measure(scale: Option<&str>, seconds: u64, rate: f64, seed: u64) -> [Vec<f64>; 3] {
     let mut app = Benchmark::SocialNetwork.build();
     // Compose-post only.
     app.request_types[0].weight = 1.0;
@@ -23,9 +24,7 @@ fn run(scale: Option<&str>, seconds: u64, rate: f64, seed: u64) -> (Vec<f64>, Ve
     let text_id = app.service_by_name("text").expect("text exists");
     let compose_id = app.service_by_name("compose-post").expect("compose exists");
 
-    let mut sim = Simulation::builder(ClusterSpec::paper_cluster(), app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let mut sim = poisson_sim(ClusterSpec::paper_cluster(), app, rate, seed);
 
     // Make `text` the high-variance service: a tight quota puts it at
     // ~50-60% utilization, so bursts queue intermittently. Give
@@ -70,11 +69,10 @@ fn run(scale: Option<&str>, seconds: u64, rate: f64, seed: u64) -> (Vec<f64>, Ve
             }
         }
     }
-    (text, compose, total)
+    [text, compose, total]
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 30);
     let rate = args.f64("rate", 180.0);
     let seed = args.u64("seed", 29);
@@ -85,7 +83,7 @@ fn main() {
     );
 
     section("individual latencies on the CP (before scaling)");
-    let (text, compose, before) = run(None, seconds, rate, seed);
+    let [text, compose, before] = measure(None, seconds, rate, seed);
     let ts = summarize_us(text);
     let cs = summarize_us(compose);
     println!(
@@ -102,8 +100,8 @@ fn main() {
     );
 
     section("end-to-end latency after scaling one service to two replicas");
-    let (_, _, text_scaled) = run(Some("text"), seconds, rate, seed + 1);
-    let (_, _, compose_scaled) = run(Some("compose-post"), seconds, rate, seed + 2);
+    let [_, _, text_scaled] = measure(Some("text"), seconds, rate, seed + 1);
+    let [_, _, compose_scaled] = measure(Some("compose-post"), seconds, rate, seed + 2);
     let b = summarize_us(before);
     let t = summarize_us(text_scaled);
     let c = summarize_us(compose_scaled);

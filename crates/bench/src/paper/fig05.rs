@@ -7,18 +7,25 @@
 //! replica on a clean node). Median end-to-end latency is reported per
 //! (load, resource, strategy).
 
-use firm_bench::{banner, paper_note, section, summarize_us, Args};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{
-    AnomalyKind, AnomalySpec, Command, PoissonArrivals, ResourceKind, SimDuration, Simulation,
-};
+use firm_sim::{AnomalyKind, AnomalySpec, Command, ResourceKind, SimDuration};
 use firm_workload::apps::Benchmark;
+
+use crate::{banner, paper_note, poisson_sim, section, summarize_us, Args};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Strategy {
     ScaleUp,
     ScaleOut,
 }
+
+/// The four points measured at each load, in column order.
+const POINTS: [(AnomalyKind, Strategy); 4] = [
+    (AnomalyKind::CpuStress, Strategy::ScaleUp),
+    (AnomalyKind::CpuStress, Strategy::ScaleOut),
+    (AnomalyKind::MemBwStress, Strategy::ScaleUp),
+    (AnomalyKind::MemBwStress, Strategy::ScaleOut),
+];
 
 fn run_point(
     bench: Benchmark,
@@ -30,9 +37,7 @@ fn run_point(
     seed: u64,
 ) -> f64 {
     let app = bench.build();
-    let mut sim = Simulation::builder(ClusterSpec::paper_cluster(), app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(load)))
-        .build();
+    let mut sim = poisson_sim(ClusterSpec::paper_cluster(), app, load, seed);
     let svc = sim
         .app()
         .service_by_name(hot_service)
@@ -92,42 +97,10 @@ fn sweep(bench: Benchmark, hot: &str, loads: &[f64], seconds: u64, seed: u64) {
     );
     for (i, &load) in loads.iter().enumerate() {
         let s = seed + i as u64 * 10;
-        let up_cpu = run_point(
-            bench,
-            hot,
-            load,
-            AnomalyKind::CpuStress,
-            Strategy::ScaleUp,
-            seconds,
-            s,
-        );
-        let out_cpu = run_point(
-            bench,
-            hot,
-            load,
-            AnomalyKind::CpuStress,
-            Strategy::ScaleOut,
-            seconds,
-            s + 1,
-        );
-        let up_mem = run_point(
-            bench,
-            hot,
-            load,
-            AnomalyKind::MemBwStress,
-            Strategy::ScaleUp,
-            seconds,
-            s + 2,
-        );
-        let out_mem = run_point(
-            bench,
-            hot,
-            load,
-            AnomalyKind::MemBwStress,
-            Strategy::ScaleOut,
-            seconds,
-            s + 3,
-        );
+        let [up_cpu, out_cpu, up_mem, out_mem] = std::array::from_fn(|j| {
+            let (resource, strategy) = POINTS[j];
+            run_point(bench, hot, load, resource, strategy, seconds, s + j as u64)
+        });
         let mark = |a: f64, b: f64| if a <= b { "*" } else { " " };
         println!(
             "  {:<10} | {:>8.2}{} {:>8.2}{} | {:>8.2}{} {:>8.2}{}",
@@ -144,8 +117,7 @@ fn sweep(bench: Benchmark, hot: &str, loads: &[f64], seconds: u64, seed: u64) {
     }
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 20);
     let seed = args.u64("seed", 31);
     let loads = args.list("loads", &[50.0, 100.0, 200.0, 300.0, 450.0, 600.0]);

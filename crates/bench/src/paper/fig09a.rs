@@ -7,17 +7,31 @@
 //! from the injector's ground truth; the second phase collects decision
 //! scores and labels, from which the per-type ROC and AUC are computed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_ml::metrics::{auc, roc_curve};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{
-    AnomalyKind, AnomalySpec, InstanceId, PoissonArrivals, SimDuration, SimRng, Simulation,
-};
-use firm_trace::TracingCoordinator;
+use firm_sim::{AnomalyKind, AnomalySpec, InstanceId, SimDuration, SimRng};
+use firm_trace::{StoredTrace, TracingCoordinator};
 use firm_workload::apps::Benchmark;
+
+use crate::{banner, calibrated_app, paper_note, poisson_sim, quantiles, section, Args};
+
+/// Mean span latency per instance (raw id) over `traces`, us.
+fn mean_span_us<'a>(traces: impl Iterator<Item = &'a StoredTrace>) -> BTreeMap<u32, f64> {
+    let mut sums: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
+    for t in traces {
+        for s in &t.graph.spans {
+            let e = sums.entry(s.instance.raw()).or_insert((0.0, 0));
+            e.0 += s.duration().as_micros() as f64;
+            e.1 += 1;
+        }
+    }
+    sums.into_iter()
+        .map(|(i, (s, n))| (i, s / n as f64))
+        .collect()
+}
 
 /// One localization experiment for one anomaly kind; returns
 /// (scores, labels) from the evaluation phase.
@@ -28,15 +42,12 @@ fn run_kind(
     rate: f64,
     seed: u64,
 ) -> (Vec<f64>, Vec<bool>) {
-    let mut app = Benchmark::SocialNetwork.build();
     let cluster = ClusterSpec::small(6);
     // A tight tail SLO (1.4x healthy p99): a single stressed container
     // on the CP is enough to breach it, as in the paper's setup.
-    firm_core::slo::calibrate_slos(&mut app, &cluster, rate, 1.4, seed);
+    let app = calibrated_app(Benchmark::SocialNetwork, &cluster, rate, seed);
     let slos: Vec<u64> = app.request_types.iter().map(|r| r.slo_latency_us).collect();
-    let mut sim = Simulation::builder(cluster, app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let mut sim = poisson_sim(cluster, app, rate, seed);
     let mut coord = TracingCoordinator::new(200_000);
     let mut extractor = CriticalComponentExtractor::new(seed ^ 0x90C);
     let mut rng = SimRng::new(seed ^ 0xABC);
@@ -53,20 +64,7 @@ fn run_kind(
         }
     }
     let targets: Vec<InstanceId> = cp_instances.into_iter().map(InstanceId).collect();
-    let mut baseline: std::collections::BTreeMap<u32, (f64, u64)> = Default::default();
-    for t in coord.traces_since(firm_sim::SimTime::ZERO) {
-        for s in &t.graph.spans {
-            let e = baseline.entry(s.instance.raw()).or_insert((0.0, 0));
-            e.0 += s.duration().as_micros() as f64;
-            e.1 += 1;
-        }
-    }
-    let baseline_mean = |i: InstanceId| {
-        baseline
-            .get(&i.raw())
-            .filter(|(_, n)| *n > 0)
-            .map(|(s, n)| s / *n as f64)
-    };
+    let baseline = mean_span_us(coord.traces_since(firm_sim::SimTime::ZERO));
 
     let mut scores = Vec::new();
     let mut labels = Vec::new();
@@ -113,12 +111,11 @@ fn run_kind(
         // preceding quiet window (1.4x), not just against the SLO.
         let mut violated = false;
         for (rt, slo) in slos.iter().enumerate() {
-            let mut lats = coord.latencies_since(window_start, firm_sim::RequestTypeId(rt as u16));
+            let lats = coord.latencies_since(window_start, firm_sim::RequestTypeId(rt as u16));
             if lats.is_empty() {
                 continue;
             }
-            lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let p99 = firm_sim::stats::sample_quantile(&lats, 0.99);
+            let [p99] = quantiles(lats, [0.99]);
             if p99 > *slo as f64 && p99 > reference_p99[rt] * 1.4 {
                 violated = true;
             }
@@ -128,25 +125,10 @@ fn run_kind(
             let traces: Vec<_> = coord.traces_since(window_start).cloned().collect();
             // For workload surges the culprits are the instances that
             // actually degraded (≥1.5x their baseline span latency).
-            let mut window_mean: std::collections::BTreeMap<u32, (f64, u64)> = Default::default();
-            if is_workload {
-                for t in &traces {
-                    for s in &t.graph.spans {
-                        let e = window_mean.entry(s.instance.raw()).or_insert((0.0, 0));
-                        e.0 += s.duration().as_micros() as f64;
-                        e.1 += 1;
-                    }
-                }
-            }
-            let degraded = |i: InstanceId| {
-                let Some(base) = baseline_mean(i) else {
-                    return false;
-                };
-                window_mean
-                    .get(&i.raw())
-                    .filter(|(_, n)| *n > 0)
-                    .map(|(s, n)| s / *n as f64 > base * 1.5)
-                    .unwrap_or(false)
+            let window = mean_span_us(traces.iter());
+            let degraded = |i: InstanceId| match (baseline.get(&i.raw()), window.get(&i.raw())) {
+                (Some(base), Some(mean)) => *mean > base * 1.5,
+                _ => false,
             };
             let features = extractor.features(traces.iter());
             for f in &features {
@@ -178,10 +160,9 @@ fn run_kind(
         sim.run_for(SimDuration::from_secs(3));
         coord.ingest(sim.drain_completed());
         for (rt, reference) in reference_p99.iter_mut().enumerate() {
-            let mut lats = coord.latencies_since(cool_start, firm_sim::RequestTypeId(rt as u16));
+            let lats = coord.latencies_since(cool_start, firm_sim::RequestTypeId(rt as u16));
             if lats.len() >= 20 {
-                lats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                *reference = firm_sim::stats::sample_quantile(&lats, 0.99);
+                [*reference] = quantiles(lats, [0.99]);
             }
         }
         coord.evict_before(sim.now());
@@ -189,8 +170,7 @@ fn run_kind(
     (scores, labels)
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let eval_rounds = args.u64("rounds", 25) as usize;
     let train_rounds = args.u64("train-rounds", 30) as usize;
     let rate = args.f64("rate", 120.0);

@@ -6,37 +6,24 @@
 //! anomalies of random types — the paper reports 92.8–94.6% (overall
 //! 93.8%) with no difference between ISAs.
 
-use firm_bench::{banner, paper_note, Args};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_sim::instance::InstanceState;
 use firm_sim::spec::{ClusterSpec, NodeSpec};
-use firm_sim::{
-    anomaly::ANOMALY_KINDS, AnomalySpec, InstanceId, PoissonArrivals, SimDuration, SimRng,
-    Simulation,
-};
+use firm_sim::{anomaly::ANOMALY_KINDS, AnomalySpec, InstanceId, SimDuration, SimRng};
 use firm_trace::TracingCoordinator;
 use firm_workload::apps::{Benchmark, ALL_BENCHMARKS};
 
-fn cluster_of(arch: &str) -> ClusterSpec {
-    let node = match arch {
-        "x86" => NodeSpec::x86_default(),
-        _ => NodeSpec::ppc64_default(),
-    };
-    ClusterSpec {
-        nodes: (0..6).map(|_| node.clone()).collect(),
-    }
-}
+use crate::{banner, calibrated_app, paper_note, poisson_sim, Args};
 
 /// Trains on `train_rounds` violating rounds, evaluates on `eval_rounds`
-/// multi-anomaly rounds; returns accuracy.
-fn run(bench: Benchmark, arch: &str, rounds: (usize, usize), rate: f64, seed: u64) -> f64 {
+/// multi-anomaly rounds on six `node`s; returns accuracy.
+fn trial(bench: Benchmark, node: &NodeSpec, rounds: (usize, usize), rate: f64, seed: u64) -> f64 {
     let (train_rounds, eval_rounds) = rounds;
-    let mut app = bench.build();
-    let cluster = cluster_of(arch);
-    firm_core::slo::calibrate_slos(&mut app, &cluster, rate, 1.4, seed);
-    let mut sim = Simulation::builder(cluster, app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let cluster = ClusterSpec {
+        nodes: vec![node.clone(); 6],
+    };
+    let app = calibrated_app(bench, &cluster, rate, seed);
+    let mut sim = poisson_sim(cluster, app, rate, seed);
     let mut coord = TracingCoordinator::new(300_000);
     let mut extractor = CriticalComponentExtractor::new(seed ^ 0x9B);
     let mut rng = SimRng::new(seed ^ 0xB00);
@@ -105,10 +92,10 @@ fn run(bench: Benchmark, arch: &str, rounds: (usize, usize), rate: f64, seed: u6
     correct as f64 / total as f64
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let train_rounds = args.u64("train-rounds", 40) as usize;
     let eval_rounds = args.u64("rounds", 20) as usize;
+    let rounds = (train_rounds, eval_rounds);
     let seed = args.u64("seed", 41);
 
     banner(
@@ -119,6 +106,10 @@ fn main() {
         "  {:<20} {:>12} {:>12}",
         "benchmark", "Intel Xeon", "IBM Power"
     );
+    let isas = [
+        (NodeSpec::x86_default(), 0),
+        (NodeSpec::ppc64_default(), 100),
+    ];
     let mut all = Vec::new();
     for (i, bench) in ALL_BENCHMARKS.iter().enumerate() {
         // Loads chosen so each app sits at moderate utilization.
@@ -127,20 +118,9 @@ fn main() {
             Benchmark::TrainTicket => 250.0,
             _ => 350.0,
         };
-        let x86 = run(
-            *bench,
-            "x86",
-            (train_rounds, eval_rounds),
-            rate,
-            seed + i as u64,
-        );
-        let ppc = run(
-            *bench,
-            "ppc64",
-            (train_rounds, eval_rounds),
-            rate,
-            seed + 100 + i as u64,
-        );
+        let [x86, ppc] = isas
+            .each_ref()
+            .map(|(node, offset)| trial(*bench, node, rounds, rate, seed + offset + i as u64));
         println!(
             "  {:<20} {:>11.1}% {:>11.1}%",
             bench.name(),

@@ -1,13 +1,13 @@
 //! Fig. 9(c): the multi-anomaly injection campaign — per-window
 //! intensity of each of the six interference sources.
 
-use firm_bench::{banner, paper_note, Args};
 use firm_sim::spec::ClusterSpec;
 use firm_sim::{NodeId, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
-fn main() {
-    let args = Args::from_env();
+use crate::{banner, paper_note, Args};
+
+pub fn run(args: &Args) {
     let windows = args.u64("windows", 12) as usize;
     let window_secs = args.u64("window-secs", 10);
     let seed = args.u64("seed", 9);

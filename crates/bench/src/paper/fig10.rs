@@ -6,42 +6,19 @@
 //! validated on DeathStarBench (Social Network) under the §4.1 anomaly
 //! campaign.
 
-use firm_bench::{banner, factor, paper_note, print_cdf, section, Args};
 use firm_core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
-use firm_core::controller::{run_episode, Controller, EpisodeResult, EpisodeSpec};
+use firm_core::controller::{Controller, EpisodeResult};
 use firm_core::estimator::AgentRegime;
-use firm_core::injector::{AnomalyInjector, CampaignConfig};
-use firm_core::training::{train_firm, TrainingConfig};
+use firm_core::training::train_firm;
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
-fn scenario(
-    app: &firm_sim::spec::AppSpec,
-    controller: &mut dyn Controller,
-    seconds: u64,
-    rate: f64,
-    seed: u64,
-) -> EpisodeResult {
-    let mut sim = Simulation::builder(ClusterSpec::small(6), app.clone(), seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
-    let campaign = CampaignConfig {
-        lambda: 0.33,
-        intensity: (0.6, 1.0),
-        ..Default::default()
-    };
-    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
-    let spec = EpisodeSpec {
-        duration: SimDuration::from_secs(seconds),
-        control_interval: SimDuration::from_secs(1),
-        warmup: SimDuration::from_secs(5),
-    };
-    run_episode(&mut sim, controller, Some(&mut injector), &spec)
-}
+use crate::{
+    banner, calibrated_app, factor, paper_note, print_cdf, quantiles, section, training_config,
+    Args, CampaignEpisode,
+};
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 120);
     let rate = args.f64("rate", 350.0);
     let seed = args.u64("seed", 47);
@@ -53,24 +30,8 @@ fn main() {
     );
 
     // Train on Train-Ticket (§4.3), validate on Social Network (§4.4).
-    let mut train_app = Benchmark::TrainTicket.build();
-    firm_core::slo::calibrate_slos(&mut train_app, &ClusterSpec::small(6), 250.0, 1.4, seed);
-    let train_cfg = |regime| TrainingConfig {
-        episodes,
-        max_steps: 30,
-        ramp_episodes: episodes / 3,
-        min_steps: 10,
-        arrival_rate: 250.0,
-        cluster: ClusterSpec::small(6),
-        regime,
-        campaign: CampaignConfig {
-            lambda: 0.6,
-            intensity: (0.6, 1.0),
-            ..Default::default()
-        },
-        seed,
-        ..Default::default()
-    };
+    let train_app = calibrated_app(Benchmark::TrainTicket, &ClusterSpec::small(6), 250.0, seed);
+    let train_cfg = |regime| training_config(episodes, episodes / 3, 10, 250.0, regime, seed);
     eprintln!("[fig10] training single-RL (one-for-all) agent...");
     let (_, mut single) = train_firm(&train_app, &train_cfg(AgentRegime::Shared));
     single.config.explore = false;
@@ -78,8 +39,7 @@ fn main() {
     let (_, mut multi) = train_firm(&train_app, &train_cfg(AgentRegime::PerService));
     multi.config.explore = false;
 
-    let mut validate_app = Benchmark::SocialNetwork.build();
-    firm_core::slo::calibrate_slos(&mut validate_app, &ClusterSpec::small(6), rate, 1.4, seed);
+    let validate_app = calibrated_app(Benchmark::SocialNetwork, &ClusterSpec::small(6), rate, seed);
 
     // The trained managers last ran a Train-Ticket episode; start them
     // clean on the validation app.
@@ -89,6 +49,13 @@ fn main() {
     let mut k8s = K8sHpaController::new(K8sConfig::default(), validate_app.services.len());
 
     eprintln!("[fig10] running the four managed scenarios...");
+    let episode = CampaignEpisode {
+        rate,
+        lambda: 0.33,
+        intensity: (0.6, 1.0),
+        seconds,
+        warmup_secs: 5,
+    };
     let contenders: [(&str, &mut dyn Controller); 4] = [
         ("FIRM (Single-RL)", &mut single),
         ("FIRM (Multi-RL)", &mut multi),
@@ -97,7 +64,7 @@ fn main() {
     ];
     let results: Vec<(&str, EpisodeResult)> = contenders
         .into_iter()
-        .map(|(name, ctl)| (name, scenario(&validate_app, ctl, seconds, rate, seed)))
+        .map(|(name, ctl)| (name, episode.run(&validate_app, ctl, seed)))
         .collect();
 
     section("(a) end-to-end latency CDF");
@@ -107,57 +74,44 @@ fn main() {
 
     section("(b) requested CPU limit over time (cores)");
     for (name, r) in &results {
-        let mut cpus: Vec<f64> = r.timeline.iter().map(|p| p.requested_cpu).collect();
-        cpus.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let cpus = r.timeline.iter().map(|p| p.requested_cpu).collect();
+        let [p10, p50, p90] = quantiles(cpus, [0.1, 0.5, 0.9]);
         println!(
-            "  {:<22} p10={:>7.1} p50={:>7.1} p90={:>7.1}  mean={:>7.1}",
-            name,
-            firm_sim::stats::sample_quantile(&cpus, 0.1),
-            firm_sim::stats::sample_quantile(&cpus, 0.5),
-            firm_sim::stats::sample_quantile(&cpus, 0.9),
+            "  {name:<22} p10={p10:>7.1} p50={p50:>7.1} p90={p90:>7.1}  mean={:>7.1}",
             r.mean_requested_cpu
         );
     }
 
     section("(c) dropped requests per control window");
     for (name, r) in &results {
-        let mut drops: Vec<f64> = r.timeline.iter().map(|p| p.drops as f64).collect();
-        drops.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let drops = r.timeline.iter().map(|p| p.drops as f64).collect();
+        let [p50, p90, p99] = quantiles(drops, [0.5, 0.9, 0.99]);
         println!(
-            "  {:<22} p50={:>6.0} p90={:>6.0} p99={:>6.0}  total={}",
-            name,
-            firm_sim::stats::sample_quantile(&drops, 0.5),
-            firm_sim::stats::sample_quantile(&drops, 0.9),
-            firm_sim::stats::sample_quantile(&drops, 0.99),
+            "  {name:<22} p50={p50:>6.0} p90={p90:>6.0} p99={p99:>6.0}  total={}",
             r.drops
         );
     }
 
     section("summary vs baselines");
+    let [single, multi, aimd, k8s] = [0, 1, 2, 3].map(|i| &results[i].1);
+    // FIRM's figure is the better of its two regimes.
+    let best = |f: fn(&EpisodeResult) -> f64| f(single).min(f(multi));
     let p99 = |r: &EpisodeResult| r.latency.p99() as f64 / 1e3;
-    let firm_p99 = p99(&results[0].1).min(p99(&results[1].1));
-    let aimd = &results[2].1;
-    let k8s = &results[3].1;
+    let firm_p99 = best(p99);
     println!(
         "  tail latency:   FIRM best p99 {:.1} ms vs AIMD {} / K8s {}",
         firm_p99,
         factor(p99(aimd), firm_p99),
         factor(p99(k8s), firm_p99),
     );
-    let firm_viol = results[0]
-        .1
-        .violation_rate()
-        .min(results[1].1.violation_rate());
+    let firm_viol = best(EpisodeResult::violation_rate);
     println!(
         "  SLO violations: FIRM {:.2}% vs AIMD {} / K8s {}",
         firm_viol * 100.0,
         factor(aimd.violation_rate(), firm_viol),
         factor(k8s.violation_rate(), firm_viol),
     );
-    let firm_cpu = results[0]
-        .1
-        .mean_requested_cpu
-        .min(results[1].1.mean_requested_cpu);
+    let firm_cpu = best(|r| r.mean_requested_cpu);
     println!(
         "  requested CPU:  FIRM {:.1} cores = {:.1}% below K8s ({:.1}), {:.1}% below AIMD ({:.1})",
         firm_cpu,
@@ -166,12 +120,12 @@ fn main() {
         (1.0 - firm_cpu / aimd.mean_requested_cpu) * 100.0,
         aimd.mean_requested_cpu,
     );
-    let firm_drops = results[0].1.drops.min(results[1].1.drops).max(1);
+    let firm_drops = single.drops.min(multi.drops);
     println!(
         "  dropped reqs:   FIRM {} vs AIMD {} / K8s {}",
-        results[0].1.drops.min(results[1].1.drops),
-        factor(aimd.drops as f64, firm_drops as f64),
-        factor(k8s.drops as f64, firm_drops as f64),
+        firm_drops,
+        factor(aimd.drops as f64, firm_drops.max(1) as f64),
+        factor(k8s.drops as f64, firm_drops.max(1) as f64),
     );
     paper_note("FIRM beats baselines by up to 6.9x/11.5x on tails (9.8x/16.7x fewer violations),");
     paper_note("cuts requested CPU 29.1-62.3%, drops 8.6x fewer requests; single-RL ≈ multi-RL");

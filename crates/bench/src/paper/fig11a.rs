@@ -2,13 +2,13 @@
 //! one-for-all, one-for-each, and transfer-learning agents trained on
 //! Train-Ticket (§4.3).
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_core::estimator::AgentRegime;
-use firm_core::injector::CampaignConfig;
 use firm_core::manager::{FirmConfig, FirmManager};
-use firm_core::training::{train_firm, train_into, EpisodeStats, TrainingConfig};
+use firm_core::training::{train_firm, train_into, EpisodeStats};
 use firm_sim::spec::ClusterSpec;
 use firm_workload::apps::Benchmark;
+
+use crate::{banner, calibrated_app, paper_note, section, training_config, Args};
 
 fn moving_avg(stats: &[EpisodeStats], window: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(stats.len());
@@ -30,8 +30,7 @@ fn convergence_episode(avg: &[f64]) -> usize {
         .unwrap_or(avg.len())
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let episodes = args.u64_at_least("episodes", 150, 1) as usize;
     let seed = args.u64("seed", 53);
 
@@ -40,24 +39,8 @@ fn main() {
         "Learning curves: one-for-all vs one-for-each vs transferred agents",
     );
 
-    let mut app = Benchmark::TrainTicket.build();
-    firm_core::slo::calibrate_slos(&mut app, &ClusterSpec::small(6), 250.0, 1.4, seed);
-    let cfg = |regime, seed| TrainingConfig {
-        episodes,
-        max_steps: 30,
-        ramp_episodes: episodes / 4,
-        min_steps: 8,
-        arrival_rate: 250.0,
-        cluster: ClusterSpec::small(6),
-        regime,
-        campaign: CampaignConfig {
-            lambda: 0.6,
-            intensity: (0.6, 1.0),
-            ..Default::default()
-        },
-        seed,
-        ..Default::default()
-    };
+    let app = calibrated_app(Benchmark::TrainTicket, &ClusterSpec::small(6), 250.0, seed);
+    let cfg = |regime, seed| training_config(episodes, episodes / 4, 8, 250.0, regime, seed);
 
     eprintln!("[fig11a] training one-for-all...");
     let (all_stats, teacher) = train_firm(&app, &cfg(AgentRegime::Shared, seed));

@@ -6,35 +6,31 @@
 //! training) and evaluated frozen on a fixed one-minute injection
 //! scenario, measuring the time from SLO violation to recovery.
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_core::baselines::{AimdConfig, AimdController, K8sConfig, K8sHpaController};
-use firm_core::controller::{run_episode, Controller, EpisodeSpec};
+use firm_core::controller::Controller;
 use firm_core::estimator::AgentRegime;
-use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_core::manager::{FirmConfig, FirmManager};
-use firm_core::training::{train_into, TrainingConfig};
+use firm_core::training::train_into;
 use firm_sim::spec::{AppSpec, ClusterSpec};
-use firm_sim::{PoissonArrivals, SimDuration, Simulation};
 use firm_workload::apps::Benchmark;
 
-/// Evaluates mean mitigation time of a controller on the fixed
-/// evaluation scenario (continuous injections for one minute, §4.3).
+use crate::{
+    banner, calibrated_app, factor, paper_note, section, training_config, Args, CampaignEpisode,
+};
+
+/// The fixed evaluation scenario: continuous injections for one
+/// minute (§4.3).
+const EVALUATION: CampaignEpisode = CampaignEpisode {
+    rate: 250.0,
+    lambda: 0.5,
+    intensity: (0.7, 1.0),
+    seconds: 60,
+    warmup_secs: 3,
+};
+
+/// Evaluates mean mitigation time of a controller on [`EVALUATION`].
 fn evaluate(app: &AppSpec, controller: &mut dyn Controller, seed: u64) -> f64 {
-    let mut sim = Simulation::builder(ClusterSpec::small(6), app.clone(), seed)
-        .arrivals(Box::new(PoissonArrivals::new(250.0)))
-        .build();
-    let campaign = CampaignConfig {
-        lambda: 0.5,
-        intensity: (0.7, 1.0),
-        ..Default::default()
-    };
-    let mut injector = AnomalyInjector::new(campaign, seed ^ 0xF00D);
-    let spec = EpisodeSpec {
-        duration: SimDuration::from_secs(60),
-        control_interval: SimDuration::from_secs(1),
-        warmup: SimDuration::from_secs(3),
-    };
-    run_episode(&mut sim, controller, Some(&mut injector), &spec).mean_mitigation_secs()
+    EVALUATION.run(app, controller, seed).mean_mitigation_secs()
 }
 
 /// Trains a fresh manager for `episodes` episodes in the given regime
@@ -47,22 +43,7 @@ fn checkpoint(app: &AppSpec, regime: AgentRegime, episodes: usize, seed: u64) ->
         ..FirmConfig::default()
     });
     if episodes > 0 {
-        let cfg = TrainingConfig {
-            episodes,
-            max_steps: 30,
-            ramp_episodes: (episodes / 3).max(1),
-            min_steps: 8,
-            arrival_rate: 250.0,
-            cluster: ClusterSpec::small(6),
-            regime,
-            campaign: CampaignConfig {
-                lambda: 0.6,
-                intensity: (0.6, 1.0),
-                ..Default::default()
-            },
-            seed,
-            ..Default::default()
-        };
+        let cfg = training_config(episodes, (episodes / 3).max(1), 8, 250.0, regime, seed);
         train_into(app, &cfg, &mut mgr);
     }
     mgr.config.training = false;
@@ -71,8 +52,7 @@ fn checkpoint(app: &AppSpec, regime: AgentRegime, episodes: usize, seed: u64) ->
     mgr
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let episodes = args.u64("episodes", 120) as usize;
     let checkpoints = args.u64_at_least("checkpoints", 6, 1) as usize;
     let seed = args.u64("seed", 59);
@@ -82,8 +62,7 @@ fn main() {
         "SLO mitigation time vs training episodes (checkpoint evaluation)",
     );
 
-    let mut app = Benchmark::TrainTicket.build();
-    firm_core::slo::calibrate_slos(&mut app, &ClusterSpec::small(6), 250.0, 1.4, seed);
+    let app = calibrated_app(Benchmark::TrainTicket, &ClusterSpec::small(6), 250.0, seed);
 
     // Flat baselines.
     let mut hpa = K8sHpaController::new(K8sConfig::default(), app.services.len());
@@ -111,8 +90,8 @@ fn main() {
 
     println!(
         "\n  converged FIRM vs baselines: AIMD {} | K8s {}",
-        firm_bench::factor(aimd, last_single),
-        firm_bench::factor(k8s, last_single)
+        factor(aimd, last_single),
+        factor(k8s, last_single)
     );
     paper_note("FIRM converges to ≈1.7 s mitigation; up to 9.6x faster than AIMD, 30.1x than K8s;");
     paper_note("early checkpoints (≲900 iters) are no better than K8s autoscaling");

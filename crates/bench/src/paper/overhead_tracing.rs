@@ -9,17 +9,16 @@
 
 use std::time::Instant;
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{PoissonArrivals, SimDuration, Simulation};
+use firm_sim::SimDuration;
 use firm_trace::TracingCoordinator;
 use firm_workload::apps::Benchmark;
 
-fn run(seconds: u64, rate: f64, seed: u64, with_tracing: bool) -> (f64, u64) {
+use crate::{banner, paper_note, poisson_sim, section, Args};
+
+fn wall_clock(seconds: u64, rate: f64, seed: u64, with_tracing: bool) -> (f64, u64) {
     let app = Benchmark::SocialNetwork.build();
-    let mut sim = Simulation::builder(ClusterSpec::small(6), app, seed)
-        .arrivals(Box::new(PoissonArrivals::new(rate)))
-        .build();
+    let mut sim = poisson_sim(ClusterSpec::small(6), app, rate, seed);
     let mut coord = TracingCoordinator::new(1_000_000);
     let t0 = Instant::now();
     let mut traces = 0u64;
@@ -45,8 +44,7 @@ fn run(seconds: u64, rate: f64, seed: u64, with_tracing: bool) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), traces)
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) {
     let seconds = args.u64("seconds", 30);
     let rate = args.f64("rate", 300.0);
     let seed = args.u64("seed", 61);
@@ -61,8 +59,8 @@ fn main() {
     let mut without = 0.0;
     let mut traces = 0;
     for rep in 0..3 {
-        let (w, t) = run(seconds, rate, seed + rep, true);
-        let (wo, _) = run(seconds, rate, seed + rep, false);
+        let (w, t) = wall_clock(seconds, rate, seed + rep, true);
+        let (wo, _) = wall_clock(seconds, rate, seed + rep, false);
         with += w;
         without += wo;
         traces += t;

@@ -5,13 +5,13 @@
 //! (which the model encodes), then measures the end-to-end command
 //! application latency inside a live simulation.
 
-use firm_bench::{banner, paper_note, section, Args};
 use firm_sim::actuator::table6;
 use firm_sim::spec::{AppSpec, ClusterSpec};
 use firm_sim::{Command, InstanceId, ResourceKind, SimRng, Simulation};
 
-fn main() {
-    let args = Args::from_env();
+use crate::{banner, paper_note, section, Args};
+
+pub fn run(args: &Args) {
     let samples = args.u64("samples", 5_000) as usize;
     banner(
         "Table 6",

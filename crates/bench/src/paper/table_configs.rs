@@ -2,10 +2,11 @@
 //! from the live code so drift between paper and implementation is
 //! visible.
 
-use firm_bench::{banner, section};
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_ml::ddpg::DdpgConfig;
 use firm_sim::anomaly::ANOMALY_KINDS;
+
+use crate::{banner, section, Args};
 
 /// Table 2 as the paper groups it: each source, then its metrics paired
 /// with the `firm_sim::telemetry_probe::InstanceSnapshot` field the
@@ -40,7 +41,7 @@ const TABLE2: [(&str, &[(&str, &str)]); 3] = [
     ),
 ];
 
-fn main() {
+pub fn run(_: &Args) {
     banner(
         "Tables 2–5",
         "Configuration surfaces (telemetry, state-action, RL, anomalies)",

@@ -178,9 +178,6 @@ pub struct ResourceEstimator {
     seed: u64,
     /// Action-to-limit mapping.
     pub mapper: ActionMapper,
-    /// Reward trade-off α (the paper leaves it unspecified; 0.5 balances
-    /// SLO compliance and utilization).
-    pub alpha: f64,
 }
 
 impl ResourceEstimator {
@@ -193,7 +190,6 @@ impl ResourceEstimator {
             per_service: BTreeMap::new(),
             seed,
             mapper: ActionMapper::default(),
-            alpha: 0.5,
         }
     }
 

@@ -22,13 +22,18 @@ use crate::estimator::{reward, AgentRegime, ResourceEstimator, StateBuilder};
 use crate::extractor::{ground_truth_label, CriticalComponentExtractor};
 use crate::slo::{assess, SloAssessment};
 
+/// Maximum culprit instances acted upon per tick.
+const MAX_CANDIDATES: usize = 4;
+
+/// Reward trade-off α (the paper leaves it unspecified; 0.5 balances
+/// SLO compliance and utilization).
+const ALPHA: f64 = 0.5;
+
 /// FIRM configuration.
 #[derive(Debug, Clone)]
 pub struct FirmConfig {
     /// Control-loop period.
     pub control_interval: SimDuration,
-    /// Maximum culprit instances acted upon per tick.
-    pub max_candidates: usize,
     /// Agent regime (§4.3: one-for-all / one-for-each / transferred).
     pub regime: AgentRegime,
     /// Training mode: label the SVM from ground truth and learn from
@@ -46,8 +51,6 @@ pub struct FirmConfig {
     /// trainers to drain. Off by default: single-sim runs learn in
     /// place and don't pay the copy.
     pub record_experience: bool,
-    /// Reward trade-off α.
-    pub alpha: f64,
     /// Use the SLO-penalized reward variant
     /// ([`crate::estimator::reward_penalized`]): violations below the
     /// SLO line earn *negative* rewards, so severity-prioritized
@@ -69,13 +72,11 @@ impl Default for FirmConfig {
     fn default() -> Self {
         FirmConfig {
             control_interval: SimDuration::from_secs(1),
-            max_candidates: 4,
             regime: AgentRegime::Shared,
             training: false,
             explore: true,
             svm_filter: true,
             record_experience: false,
-            alpha: 0.5,
             slo_penalty: false,
             seed: 7,
             intra_shards: 1,
@@ -381,11 +382,7 @@ impl FirmManager {
                     all.sort_by(|a, b| b.ci.total_cmp(&a.ci));
                     all
                 };
-                for cand in candidates
-                    .into_iter()
-                    .filter(in_sim)
-                    .take(self.config.max_candidates)
-                {
+                for cand in candidates.into_iter().filter(in_sim).take(MAX_CANDIDATES) {
                     let Some(snap) = snapshots.get(&cand.instance.raw()) else {
                         continue;
                     };
@@ -464,9 +461,9 @@ impl FirmManager {
             utils[kind.index()] = snap.utilization.get(kind);
         }
         let r = if self.config.slo_penalty {
-            crate::estimator::reward_penalized(sv, &utils, self.config.alpha)
+            crate::estimator::reward_penalized(sv, &utils, ALPHA)
         } else {
-            reward(sv, &utils, self.config.alpha)
+            reward(sv, &utils, ALPHA)
         };
         self.episode_reward += r;
         let next_state = self.state_builder.build(snap, sv, wc, mix);

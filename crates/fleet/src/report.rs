@@ -186,11 +186,6 @@ pub struct ScenarioDelta {
 }
 
 impl ScenarioDelta {
-    /// Positive when deployment lowered the violation rate.
-    pub fn violation_rate_improvement(&self) -> f64 {
-        self.train_violation_rate - self.deploy_violation_rate
-    }
-
     /// Renders the delta as a stable JSON document (see
     /// [`crate::wire`]).
     pub fn to_json(&self) -> String {
@@ -342,7 +337,6 @@ mod tests {
         assert_eq!(rt.deltas.len(), 2);
         let a = &rt.deltas[0];
         assert_eq!(a.name, "a");
-        assert!(a.violation_rate_improvement() > 0.0);
         assert_eq!(a.train_p99_us, 9_000);
         assert_eq!(a.deploy_p99_us, 6_000);
         let json = rt.to_json();

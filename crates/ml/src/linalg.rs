@@ -198,16 +198,6 @@ impl Matrix {
         dispatch(lhs, other, 0..other.cols, acc, |_, sum| sum);
     }
 
-    /// Adds `v` to every row (broadcast bias add).
-    pub fn add_row_broadcast(&mut self, v: &[f64]) {
-        assert_eq!(v.len(), self.cols, "broadcast width mismatch");
-        for r in 0..self.rows {
-            for (x, b) in self.row_mut(r).iter_mut().zip(v) {
-                *x += b;
-            }
-        }
-    }
-
     /// `acc[c] += Σ_r self[r][c]`: column sums accumulated into a
     /// gradient buffer.
     ///
@@ -227,19 +217,6 @@ impl Matrix {
     pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
         for x in &mut self.data {
             *x = f(*x);
-        }
-    }
-
-    /// Element-wise product in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard_inplace(&mut self, other: &Matrix) {
-        assert_eq!(self.rows, other.rows, "hadamard shape mismatch");
-        assert_eq!(self.cols, other.cols, "hadamard shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
         }
     }
 
@@ -494,8 +471,7 @@ mod tests {
 
     #[test]
     fn broadcast_and_sums() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_row_broadcast(&[1.0, 2.0, 3.0]);
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
         let mut sums = vec![0.0; 3];
         m.col_sums_acc(&mut sums);
         assert_eq!(sums, vec![2.0, 4.0, 6.0]);
@@ -504,11 +480,8 @@ mod tests {
     #[test]
     fn hadamard_and_map() {
         let mut a = Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]);
-        let b = Matrix::from_vec(1, 3, vec![2.0, 2.0, 2.0]);
-        a.hadamard_inplace(&b);
-        assert_eq!(a.data(), &[2.0, -4.0, 6.0]);
         a.map_inplace(f64::abs);
-        assert_eq!(a.data(), &[2.0, 4.0, 6.0]);
+        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl Mlp {
         self.input_dim
     }
 
-    /// Output dimension.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").w.rows()
-    }
-
     /// Batch forward pass; caches intermediates when `train` so a
     /// following [`Mlp::backward`] can run.
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
@@ -447,7 +442,6 @@ mod tests {
     fn shapes_and_bounds() {
         let net = Mlp::new(&[8, 40, 40, 5], Activation::Relu, Activation::Tanh, 1);
         assert_eq!(net.input_dim(), 8);
-        assert_eq!(net.output_dim(), 5);
         assert_eq!(net.param_count(), 8 * 40 + 40 + 40 * 40 + 40 + 40 * 5 + 5);
         let y = net.forward_one(&[0.3; 8]);
         assert!(y.iter().all(|v| (-1.0..=1.0).contains(v)));

@@ -149,15 +149,6 @@ impl ResourceVec {
         out
     }
 
-    /// Element-wise clamp of every component to `[lo, hi]`.
-    pub fn clamp_each(&self, lo: &ResourceVec, hi: &ResourceVec) -> ResourceVec {
-        let mut out = *self;
-        for i in 0..5 {
-            out.values[i] = out.values[i].clamp(lo.values[i], hi.values[i]);
-        }
-        out
-    }
-
     /// True if every component of `self` is ≤ the matching component of
     /// `other` (within `eps`).
     pub fn fits_within(&self, other: &ResourceVec, eps: f64) -> bool {
@@ -244,17 +235,6 @@ mod tests {
         assert!(small.fits_within(&big, 0.0));
         assert!(!big.fits_within(&small, 0.0));
         assert!(big.fits_within(&big, 1e-9));
-    }
-
-    #[test]
-    fn clamp_each_bounds() {
-        let v = ResourceVec::new(-1.0, 5000.0, 3.0, 1.0, 10.0);
-        let lo = ResourceVec::splat(0.0);
-        let hi = ResourceVec::splat(100.0);
-        let c = v.clamp_each(&lo, &hi);
-        assert_eq!(c.get(ResourceKind::Cpu), 0.0);
-        assert_eq!(c.get(ResourceKind::MemBw), 100.0);
-        assert_eq!(c.get(ResourceKind::Llc), 3.0);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl SpanRecord {
     pub fn duration(&self) -> SimDuration {
         self.end - self.start
     }
-
-    /// Time spent waiting in the instance queue: the congestion the
-    /// paper's CI feature (p99/p50) is designed to expose.
-    pub fn queue_wait(&self) -> SimDuration {
-        self.work_start - self.start
-    }
 }
 
 /// A finished end-to-end request with its full trace.
@@ -92,16 +86,6 @@ impl CompletedRequest {
     /// The root span (the entry service), if the trace recorded one.
     pub fn root_span(&self) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.parent.is_none())
-    }
-
-    /// Sum of all per-span durations; an upper bound on the critical-path
-    /// length when everything is sequential.
-    pub fn total_span_time(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for s in &self.spans {
-            total += s.duration();
-        }
-        total
     }
 }
 
@@ -130,7 +114,6 @@ mod tests {
     fn span_durations() {
         let s = span(100, 700, 250);
         assert_eq!(s.duration().as_micros(), 600);
-        assert_eq!(s.queue_wait().as_micros(), 150);
     }
 
     #[test]
@@ -148,6 +131,5 @@ mod tests {
             spans: vec![span(100, 700, 120), child],
         };
         assert_eq!(req.root_span().unwrap().span_id, SpanId(1));
-        assert_eq!(req.total_span_time().as_micros(), 800);
     }
 }

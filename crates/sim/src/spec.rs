@@ -91,13 +91,6 @@ impl ClusterSpec {
             nodes: (0..n).map(|_| NodeSpec::x86_default()).collect(),
         }
     }
-
-    /// Total capacity across all nodes.
-    pub fn total_capacity(&self) -> ResourceVec {
-        self.nodes
-            .iter()
-            .fold(ResourceVec::ZERO, |acc, n| acc.add(&n.capacity))
-    }
 }
 
 /// Per-request resource demand of one service for one request type.
@@ -574,7 +567,6 @@ mod tests {
         assert_eq!(c.nodes.len(), 15);
         let x86 = c.nodes.iter().filter(|n| n.arch == IsaArch::X86).count();
         assert_eq!(x86, 9);
-        assert!(c.total_capacity().get(crate::ResourceKind::Cpu) > 500.0);
     }
 
     #[test]
