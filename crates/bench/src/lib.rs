@@ -256,7 +256,6 @@ pub(crate) fn training_config(
             ..Default::default()
         },
         seed,
-        ..Default::default()
     }
 }
 

@@ -286,8 +286,6 @@ pub struct EpisodeResult {
     pub ticks: u64,
     /// End-to-end latency histogram (us), post-warmup, non-dropped.
     pub latency: Histogram,
-    /// Sum of recorded latencies, us (for exact means).
-    pub latency_sum_us: u128,
     /// Per-tick timeline.
     pub timeline: Vec<TimelinePoint>,
     /// Requests finished post-warmup — served *or* dropped.
@@ -312,14 +310,10 @@ impl EpisodeResult {
         }
     }
 
-    /// Mean end-to-end latency of served (non-dropped) requests, us.
+    /// Mean end-to-end latency of served (non-dropped) requests, us:
+    /// exact, since the histogram keeps the sum of what it recorded.
     pub fn mean_latency_us(&self) -> f64 {
-        let ok = self.completions.saturating_sub(self.drops);
-        if ok == 0 {
-            0.0
-        } else {
-            self.latency_sum_us as f64 / ok as f64
-        }
+        self.latency.mean()
     }
 
     /// Mean mitigation time in seconds (0 if no anomalies fired).
@@ -355,7 +349,6 @@ pub fn run_episode(
     let mut completions = 0u64;
     let mut drops = 0u64;
     let mut slo_violations = 0u64;
-    let mut latency_sum_us = 0u128;
     let mut cpu_sum = 0.0;
     let mut cpu_n = 0u64;
 
@@ -397,7 +390,6 @@ pub fn run_episode(
                 let us = r.latency.as_micros();
                 if measuring {
                     latency.record(us);
-                    latency_sum_us += us as u128;
                     completions += 1;
                     if us > app.request_types[r.request_type.index()].slo_latency_us {
                         slo_violations += 1;
@@ -437,7 +429,6 @@ pub fn run_episode(
     EpisodeResult {
         ticks,
         latency,
-        latency_sum_us,
         timeline,
         completions,
         drops,

@@ -26,116 +26,80 @@ pub const ACTOR_STATE_DIM: usize = 8;
 /// Action dimension: one limit per controlled resource type.
 pub const ACTION_DIM: usize = 5;
 
-/// Builds Table 3 state vectors from telemetry snapshots.
-#[derive(Debug, Clone, Default)]
-pub struct StateBuilder;
-
-impl StateBuilder {
-    /// Builds the full 18-dimensional state for one instance.
-    ///
-    /// * `sv` — SLO violation ratio (1 = healthy, <1 = violating).
-    /// * `wc` — workload-change ratio (current / previous arrival rate).
-    /// * `request_mix` — request-type composition of the window.
-    pub fn build(
-        &self,
-        snapshot: &InstanceSnapshot,
-        sv: f64,
-        wc: f64,
-        request_mix: &[f64],
-    ) -> Vec<f64> {
-        let mut s = Vec::with_capacity(STATE_DIM);
-        s.push(sv.clamp(0.0, 2.0));
-        s.push(wc.clamp(0.0, 3.0));
-        s.push(Self::encode_mix(request_mix));
-        for kind in RESOURCE_KINDS {
-            s.push(snapshot.utilization.get(kind).clamp(0.0, 1.0));
-        }
-        // Critic-only context: limits and usage normalized by a fixed
-        // reference scale (node capacities are near-constant).
-        for kind in RESOURCE_KINDS {
-            let cap = Self::reference_capacity(kind);
-            s.push((snapshot.rlt.get(kind) / cap).clamp(0.0, 1.0));
-        }
-        for kind in RESOURCE_KINDS {
-            let cap = Self::reference_capacity(kind);
-            s.push((snapshot.usage.get(kind) / cap).clamp(0.0, 1.0));
-        }
-        debug_assert_eq!(s.len(), STATE_DIM);
-        s
+/// Builds the full 18-dimensional Table 3 state for one instance.
+///
+/// * `sv` — SLO violation ratio (1 = healthy, <1 = violating).
+/// * `wc` — workload-change ratio (current / previous arrival rate).
+/// * `request_mix` — request-type composition of the window.
+pub fn state(snapshot: &InstanceSnapshot, sv: f64, wc: f64, request_mix: &[f64]) -> Vec<f64> {
+    let mut s = Vec::with_capacity(STATE_DIM);
+    s.push(sv.clamp(0.0, 2.0));
+    s.push(wc.clamp(0.0, 3.0));
+    s.push(encode_mix(request_mix));
+    for kind in RESOURCE_KINDS {
+        s.push(snapshot.utilization.get(kind).clamp(0.0, 1.0));
     }
-
-    /// Scalar encoding of the request composition (`RC` of Table 3; the
-    /// paper uses `numpy.ravel_multi_index` — any stable injective-ish
-    /// encoding works). Mix fractions are folded into `[0, 1]`.
-    pub fn encode_mix(mix: &[f64]) -> f64 {
-        if mix.is_empty() {
-            return 0.0;
-        }
-        let mut code = 0.0;
-        let mut weight = 0.5;
-        for m in mix {
-            code += m.clamp(0.0, 1.0) * weight;
-            weight *= 0.5;
-        }
-        code
+    // Critic-only context: limits and usage normalized by a fixed
+    // reference scale (node capacities are near-constant).
+    for kind in RESOURCE_KINDS {
+        let cap = reference_capacity(kind);
+        s.push((snapshot.rlt.get(kind) / cap).clamp(0.0, 1.0));
     }
+    for kind in RESOURCE_KINDS {
+        let cap = reference_capacity(kind);
+        s.push((snapshot.usage.get(kind) / cap).clamp(0.0, 1.0));
+    }
+    debug_assert_eq!(s.len(), STATE_DIM);
+    s
+}
 
-    /// Fixed normalization scale per resource (a mid-size x86 node).
-    fn reference_capacity(kind: ResourceKind) -> f64 {
-        match kind {
-            ResourceKind::Cpu => 48.0,
-            ResourceKind::MemBw => 25_600.0,
-            ResourceKind::Llc => 35.0,
-            ResourceKind::IoBw => 2_000.0,
-            ResourceKind::NetBw => 1_250.0,
-        }
+/// Scalar encoding of the request composition (`RC` of Table 3; the
+/// paper uses `numpy.ravel_multi_index` — any stable injective-ish
+/// encoding works). Mix fractions are folded into `[0, 1]`.
+fn encode_mix(mix: &[f64]) -> f64 {
+    if mix.is_empty() {
+        return 0.0;
+    }
+    let mut code = 0.0;
+    let mut weight = 0.5;
+    for m in mix {
+        code += m.clamp(0.0, 1.0) * weight;
+        weight *= 0.5;
+    }
+    code
+}
+
+/// Fixed normalization scale per resource (a mid-size x86 node).
+fn reference_capacity(kind: ResourceKind) -> f64 {
+    match kind {
+        ResourceKind::Cpu => 48.0,
+        ResourceKind::MemBw => 25_600.0,
+        ResourceKind::Llc => 35.0,
+        ResourceKind::IoBw => 2_000.0,
+        ResourceKind::NetBw => 1_250.0,
     }
 }
 
-/// Per-resource action bounds `[R̂_lower, R̂_upper]` (§3.4: limits have
-/// predefined upper and lower bounds; CPU cannot be 0).
-#[derive(Debug, Clone)]
-pub struct ActionMapper {
-    /// `(lower, upper)` per resource, in native units.
-    pub bounds: [(f64, f64); 5],
-}
+/// Per-resource action bounds `[R̂_lower, R̂_upper]` in native units
+/// (§3.4: limits have predefined upper and lower bounds; CPU cannot
+/// be 0).
+pub const ACTION_BOUNDS: [(f64, f64); ACTION_DIM] = [
+    (0.5, 8.0),        // CPU cores.
+    (256.0, 12_800.0), // Memory bandwidth MB/s.
+    (1.0, 20.0),       // LLC MB.
+    (50.0, 1_000.0),   // Disk MB/s.
+    (50.0, 800.0),     // Network MB/s.
+];
 
-impl Default for ActionMapper {
-    fn default() -> Self {
-        ActionMapper {
-            bounds: [
-                (0.5, 8.0),        // CPU cores.
-                (256.0, 12_800.0), // Memory bandwidth MB/s.
-                (1.0, 20.0),       // LLC MB.
-                (50.0, 1_000.0),   // Disk MB/s.
-                (50.0, 800.0),     // Network MB/s.
-            ],
-        }
+/// Maps an agent action in `[-1, 1]⁵` to absolute limits `RLT` within
+/// [`ACTION_BOUNDS`].
+pub fn to_limits(action: &[f64]) -> [f64; ACTION_DIM] {
+    let mut out = [0.0; ACTION_DIM];
+    for (i, a) in action.iter().take(ACTION_DIM).enumerate() {
+        let (lo, hi) = ACTION_BOUNDS[i];
+        out[i] = lo + (a.clamp(-1.0, 1.0) + 1.0) / 2.0 * (hi - lo);
     }
-}
-
-impl ActionMapper {
-    /// Maps an agent action in `[-1, 1]⁵` to absolute limits `RLT`.
-    pub fn to_limits(&self, action: &[f64]) -> [f64; 5] {
-        let mut out = [0.0; 5];
-        for (i, a) in action.iter().take(5).enumerate() {
-            let (lo, hi) = self.bounds[i];
-            out[i] = lo + (a.clamp(-1.0, 1.0) + 1.0) / 2.0 * (hi - lo);
-        }
-        out
-    }
-
-    /// Inverse map: limits to the action that would produce them
-    /// (clamped); useful for warm-starting and tests.
-    pub fn to_action(&self, limits: &[f64; 5]) -> [f64; 5] {
-        let mut out = [0.0; 5];
-        for i in 0..5 {
-            let (lo, hi) = self.bounds[i];
-            let frac = ((limits[i] - lo) / (hi - lo)).clamp(0.0, 1.0);
-            out[i] = frac * 2.0 - 1.0;
-        }
-        out
-    }
+    out
 }
 
 /// Reward function of §3.4:
@@ -176,8 +140,6 @@ pub struct ResourceEstimator {
     shared: DdpgAgent,
     per_service: BTreeMap<u16, DdpgAgent>,
     seed: u64,
-    /// Action-to-limit mapping.
-    pub mapper: ActionMapper,
 }
 
 impl ResourceEstimator {
@@ -189,7 +151,6 @@ impl ResourceEstimator {
             shared: DdpgAgent::new(config, seed),
             per_service: BTreeMap::new(),
             seed,
-            mapper: ActionMapper::default(),
         }
     }
 
@@ -320,7 +281,7 @@ mod tests {
     #[test]
     fn state_has_paper_dimensions() {
         let snap = snapshot();
-        let s = StateBuilder.build(&snap, 0.8, 1.2, &[1.0]);
+        let s = state(&snap, 0.8, 1.2, &[1.0]);
         assert_eq!(s.len(), STATE_DIM);
         assert_eq!(&s[0..2], &[0.8, 1.2]);
         assert!(s.iter().all(|v| v.is_finite()));
@@ -333,27 +294,27 @@ mod tests {
 
     #[test]
     fn mix_encoding_is_stable_and_bounded() {
-        assert_eq!(StateBuilder::encode_mix(&[]), 0.0);
-        let a = StateBuilder::encode_mix(&[1.0, 0.0]);
-        let b = StateBuilder::encode_mix(&[0.0, 1.0]);
+        assert_eq!(encode_mix(&[]), 0.0);
+        let a = encode_mix(&[1.0, 0.0]);
+        let b = encode_mix(&[0.0, 1.0]);
         assert_ne!(a, b);
         for mix in [&[0.3, 0.3, 0.4][..], &[1.0][..], &[0.5; 8][..]] {
-            let c = StateBuilder::encode_mix(mix);
+            let c = encode_mix(mix);
             assert!((0.0..=1.0).contains(&c));
         }
     }
 
     #[test]
     fn action_mapping_roundtrips() {
-        let m = ActionMapper::default();
-        let limits = m.to_limits(&[-1.0, 0.0, 1.0, 0.5, -0.5]);
+        let limits = to_limits(&[-1.0, 0.0, 1.0, 0.5, -0.5]);
         assert_eq!(limits[0], 0.5); // CPU lower bound.
         assert_eq!(limits[2], 20.0); // LLC upper bound.
         assert!((limits[1] - (256.0 + 12_544.0 / 2.0)).abs() < 1e-9);
-        let back = m.to_action(&limits);
-        for (a, b) in back.iter().zip(&[-1.0, 0.0, 1.0, 0.5, -0.5]) {
-            assert!((a - b).abs() < 1e-9);
-        }
+        assert_eq!(limits[3], 50.0 + 950.0 * 0.75);
+        assert_eq!(limits[4], 50.0 + 750.0 * 0.25);
+        // Out-of-range actions clamp to the bounds.
+        assert_eq!(to_limits(&[-3.0; 5]), ACTION_BOUNDS.map(|(lo, _)| lo));
+        assert_eq!(to_limits(&[3.0; 5]), ACTION_BOUNDS.map(|(_, hi)| hi));
     }
 
     #[test]
@@ -372,7 +333,7 @@ mod tests {
     #[test]
     fn regimes_route_to_distinct_agents() {
         let snap = snapshot();
-        let state = StateBuilder.build(&snap, 1.0, 1.0, &[1.0]);
+        let state = state(&snap, 1.0, 1.0, &[1.0]);
 
         let mut shared = ResourceEstimator::new(AgentRegime::Shared, 1);
         let a1 = shared.act(ServiceId(1), &state);

@@ -13,9 +13,11 @@
 //! 3. the **RL-based Resource Estimator** ([`estimator`]) maps the
 //!    Table 3 state of each culprit instance to fine-grained resource
 //!    actions with a DDPG agent (§3.4) — ④;
-//! 4. the **Deployment Module** ([`deployment`]) validates actions,
-//!    replacing oversubscribing ones with scale-out, and actuates them
-//!    with the Table 6 latencies — ⑤;
+//! 4. the **Deployment Module** ([`deployment::plan`]) turns each action
+//!    into commands, actuated with the Table 6 latencies, under two
+//!    scale-out rules: an oversubscribing limit is replaced by a
+//!    scale-out (§3.5), and an action at the top of its range asks for
+//!    one (§3.4) — ⑤;
 //! 5. the **Performance Anomaly Injector** ([`injector`]) creates
 //!    resource contention with configurable type, intensity, timing and
 //!    duration for online training (§3.6) — ⑥.
@@ -42,8 +44,7 @@ pub use controller::{
     run_episode, ControlDecision, Controller, EpisodeResult, EpisodeSpec, MitigationTracker,
     PolicyCheckpoint, TickContext, TimelinePoint, Unmanaged,
 };
-pub use deployment::DeploymentModule;
-pub use estimator::{ActionMapper, ResourceEstimator, StateBuilder};
+pub use estimator::ResourceEstimator;
 pub use extractor::{CriticalComponentExtractor, InstanceFeatures};
 pub use injector::{AnomalyInjector, CampaignConfig};
 pub use manager::{ExperienceLog, FirmConfig, FirmManager};

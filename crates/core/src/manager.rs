@@ -4,10 +4,12 @@
 //! assesses SLOs, (3) completes the reward/next-state half of pending RL
 //! transitions, (4) when violations exist, extracts critical paths and
 //! localizes culprit instances with Algorithm 2, (5) queries the RL
-//! estimator for per-culprit resource actions, and (6) validates and
-//! actuates them through the deployment module. In training mode the
-//! injector's ground truth also feeds the SVM online and the agent
-//! explores.
+//! estimator for per-culprit resource actions, and (6) turns each action
+//! into commands with [`deployment::plan`] and applies them. `plan` holds
+//! both scale-out rules: an oversubscribing limit is replaced by a
+//! scale-out (§3.5), and an action at the top of its range asks for one
+//! (§3.4). In training mode the injector's ground truth also feeds the
+//! SVM online and the agent explores.
 
 use std::collections::BTreeMap;
 
@@ -17,8 +19,8 @@ use firm_sim::{InstanceId, ServiceId, SimDuration, Simulation, RESOURCE_KINDS};
 use firm_trace::TracingCoordinator;
 
 use crate::controller::TickContext;
-use crate::deployment::DeploymentModule;
-use crate::estimator::{reward, AgentRegime, ResourceEstimator, StateBuilder};
+use crate::deployment;
+use crate::estimator::{self, reward, AgentRegime, ResourceEstimator};
 use crate::extractor::{ground_truth_label, CriticalComponentExtractor};
 use crate::slo::{assess, SloAssessment};
 
@@ -118,7 +120,7 @@ pub struct ManagerStats {
     pub violation_ticks: u64,
     /// RL actions issued.
     pub actions: u64,
-    /// Actions that became scale-outs (oversubscription rule).
+    /// Actions that became scale-outs (either rule of [`deployment::plan`]).
     pub scale_outs: u64,
     /// Completed RL transitions.
     pub transitions: u64,
@@ -142,8 +144,6 @@ pub struct FirmManager {
     prev_arrival_rate: Option<f64>,
     extractor: CriticalComponentExtractor,
     estimator: ResourceEstimator,
-    deployment: DeploymentModule,
-    state_builder: StateBuilder,
     pending: Vec<Pending>,
     episode_reward: f64,
     stats: ManagerStats,
@@ -185,8 +185,6 @@ impl FirmManager {
             prev_arrival_rate: None,
             extractor: CriticalComponentExtractor::new(config.seed ^ 0x5111),
             estimator: ResourceEstimator::new(config.regime, config.seed),
-            deployment: DeploymentModule::new(),
-            state_builder: StateBuilder,
             pending: Vec::new(),
             episode_reward: 0.0,
             stats: ManagerStats::default(),
@@ -387,14 +385,13 @@ impl FirmManager {
                         continue;
                     };
                     // ⑤ RL action.
-                    let state = self.state_builder.build(snap, assessment.sv, wc, mix);
+                    let state = estimator::state(snap, assessment.sv, wc, mix);
                     let action = if self.config.training && self.config.explore {
                         self.estimator.act_explore(cand.service, &state)
                     } else {
                         self.estimator.act(cand.service, &state)
                     };
-                    let limits = self.estimator.mapper.to_limits(&action);
-                    // ⑥ Validate + actuate, floored by live demand so a
+                    // ⑥ Plan + actuate, floored by live demand so a
                     // half-trained policy cannot choke a container. The
                     // CPU floor is *concurrency* (Little's law), not CPU
                     // work: workers block on downstream RPCs, so a
@@ -407,24 +404,12 @@ impl FirmManager {
                         firm_sim::ResourceKind::Cpu,
                         floors.get(firm_sim::ResourceKind::Cpu).max(concurrency),
                     );
-                    let validated =
-                        self.deployment
-                            .execute(sim, cand.instance, &limits, Some(&floors));
-                    self.stats.actions += 1;
-                    let mut scaled_out = validated.scaled_out;
-                    // §3.4: "if the amount of resource reaches the total
-                    // available amount, then a scale-out operation is
-                    // needed" — an action pinned at the top of its range
-                    // is that request.
-                    let wants_max = action.iter().any(|a| *a > 0.9);
-                    if wants_max && !scaled_out && sim.replicas(cand.service).len() < 8 {
-                        sim.apply(firm_sim::Command::ScaleOut {
-                            service: cand.service,
-                            warm: true,
-                        });
-                        scaled_out = true;
+                    let plan = deployment::plan(sim, cand.instance, &action, &floors);
+                    for cmd in &plan.commands {
+                        sim.apply(*cmd);
                     }
-                    if scaled_out {
+                    self.stats.actions += 1;
+                    if plan.scale_out.is_some() {
                         self.stats.scale_outs += 1;
                     }
                     self.pending.push(Pending {
@@ -461,12 +446,12 @@ impl FirmManager {
             utils[kind.index()] = snap.utilization.get(kind);
         }
         let r = if self.config.slo_penalty {
-            crate::estimator::reward_penalized(sv, &utils, ALPHA)
+            estimator::reward_penalized(sv, &utils, ALPHA)
         } else {
             reward(sv, &utils, ALPHA)
         };
         self.episode_reward += r;
-        let next_state = self.state_builder.build(snap, sv, wc, mix);
+        let next_state = estimator::state(snap, sv, wc, mix);
         let transition = Transition {
             state: p.state,
             action: p.action,

@@ -16,6 +16,9 @@ use crate::estimator::{AgentRegime, ResourceEstimator};
 use crate::injector::{AnomalyInjector, CampaignConfig};
 use crate::manager::{ExperienceLog, FirmConfig, FirmManager};
 
+/// Control interval of every training step.
+const CONTROL_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
 /// Training configuration.
 #[derive(Debug, Clone)]
 pub struct TrainingConfig {
@@ -28,8 +31,6 @@ pub struct TrainingConfig {
     pub ramp_episodes: usize,
     /// Initial (early-terminated) episode length.
     pub min_steps: usize,
-    /// Control interval per step.
-    pub control_interval: SimDuration,
     /// Agent regime to train.
     pub regime: AgentRegime,
     /// Arrival rate driving the app during training.
@@ -49,7 +50,6 @@ impl Default for TrainingConfig {
             max_steps: 60,
             ramp_episodes: 30,
             min_steps: 10,
-            control_interval: SimDuration::from_millis(500),
             regime: AgentRegime::Shared,
             arrival_rate: 60.0,
             campaign: CampaignConfig::default(),
@@ -88,7 +88,7 @@ pub struct EpisodeStats {
 /// the trained manager.
 pub fn train_firm(app: &AppSpec, config: &TrainingConfig) -> (Vec<EpisodeStats>, FirmManager) {
     let mut manager = FirmManager::new(FirmConfig {
-        control_interval: config.control_interval,
+        control_interval: CONTROL_INTERVAL,
         regime: config.regime,
         training: true,
         seed: config.seed,
@@ -121,8 +121,8 @@ pub fn train_into(
         let actions_before = manager.stats().actions;
         let steps = config.steps_at(episode);
         let spec = EpisodeSpec {
-            duration: SimDuration::from_micros(config.control_interval.as_micros() * steps as u64),
-            control_interval: config.control_interval,
+            duration: SimDuration::from_micros(CONTROL_INTERVAL.as_micros() * steps as u64),
+            control_interval: CONTROL_INTERVAL,
             warmup: SimDuration::ZERO,
         };
         run_episode(&mut sim, manager, Some(&mut injector), &spec);
@@ -220,7 +220,6 @@ mod tests {
             max_steps: 10,
             ramp_episodes: 3,
             min_steps: 3,
-            control_interval: SimDuration::from_millis(500),
             arrival_rate: 50.0,
             campaign: CampaignConfig {
                 lambda: 1.0,

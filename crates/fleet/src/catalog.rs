@@ -8,8 +8,7 @@
 //! clickgraph benchmark tables (`users = sf × 1000`). One knob jointly
 //! scales:
 //!
-//! - **tenant count** — `base_tenants + tenants_per_decade·⌊log₁₀ sf⌋`
-//!   scenarios per catalog;
+//! - **tenant count** — `8 + 4·⌊log₁₀ sf⌋` scenarios per catalog;
 //! - **arrival rates** — every tenant's rate axis is multiplied by
 //!   `√sf` (via [`firm_workload::LoadShape::scaled`]);
 //! - **replica fan-out** — every service's initial replicas are
@@ -83,8 +82,17 @@ fn isqrt(n: u64) -> u64 {
     r
 }
 
+/// Tenants at sf=1.
+const BASE_TENANTS: usize = 8;
+/// Extra tenants per decade of `scale_factor`.
+const TENANTS_PER_DECADE: usize = 4;
+/// Mean per-tenant arrival rate at sf=1 before jitter, req/s.
+const BASE_RATE: f64 = 30.0;
+/// Every generated scenario's control-loop period.
+const CONTROL_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// The recipe for a generated catalog: a seed, the `scale_factor`
-/// knob, and the (rarely overridden) structural defaults.
+/// knob, and the scenario timing.
 ///
 /// Two specs with equal fields generate byte-identical catalogs; there
 /// is no other input.
@@ -96,33 +104,21 @@ pub struct CatalogSpec {
     /// clickgraph-table spirit: sf=1 is a dev-smoke catalog, sf=100 a
     /// hundred-fold-busier fleet.
     pub scale_factor: u64,
-    /// Tenants at sf=1.
-    pub base_tenants: usize,
-    /// Extra tenants per decade of `scale_factor`.
-    pub tenants_per_decade: usize,
-    /// Mean per-tenant arrival rate at sf=1 before jitter, req/s.
-    pub base_rate: f64,
     /// Simulated duration per scenario.
     pub duration: SimDuration,
-    /// Control-loop period.
-    pub control_interval: SimDuration,
     /// Measurement warmup.
     pub warmup: SimDuration,
 }
 
 impl CatalogSpec {
-    /// A spec with the catalog defaults: 8 base tenants plus 4 per
-    /// decade, ~30 req/s per tenant at sf=1, 8 s scenarios with a 1 s
-    /// control interval and 2 s warmup.
+    /// A spec for 8 s scenarios with a 2 s warmup. Every catalog has 8
+    /// base tenants plus 4 per decade, ~30 req/s per tenant at sf=1, and
+    /// a 1 s control interval.
     pub fn new(seed: u64, scale_factor: u64) -> Self {
         CatalogSpec {
             seed,
             scale_factor: scale_factor.max(1),
-            base_tenants: 8,
-            tenants_per_decade: 4,
-            base_rate: 30.0,
             duration: SimDuration::from_secs(8),
-            control_interval: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(2),
         }
     }
@@ -137,7 +133,7 @@ impl CatalogSpec {
     /// Number of tenants (scenarios) in the generated catalog:
     /// monotone nondecreasing in `scale_factor`.
     pub fn tenants(&self) -> usize {
-        self.base_tenants + self.tenants_per_decade * decade(self.scale_factor) as usize
+        BASE_TENANTS + TENANTS_PER_DECADE * decade(self.scale_factor) as usize
     }
 
     /// The multiplier applied to every tenant's arrival-rate axis:
@@ -194,7 +190,7 @@ fn sample_tenant(spec: &CatalogSpec, i: usize) -> Scenario {
 
     // Draw 2: controller. The first four tenants are pinned to the
     // four controllers (all-four coverage at any sf ≥ 1, since
-    // base_tenants ≥ 4); later tenants draw FIRM-weighted so pooled
+    // BASE_TENANTS ≥ 4); later tenants draw FIRM-weighted so pooled
     // experience dominates the catalog.
     let controller = match i {
         0 => FleetController::Firm,
@@ -212,7 +208,7 @@ fn sample_tenant(spec: &CatalogSpec, i: usize) -> Scenario {
     // Draws 3+: load shape. The base rate carries ±30% jitter; shape
     // parameters are relative, so `scaled` lifts the whole curve.
     let jitter = 0.7 + 0.6 * rng.uniform();
-    let base = spec.base_rate * jitter;
+    let base = BASE_RATE * jitter;
     let shape = match rng.next_below(3) {
         0 => LoadShape::Steady { rate: base },
         1 => LoadShape::Diurnal {
@@ -279,7 +275,7 @@ fn sample_tenant(spec: &CatalogSpec, i: usize) -> Scenario {
 
     let mut scenario = Scenario::new(name, benchmark, nodes, load, campaign, controller);
     scenario.duration = spec.duration;
-    scenario.control_interval = spec.control_interval;
+    scenario.control_interval = CONTROL_INTERVAL;
     scenario.warmup = spec.warmup;
     scenario.slo_factor = slo_factor;
     scenario.replica_factor = spec.replica_factor();
@@ -291,7 +287,7 @@ fn sample_tenant(spec: &CatalogSpec, i: usize) -> Scenario {
 
 /// Generates the catalog `spec` describes: [`CatalogSpec::tenants`]
 /// scenarios, sampled as a pure function of `(spec.seed,
-/// spec.scale_factor)` and the structural defaults.
+/// spec.scale_factor)` and the scenario timing.
 pub fn generate_catalog(spec: &CatalogSpec) -> Vec<Scenario> {
     (0..spec.tenants())
         .map(|i| sample_tenant(spec, i))

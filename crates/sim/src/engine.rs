@@ -31,26 +31,12 @@ use crate::spec::{AppSpec, ClusterSpec};
 use crate::telemetry_probe::{InstanceSnapshot, NodeSnapshot, TelemetryWindow};
 use crate::time::{SimDuration, SimTime};
 
-/// Tunable engine constants.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// One-way base latency of an inter-service RPC.
-    pub base_rtt: SimDuration,
-    /// One-way latency between the client and the entry service.
-    pub client_rtt: SimDuration,
-    /// Queue-length sampling period.
-    pub sample_period: SimDuration,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            base_rtt: SimDuration::from_micros(150),
-            client_rtt: SimDuration::from_micros(250),
-            sample_period: SimDuration::from_millis(100),
-        }
-    }
-}
+/// One-way base latency of an inter-service RPC.
+const BASE_RTT: SimDuration = SimDuration::from_micros(150);
+/// One-way latency between the client and the entry service.
+const CLIENT_RTT: SimDuration = SimDuration::from_micros(250);
+/// Queue-length sampling period.
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_millis(100);
 
 /// Cumulative run statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -182,7 +168,6 @@ pub struct SimulationBuilder {
     app: AppSpec,
     seed: u64,
     arrivals: Option<Box<dyn ArrivalProcess>>,
-    config: EngineConfig,
     record_arrivals: bool,
     record_spans: bool,
 }
@@ -216,12 +201,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Overrides engine constants.
-    pub fn config(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Builds the simulation and places the initial replicas.
     ///
     /// # Panics
@@ -233,7 +212,6 @@ impl SimulationBuilder {
             app,
             seed,
             arrivals,
-            config,
             record_arrivals,
             record_spans,
         } = self;
@@ -245,7 +223,6 @@ impl SimulationBuilder {
             seq: 0,
             events: BinaryHeap::new(),
             rng: SimRng::new(seed),
-            config,
             nodes: cluster.nodes.into_iter().map(Node::new).collect(),
             app,
             instances: Vec::new(),
@@ -266,7 +243,6 @@ impl SimulationBuilder {
             window_started: SimTime::ZERO,
             window_arrivals: 0,
             window_mix: Vec::new(),
-            paused_arrivals: false,
             record_arrivals,
             record_spans,
             arrival_log: Vec::new(),
@@ -310,8 +286,7 @@ impl SimulationBuilder {
         // Seed the arrival stream and the sampling tick.
         let first = sim.next_arrival_gap();
         sim.schedule(sim.now + first, EventKind::Arrival);
-        let sample = sim.config.sample_period;
-        sim.schedule(sim.now + sample, EventKind::Sample);
+        sim.schedule(sim.now + SAMPLE_PERIOD, EventKind::Sample);
         sim
     }
 }
@@ -322,7 +297,6 @@ pub struct Simulation {
     seq: u64,
     events: BinaryHeap<Reverse<EventEntry>>,
     rng: SimRng,
-    config: EngineConfig,
     nodes: Vec<Node>,
     app: AppSpec,
     instances: Vec<Instance>,
@@ -342,7 +316,6 @@ pub struct Simulation {
     window_started: SimTime,
     window_arrivals: u64,
     window_mix: Vec<u64>,
-    paused_arrivals: bool,
     record_arrivals: bool,
     record_spans: bool,
     arrival_log: Vec<ArrivalRecord>,
@@ -368,7 +341,6 @@ impl Simulation {
             app,
             seed,
             arrivals: None,
-            config: EngineConfig::default(),
             record_arrivals: false,
             record_spans: true,
         }
@@ -442,16 +414,6 @@ impl Simulation {
         self.load_multipliers.iter().map(|(_, m)| m).product()
     }
 
-    /// Pauses or resumes client arrivals (used by training harnesses to
-    /// reset the environment between episodes).
-    pub fn set_arrivals_paused(&mut self, paused: bool) {
-        if self.paused_arrivals && !paused {
-            let gap = self.next_arrival_gap();
-            self.schedule(self.now + gap, EventKind::Arrival);
-        }
-        self.paused_arrivals = paused;
-    }
-
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -513,12 +475,8 @@ impl Simulation {
     }
 
     fn on_arrival(&mut self) {
-        if !self.paused_arrivals {
-            let gap = self.next_arrival_gap();
-            self.schedule(self.now + gap, EventKind::Arrival);
-        } else {
-            return;
-        }
+        let gap = self.next_arrival_gap();
+        self.schedule(self.now + gap, EventKind::Arrival);
 
         let rt = RequestTypeId(self.rng.weighted_index(&self.rt_weights) as u16);
         self.stats.arrivals += 1;
@@ -537,7 +495,7 @@ impl Simulation {
 
         let entry = self.app.request_types[rt.index()].entry;
         let act = self.alloc_activity(trace_slot, None, None, entry, rt, false);
-        let delay = self.config.client_rtt + self.entry_delay(entry);
+        let delay = CLIENT_RTT + self.entry_delay(entry);
         self.schedule(self.now + delay, EventKind::HopDeliver { act });
     }
 
@@ -882,7 +840,7 @@ impl Simulation {
     /// Network transfer time for `kb` from `src_node` to the node of
     /// `dst` (if it resolves), including injected delays.
     fn transfer_time(&mut self, kb: f64, src_node: NodeId, dst: InstanceId) -> SimDuration {
-        let mut t = self.config.base_rtt;
+        let mut t = BASE_RTT;
         t += self.sample_node_delay(src_node);
         let dst_node = if dst != InstanceId(u32::MAX) {
             Some(self.instances[dst.index()].node)
@@ -960,7 +918,7 @@ impl Simulation {
             };
             let p_inst = self.activities[p_act].instance;
             let transfer = if dropped {
-                self.config.base_rtt
+                BASE_RTT
             } else {
                 self.transfer_time(resp_kb, src_node, p_inst)
             };
@@ -973,7 +931,7 @@ impl Simulation {
             );
         } else if !is_background {
             // Root span: response to the client.
-            let transfer = self.config.client_rtt;
+            let transfer = CLIENT_RTT;
             self.schedule(self.now + transfer, EventKind::RootResponse { trace_slot });
         }
 
@@ -1331,8 +1289,7 @@ impl Simulation {
     // ----- telemetry ------------------------------------------------------
 
     fn on_sample(&mut self) {
-        let period = self.config.sample_period;
-        self.schedule(self.now + period, EventKind::Sample);
+        self.schedule(self.now + SAMPLE_PERIOD, EventKind::Sample);
         for inst in &mut self.instances {
             if inst.state != InstanceState::Removed {
                 inst.window.queue_len_sum += inst.queue.len() as u64;
@@ -1880,18 +1837,5 @@ mod tests {
             }
         }
         assert!(removed && reserved_pair && over_busy);
-    }
-
-    #[test]
-    fn paused_arrivals_stop_the_stream() {
-        let mut sim = demo_sim(14);
-        sim.run_for(SimDuration::from_secs(1));
-        let before = sim.stats().arrivals;
-        sim.set_arrivals_paused(true);
-        sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(sim.stats().arrivals, before);
-        sim.set_arrivals_paused(false);
-        sim.run_for(SimDuration::from_secs(1));
-        assert!(sim.stats().arrivals > before);
     }
 }

@@ -53,15 +53,6 @@ impl ResourceKind {
         }
     }
 
-    /// Parses a canonical index back into a kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 5`.
-    pub fn from_index(i: usize) -> ResourceKind {
-        RESOURCE_KINDS[i]
-    }
-
     /// Short lower-case name used in reports (`cpu`, `mem`, `llc`, `io`,
     /// `net`).
     pub const fn short_name(self) -> &'static str {
@@ -149,15 +140,6 @@ impl ResourceVec {
         out
     }
 
-    /// True if every component of `self` is ≤ the matching component of
-    /// `other` (within `eps`).
-    pub fn fits_within(&self, other: &ResourceVec, eps: f64) -> bool {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .all(|(a, b)| *a <= *b + eps)
-    }
-
     /// Iterates `(kind, value)` pairs in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = (ResourceKind, f64)> + '_ {
         RESOURCE_KINDS.iter().map(move |&k| (k, self.get(k)))
@@ -201,7 +183,6 @@ mod tests {
     fn index_roundtrip() {
         for (i, k) in RESOURCE_KINDS.iter().enumerate() {
             assert_eq!(k.index(), i);
-            assert_eq!(ResourceKind::from_index(i), *k);
         }
     }
 
@@ -226,15 +207,6 @@ mod tests {
         assert_eq!(diff.get(ResourceKind::Llc), 5.0);
         let scaled = a.scale(2.0);
         assert_eq!(scaled.get(ResourceKind::NetBw), 400.0);
-    }
-
-    #[test]
-    fn fits_within() {
-        let small = ResourceVec::splat(1.0);
-        let big = ResourceVec::splat(2.0);
-        assert!(small.fits_within(&big, 0.0));
-        assert!(!big.fits_within(&small, 0.0));
-        assert!(big.fits_within(&big, 1e-9));
     }
 
     #[test]

@@ -162,29 +162,6 @@ impl Histogram {
         self.min = u64::MAX;
         self.max = 0;
     }
-
-    /// Evaluates the empirical CDF at `points`, returning `(value, F(value))`
-    /// pairs; used by the figure-reproduction binaries.
-    pub fn cdf(&self, points: &[u64]) -> Vec<(u64, f64)> {
-        points
-            .iter()
-            .map(|&p| {
-                let below: u64 = self
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .take_while(|(i, _)| Self::bucket_value(*i) <= p)
-                    .map(|(_, c)| *c)
-                    .sum();
-                let f = if self.count == 0 {
-                    0.0
-                } else {
-                    below as f64 / self.count as f64
-                };
-                (p, f)
-            })
-            .collect()
-    }
 }
 
 /// Numerically stable online mean/variance (Welford's algorithm).
@@ -372,20 +349,6 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         // The quantile is capped to the recorded max.
         assert_eq!(h.quantile(0.5), u64::MAX);
-    }
-
-    #[test]
-    fn cdf_monotone() {
-        let mut h = Histogram::new();
-        for i in 0..10_000u64 {
-            h.record(i);
-        }
-        let pts: Vec<u64> = (0..10).map(|i| i * 1_200).collect();
-        let cdf = h.cdf(&pts);
-        for w in cdf.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!(cdf.last().unwrap().1 > 0.9);
     }
 
     #[test]

@@ -32,7 +32,6 @@ fn main() {
             ..Default::default()
         },
         seed,
-        ..Default::default()
     };
 
     println!("training the general (one-for-all) teacher agent...");

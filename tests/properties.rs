@@ -102,28 +102,29 @@ fn reward_monotonicity() {
     }
 }
 
-/// Action-limit mapping is a bijection within bounds.
+/// Action-limit mapping stays within bounds, out-of-range actions
+/// included, and is monotone in each dimension.
 #[test]
 fn action_mapping_roundtrips() {
-    use firm::core::estimator::ActionMapper;
-    let m = ActionMapper::default();
+    use firm::core::estimator::{to_limits, ACTION_BOUNDS};
     let mut draws = SimRng::new(0xAC7);
     for _ in 0..64 {
-        let a = [
-            draws.uniform_range(-1.0, 1.0),
-            draws.uniform_range(-1.0, 1.0),
-            draws.uniform_range(-1.0, 1.0),
-            draws.uniform_range(-1.0, 1.0),
-            draws.uniform_range(-1.0, 1.0),
-        ];
-        let limits = m.to_limits(&a);
-        for (i, l) in limits.iter().enumerate() {
-            let (lo, hi) = m.bounds[i];
-            assert!(*l >= lo - 1e-9 && *l <= hi + 1e-9);
+        let a: [f64; 5] = std::array::from_fn(|_| draws.uniform_range(-1.5, 1.5));
+        let limits = to_limits(&a);
+        for (l, (lo, hi)) in limits.iter().zip(ACTION_BOUNDS) {
+            assert!(*l >= lo && *l <= hi, "{l} outside [{lo}, {hi}]");
         }
-        let back = m.to_action(&limits);
-        for (x, y) in back.iter().zip(&a) {
-            assert!((x - y).abs() < 1e-9);
+        // Raising one dimension raises (or keeps) only its own limit.
+        let i = draws.index(5);
+        let mut up = a;
+        up[i] += draws.uniform_range(0.0, 1.0);
+        let raised = to_limits(&up);
+        for (j, (r, l)) in raised.iter().zip(&limits).enumerate() {
+            if j == i {
+                assert!(r >= l, "dimension {i} fell: {l} -> {r}");
+            } else {
+                assert_eq!(r, l, "dimension {j} moved with {i}");
+            }
         }
     }
 }
