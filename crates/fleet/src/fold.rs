@@ -4,12 +4,12 @@
 //! A [`Fold`] is the only place results are pooled and trained on. The
 //! batch [`crate::runner::FleetRunner`] absorbs one catalog and trains
 //! once; the resident `firm-serve` coordinator keeps one `Fold` for its
-//! lifetime and retrains after every submission it absorbs. Training is
-//! always **from scratch** on the whole pool with seeds derived from
-//! the fleet seed alone, so the trained weights are a pure function of
-//! *what was absorbed in which order* — which is why a catalog
-//! submitted to a coordinator in sequential slices leaves the same
-//! policy bytes as one batch run.
+//! lifetime, absorbs every submission and trains when its cumulative
+//! report is read. Training is always **from scratch** on the whole
+//! pool with seeds derived from the fleet seed alone, so the trained
+//! weights are a pure function of *what was absorbed in which order* —
+//! which is why a catalog submitted to a coordinator in sequential
+//! slices leaves the same policy bytes as one batch run.
 
 use firm_core::estimator::{AgentRegime, ResourceEstimator};
 use firm_core::extractor::CriticalComponentExtractor;

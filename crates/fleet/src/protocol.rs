@@ -51,8 +51,9 @@ use crate::scenario::Scenario;
 /// `error` frame, so clients can tell transient refusals
 /// (backpressure, shutdown drain) from permanent ones. v6 added the
 /// `replica_factor` and `slo_penalty` scenario fields (scale-factor
-/// catalog generation).
-pub const PROTOCOL_VERSION: u64 = 6;
+/// catalog generation). v7: per-submission reports carry no policy;
+/// read it from the cumulative report.
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// One unit of work shipped to a subprocess worker.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,7 +287,7 @@ mod tests {
         for (frame, golden) in [
             (
                 &hello,
-                r#"{"type":"hello","protocol":6,"pid":4242,"heartbeat_ms":200}"#,
+                r#"{"type":"hello","protocol":7,"pid":4242,"heartbeat_ms":200}"#,
             ),
             (&idle, r#"{"type":"heartbeat","busy":null}"#),
             (&busy, r#"{"type":"heartbeat","busy":11}"#),

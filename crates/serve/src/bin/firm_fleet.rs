@@ -157,8 +157,8 @@ fn usage(problem: &str) -> ! {
          --worker-bin PATH        worker binary (default: FIRM_FLEET_WORKER, then\n\
          \x20                        next to this executable).\n\
          --seed N                 the service's fleet seed (default 7) — seeds the\n\
-         \x20                        cumulative report and the resident retraining.\n\
-         --train-steps N          retrain minibatches per fold (default 128).\n\
+         \x20                        cumulative report and the resident policy.\n\
+         --train-steps N          minibatches per resident-policy train (default 128).\n\
          --intra-shards N         per-scenario stage fan-out on workers (default 1).\n\
          --priority               prioritized (violation-severity) experience replay.\n\
          --request-timeout-ms N   per-scenario timeout (default 300000, 0 disables).\n\

@@ -17,7 +17,7 @@
 //! without hand-writing scenarios:
 //!
 //! ```text
-//! submission 0 scenarios 4 report_digest 69bd598896dd3318 policy_digest 1f...
+//! submission 0 scenarios 4 report_digest 44e5eb14e93ae404 pooled_transitions 40 pooled_svm 694
 //! ```
 //!
 //! `--verify-batch` re-runs the same scenarios in-process through the
@@ -25,7 +25,8 @@
 //! digest is bit-identical — the client-side proof that resident
 //! serving cannot move a report byte. `--drain` and `--shutdown`
 //! print the server's cumulative digest the same way (prefix
-//! `cumulative`).
+//! `cumulative`), with the digest of the resident policy: only a
+//! cumulative report carries one.
 
 use std::io::Write;
 
@@ -129,11 +130,12 @@ fn main() {
             };
         let served_digest = report.report.digest();
         println!(
-            "submission {} scenarios {} report_digest {:016x} policy_digest {:016x}",
+            "submission {} scenarios {} report_digest {:016x} pooled_transitions {} pooled_svm {}",
             report.submission,
             report.report.scenarios.len(),
             served_digest,
-            report.policy.digest(),
+            report.pooled_transitions,
+            report.pooled_svm,
         );
 
         if verify_batch {

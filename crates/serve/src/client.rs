@@ -182,7 +182,8 @@ impl ServeClient {
     /// Submits a catalog and streams its results: `on_outcome` fires
     /// per scenario in completion order, and the returned
     /// [`SubmissionReport`] carries the submission's deterministic
-    /// fleet report plus the server's resident policy after the fold.
+    /// fleet report and the cumulative pool sizes after the fold (no
+    /// policy: [`ServeClient::drain`] reads the resident one).
     /// See [`SubmitRequest`] for how `seed` and `base_index` anchor
     /// bit-parity with batch runs.
     pub fn submit(
@@ -281,7 +282,7 @@ impl ServeClient {
     }
 
     /// Waits for the server to finish every outstanding submission and
-    /// returns its cumulative report.
+    /// returns its cumulative report, with the resident policy.
     pub fn drain(&mut self) -> Result<SubmissionReport, ClientError> {
         self.send(&ClientRequest::Drain {
             protocol: PROTOCOL_VERSION,

@@ -15,7 +15,7 @@
 //!   [`firm_fleet::PROTOCOL_VERSION`] so version skew fails loudly at
 //!   either boundary;
 //! * [`service`] — [`FleetService`], the transport-free core: admit,
-//!   schedule, stream, fold, retrain;
+//!   schedule, stream, fold, train the resident policy on read;
 //! * [`server`] — [`FleetServer`], the TCP accept loop
 //!   (thread-per-connection, disconnect-safe);
 //! * [`client`] — [`ServeClient`], the submitting side, wrapped by the
@@ -24,8 +24,11 @@
 //! # One-for-all learning, still deterministic
 //!
 //! Every submission runs training-mode; the pooled experience
-//! accumulates across submissions and the resident shared agent is
-//! retrained from scratch on the whole pool after each fold, with
+//! accumulates across submissions (RL transitions in full, SVM examples
+//! as a count, since nothing on the serve path trains an extractor).
+//! A submission only folds and marks the resident policy stale. The
+//! shared agent is trained from scratch on the whole pool when a
+//! cumulative report reads it, and cached until the next fold, with
 //! seeded — optionally violation-severity-prioritized
 //! ([`firm_core::training::replay_priorities`]) — experience replay.
 //! No wall-clock value ever enters: the resident policy is a pure

@@ -132,17 +132,20 @@ pub struct SubmissionReport {
     /// [`firm_fleet::FleetRunner`] run over the same scenarios with
     /// the same seed and (base) indices.
     pub report: FleetReport,
-    /// The resident shared agent, retrained from scratch on the
-    /// cumulative experience pool after this submission folded in —
-    /// the §4.3 one-for-all policy, continuously updated across
-    /// submissions yet still a pure function of what was submitted.
+    /// In a cumulative report: the resident shared agent, trained from
+    /// scratch on the whole experience pool when the report is read and
+    /// cached until the next fold — the §4.3 one-for-all policy, kept
+    /// current across submissions yet still a pure function of what was
+    /// submitted. Empty in a per-submission report: a submission only
+    /// folds, it never trains.
     pub policy: PolicyCheckpoint,
     /// Transitions in the cumulative experience pool.
     pub pooled_transitions: u64,
-    /// SVM ground-truth examples in the cumulative pool.
+    /// SVM ground-truth examples the cumulative pool has seen (the
+    /// coordinator counts them; it does not keep them).
     pub pooled_svm: u64,
-    /// Shared-agent minibatch updates that actually trained in the
-    /// latest retrain.
+    /// Shared-agent minibatch updates that actually trained `policy`
+    /// (0 in a per-submission report).
     pub trained_updates: u64,
 }
 
@@ -309,7 +312,7 @@ mod tests {
         assert_eq!(
             encode_string(&submit),
             format!(
-                r#"{{"type":"submit","protocol":6,"seed":7,"base_index":3,"scenarios":[{},{}]}}"#,
+                r#"{{"type":"submit","protocol":7,"seed":7,"base_index":3,"scenarios":[{},{}]}}"#,
                 encode_string(&scenarios[0]),
                 encode_string(&scenarios[1])
             )

@@ -13,20 +13,26 @@
 //! Scenario outcomes are pure functions of `(scenario, seed, policy)`,
 //! and every submission runs training-mode (`policy: None`) — the
 //! resident policy is a *product* of the service, never an input to
-//! execution, so concurrent submissions cannot observe each other. The
-//! cumulative shared agent is retrained **from scratch** on the whole
-//! experience pool after each submission folds in (the same
-//! [`firm_fleet::Fold`] the batch runner trains through). That costs
-//! `train_steps` minibatches per
-//! submission, and buys the headline guarantee: the resident state is a
-//! pure function of *what was submitted in which completion order*, not
-//! of when — so submitting a catalog in sequential slices (one seed,
-//! continuous base indices) leaves report bytes, pooled experience, and
-//! policy weights bit-identical to the single batch
-//! [`firm_fleet::FleetRunner`] run.
+//! execution, so concurrent submissions cannot observe each other. A
+//! submission only folds its results into the experience pool and marks
+//! the resident policy stale; nothing on the submission path trains.
+//! The shared agent is trained **from scratch** on the whole pool (the
+//! same [`firm_fleet::Fold`] the batch runner trains through) when a
+//! cumulative report reads it — [`FleetService::drain`], behind a
+//! client's `drain` and `shutdown` requests — and cached until the next
+//! fold. The resident state is a pure function of *what was submitted
+//! in which completion order*, not of when — so submitting a catalog in
+//! sequential slices (one seed, continuous base indices) leaves report
+//! bytes, pooled experience, and policy weights bit-identical to the
+//! single batch [`firm_fleet::FleetRunner`] run.
+//!
+//! The pool keeps only what serving reads: the outcomes and the RL
+//! transitions. A log's SVM examples are counted and dropped before the
+//! fold, since no serve path trains an extractor.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use firm_core::controller::PolicyCheckpoint;
 use firm_fleet::report::{FleetReport, ScenarioOutcome};
@@ -103,6 +109,10 @@ struct ServeMetrics {
     /// Submissions refused because they would exceed
     /// [`ServiceLimits::max_pending_scenarios`].
     backpressure_rejections: Arc<Counter>,
+    /// Time to absorb one submission into the pool, µs.
+    fold_us: Arc<Histogram>,
+    /// Time to train the resident policy on read, µs.
+    retrain_us: Arc<Histogram>,
 }
 
 /// The cumulative learning state — everything a submission folds into.
@@ -114,14 +124,16 @@ struct ServiceState {
     /// Scenarios admitted but not yet folded (or failed) — what the
     /// backpressure bound meters.
     pending_scenarios: usize,
-    /// Every outcome and all experience the service has folded, in
+    /// Every outcome and all RL transitions the service has folded, in
     /// submission-completion order (within a submission: submission
-    /// order).
+    /// order). Its SVM examples stay empty: see `pooled_svm`.
     fold: Fold,
-    /// The resident one-for-all policy (empty until the first fold).
-    policy: PolicyCheckpoint,
-    /// Updates that trained in the latest retrain.
-    trained_updates: u64,
+    /// SVM examples the folded logs carried, counted instead of pooled.
+    pooled_svm: u64,
+    /// The resident one-for-all policy and the updates that trained it
+    /// (empty until the first fold); `None` once a fold has made it
+    /// stale, until a cumulative report trains it again.
+    policy: Option<(PolicyCheckpoint, u64)>,
     /// Set when the service stops admitting submissions (shutdown, or
     /// the pool lost every worker).
     retired: Option<String>,
@@ -188,11 +200,8 @@ impl FleetService {
                 outstanding: 0,
                 pending_scenarios: 0,
                 fold,
-                policy: PolicyCheckpoint {
-                    actor: Vec::new(),
-                    critic: Vec::new(),
-                },
-                trained_updates: 0,
+                pooled_svm: 0,
+                policy: Some((PolicyCheckpoint::default(), 0)),
                 retired: None,
             }),
             quiesced: Condvar::new(),
@@ -203,6 +212,8 @@ impl FleetService {
                 queue_depth: m.gauge("serve.queue.depth"),
                 replay_priority: m.histogram("serve.replay.priority_x1000"),
                 backpressure_rejections: m.counter("serve.backpressure.rejections"),
+                fold_us: m.histogram("serve.fold_us"),
+                retrain_us: m.histogram("serve.retrain_us"),
             },
         })
     }
@@ -264,9 +275,9 @@ impl FleetService {
     /// Runs one admitted submission to completion: schedules every
     /// scenario onto the pool, calls `on_outcome` the moment each
     /// result lands (completion order — this is the streaming hook),
-    /// then folds the submission into the cumulative state, retrains
-    /// the resident agent, and returns the submission's deterministic
-    /// report.
+    /// then folds the submission into the cumulative state, marks the
+    /// resident policy stale, and returns the submission's deterministic
+    /// report (with an empty `policy`: see [`SubmissionReport::policy`]).
     ///
     /// On failure (a scenario exhausted its attempts, the pool lost
     /// every worker) the error describes the first casualty; the
@@ -304,7 +315,7 @@ impl FleetService {
             });
         self.bump_depth(received as i64 - n as i64);
 
-        let results = match results {
+        let mut results = match results {
             Ok(results) => results,
             Err(e) => {
                 let mut st = self.state.lock().expect("service state lock");
@@ -321,16 +332,23 @@ impl FleetService {
             }
         };
 
-        // Fold + retrain under the state lock: concurrent submissions
-        // serialize here, in completion order.
-        let mut st = self.state.lock().expect("service state lock");
         let sub_outcomes = results.iter().map(|(o, _)| o.clone()).collect();
+        let svm: u64 = results
+            .iter_mut()
+            .map(|(_, log)| std::mem::take(&mut log.svm_examples).len() as u64)
+            .sum();
+
+        // Fold under the state lock: concurrent submissions serialize
+        // here, in completion order.
+        let mut st = self.state.lock().expect("service state lock");
         let pooled_before = st.fold.pooled.transitions.len();
+        let started = Instant::now();
         st.fold.absorb(results);
-        let (estimator, trained) = st.fold.train();
-        let (actor, critic) = estimator.shared_agent().export_weights();
-        st.policy = PolicyCheckpoint { actor, critic };
-        st.trained_updates = trained as u64;
+        self.obs
+            .fold_us
+            .record(started.elapsed().as_micros() as u64);
+        st.pooled_svm += svm;
+        st.policy = None;
         if self.config.replay_priority {
             // Diagnostics for the weighting itself: the histogram shows
             // whether violation-heavy transitions are actually getting
@@ -339,15 +357,14 @@ impl FleetService {
                 self.obs.replay_priority.record((p * 1000.0) as u64);
             }
         }
-        let pooled = &st.fold.pooled;
         let report = SubmissionReport {
             submission,
             cumulative: false,
             report: FleetReport::new(seed, sub_outcomes),
-            policy: st.policy.clone(),
-            pooled_transitions: pooled.transitions.len() as u64,
-            pooled_svm: pooled.svm_examples.len() as u64,
-            trained_updates: trained as u64,
+            policy: PolicyCheckpoint::default(),
+            pooled_transitions: st.fold.pooled.transitions.len() as u64,
+            pooled_svm: st.pooled_svm,
+            trained_updates: 0,
         };
         st.outstanding -= 1;
         st.pending_scenarios = st.pending_scenarios.saturating_sub(n);
@@ -358,7 +375,6 @@ impl FleetService {
             .field("submission", submission)
             .field("report_digest", format!("{:016x}", report.report.digest()))
             .field("pooled_transitions", report.pooled_transitions)
-            .field("trained_updates", trained)
             .emit();
         Ok(report)
     }
@@ -379,20 +395,24 @@ impl FleetService {
     /// Blocks until every outstanding submission has finished, then
     /// returns the cumulative report: every folded outcome (in
     /// submission-completion order) under the *service's* fleet seed,
-    /// plus the current resident policy.
+    /// plus the resident policy — trained here if a fold has made it
+    /// stale, and cached until the next fold.
     pub fn drain(&self) -> SubmissionReport {
-        let mut st = self.state.lock().expect("service state lock");
-        while st.outstanding > 0 {
-            st = self.quiesced.wait(st).expect("service state lock");
-        }
+        let mut st = self.quiesce();
+        let st = &mut *st;
+        let fold = &st.fold;
+        let (policy, trained_updates) = st
+            .policy
+            .get_or_insert_with(|| self.train_policy(fold))
+            .clone();
         SubmissionReport {
             submission: st.next_submission,
             cumulative: true,
             report: FleetReport::new(self.config.seed, st.fold.outcomes.clone()),
-            policy: st.policy.clone(),
+            policy,
             pooled_transitions: st.fold.pooled.transitions.len() as u64,
-            pooled_svm: st.fold.pooled.svm_examples.len() as u64,
-            trained_updates: st.trained_updates,
+            pooled_svm: st.pooled_svm,
+            trained_updates,
         }
     }
 
@@ -407,11 +427,38 @@ impl FleetService {
 
     /// Graceful end of service: stop admitting, wait for every
     /// in-flight submission, tear down the worker pool, and return the
-    /// workers' session-end metrics snapshots.
+    /// workers' session-end metrics snapshots. Trains nothing: a
+    /// cumulative report is read through [`FleetService::drain`].
     pub fn shutdown(&self) -> Vec<WorkerOps> {
         self.retire("the service is shutting down");
-        let _ = self.drain();
+        drop(self.quiesce());
         self.pool.shutdown()
+    }
+
+    /// Waits until no submission is outstanding; returns the state lock.
+    fn quiesce(&self) -> MutexGuard<'_, ServiceState> {
+        let mut st = self.state.lock().expect("service state lock");
+        while st.outstanding > 0 {
+            st = self.quiesced.wait(st).expect("service state lock");
+        }
+        st
+    }
+
+    /// Trains the resident policy from scratch on the whole pool.
+    fn train_policy(&self, fold: &Fold) -> (PolicyCheckpoint, u64) {
+        let started = Instant::now();
+        let (estimator, trained) = fold.train();
+        self.obs
+            .retrain_us
+            .record(started.elapsed().as_micros() as u64);
+        firm_obs::event(Level::Info, TARGET)
+            .msg("policy retrained")
+            .field("seed", self.config.seed)
+            .field("pooled_transitions", fold.pooled.transitions.len())
+            .field("trained_updates", trained)
+            .emit();
+        let (actor, critic) = estimator.shared_agent().export_weights();
+        (PolicyCheckpoint { actor, critic }, trained as u64)
     }
 
     fn bump_depth(&self, delta: i64) {

@@ -202,12 +202,20 @@ fn sequential_slices_reproduce_the_batch_run_exactly() {
 
 /// The same guarantee with no worker process or socket anywhere: the
 /// service's pool runs on two in-process slots, and sequential slices
-/// still leave the batch run's digest and policy bytes.
+/// still leave the batch run's digest and policy bytes. The policy is
+/// trained when a cumulative report reads it, never on the submission
+/// path: per-submission reports carry no policy yet count the
+/// cumulative pool, two drains with no fold between train once and
+/// return the same bytes, and a drain after one more submission still
+/// equals the longer batch run.
 #[test]
 fn sequential_slices_over_local_slots_reproduce_the_batch_digest() {
-    let catalog = short_catalog(4, 6);
+    // A seed no other test here uses: it tags this service's
+    // "policy retrained" events in the process-wide ring.
+    const SEED: u64 = 17;
+    let catalog = short_catalog(12, 15);
     let config = FleetConfig {
-        seed: 7,
+        seed: SEED,
         train_steps: 24,
         replay_priority: true,
         ..FleetConfig::default()
@@ -215,13 +223,55 @@ fn sequential_slices_over_local_slots_reproduce_the_batch_digest() {
     let slots: Vec<Box<dyn Transport>> = vec![Box::new(LocalTransport), Box::new(LocalTransport)];
     let service = FleetService::with_transports(config.clone(), ServiceLimits::default(), slots)
         .expect("service starts over local slots");
-    for (base, slice) in [(0, &catalog[..2]), (2, &catalog[2..])] {
-        service
-            .run_submission(7, base, slice, &mut |_, _| {})
-            .expect("slice runs");
+    if !firm_obs::enabled(firm_obs::Level::Info) {
+        firm_obs::set_level(Some(firm_obs::Level::Info));
     }
+    let retrains = || {
+        let (events, _) = firm_obs::drain_events();
+        events
+            .iter()
+            .filter(|e| e.message == "policy retrained")
+            .filter(|e| {
+                e.fields
+                    .iter()
+                    .any(|(k, v)| *k == "seed" && *v == firm_obs::FieldValue::U64(SEED))
+            })
+            .count()
+    };
+
+    let (mut transitions, mut svm) = (0, 0);
+    for (base, slice) in [(0, &catalog[..6]), (6, &catalog[6..9])] {
+        let report = service
+            .run_submission(SEED, base, slice, &mut |_, _| {})
+            .expect("slice runs");
+        assert!(report.policy.actor.is_empty() && report.policy.critic.is_empty());
+        assert_eq!(report.trained_updates, 0, "a submission trained");
+        transitions += report.report.totals.transitions;
+        svm += report.report.totals.svm_examples;
+        assert_eq!(report.pooled_transitions, transitions);
+        assert_eq!(report.pooled_svm, svm);
+    }
+    assert!(svm > 0, "the slices harvested no SVM examples");
+
+    let _ = retrains();
+    let first = service.drain();
+    let second = service.drain();
+    assert_eq!(
+        retrains(),
+        1,
+        "two drains with no fold between must train once"
+    );
+    assert!(first.trained_updates > 0, "the policy checks are vacuous");
+    assert_eq!(first.policy, second.policy);
+    assert_eq!(first.trained_updates, second.trained_updates);
+
+    service
+        .run_submission(SEED, 9, &catalog[9..], &mut |_, _| {})
+        .expect("the last slice runs");
     let cumulative = service.drain();
+    assert_eq!(retrains(), 1, "a fold must make the next drain train");
     assert!(service.shutdown().is_empty(), "local slots ship no metrics");
+    assert_eq!(retrains(), 0, "shutdown trains nothing");
 
     let batch = FleetRunner::new(config).run(&catalog);
     assert_reproduces_batch(&cumulative, &batch);

@@ -42,8 +42,8 @@
 //! * [`serve`] — the resident fleet service: a `firm-fleet serve`
 //!   coordinator that keeps the supervised worker pool alive across
 //!   scenario submissions from many concurrent clients, streams
-//!   per-scenario outcomes as they complete, and continuously retrains
-//!   the shared agent on the growing experience pool with seeded
+//!   per-scenario outcomes as they complete, and trains the shared
+//!   agent on the growing experience pool, when it is read, with seeded
 //!   (optionally violation-severity-prioritized) replay — all of it
 //!   bit-identical to the equivalent batch runs;
 //! * [`chaos`] — deterministic fault injection: seeded `FaultPlan`s
