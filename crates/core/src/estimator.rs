@@ -115,8 +115,8 @@ pub fn reward(sv: f64, utilizations: &[f64; 5], alpha: f64) -> f64 {
 /// yield genuinely negative rewards instead of merely small positive
 /// ones. Opt-in via [`crate::manager::FirmConfig::slo_penalty`] —
 /// the legacy [`reward`] is structurally non-negative (`SV` and the
-/// utilizations are clamped to non-negative ranges), which starves
-/// severity-prioritized replay of any signal.
+/// utilizations are clamped to non-negative ranges), so a pool fed by
+/// it never holds a negative reward.
 pub fn reward_penalized(sv: f64, utilizations: &[f64; 5], alpha: f64) -> f64 {
     let util_sum: f64 = utilizations.iter().map(|u| u.clamp(0.0, 1.0)).sum();
     alpha * (sv.clamp(0.0, 2.0) - 1.0) * 5.0 + (1.0 - alpha) * util_sum
@@ -215,26 +215,6 @@ impl ResourceEstimator {
     /// then trains in bulk with [`ResourceEstimator::train_shared`]).
     pub fn observe(&mut self, service: ServiceId, transition: Transition) {
         self.agent_mut(service).observe(transition);
-    }
-
-    /// Like [`ResourceEstimator::observe`], but with an explicit replay
-    /// priority: the responsible agent's minibatch sampling becomes
-    /// priority-proportional (prioritized experience replay). Feeding
-    /// any priority at all switches that agent's buffer to weighted
-    /// draws; estimators fed only through [`ResourceEstimator::observe`]
-    /// keep the original uniform scheme bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priority` is not finite and positive.
-    pub fn observe_with_priority(
-        &mut self,
-        service: ServiceId,
-        transition: Transition,
-        priority: f64,
-    ) {
-        self.agent_mut(service)
-            .observe_with_priority(transition, priority);
     }
 
     /// Runs up to `steps` minibatch updates on the shared agent and

@@ -55,10 +55,10 @@ pub struct FirmConfig {
     pub record_experience: bool,
     /// Use the SLO-penalized reward variant
     /// ([`crate::estimator::reward_penalized`]): violations below the
-    /// SLO line earn *negative* rewards, so severity-prioritized
-    /// replay has real signal. Off by default — the legacy reward is
-    /// non-negative by construction and changing it would move every
-    /// pinned digest.
+    /// SLO line earn *negative* rewards, so a harsh tenant's pooled
+    /// experience records how badly it violated. Off by default — the
+    /// legacy reward is non-negative by construction and changing it
+    /// would move every pinned digest.
     pub slo_penalty: bool,
     /// RNG seed for the ML components.
     pub seed: u64,

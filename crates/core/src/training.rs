@@ -158,57 +158,6 @@ pub fn replay_experience(
     estimator.train_shared(train_steps)
 }
 
-/// The seeded, deterministic replay priority of the transition at
-/// `index` of a pooled experience log — the weighting behind the
-/// fleet's *prioritized* one-for-all replay.
-///
-/// The weight is the transition's violation severity (`1 + max(0, −r)`:
-/// the §3.4 reward goes negative exactly when SLOs are violated and
-/// resources sit idle, so the worst incidents — the rare anomaly
-/// classes small tenants contribute — dominate the minibatches instead
-/// of being drowned out by the bulk of healthy steps), plus a tiny
-/// seed-derived jitter that decorrelates equal-severity ties without
-/// ever consulting a clock. A pure function of `(seed, index, reward)`,
-/// so every worker count, thread count, and submission schedule
-/// computes the same weight, and a pool that grew by a tail needs only
-/// the tail's priorities computed.
-pub fn replay_priority(seed: u64, index: usize, reward: f64) -> f64 {
-    let severity = (-reward).max(0.0);
-    // 53 uniform bits in [0, 1), scaled to stay a tie-break.
-    let jitter = (firm_rng::mix64(seed, index as u64) >> 11) as f64 / (1u64 << 53) as f64 * 1e-6;
-    1.0 + severity + jitter
-}
-
-/// [`replay_priority`] of every transition of `log`, in log order.
-pub fn replay_priorities(log: &ExperienceLog, seed: u64) -> Vec<f64> {
-    log.transitions
-        .iter()
-        .enumerate()
-        .map(|(i, (_, t))| replay_priority(seed, i, t.reward))
-        .collect()
-}
-
-/// [`replay_experience`] with seeded prioritized sampling: transitions
-/// enter the shared agent's buffer in log order carrying
-/// [`replay_priorities`] weights, so the `train_steps` minibatch
-/// updates draw violation-heavy transitions proportionally more often.
-/// Like the uniform variant, the trained weights are a pure function of
-/// `(log, estimator seed, priority seed, train_steps)` — prioritization
-/// changes *which* deterministic function, never introduces timing.
-/// Returns the number of updates that actually trained.
-pub fn replay_experience_prioritized(
-    estimator: &mut ResourceEstimator,
-    log: &ExperienceLog,
-    train_steps: usize,
-    priority_seed: u64,
-) -> usize {
-    let priorities = replay_priorities(log, priority_seed);
-    for ((service, t), p) in log.transitions.iter().zip(&priorities) {
-        estimator.observe_with_priority(*service, t.clone(), *p);
-    }
-    estimator.train_shared(train_steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,60 +205,6 @@ mod tests {
         // and the SVM must have been trained.
         assert!(manager.stats().actions > 0);
         assert!(manager.extractor().trained_examples() > 0);
-    }
-
-    #[test]
-    fn prioritized_replay_is_seed_deterministic_and_severity_weighted() {
-        use firm_ml::ddpg::Transition;
-        use firm_sim::ServiceId;
-
-        let mut log = ExperienceLog::default();
-        for i in 0..160 {
-            let s = vec![(i % 13) as f64 / 13.0; crate::estimator::STATE_DIM];
-            log.transitions.push((
-                ServiceId(i % 3),
-                Transition {
-                    state: s.clone(),
-                    action: vec![0.1; crate::estimator::ACTION_DIM],
-                    // Half the log is healthy (r=1), half violating.
-                    reward: if i % 2 == 0 {
-                        1.0
-                    } else {
-                        -(1.0 + (i % 5) as f64)
-                    },
-                    next_state: s,
-                    done: i % 20 == 19,
-                },
-            ));
-        }
-
-        let p = replay_priorities(&log, 7);
-        assert_eq!(p, replay_priorities(&log, 7), "priorities not stable");
-        assert_ne!(p, replay_priorities(&log, 8), "seed does not enter");
-        // Violating transitions outweigh healthy ones.
-        assert!(p[1] > p[0] + 0.5, "severity did not raise the weight");
-        assert!(p.iter().all(|&w| w.is_finite() && w >= 1.0));
-
-        let train = |prioritized: bool| {
-            let mut est = ResourceEstimator::new(AgentRegime::Shared, 99);
-            let n = if prioritized {
-                replay_experience_prioritized(&mut est, &log, 12, 7)
-            } else {
-                replay_experience(&mut est, &log, 12)
-            };
-            assert_eq!(n, 12);
-            est.shared_agent().export_weights()
-        };
-        assert_eq!(
-            train(true),
-            train(true),
-            "prioritized replay not deterministic"
-        );
-        assert_ne!(
-            train(true),
-            train(false),
-            "prioritized replay sampled the same batches as uniform"
-        );
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //! a deliberately harsh configuration: a correlated all-stressor
 //! campaign at near-maximal intensity, a tight 1.05× SLO, and the
 //! SLO-penalized reward ([`firm_core::estimator::reward_penalized`]).
-//! These produce genuinely negative rewards in pooled experience, so
-//! severity-prioritized replay has real signal to weight — the legacy
-//! catalog's reward is non-negative by construction.
+//! These pool genuinely negative rewards, which the generated-catalog
+//! digest pins — the legacy catalog's reward is non-negative by
+//! construction.
 
 use firm_rng::{mix64, Xoshiro256};
 use firm_sim::{AnomalyKind, SimDuration};

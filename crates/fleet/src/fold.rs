@@ -14,7 +14,7 @@
 use firm_core::estimator::{AgentRegime, ResourceEstimator};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_core::manager::ExperienceLog;
-use firm_core::training::{replay_experience, replay_experience_prioritized, replay_priority};
+use firm_core::training::replay_experience;
 
 use crate::report::ScenarioOutcome;
 use crate::runner::FleetConfig;
@@ -29,7 +29,6 @@ const EXTRACTOR_SALT: u64 = 0x51FE;
 pub struct Fold {
     seed: u64,
     train_steps: usize,
-    prioritized: bool,
     /// Every absorbed outcome, in absorption order.
     pub outcomes: Vec<ScenarioOutcome>,
     /// The pooled experience, in absorption order.
@@ -37,13 +36,11 @@ pub struct Fold {
 }
 
 impl Fold {
-    /// An empty fold under the config's seed, `train_steps` and
-    /// `replay_priority`.
+    /// An empty fold under the config's seed and `train_steps`.
     pub fn new(config: &FleetConfig) -> Fold {
         Fold {
             seed: config.seed,
             train_steps: config.train_steps,
-            prioritized: config.replay_priority,
             outcomes: Vec::new(),
             pooled: ExperienceLog::default(),
         }
@@ -59,16 +56,11 @@ impl Fold {
         }
     }
 
-    /// Trains a fresh shared agent on the whole pool (uniform or
-    /// prioritized replay, per the config); returns it with the number
-    /// of updates that actually trained.
+    /// Trains a fresh shared agent on the whole pool by uniform replay;
+    /// returns it with the number of updates that actually trained.
     pub fn train(&self) -> (ResourceEstimator, usize) {
         let mut estimator = ResourceEstimator::new(AgentRegime::Shared, self.seed ^ AGENT_SALT);
-        let trained = if self.prioritized {
-            replay_experience_prioritized(&mut estimator, &self.pooled, self.train_steps, self.seed)
-        } else {
-            replay_experience(&mut estimator, &self.pooled, self.train_steps)
-        };
+        let trained = replay_experience(&mut estimator, &self.pooled, self.train_steps);
         (estimator, trained)
     }
 
@@ -79,50 +71,5 @@ impl Fold {
             extractor.train(features, *label);
         }
         extractor
-    }
-
-    /// The replay priorities [`Fold::train`] gives the pooled
-    /// transitions from index `start` on (diagnostics for a pool that
-    /// just grew by that tail).
-    pub fn priorities_from(&self, start: usize) -> impl Iterator<Item = f64> + '_ {
-        let tail = self.pooled.transitions.iter().enumerate().skip(start);
-        tail.map(|(i, (_, t))| replay_priority(self.seed, i, t.reward))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scenario::{builtin_catalog, FleetController};
-    use firm_core::training::replay_priorities;
-    use firm_sim::SimDuration;
-
-    /// The serve-side priority histogram reads only the tail a
-    /// submission added; it must see exactly the weights training used.
-    #[test]
-    fn priorities_from_is_the_tail_of_the_whole_pool_priorities() {
-        let scenario = builtin_catalog()
-            .into_iter()
-            .find(|s| s.controller == FleetController::Firm)
-            .expect("the catalog has a FIRM scenario")
-            .with_duration(SimDuration::from_secs(6));
-        let config = FleetConfig {
-            seed: 7,
-            replay_priority: true,
-            ..FleetConfig::default()
-        };
-        let mut fold = Fold::new(&config);
-        fold.absorb(vec![crate::exec::run_one(&scenario, 1)]);
-        let first = fold.pooled.transitions.len();
-        assert!(first > 0, "the scenario harvested no transitions");
-        fold.absorb(vec![crate::exec::run_one(&scenario, 2)]);
-
-        let whole = replay_priorities(&fold.pooled, 7);
-        assert_eq!(
-            fold.priorities_from(first).collect::<Vec<_>>(),
-            whole[first..]
-        );
-        assert_eq!(fold.priorities_from(0).collect::<Vec<_>>(), whole);
-        assert_eq!(fold.outcomes.len(), 2);
     }
 }

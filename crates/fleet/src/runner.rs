@@ -86,14 +86,6 @@ pub struct FleetConfig {
     /// parallelism: in-process slots number `threads` divided by this,
     /// so `threads` stays the total core budget.
     pub intra_shards: usize,
-    /// Prioritized one-for-all replay: weight the central trainer's
-    /// minibatch sampling by seeded violation severity
-    /// ([`firm_core::training::replay_priorities`]) instead of drawing
-    /// uniformly. Changes the trained shared-agent weights (a different
-    /// deterministic function of the same pooled experience), never a
-    /// report byte — the digest covers scenario outcomes only, which are
-    /// produced before central training begins.
-    pub replay_priority: bool,
 }
 
 impl Default for FleetConfig {
@@ -108,7 +100,6 @@ impl Default for FleetConfig {
             seed: 1,
             train_steps: 256,
             intra_shards: 1,
-            replay_priority: false,
         }
     }
 }
@@ -139,13 +130,6 @@ impl FleetConfig {
     /// sequential). Results are bit-identical at any value.
     pub fn intra_shards(mut self, n: usize) -> Self {
         self.intra_shards = n.max(1);
-        self
-    }
-
-    /// Enables seeded prioritized experience replay for the central
-    /// shared-agent training (see [`FleetConfig::replay_priority`]).
-    pub fn replay_priority(mut self, on: bool) -> Self {
-        self.replay_priority = on;
         self
     }
 

@@ -38,28 +38,13 @@ pub struct Transition {
     pub done: bool,
 }
 
-/// Replay buffer: a fixed-capacity ring, with optional per-transition
-/// priorities for weighted (prioritized) sampling.
-///
-/// Priorities are entirely opt-in: until the first
-/// [`ReplayBuffer::push_with_priority`] call the buffer carries no
-/// priority state at all and sampling is the original uniform scheme,
-/// drawing the exact same RNG sequence as ever — so enabling the
-/// feature elsewhere in a program cannot move a byte in code that never
-/// asked for it.
+/// Replay buffer: a fixed-capacity ring sampled uniformly with
+/// replacement (Algorithm 3, line 11).
 #[derive(Debug)]
 pub struct ReplayBuffer {
     data: Vec<Transition>,
     capacity: usize,
     cursor: usize,
-    /// Parallel to `data` once weighted mode is engaged; empty before.
-    priorities: Vec<f64>,
-    /// Set by the first [`ReplayBuffer::push_with_priority`].
-    weighted: bool,
-    /// Cumulative-weight table over `priorities`; empty means stale.
-    /// Priorities change only on push, so a push empties it and the
-    /// next weighted draw rebuilds it once.
-    cumulative: Vec<f64>,
 }
 
 impl ReplayBuffer {
@@ -74,57 +59,15 @@ impl ReplayBuffer {
             data: Vec::with_capacity(capacity.min(4096)),
             capacity,
             cursor: 0,
-            priorities: Vec::new(),
-            weighted: false,
-            cumulative: Vec::new(),
         }
     }
 
-    /// Stores a transition, overwriting the oldest when full. In
-    /// weighted mode the slot's priority becomes the neutral 1.0.
+    /// Stores a transition, overwriting the oldest when full.
     pub fn push(&mut self, t: Transition) {
-        self.push_at_cursor(t, 1.0);
-    }
-
-    /// Stores a transition with an explicit sampling priority,
-    /// overwriting the oldest when full. The first call switches the
-    /// buffer into weighted mode (existing entries get priority 1.0);
-    /// from then on minibatch indices are drawn proportionally to
-    /// priority instead of uniformly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priority` is not finite and positive — a zero or NaN
-    /// weight would silently corrupt the cumulative table.
-    pub fn push_with_priority(&mut self, t: Transition, priority: f64) {
-        assert!(
-            priority.is_finite() && priority > 0.0,
-            "replay priority must be finite and positive, got {priority}"
-        );
-        if !self.weighted {
-            self.weighted = true;
-            self.priorities = vec![1.0; self.data.len()];
-        }
-        self.push_at_cursor(t, priority);
-    }
-
-    /// True once any transition carried an explicit priority.
-    pub fn weighted(&self) -> bool {
-        self.weighted
-    }
-
-    fn push_at_cursor(&mut self, t: Transition, priority: f64) {
-        self.cumulative.clear();
         if self.data.len() < self.capacity {
             self.data.push(t);
-            if self.weighted {
-                self.priorities.push(priority);
-            }
         } else {
             self.data[self.cursor] = t;
-            if self.weighted {
-                self.priorities[self.cursor] = priority;
-            }
         }
         self.cursor = (self.cursor + 1) % self.capacity;
     }
@@ -139,74 +82,13 @@ impl ReplayBuffer {
         self.data.is_empty()
     }
 
-    /// Samples `n` transitions uniformly with replacement.
-    pub fn sample<'a>(&'a self, n: usize, rng: &mut Xoshiro256) -> Vec<&'a Transition> {
-        let mut idx = Vec::with_capacity(n);
-        self.sample_indices_into(n, rng, &mut idx);
-        idx.into_iter().map(|i| &self.data[i]).collect()
-    }
-
     /// Draws `n` uniform-with-replacement indices into `out` (cleared
-    /// first) — the one sampling scheme, shared by [`ReplayBuffer::sample`]
-    /// and the allocation-free minibatch assembly in
+    /// first) — the allocation-free minibatch draw of
     /// [`DdpgAgent::train_step`].
     pub fn sample_indices_into(&self, n: usize, rng: &mut Xoshiro256, out: &mut Vec<usize>) {
         out.clear();
         for _ in 0..n {
             out.push(rng.index(self.data.len()));
-        }
-    }
-
-    /// Draws `n` priority-proportional indices (with replacement) into
-    /// `out` — the prioritized-replay sampling scheme. Each draw
-    /// inverts the cumulative weight table with a binary search, so a
-    /// transition with twice the priority is sampled twice as often.
-    /// Deterministic: the draws consume exactly `n` uniform variates
-    /// from `rng`, and the table is a pure fold over the stored
-    /// priorities in slot order, rebuilt only after a push.
-    pub fn sample_weighted_indices_into(
-        &mut self,
-        n: usize,
-        rng: &mut Xoshiro256,
-        out: &mut Vec<usize>,
-    ) {
-        debug_assert!(self.weighted, "weighted sampling without priorities");
-        if self.cumulative.is_empty() {
-            let mut total = 0.0;
-            for &p in &self.priorities {
-                total += p;
-                self.cumulative.push(total);
-            }
-        }
-        let total = *self
-            .cumulative
-            .last()
-            .expect("weighted buffer is non-empty");
-        out.clear();
-        for _ in 0..n {
-            let target = rng.uniform() * total;
-            // partition_point: first slot whose cumulative weight
-            // exceeds the target; the final clamp covers target==total.
-            let i = self
-                .cumulative
-                .partition_point(|&c| c <= target)
-                .min(self.data.len() - 1);
-            out.push(i);
-        }
-    }
-
-    /// Draws a minibatch's indices with whichever scheme the buffer is
-    /// in: uniform until a priority was ever pushed, weighted after.
-    pub fn sample_minibatch_indices_into(
-        &mut self,
-        n: usize,
-        rng: &mut Xoshiro256,
-        out: &mut Vec<usize>,
-    ) {
-        if self.weighted {
-            self.sample_weighted_indices_into(n, rng, out);
-        } else {
-            self.sample_indices_into(n, rng, out);
         }
     }
 }
@@ -439,20 +321,6 @@ impl DdpgAgent {
         self.replay.push(t);
     }
 
-    /// Stores a transition with an explicit replay priority, switching
-    /// this agent's minibatch sampling to priority-proportional draws
-    /// (see [`ReplayBuffer::push_with_priority`]). Agents that never
-    /// receive a priority keep the original uniform scheme bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `priority` is not finite and positive.
-    pub fn observe_with_priority(&mut self, t: Transition, priority: f64) {
-        debug_assert_eq!(t.state.len(), self.config.state_dim);
-        debug_assert_eq!(t.action.len(), self.config.action_dim);
-        self.replay.push_with_priority(t, priority);
-    }
-
     /// Resets the exploration-noise process (start of an episode).
     pub fn episode_reset(&mut self) {
         self.noise.reset();
@@ -488,11 +356,9 @@ impl DdpgAgent {
         let ad = self.config.action_dim;
         let sc = &mut self.scratch;
 
-        // Assemble the minibatch: the same uniform draws as `sample`
-        // unless this agent's buffer went weighted, in which case the
-        // indices are priority-proportional.
+        // Assemble the minibatch from uniform draws.
         self.replay
-            .sample_minibatch_indices_into(b, &mut self.rng, &mut sc.idx);
+            .sample_indices_into(b, &mut self.rng, &mut sc.idx);
         sc.s_full.resize(b, sd);
         sc.s_actor2.resize(b, asd);
         sc.s_full2.resize(b, sd);
@@ -648,141 +514,6 @@ mod tests {
         assert!(rewards.contains(&5.0));
         assert!(!rewards.contains(&0.0));
         assert!(!rewards.contains(&1.0));
-    }
-
-    #[test]
-    fn weighted_sampling_follows_priorities() {
-        let mut buf = ReplayBuffer::new(16);
-        let t = |r: f64| Transition {
-            state: vec![r],
-            action: vec![0.0],
-            reward: r,
-            next_state: vec![0.0],
-            done: false,
-        };
-        // One transition carries 100x the weight of the other nine.
-        for i in 0..9 {
-            buf.push_with_priority(t(i as f64), 1.0);
-        }
-        buf.push_with_priority(t(99.0), 100.0);
-        assert!(buf.weighted());
-
-        let mut rng = Xoshiro256::new(7);
-        let mut idx = Vec::new();
-        let mut hot = 0usize;
-        let draws = 2_000;
-        for _ in 0..draws / 10 {
-            buf.sample_weighted_indices_into(10, &mut rng, &mut idx);
-            hot += idx.iter().filter(|&&i| i == 9).count();
-        }
-        // Expected fraction = 100/109 ≈ 0.917; uniform would be 0.1.
-        let frac = hot as f64 / draws as f64;
-        assert!(frac > 0.8, "hot index drawn {frac} of the time");
-    }
-
-    #[test]
-    fn cached_cumulative_table_draws_the_rebuild_every_time_stream() {
-        // Reference: the table rebuilt from the priorities before every
-        // minibatch, as the sampler did before it cached it.
-        fn reference(buf: &ReplayBuffer, n: usize, rng: &mut Xoshiro256) -> Vec<usize> {
-            let mut cumulative = Vec::new();
-            let mut total = 0.0;
-            for &p in &buf.priorities {
-                total += p;
-                cumulative.push(total);
-            }
-            (0..n)
-                .map(|_| {
-                    let target = rng.uniform() * total;
-                    cumulative
-                        .partition_point(|&c| c <= target)
-                        .min(buf.data.len() - 1)
-                })
-                .collect()
-        }
-        let t = |r: f64| Transition {
-            state: vec![r],
-            action: vec![0.0],
-            reward: r,
-            next_state: vec![0.0],
-            done: false,
-        };
-        let mut buf = ReplayBuffer::new(8);
-        buf.push(t(0.0)); // an unweighted entry adopted at priority 1.0
-        let (mut rng, mut ref_rng) = (Xoshiro256::new(5), Xoshiro256::new(5));
-        let mut idx = Vec::new();
-        // 20 pushes through a ring of 8: growth, then overwrites, with
-        // plain pushes mixed in and several minibatches between pushes.
-        for i in 0..20 {
-            if i % 3 == 2 {
-                buf.push(t(i as f64));
-            } else {
-                buf.push_with_priority(t(i as f64), 0.5 + (i * 7 % 5) as f64);
-            }
-            for _ in 0..3 {
-                buf.sample_weighted_indices_into(16, &mut rng, &mut idx);
-                assert_eq!(idx, reference(&buf, 16, &mut ref_rng), "after push {i}");
-            }
-        }
-        assert_eq!(buf.len(), 8);
-    }
-
-    #[test]
-    fn plain_pushes_never_engage_weighted_mode() {
-        let mut buf = ReplayBuffer::new(8);
-        for i in 0..20 {
-            buf.push(Transition {
-                state: vec![i as f64],
-                action: vec![0.0],
-                reward: 0.0,
-                next_state: vec![0.0],
-                done: false,
-            });
-        }
-        assert!(!buf.weighted());
-        // Minibatch dispatch picks the uniform scheme: identical draws
-        // to sample_indices_into from an identically seeded RNG.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let mut rng1 = Xoshiro256::new(3);
-        let mut rng2 = Xoshiro256::new(3);
-        buf.sample_minibatch_indices_into(32, &mut rng1, &mut a);
-        buf.sample_indices_into(32, &mut rng2, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn prioritized_training_is_deterministic_and_distinct_from_uniform() {
-        let fill = |agent: &mut DdpgAgent, weighted: bool| {
-            let mut rng = Xoshiro256::new(42);
-            for i in 0..200 {
-                let s = vec![rng.uniform(), rng.uniform(), rng.uniform()];
-                let t = Transition {
-                    state: s.clone(),
-                    action: vec![rng.uniform() - 0.5, rng.uniform() - 0.5],
-                    reward: -(i as f64 % 7.0),
-                    next_state: s,
-                    done: i % 10 == 0,
-                };
-                if weighted {
-                    let p = 1.0 + (i as f64 % 7.0);
-                    agent.observe_with_priority(t, p);
-                } else {
-                    agent.observe(t);
-                }
-            }
-            for _ in 0..20 {
-                agent.train_step();
-            }
-            agent.export_weights()
-        };
-        let mut w1 = DdpgAgent::new(toy_config(), 9);
-        let mut w2 = DdpgAgent::new(toy_config(), 9);
-        let mut u = DdpgAgent::new(toy_config(), 9);
-        let a = fill(&mut w1, true);
-        let b = fill(&mut w2, true);
-        let c = fill(&mut u, false);
-        assert_eq!(a, b, "prioritized training is not deterministic");
-        assert_ne!(a, c, "priorities did not change the sampled batches");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! firm-fleet serve --listen 0.0.0.0:7500 --workers 4 --seed 7 \
-//!     --train-steps 128 --priority --obs-out serve-obs.jsonl
+//!     --train-steps 128 --obs-out serve-obs.jsonl
 //! ```
 //!
 //! `serve` starts the coordinator: it connects the worker pool
@@ -56,7 +56,6 @@ fn serve(mut args: impl Iterator<Item = String>) {
             "--intra-shards" => {
                 config.intra_shards = (need_u64(&mut args, "--intra-shards") as usize).max(1)
             }
-            "--priority" => config.replay_priority = true,
             "--request-timeout-ms" => {
                 config.request_timeout_ms = need_u64(&mut args, "--request-timeout-ms")
             }
@@ -160,7 +159,6 @@ fn usage(problem: &str) -> ! {
          \x20                        cumulative report and the resident policy.\n\
          --train-steps N          minibatches per resident-policy train (default 128).\n\
          --intra-shards N         per-scenario stage fan-out on workers (default 1).\n\
-         --priority               prioritized (violation-severity) experience replay.\n\
          --request-timeout-ms N   per-scenario timeout (default 300000, 0 disables).\n\
          --max-attempts N         worker failures tolerated per scenario (default 3).\n\
          --max-pending N          backpressure bound: scenarios admitted but not yet\n\

@@ -29,8 +29,8 @@
 //! A submission only folds and marks the resident policy stale. The
 //! shared agent is trained from scratch on the whole pool when a
 //! cumulative report reads it, and cached until the next fold, with
-//! seeded — optionally violation-severity-prioritized
-//! ([`firm_core::training::replay_priorities`]) — experience replay.
+//! seeded uniform experience replay
+//! ([`firm_core::training::replay_experience`]).
 //! No wall-clock value ever enters: the resident policy is a pure
 //! function of what was submitted, in which completion order, under
 //! which seeds. Submitting a catalog in sequential slices (one seed,

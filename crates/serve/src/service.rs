@@ -102,10 +102,6 @@ struct ServeMetrics {
     submissions_total: Arc<Counter>,
     scenarios_submitted: Arc<Counter>,
     queue_depth: Arc<Gauge>,
-    /// Replay priorities of newly pooled transitions, ×1000 (the
-    /// registry's histograms hold integers); recorded at fold time
-    /// when prioritized replay is on.
-    replay_priority: Arc<Histogram>,
     /// Submissions refused because they would exceed
     /// [`ServiceLimits::max_pending_scenarios`].
     backpressure_rejections: Arc<Counter>,
@@ -210,7 +206,6 @@ impl FleetService {
                 submissions_total: m.counter("serve.submissions.total"),
                 scenarios_submitted: m.counter("serve.scenarios.submitted"),
                 queue_depth: m.gauge("serve.queue.depth"),
-                replay_priority: m.histogram("serve.replay.priority_x1000"),
                 backpressure_rejections: m.counter("serve.backpressure.rejections"),
                 fold_us: m.histogram("serve.fold_us"),
                 retrain_us: m.histogram("serve.retrain_us"),
@@ -341,7 +336,6 @@ impl FleetService {
         // Fold under the state lock: concurrent submissions serialize
         // here, in completion order.
         let mut st = self.state.lock().expect("service state lock");
-        let pooled_before = st.fold.pooled.transitions.len();
         let started = Instant::now();
         st.fold.absorb(results);
         self.obs
@@ -349,14 +343,6 @@ impl FleetService {
             .record(started.elapsed().as_micros() as u64);
         st.pooled_svm += svm;
         st.policy = None;
-        if self.config.replay_priority {
-            // Diagnostics for the weighting itself: the histogram shows
-            // whether violation-heavy transitions are actually getting
-            // the intended extra mass.
-            for p in st.fold.priorities_from(pooled_before) {
-                self.obs.replay_priority.record((p * 1000.0) as u64);
-            }
-        }
         let report = SubmissionReport {
             submission,
             cumulative: false,

@@ -55,13 +55,12 @@ fn short_catalog(n: usize, secs: u64) -> Vec<Scenario> {
         .collect()
 }
 
-fn start_server(workers: usize, seed: u64, train_steps: usize, priority: bool) -> FleetServer {
+fn start_server(workers: usize, seed: u64, train_steps: usize) -> FleetServer {
     let config = FleetConfig {
         workers: 0,
         remote_workers: (0..workers).map(|_| spawn_tcp_worker()).collect(),
         seed,
         train_steps,
-        replay_priority: priority,
         ..FleetConfig::default()
     };
     FleetServer::start("127.0.0.1:0", config).expect("server starts")
@@ -98,7 +97,7 @@ fn assert_reproduces_batch(cumulative: &SubmissionReport, batch: &FleetResult) {
 /// and the service must have pooled both.
 #[test]
 fn concurrent_clients_get_batch_identical_reports() {
-    let server = start_server(2, 99, 16, false);
+    let server = start_server(2, 99, 16);
     let addr = server.local_addr().to_string();
 
     let submit = |seed: u64, catalog: Vec<Scenario>| {
@@ -168,12 +167,11 @@ fn concurrent_clients_get_batch_identical_reports() {
 /// The headline parity guarantee: a catalog submitted in two
 /// sequential slices (one seed, continuous base indices) leaves the
 /// service's cumulative report, pooled experience, policy weights, and
-/// trained-update count bit-identical to the single batch run — with
-/// prioritized replay on both sides.
+/// trained-update count bit-identical to the single batch run.
 #[test]
 fn sequential_slices_reproduce_the_batch_run_exactly() {
     let catalog = short_catalog(4, 6);
-    let server = start_server(2, 7, 24, true);
+    let server = start_server(2, 7, 24);
     let addr = server.local_addr().to_string();
 
     let mut client = ServeClient::connect(&addr).expect("client connects");
@@ -192,7 +190,6 @@ fn sequential_slices_reproduce_the_batch_run_exactly() {
         threads: 2,
         seed: 7,
         train_steps: 24,
-        replay_priority: true,
         ..FleetConfig::default()
     })
     .run(&catalog);
@@ -217,7 +214,6 @@ fn sequential_slices_over_local_slots_reproduce_the_batch_digest() {
     let config = FleetConfig {
         seed: SEED,
         train_steps: 24,
-        replay_priority: true,
         ..FleetConfig::default()
     };
     let slots: Vec<Box<dyn Transport>> = vec![Box::new(LocalTransport), Box::new(LocalTransport)];
@@ -284,7 +280,7 @@ fn sequential_slices_over_local_slots_reproduce_the_batch_digest() {
 #[test]
 fn client_disconnect_mid_catalog_still_folds_and_serves_others() {
     let catalog = short_catalog(2, 6);
-    let server = start_server(1, 5, 8, false);
+    let server = start_server(1, 5, 8);
     let addr = server.local_addr().to_string();
 
     // A raw client that submits and immediately hangs up.
@@ -342,7 +338,7 @@ fn client_disconnect_mid_catalog_still_folds_and_serves_others() {
 /// Version skew fails loudly instead of mis-running work.
 #[test]
 fn protocol_skew_is_rejected_with_an_error_frame() {
-    let server = start_server(1, 3, 4, false);
+    let server = start_server(1, 3, 4);
     let addr = server.local_addr().to_string();
 
     let mut stream = TcpStream::connect(&addr).expect("client connects");
@@ -373,7 +369,7 @@ fn protocol_skew_is_rejected_with_an_error_frame() {
 /// is transient from the protocol's point of view.
 #[test]
 fn submissions_after_retire_are_rejected_retryably() {
-    let server = start_server(1, 2, 4, false);
+    let server = start_server(1, 2, 4);
     let addr = server.local_addr().to_string();
     server.service().retire("test retirement");
 
@@ -400,7 +396,7 @@ fn submissions_after_retire_are_rejected_retryably() {
 /// working.
 #[test]
 fn malformed_frame_closes_only_its_own_session() {
-    let server = start_server(1, 13, 4, false);
+    let server = start_server(1, 13, 4);
     let addr = server.local_addr().to_string();
 
     let mut stream = TcpStream::connect(&addr).expect("raw client connects");
@@ -487,7 +483,7 @@ fn severing_proxy(upstream: String) -> String {
 #[test]
 fn severed_connection_recovers_the_folded_report_via_drain() {
     let catalog = short_catalog(2, 6);
-    let server = start_server(1, 21, 8, false);
+    let server = start_server(1, 21, 8);
     let proxy = severing_proxy(server.local_addr().to_string());
 
     let mut client = ServeClient::connect(&proxy).expect("client connects via proxy");
@@ -594,7 +590,7 @@ fn generated_catalog_served_report_matches_batch() {
         .into_iter()
         .map(|s| s.with_duration(SimDuration::from_secs(4)))
         .collect();
-    let server = start_server(2, 7, 0, false);
+    let server = start_server(2, 7, 0);
     let mut client =
         ServeClient::connect(&server.local_addr().to_string()).expect("client connects");
     let mut streamed = 0usize;

@@ -89,11 +89,6 @@ impl ResourceVec {
         }
     }
 
-    /// A vector with every component set to `v`.
-    pub const fn splat(v: f64) -> Self {
-        ResourceVec { values: [v; 5] }
-    }
-
     /// Component accessor by kind.
     pub fn get(&self, kind: ResourceKind) -> f64 {
         self.values[kind.index()]

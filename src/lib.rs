@@ -44,7 +44,7 @@
 //!   scenario submissions from many concurrent clients, streams
 //!   per-scenario outcomes as they complete, and trains the shared
 //!   agent on the growing experience pool, when it is read, with seeded
-//!   (optionally violation-severity-prioritized) replay — all of it
+//!   uniform replay — all of it
 //!   bit-identical to the equivalent batch runs;
 //! * [`chaos`] — deterministic fault injection: seeded `FaultPlan`s
 //!   (crash, drop, truncation, corruption, blackhole, stall, heartbeat

@@ -5,6 +5,7 @@
 //! This is the property that makes fleet-scale experiments trustworthy:
 //! thread count is a pure wall-clock knob, never a results knob.
 
+use firm::core::controller::PolicyCheckpoint;
 use firm::fleet::{builtin_catalog, FleetConfig, FleetRunner, Scenario};
 use firm::sim::spec::{AppSpec, ClusterSpec};
 use firm::sim::{SimDuration, SimTime, Simulation};
@@ -303,26 +304,24 @@ fn training_catalog() -> Vec<Scenario> {
         .collect()
 }
 
-/// Prioritized (violation-severity-weighted) experience replay is held
-/// to the same standard as every other knob: seeded draws only, so the
-/// trained weights are bit-identical at 1, 2, and 4 threads — and the
-/// report bytes never move at all, because central training happens
-/// strictly after every outcome is final.
+/// Central training is held to the same standard as every outcome:
+/// seeded uniform replay over a pool folded in catalog order, so the
+/// trained weights are bit-identical at 1, 2, and 4 threads, and equal
+/// a pinned policy digest.
 #[test]
-fn prioritized_replay_is_bit_identical_across_thread_counts() {
+fn trained_weights_are_bit_identical_across_thread_counts() {
     let scenarios = training_catalog();
-    let run = |threads: usize, replay_priority: bool| {
+    let run = |threads: usize| {
         FleetRunner::new(FleetConfig {
             threads,
             seed: 20_26,
             train_steps: 48,
-            replay_priority,
             ..FleetConfig::default()
         })
         .run(&scenarios)
     };
 
-    let base = run(1, true);
+    let base = run(1);
     let base_json = base.report.to_json();
     let base_weights = base.estimator.shared_agent().export_weights();
     let base_pooled = firm::wire::encode_string(&base.pooled);
@@ -330,60 +329,29 @@ fn prioritized_replay_is_bit_identical_across_thread_counts() {
         base.trained_updates > 0,
         "the pool never warmed the shared agent up — the weight assertions are vacuous"
     );
+    let (actor, critic) = base_weights.clone();
+    assert_eq!(
+        format!("{:016x}", PolicyCheckpoint { actor, critic }.digest()),
+        "00362355d10030af",
+        "the trained one-for-all policy moved"
+    );
 
     for threads in [2, 4] {
-        let r = run(threads, true);
+        let r = run(threads);
         assert_eq!(
             base_json,
             r.report.to_json(),
-            "report bytes diverged at {threads} threads under prioritized replay"
+            "report bytes diverged at {threads} threads"
         );
         assert_eq!(
             base_pooled,
             firm::wire::encode_string(&r.pooled),
-            "pooled experience diverged at {threads} threads under prioritized replay"
+            "pooled experience diverged at {threads} threads"
         );
         assert_eq!(
             base_weights,
             r.estimator.shared_agent().export_weights(),
-            "prioritized-replay weights diverged at {threads} threads"
-        );
-    }
-
-    // Whatever the weighting does to training, it can never touch the
-    // report bytes: the digest covers outcomes, not the central trainer.
-    let uniform = run(1, false);
-    assert_eq!(
-        base_json,
-        uniform.report.to_json(),
-        "replay weighting moved the report bytes — training leaked into outcomes"
-    );
-    // The weighting itself is severity-driven (1 + max(0, −reward)): a
-    // pool with violations must train different weights than uniform
-    // replay, and a violation-free pool must degenerate to the *exact*
-    // uniform draws (all priorities ~1.0 sample the same indices) —
-    // prioritization is a pure function of the pool, never noise.
-    // The legacy catalog's reward is non-negative by construction, so
-    // this test pins the degenerate branch; the divergent branch is
-    // asserted *unconditionally* on generated harsh catalogs in
-    // tests/scale_determinism.rs (and with synthetic violations in
-    // crates/core/src/training.rs).
-    let violations = base
-        .pooled
-        .transitions
-        .iter()
-        .filter(|(_, t)| t.reward < 0.0)
-        .count();
-    let uniform_weights = uniform.estimator.shared_agent().export_weights();
-    if violations == 0 {
-        assert_eq!(
-            base_weights, uniform_weights,
-            "a violation-free pool must make prioritized replay degenerate to uniform"
-        );
-    } else {
-        assert_ne!(
-            base_weights, uniform_weights,
-            "prioritized replay ignored {violations} violation transitions"
+            "trained weights diverged at {threads} threads"
         );
     }
 }
@@ -391,15 +359,14 @@ fn prioritized_replay_is_bit_identical_across_thread_counts() {
 /// The same guarantee across the process boundary: two supervised
 /// `firm-fleet-worker` subprocesses must reproduce the single-threaded
 /// in-process run bit for bit — report bytes, pooled experience, and
-/// prioritized-replay weights alike.
+/// trained weights alike.
 #[test]
-fn prioritized_replay_is_bit_identical_with_subprocess_workers() {
+fn trained_weights_are_bit_identical_with_subprocess_workers() {
     let scenarios = training_catalog();
     let base = FleetRunner::new(FleetConfig {
         threads: 1,
         seed: 909,
         train_steps: 32,
-        replay_priority: true,
         ..FleetConfig::default()
     })
     .run(&scenarios);
@@ -412,7 +379,6 @@ fn prioritized_replay_is_bit_identical_with_subprocess_workers() {
         workers: 2,
         seed: 909,
         train_steps: 32,
-        replay_priority: true,
         ..FleetConfig::default()
     })
     .run(&scenarios);
@@ -430,7 +396,7 @@ fn prioritized_replay_is_bit_identical_with_subprocess_workers() {
     assert_eq!(
         base.estimator.shared_agent().export_weights(),
         workers.estimator.shared_agent().export_weights(),
-        "prioritized-replay weights diverged across the subprocess boundary"
+        "trained weights diverged across the subprocess boundary"
     );
 }
 
@@ -446,7 +412,6 @@ fn sequential_serve_submissions_reproduce_the_batch_run() {
         workers: 2,
         seed: 7,
         train_steps: 32,
-        replay_priority: true,
         ..FleetConfig::default()
     };
 
@@ -472,7 +437,6 @@ fn sequential_serve_submissions_reproduce_the_batch_run() {
         threads: 2,
         seed: 7,
         train_steps: 32,
-        replay_priority: true,
         ..FleetConfig::default()
     })
     .run(&scenarios);
