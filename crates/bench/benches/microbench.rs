@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_core::extractor::CriticalComponentExtractor;
-use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition};
+use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition, BATCH_SIZE, HIDDEN, TAU};
 use firm_ml::linalg::{kernel_isa, with_portable_kernel};
 use firm_ml::nn::{Activation, Mlp};
 use firm_ml::svm::IncrementalSvm;
@@ -123,16 +123,11 @@ fn bench_ddpg() {
     bench_both_kernels("ddpg/train_step", 1_000, || agent.train_step());
 }
 
-/// The paper's minibatch size — every kernel case runs at this height.
-const BATCH: usize = 64;
-/// Hidden width of both paper networks (two 40-unit layers).
-const HIDDEN: usize = 40;
-
 /// Layer widths of the paper's critic (23→40→40→1) and actor
 /// (8→40→40→5), exactly what [`DdpgConfig::paper`] builds.
 const NET_DIMS: [[usize; 4]; 2] = [
-    [STATE_DIM + ACTION_DIM, HIDDEN, HIDDEN, 1],
-    [ACTOR_STATE_DIM, HIDDEN, HIDDEN, ACTION_DIM],
+    [STATE_DIM + ACTION_DIM, HIDDEN[0], HIDDEN[1], 1],
+    [ACTOR_STATE_DIM, HIDDEN[0], HIDDEN[1], ACTION_DIM],
 ];
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut SimRng) -> Matrix {
@@ -173,12 +168,12 @@ fn bench_kernels() {
         .iter()
         .flat_map(|dims| dims.windows(2))
         .map(|io| Layer {
-            x: random_matrix(BATCH, io[0], rng),
+            x: random_matrix(BATCH_SIZE, io[0], rng),
             w: random_matrix(io[1], io[0], rng),
             wt: Matrix::zeros(0, 0),
-            dz: masked_matrix(BATCH, io[1], rng),
-            out: Matrix::zeros(BATCH, io[1]),
-            grad_in: Matrix::zeros(BATCH, io[0]),
+            dz: masked_matrix(BATCH_SIZE, io[1], rng),
+            out: Matrix::zeros(BATCH_SIZE, io[1]),
+            grad_in: Matrix::zeros(BATCH_SIZE, io[0]),
             grad_w: Matrix::zeros(io[1], io[0]),
             grad_b: vec![0.0; io[1]],
         })
@@ -206,8 +201,10 @@ fn bench_kernels() {
     // Four hidden ReLUs and the actor's tanh output. The maps run in
     // place on their own output: ReLU is idempotent and tanh stays in
     // (-1, 1), so every iteration does the same element work.
-    let mut relus: Vec<Matrix> = (0..4).map(|_| random_matrix(BATCH, HIDDEN, rng)).collect();
-    let mut tanh = random_matrix(BATCH, ACTION_DIM, rng);
+    let mut relus: Vec<Matrix> = (0..4)
+        .map(|_| random_matrix(BATCH_SIZE, HIDDEN[0], rng))
+        .collect();
+    let mut tanh = random_matrix(BATCH_SIZE, ACTION_DIM, rng);
     bench("kernel/activations", ITERS, || {
         for m in &mut relus {
             m.map_inplace(|v| v.max(0.0));
@@ -218,10 +215,9 @@ fn bench_kernels() {
     // The blend walks every parameter whatever the activations are.
     let online = NET_DIMS.map(|dims| Mlp::new(&dims, Activation::Relu, Activation::Identity, 11));
     let mut targets = online.clone();
-    let tau = DdpgConfig::paper(STATE_DIM, ACTOR_STATE_DIM, ACTION_DIM).tau;
     bench("kernel/soft_update", ITERS, || {
         for (target, net) in targets.iter_mut().zip(&online) {
-            target.soft_update_from(net, tau);
+            target.soft_update_from(net, TAU);
         }
     });
 }

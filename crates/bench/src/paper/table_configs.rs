@@ -3,7 +3,7 @@
 //! visible.
 
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
-use firm_ml::ddpg::DdpgConfig;
+use firm_ml::ddpg::{ACTOR_LR, BATCH_SIZE, CRITIC_LR, GAMMA, HIDDEN, REPLAY_CAPACITY, TAU};
 use firm_sim::anomaly::ANOMALY_KINDS;
 
 use crate::{banner, section, Args};
@@ -65,21 +65,13 @@ pub fn run(_: &Args) {
     );
 
     section("Table 4: RL training parameters");
-    let cfg = DdpgConfig::paper(STATE_DIM, ACTOR_STATE_DIM, ACTION_DIM);
-    println!("  # time steps x # minibatch      300 x {}", cfg.batch_size);
-    println!("  size of replay buffer           {}", cfg.replay_capacity);
+    println!("  # time steps x # minibatch      300 x {BATCH_SIZE}");
+    println!("  size of replay buffer           {REPLAY_CAPACITY}");
+    println!("  learning rate                   actor {ACTOR_LR:.0e}, critic {CRITIC_LR:.0e}");
+    println!("  discount factor                 {GAMMA}");
+    println!("  soft-target update coefficient  {TAU} (Alg. 3 reuses gamma)");
     println!(
-        "  learning rate                   actor {:.0e}, critic {:.0e}",
-        cfg.actor_lr, cfg.critic_lr
-    );
-    println!("  discount factor                 {}", cfg.gamma);
-    println!(
-        "  soft-target update coefficient  {} (Alg. 3 reuses gamma)",
-        cfg.tau
-    );
-    println!(
-        "  hidden layers                   {:?} (Fig. 8: two x 40, ReLU; actor output Tanh)",
-        cfg.hidden
+        "  hidden layers                   {HIDDEN:?} (Fig. 8: two x 40, ReLU; actor output Tanh)"
     );
 
     section("Table 5: performance-anomaly types and the paper's tools");

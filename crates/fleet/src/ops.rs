@@ -17,7 +17,7 @@
 //! the frames landed.
 
 use firm_obs::MetricsSnapshot;
-use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::wire_struct;
 
 /// Sets the gauge `ml.kernel_avx2` to [`firm_ml::linalg::kernel_avx2`]
 /// (1 or 0). Fleet processes call it at start; snapshots carry it.
@@ -83,31 +83,7 @@ impl OpsReport {
     }
 }
 
-// Hand-written: decode validates the `"ops_report"` tag itself (no
-// frame enum dispatches on it first).
-impl WireEncode for OpsReport {
-    fn encode(&self) -> JsonValue {
-        Obj::tagged("ops_report")
-            .field("coordinator", &self.coordinator)
-            .field("workers", &self.workers)
-            .build()
-    }
-}
-
-impl WireDecode for OpsReport {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        if v.tag()? != "ops_report" {
-            return Err(DecodeError::new(format!(
-                "expected an ops_report frame, found type `{}`",
-                v.tag()?
-            )));
-        }
-        Ok(OpsReport {
-            coordinator: v.field("coordinator")?,
-            workers: v.field("workers")?,
-        })
-    }
-}
+wire_struct!(OpsReport tagged "ops_report" { coordinator, workers });
 
 #[cfg(test)]
 mod tests {
@@ -161,6 +137,10 @@ mod tests {
         assert_eq!(
             firm_wire::encode_string(&ops),
             r#"{"type":"worker_ops","label":"slot0:tcp:127.0.0.1:7401","metrics":{"type":"metrics","entries":[]}}"#
+        );
+        assert_eq!(
+            OpsReport::new(MetricsSnapshot::default(), vec![ops]).to_json(),
+            r#"{"type":"ops_report","coordinator":{"type":"metrics","entries":[]},"workers":[{"type":"worker_ops","label":"slot0:tcp:127.0.0.1:7401","metrics":{"type":"metrics","entries":[]}}]}"#
         );
         firm_wire::assert_round_trip(&OpsReport::new(
             snapshot("fleet", 1),

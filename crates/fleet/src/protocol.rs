@@ -33,7 +33,7 @@
 use firm_core::controller::PolicyCheckpoint;
 use firm_core::manager::ExperienceLog;
 use firm_obs::MetricsSnapshot;
-use firm_wire::{wire_struct, DecodeError, JsonValue, WireDecode, WireEncode};
+use firm_wire::{wire_enum, wire_struct};
 
 use crate::report::ScenarioOutcome;
 use crate::scenario::Scenario;
@@ -102,9 +102,9 @@ pub struct WorkerResponse {
     pub experience: ExperienceLog,
 }
 
-// Untagged: the supervisor reads responses inside the tagged
-// `WorkerMessage::Response` envelope, standalone frames carry no tag.
-wire_struct!(WorkerResponse {
+// The tag is the `WorkerMessage::Response` envelope: a standalone
+// response frame and an enveloped one are the same bytes.
+wire_struct!(WorkerResponse tagged "response" {
     index,
     outcome,
     experience,
@@ -159,43 +159,14 @@ pub enum WorkerMessage {
     Metrics(MetricsSnapshot),
 }
 
-// Hand-written: a tagged union dispatching on `"type"`; each arm is
-// its payload's own codec.
-impl WireEncode for WorkerMessage {
-    fn encode(&self) -> JsonValue {
-        match self {
-            WorkerMessage::Hello(h) => h.encode(),
-            WorkerMessage::Heartbeat(hb) => hb.encode(),
-            // The envelope is the response's own frame behind a tag.
-            WorkerMessage::Response(r) => {
-                let mut fields = vec![("type".to_string(), "response".encode())];
-                if let JsonValue::Object(body) = r.encode() {
-                    fields.extend(body);
-                }
-                JsonValue::Object(fields)
-            }
-            // A MetricsSnapshot already encodes as a tagged "metrics"
-            // object, so the variant reuses its frame shape directly.
-            WorkerMessage::Metrics(m) => m.encode(),
-        }
-    }
-}
-
-impl WireDecode for WorkerMessage {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        match v.tag()? {
-            "hello" => Ok(WorkerMessage::Hello(WorkerHello::decode(v)?)),
-            "heartbeat" => Ok(WorkerMessage::Heartbeat(WorkerHeartbeat::decode(v)?)),
-            // The plain decoder reads the envelope (it ignores the
-            // extra "type" field).
-            "response" => Ok(WorkerMessage::Response(Box::new(WorkerResponse::decode(
-                v,
-            )?))),
-            "metrics" => Ok(WorkerMessage::Metrics(MetricsSnapshot::decode(v)?)),
-            other => Err(DecodeError::new(format!("unknown frame type `{other}`"))),
-        }
-    }
-}
+// Each variant's payload carries its own `"type"` tag (a
+// `MetricsSnapshot` encodes as a tagged "metrics" object).
+wire_enum!(WorkerMessage by "type" {
+    Hello "hello" (WorkerHello),
+    Heartbeat "heartbeat" (WorkerHeartbeat),
+    Response "response" (Box<WorkerResponse>),
+    Metrics "metrics" (MetricsSnapshot),
+});
 
 #[cfg(test)]
 mod tests {
@@ -203,7 +174,10 @@ mod tests {
     use crate::exec::run_one;
     use crate::scenario::builtin_catalog;
     use firm_sim::SimDuration;
-    use firm_wire::{assert_round_trip, decode_line, encode_line, encode_string};
+    use firm_wire::{
+        assert_round_trip, decode_line, encode_line, encode_string, JsonValue, WireDecode,
+        WireEncode,
+    };
 
     #[test]
     fn requests_round_trip_with_and_without_a_policy() {
@@ -264,11 +238,11 @@ mod tests {
         assert_eq!(frame.matches('\n').count(), 1, "frame is not one line");
         let back: WorkerResponse = decode_line(&frame).expect("frame decodes");
         assert_eq!(back, resp);
-        // Standalone responses stay untagged.
+        // A standalone response is the envelope's bytes.
         assert_eq!(
             encode_string(&resp),
             format!(
-                r#"{{"index":7,"outcome":{},"experience":{}}}"#,
+                r#"{{"type":"response","index":7,"outcome":{},"experience":{}}}"#,
                 encode_string(&resp.outcome),
                 encode_string(&resp.experience)
             )
@@ -341,10 +315,47 @@ mod tests {
         }
     }
 
+    /// `frame`'s encoding with its `"type"` set to `tag`.
+    fn retagged(frame: &impl WireEncode, tag: &str) -> JsonValue {
+        let JsonValue::Object(mut fields) = frame.encode() else {
+            panic!("a frame encodes as an object");
+        };
+        fields.retain(|(key, _)| key != "type");
+        fields.insert(0, ("type".into(), JsonValue::Str(tag.into())));
+        JsonValue::Object(fields)
+    }
+
+    #[test]
+    fn tagged_frames_reject_another_type() {
+        use crate::ops::{OpsReport, WorkerOps};
+        let hello = WorkerHello {
+            protocol: PROTOCOL_VERSION,
+            pid: 1,
+            heartbeat_ms: 0,
+        };
+        assert!(WorkerHello::decode(&retagged(&hello, "heartbeat")).is_err());
+        let heartbeat = WorkerHeartbeat { busy: None };
+        assert!(WorkerHeartbeat::decode(&retagged(&heartbeat, "hello")).is_err());
+        let scenario = builtin_catalog()
+            .remove(4)
+            .with_duration(SimDuration::from_secs(4));
+        let (outcome, experience) = run_one(&scenario, 9);
+        let response = WorkerResponse {
+            index: 2,
+            outcome,
+            experience,
+        };
+        assert!(WorkerResponse::decode(&retagged(&response, "hello")).is_err());
+        let ops = WorkerOps::default();
+        assert!(WorkerOps::decode(&retagged(&ops, "ops_report")).is_err());
+        let report = OpsReport::default();
+        assert!(OpsReport::decode(&retagged(&report, "worker_ops")).is_err());
+    }
+
     #[test]
     fn unknown_frame_types_fail_loudly() {
         let doc = firm_wire::parse(r#"{"type":"shutdown"}"#).unwrap();
         let err = WorkerMessage::decode(&doc).unwrap_err();
-        assert!(err.msg.contains("unknown frame type"), "{err}");
+        assert_eq!(err.msg, r#"unknown WorkerMessage tag "shutdown""#);
     }
 }

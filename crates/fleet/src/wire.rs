@@ -19,7 +19,8 @@ use firm_workload::apps::Benchmark;
 use crate::report::{FleetReport, RoundTripReport, ScenarioDelta, ScenarioOutcome};
 use crate::scenario::{FleetController, Scenario};
 
-// Hand-written: a label enum, decoded by `FromStr` lookup.
+// Hand-written (not `wire_enum!`): a label enum travels as a bare
+// string, decoded by `FromStr` lookup.
 impl WireEncode for FleetController {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.label().to_string())

@@ -10,8 +10,8 @@
 //! * replay buffer, minibatch updates, Ornstein-Uhlenbeck exploration
 //!   noise, and soft target updates `w' ← τ·w + (1−τ)·w'` (Algorithm 3
 //!   reuses γ as the update coefficient; we expose it as `tau`);
-//! * Table 4 hyperparameters as defaults: batch 64, buffer 10⁵, actor lr
-//!   3·10⁻⁴, critic lr 3·10⁻³, γ = 0.9.
+//! * Table 4 hyperparameters as consts: batch 64 ([`BATCH_SIZE`]),
+//!   buffer 10⁵, actor lr 3·10⁻⁴, critic lr 3·10⁻³, γ = 0.9.
 //!
 //! The *actor-state prefix* device lets the critic condition on richer
 //! context than the actor: the paper's critic takes 23 inputs while the
@@ -132,7 +132,28 @@ impl OuNoise {
     }
 }
 
-/// DDPG hyperparameters (defaults = Table 4 of the paper).
+/// Hidden-layer sizes of both networks (Fig. 8: two layers of 40).
+pub const HIDDEN: [usize; 2] = [40, 40];
+/// Actor learning rate (Table 4: 3·10⁻⁴).
+pub const ACTOR_LR: f64 = 3e-4;
+/// Critic learning rate (Table 4: 3·10⁻³).
+pub const CRITIC_LR: f64 = 3e-3;
+/// Discount factor (Table 4: 0.9).
+pub const GAMMA: f64 = 0.9;
+/// Soft-target-update coefficient toward the online weights
+/// (Algorithm 3 reuses γ here).
+pub const TAU: f64 = 0.9;
+/// Replay-buffer capacity (Table 4: 10⁵).
+pub const REPLAY_CAPACITY: usize = 100_000;
+/// Minibatch size (Table 4: 64).
+pub const BATCH_SIZE: usize = 64;
+/// OU noise mean-reversion rate.
+pub const NOISE_THETA: f64 = 0.15;
+/// OU noise volatility.
+pub const NOISE_SIGMA: f64 = 0.2;
+
+/// The agent's dimensions; its hyperparameters are the Table 4 consts
+/// above.
 #[derive(Debug, Clone)]
 pub struct DdpgConfig {
     /// Full state dimension (critic view).
@@ -141,25 +162,6 @@ pub struct DdpgConfig {
     pub actor_state_dim: usize,
     /// Action dimension (5 in the paper: one limit per resource type).
     pub action_dim: usize,
-    /// Hidden-layer sizes (Fig. 8: two layers of 40).
-    pub hidden: Vec<usize>,
-    /// Actor learning rate (Table 4: 3·10⁻⁴).
-    pub actor_lr: f64,
-    /// Critic learning rate (Table 4: 3·10⁻³).
-    pub critic_lr: f64,
-    /// Discount factor (Table 4: 0.9).
-    pub gamma: f64,
-    /// Soft-target-update coefficient toward the online weights
-    /// (Algorithm 3 reuses γ here).
-    pub tau: f64,
-    /// Replay-buffer capacity (Table 4: 10⁵).
-    pub replay_capacity: usize,
-    /// Minibatch size (Table 4: 64).
-    pub batch_size: usize,
-    /// OU noise mean-reversion rate.
-    pub noise_theta: f64,
-    /// OU noise volatility.
-    pub noise_sigma: f64,
 }
 
 impl DdpgConfig {
@@ -169,15 +171,6 @@ impl DdpgConfig {
             state_dim,
             actor_state_dim,
             action_dim,
-            hidden: vec![40, 40],
-            actor_lr: 3e-4,
-            critic_lr: 3e-3,
-            gamma: 0.9,
-            tau: 0.9,
-            replay_capacity: 100_000,
-            batch_size: 64,
-            noise_theta: 0.15,
-            noise_sigma: 0.2,
         }
     }
 }
@@ -251,10 +244,10 @@ impl DdpgAgent {
         assert!(config.state_dim > 0 && config.action_dim > 0);
 
         let mut actor_dims = vec![config.actor_state_dim];
-        actor_dims.extend(&config.hidden);
+        actor_dims.extend(HIDDEN);
         actor_dims.push(config.action_dim);
         let mut critic_dims = vec![config.state_dim + config.action_dim];
-        critic_dims.extend(&config.hidden);
+        critic_dims.extend(HIDDEN);
         critic_dims.push(1);
 
         let actor = Mlp::new(&actor_dims, Activation::Relu, Activation::Tanh, seed);
@@ -269,10 +262,10 @@ impl DdpgAgent {
         let critic_target = critic.clone();
 
         DdpgAgent {
-            replay: ReplayBuffer::new(config.replay_capacity),
-            noise: OuNoise::new(config.action_dim, config.noise_theta, config.noise_sigma),
-            actor_opt: Adam::new(config.actor_lr),
-            critic_opt: Adam::new(config.critic_lr),
+            replay: ReplayBuffer::new(REPLAY_CAPACITY),
+            noise: OuNoise::new(config.action_dim, NOISE_THETA, NOISE_SIGMA),
+            actor_opt: Adam::new(ACTOR_LR),
+            critic_opt: Adam::new(CRITIC_LR),
             rng: Xoshiro256::new(seed ^ 0xA5A5),
             actor,
             actor_target,
@@ -347,7 +340,7 @@ impl DdpgAgent {
     /// parameter gradients. Nothing else is computed, and what is
     /// computed is the same bits as in the full pass.
     pub fn train_step(&mut self) -> Option<TrainStats> {
-        let b = self.config.batch_size;
+        let b = BATCH_SIZE;
         if self.replay.len() < b {
             return None;
         }
@@ -385,7 +378,7 @@ impl DdpgAgent {
             let bootstrap = if sc.dones[i] {
                 0.0
             } else {
-                self.config.gamma * sc.q2.get(i, 0)
+                GAMMA * sc.q2.get(i, 0)
             };
             sc.y.push(sc.rewards[i] + bootstrap);
         }
@@ -423,10 +416,8 @@ impl DdpgAgent {
         self.actor_opt.step(&mut self.actor);
 
         // Soft target updates (Algorithm 3, lines 14–15).
-        self.actor_target
-            .soft_update_from(&self.actor, self.config.tau);
-        self.critic_target
-            .soft_update_from(&self.critic, self.config.tau);
+        self.actor_target.soft_update_from(&self.actor, TAU);
+        self.critic_target.soft_update_from(&self.critic, TAU);
 
         self.train_steps += 1;
         Some(TrainStats {
@@ -472,18 +463,6 @@ impl DdpgAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn toy_config() -> DdpgConfig {
-        DdpgConfig {
-            hidden: vec![24, 24],
-            batch_size: 32,
-            replay_capacity: 5_000,
-            actor_lr: 1e-3,
-            critic_lr: 5e-3,
-            tau: 0.05,
-            ..DdpgConfig::paper(3, 2, 2)
-        }
-    }
 
     #[test]
     fn paper_dimensions_match_fig8() {
@@ -535,7 +514,7 @@ mod tests {
 
     #[test]
     fn exploration_stays_in_bounds() {
-        let mut agent = DdpgAgent::new(toy_config(), 2);
+        let mut agent = DdpgAgent::new(DdpgConfig::paper(3, 2, 2), 2);
         for _ in 0..100 {
             let a = agent.act_explore(&[0.3, -0.5, 0.9]);
             assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));
@@ -544,9 +523,9 @@ mod tests {
 
     #[test]
     fn train_step_requires_full_batch() {
-        let mut agent = DdpgAgent::new(toy_config(), 3);
+        let mut agent = DdpgAgent::new(DdpgConfig::paper(3, 2, 2), 3);
         assert!(agent.train_step().is_none());
-        for _ in 0..31 {
+        for _ in 0..BATCH_SIZE - 1 {
             agent.observe(Transition {
                 state: vec![0.0; 3],
                 action: vec![0.0; 2],
@@ -571,7 +550,7 @@ mod tests {
     /// state; the agent must learn it end-to-end through the critic.
     #[test]
     fn learns_contextual_bandit() {
-        let mut agent = DdpgAgent::new(toy_config(), 4);
+        let mut agent = DdpgAgent::new(DdpgConfig::paper(3, 2, 2), 4);
         let mut env_rng = Xoshiro256::new(99);
         let reward_of = |s: &[f64], a: &[f64]| -> f64 {
             // Optimal: a0 = 0.8·s0, a1 = −0.5·s1.
@@ -617,7 +596,7 @@ mod tests {
 
     #[test]
     fn weight_transfer_reproduces_policy() {
-        let cfg = toy_config();
+        let cfg = DdpgConfig::paper(3, 2, 2);
         let mut teacher = DdpgAgent::new(cfg.clone(), 6);
         for _ in 0..200 {
             teacher.observe(Transition {
@@ -643,7 +622,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let mk = |seed| {
-            let mut agent = DdpgAgent::new(toy_config(), seed);
+            let mut agent = DdpgAgent::new(DdpgConfig::paper(3, 2, 2), seed);
             let mut out = Vec::new();
             for i in 0..10 {
                 let s = vec![i as f64 / 10.0, 0.5, -0.5];

@@ -261,12 +261,7 @@ pub struct EventRecord {
 
 impl WireDecode for EventRecord {
     fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        if v.tag()? != "event" {
-            return Err(DecodeError::new(format!(
-                "expected an event frame, found type `{}`",
-                v.tag()?
-            )));
-        }
+        v.expect_tag("event")?;
         let level_label: String = v.field("level")?;
         let level = Level::from_str(&level_label).map_err(DecodeError::new)?;
         let fields_doc: JsonValue = v.field("fields")?;

@@ -449,12 +449,7 @@ impl WireEncode for MetricsSnapshot {
 
 impl WireDecode for MetricsSnapshot {
     fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        if v.tag()? != "metrics" {
-            return Err(DecodeError::new(format!(
-                "expected a metrics frame, found type `{}`",
-                v.tag()?
-            )));
-        }
+        v.expect_tag("metrics")?;
         let entries_doc: JsonValue = v.field("entries")?;
         let mut entries = Vec::new();
         for entry in entries_doc.as_array().context("entries")? {

@@ -21,7 +21,7 @@
 use firm_core::controller::PolicyCheckpoint;
 use firm_fleet::report::{FleetReport, ScenarioOutcome};
 use firm_fleet::scenario::Scenario;
-use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_enum, wire_struct};
 
 pub use firm_fleet::PROTOCOL_VERSION;
 
@@ -82,38 +82,11 @@ impl ClientRequest {
     }
 }
 
-// Hand-written: a tagged union whose `drain` / `shutdown` variants
-// carry their fields inline.
-impl WireEncode for ClientRequest {
-    fn encode(&self) -> JsonValue {
-        match self {
-            ClientRequest::Submit(s) => s.encode(),
-            ClientRequest::Drain { protocol } => {
-                Obj::tagged("drain").field("protocol", *protocol).build()
-            }
-            ClientRequest::Shutdown { protocol } => {
-                Obj::tagged("shutdown").field("protocol", *protocol).build()
-            }
-        }
-    }
-}
-
-impl WireDecode for ClientRequest {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        match v.tag()? {
-            "submit" => Ok(ClientRequest::Submit(SubmitRequest::decode(v)?)),
-            "drain" => Ok(ClientRequest::Drain {
-                protocol: v.field("protocol")?,
-            }),
-            "shutdown" => Ok(ClientRequest::Shutdown {
-                protocol: v.field("protocol")?,
-            }),
-            other => Err(DecodeError::new(format!(
-                "unknown client frame type `{other}`"
-            ))),
-        }
-    }
-}
+wire_enum!(ClientRequest by "type" {
+    Submit "submit" (SubmitRequest),
+    Drain "drain" { protocol },
+    Shutdown "shutdown" { protocol },
+});
 
 /// The deterministic result of one submission (or, with
 /// [`SubmissionReport::cumulative`] set, of everything the service has
@@ -205,76 +178,21 @@ pub enum ServerMessage {
     },
 }
 
-// Hand-written: a tagged union whose `accepted` / `outcome` / `error`
-// variants carry their fields inline.
-impl WireEncode for ServerMessage {
-    fn encode(&self) -> JsonValue {
-        match self {
-            ServerMessage::Accepted {
-                protocol,
-                submission,
-                scenarios,
-            } => Obj::tagged("accepted")
-                .field("protocol", *protocol)
-                .field("submission", *submission)
-                .field("scenarios", *scenarios)
-                .build(),
-            ServerMessage::Outcome {
-                submission,
-                index,
-                outcome,
-            } => Obj::tagged("outcome")
-                .field("submission", *submission)
-                .field("index", *index)
-                .field("outcome", outcome.as_ref())
-                .build(),
-            ServerMessage::Report(r) => r.encode(),
-            ServerMessage::Error {
-                submission,
-                message,
-                retryable,
-            } => Obj::tagged("error")
-                .field("submission", *submission)
-                .field("message", message.as_str())
-                .field("retryable", *retryable)
-                .build(),
-        }
-    }
-}
-
-impl WireDecode for ServerMessage {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        match v.tag()? {
-            "accepted" => Ok(ServerMessage::Accepted {
-                protocol: v.field("protocol")?,
-                submission: v.field("submission")?,
-                scenarios: v.field("scenarios")?,
-            }),
-            "outcome" => Ok(ServerMessage::Outcome {
-                submission: v.field("submission")?,
-                index: v.field("index")?,
-                outcome: Box::new(v.field("outcome")?),
-            }),
-            "report" => Ok(ServerMessage::Report(Box::new(SubmissionReport::decode(
-                v,
-            )?))),
-            "error" => Ok(ServerMessage::Error {
-                submission: v.field("submission")?,
-                message: v.field("message")?,
-                retryable: v.field("retryable")?,
-            }),
-            other => Err(DecodeError::new(format!(
-                "unknown server frame type `{other}`"
-            ))),
-        }
-    }
-}
+wire_enum!(ServerMessage by "type" {
+    Accepted "accepted" { protocol, submission, scenarios },
+    Outcome "outcome" { submission, index, outcome },
+    Report "report" (Box<SubmissionReport>),
+    Error "error" { submission, message, retryable },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use firm_fleet::builtin_catalog;
-    use firm_wire::{assert_round_trip, decode_line, encode_line, encode_string};
+    use firm_wire::{
+        assert_round_trip, decode_line, encode_line, encode_string, JsonValue, WireDecode,
+        WireEncode,
+    };
 
     fn outcome(name: &str) -> ScenarioOutcome {
         ScenarioOutcome {
@@ -317,26 +235,50 @@ mod tests {
                 encode_string(&scenarios[1])
             )
         );
-        assert_round_trip(&ClientRequest::Drain {
-            protocol: PROTOCOL_VERSION,
-        });
-        assert_round_trip(&ClientRequest::Shutdown {
-            protocol: PROTOCOL_VERSION,
-        });
+        for (frame, golden) in [
+            (
+                ClientRequest::Drain {
+                    protocol: PROTOCOL_VERSION,
+                },
+                r#"{"type":"drain","protocol":7}"#,
+            ),
+            (
+                ClientRequest::Shutdown {
+                    protocol: PROTOCOL_VERSION,
+                },
+                r#"{"type":"shutdown","protocol":7}"#,
+            ),
+        ] {
+            assert_round_trip(&frame);
+            assert_eq!(encode_string(&frame), golden);
+        }
     }
 
     #[test]
     fn server_frames_round_trip() {
-        assert_round_trip(&ServerMessage::Accepted {
+        let accepted = ServerMessage::Accepted {
             protocol: PROTOCOL_VERSION,
             submission: 4,
             scenarios: 12,
-        });
-        assert_round_trip(&ServerMessage::Outcome {
+        };
+        assert_round_trip(&accepted);
+        assert_eq!(
+            encode_string(&accepted),
+            r#"{"type":"accepted","protocol":7,"submission":4,"scenarios":12}"#
+        );
+        let streamed = ServerMessage::Outcome {
             submission: 4,
             index: 9,
             outcome: Box::new(outcome("a")),
-        });
+        };
+        assert_round_trip(&streamed);
+        assert_eq!(
+            encode_string(&streamed),
+            format!(
+                r#"{{"type":"outcome","submission":4,"index":9,"outcome":{}}}"#,
+                encode_string(&outcome("a"))
+            )
+        );
         let report = SubmissionReport {
             submission: 4,
             cumulative: true,
@@ -361,11 +303,50 @@ mod tests {
             message: "protocol skew: client v4, server v5".into(),
             retryable: false,
         });
-        assert_round_trip(&ServerMessage::Error {
+        let refusal = ServerMessage::Error {
             submission: 3,
             message: "submission rejected: the service is draining for shutdown".into(),
             retryable: true,
-        });
+        };
+        assert_round_trip(&refusal);
+        assert_eq!(
+            encode_string(&refusal),
+            r#"{"type":"error","submission":3,"message":"submission rejected: the service is draining for shutdown","retryable":true}"#
+        );
+    }
+
+    /// `frame`'s encoding with its `"type"` set to `tag`.
+    fn retagged(frame: &impl WireEncode, tag: &str) -> JsonValue {
+        let JsonValue::Object(mut fields) = frame.encode() else {
+            panic!("a frame encodes as an object");
+        };
+        fields.retain(|(key, _)| key != "type");
+        fields.insert(0, ("type".into(), JsonValue::Str(tag.into())));
+        JsonValue::Object(fields)
+    }
+
+    #[test]
+    fn tagged_frames_reject_another_type() {
+        let submit = SubmitRequest {
+            protocol: PROTOCOL_VERSION,
+            seed: 7,
+            base_index: 0,
+            scenarios: Vec::new(),
+        };
+        assert!(SubmitRequest::decode(&retagged(&submit, "report")).is_err());
+        let report = SubmissionReport {
+            submission: 1,
+            cumulative: false,
+            report: FleetReport::new(7, vec![outcome("a")]),
+            policy: PolicyCheckpoint {
+                actor: Vec::new(),
+                critic: Vec::new(),
+            },
+            pooled_transitions: 0,
+            pooled_svm: 0,
+            trained_updates: 0,
+        };
+        assert!(SubmissionReport::decode(&retagged(&report, "submit")).is_err());
     }
 
     #[test]
@@ -383,13 +364,13 @@ mod tests {
     #[test]
     fn unknown_frame_types_fail_loudly() {
         let doc = firm_wire::parse(r#"{"type":"reboot"}"#).unwrap();
-        assert!(ClientRequest::decode(&doc)
-            .unwrap_err()
-            .msg
-            .contains("unknown client frame type"));
-        assert!(ServerMessage::decode(&doc)
-            .unwrap_err()
-            .msg
-            .contains("unknown server frame type"));
+        assert_eq!(
+            ClientRequest::decode(&doc).unwrap_err().msg,
+            r#"unknown ClientRequest tag "reboot""#
+        );
+        assert_eq!(
+            ServerMessage::decode(&doc).unwrap_err().msg,
+            r#"unknown ServerMessage tag "reboot""#
+        );
     }
 }

@@ -44,7 +44,8 @@ macro_rules! wire_id {
 
 wire_id!(NodeId => u16, ServiceId => u16, InstanceId => u32);
 
-// Hand-written: a label enum, decoded by lookup in `ANOMALY_KINDS`.
+// Hand-written (not `wire_enum!`): a label enum travels as a bare
+// string, decoded by lookup in `ANOMALY_KINDS`.
 impl WireEncode for AnomalyKind {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.label().to_string())

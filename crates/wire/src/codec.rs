@@ -233,15 +233,33 @@ impl JsonValue {
     }
 
     /// The discriminant of a tagged-union frame: the object's `"type"`
-    /// field, as built by [`Obj::tagged`]. Decoders for frame enums
-    /// dispatch on this before reading the variant's fields.
+    /// field, as built by [`Obj::tagged`].
     pub fn tag(&self) -> Result<&str, DecodeError> {
+        self.tag_at("type")
+    }
+
+    /// The string discriminant under `key` — what a
+    /// [`wire_enum!`](crate::wire_enum) decoder dispatches on before
+    /// reading the variant's fields.
+    pub fn tag_at(&self, key: &str) -> Result<&str, DecodeError> {
         match self {
-            JsonValue::Object(_) => match self.get("type") {
-                Some(v) => v.as_str().context("type"),
-                None => Err(DecodeError::new("missing field").push_segment("type")),
+            JsonValue::Object(_) => match self.get(key) {
+                Some(v) => v.as_str().context(key),
+                None => Err(DecodeError::new("missing field").push_segment(key)),
             },
             other => Err(DecodeError::expected("object", other)),
+        }
+    }
+
+    /// Checks that a tagged frame's `"type"` is `tag`, so a frame of one
+    /// kind never decodes as another.
+    pub fn expect_tag(&self, tag: &str) -> Result<(), DecodeError> {
+        match self.tag()? {
+            found if found == tag => Ok(()),
+            found => Err(
+                DecodeError::new(format!("expected a {tag:?} frame, found {found:?}"))
+                    .push_segment("type"),
+            ),
         }
     }
 }
@@ -253,10 +271,11 @@ impl JsonValue {
 /// `wire_struct!(Ty { a, b as "b_us" })` encodes an object whose keys
 /// are the field names (or the `as` key) in list order, and decodes by
 /// reading the same keys back. `wire_struct!(Ty tagged "tag" { .. })`
-/// prepends `"type": "tag"` like [`Obj::tagged`]; decode does not check
-/// the tag — the frame enum that dispatched on [`JsonValue::tag`]
-/// already did. Codecs that validate, derive a field, or decode through
-/// another type stay hand-written. The crate-level docs have an example.
+/// prepends `"type": "tag"` like [`Obj::tagged`], and decode rejects a
+/// frame whose `"type"` differs ([`JsonValue::expect_tag`]). Tagged
+/// unions of such frames are declared with [`wire_enum!`](crate::wire_enum). Codecs that
+/// validate, derive a field, or decode through another type stay
+/// hand-written. The crate-level docs have an example.
 #[macro_export]
 macro_rules! wire_struct {
     ($ty:ident $(tagged $tag:literal)? { $($field:ident $(as $key:literal)?),* $(,)? }) => {
@@ -271,6 +290,7 @@ macro_rules! wire_struct {
 
         impl $crate::WireDecode for $ty {
             fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
+                $(v.expect_tag($tag)?;)?
                 Ok($ty {
                     $($field: v.field($crate::wire_struct!(@key $field $($key)?))?,)*
                 })
@@ -279,6 +299,59 @@ macro_rules! wire_struct {
     };
     (@key $field:ident) => { stringify!($field) };
     (@key $field:ident $key:literal) => { $key };
+}
+
+/// Declares a tagged union's wire shape once: generates both
+/// [`WireEncode`] and [`WireDecode`] from one variant list, the enum
+/// counterpart of [`wire_struct!`].
+///
+/// `wire_enum!(Ty by "key" { A "a" { x, y }, B "b" (Payload) })`:
+/// * an inline-field variant `A` encodes as `"key": "a"` followed by
+///   its fields, keyed by name, in list order;
+/// * a newtype variant `B` encodes as its payload (`Payload` may be a
+///   `Box`), which carries its own tag — a
+///   `wire_struct!(… tagged "b" …)` when the key is `"type"`;
+/// * decode dispatches on the `"key"` string and rejects an unknown
+///   tag with an error naming the enum and the tag.
+///
+/// The crate-level docs have an example.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident by $key:literal {
+        $($variant:ident $tag:literal $({ $($field:ident),+ $(,)? })? $(($payload:ty))?),+ $(,)?
+    }) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                match self {
+                    $(
+                        $($ty::$variant { $($field),+ } => $crate::Obj::new()
+                            .field($key, $tag)
+                            $(.field(stringify!($field), $field))+
+                            .build(),)?
+                        $($ty::$variant(payload) => <$payload as $crate::WireEncode>::encode(payload),)?
+                    )+
+                }
+            }
+        }
+
+        impl $crate::WireDecode for $ty {
+            fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
+                match v.tag_at($key)? {
+                    $(
+                        $tag => Ok(
+                            $($ty::$variant { $($field: v.field(stringify!($field))?),+ })?
+                            $($ty::$variant(<$payload as $crate::WireDecode>::decode(v)?))?
+                        ),
+                    )+
+                    other => Err($crate::DecodeError::new(format!(
+                        "unknown {} tag {other:?}",
+                        stringify!($ty)
+                    ))
+                    .push_segment($key)),
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------
@@ -460,6 +533,18 @@ impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
     }
 }
 
+impl<T: WireEncode + ?Sized> WireEncode for Box<T> {
+    fn encode(&self) -> JsonValue {
+        (**self).encode()
+    }
+}
+
+impl<T: WireDecode> WireDecode for Box<T> {
+    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
+        T::decode(v).map(Box::new)
+    }
+}
+
 impl WireEncode for JsonValue {
     fn encode(&self) -> JsonValue {
         self.clone()
@@ -554,12 +639,18 @@ mod tests {
             (e.path.as_str(), e.msg.as_str()),
             ("timeout_ms", "missing field")
         );
-        let mistyped = decode_string::<Probe>(r#"{"name":"p","timeout_ms":"soon"}"#);
+        let mistyped = decode_string::<Probe>(r#"{"type":"probe","name":"p","timeout_ms":"soon"}"#);
         let Err(WireError::Decode(e)) = mistyped else {
             panic!("decoded a string as u64: {mistyped:?}");
         };
         assert_eq!(e.path, "timeout_ms");
         assert!(e.msg.contains("expected unsigned integer"), "{e}");
+        let retagged = decode_string::<Probe>(r#"{"type":"sample","name":"p","timeout_ms":250}"#);
+        let Err(WireError::Decode(e)) = retagged else {
+            panic!("decoded another frame type: {retagged:?}");
+        };
+        assert_eq!(e.path, "type");
+        assert_eq!(e.msg, r#"expected a "probe" frame, found "sample""#);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   round-trip contract `decode(encode(x)) == x` checked by
 //!   [`assert_round_trip`] in every owning crate; a plain struct
 //!   declares its shape once through [`wire_struct!`], which generates
-//!   both halves from one field list;
+//!   both halves from one field list, and a tagged union through
+//!   [`wire_enum!`], which dispatches on its tag;
 //! * [`encode_line`] / [`decode_line`] — newline-delimited frames for
 //!   the fleet's subprocess worker protocol (the escaper guarantees a
 //!   rendered document never contains a raw newline).
@@ -32,7 +33,7 @@
 //! # Example
 //!
 //! ```
-//! use firm_wire::{decode_string, encode_string, wire_struct};
+//! use firm_wire::{decode_string, encode_string, wire_enum, wire_struct};
 //!
 //! #[derive(Debug, PartialEq)]
 //! struct Sample {
@@ -45,6 +46,17 @@
 //! let bytes = encode_string(&x);
 //! assert_eq!(bytes, r#"{"type":"sample","seed":18446744073709551615,"window_us":250}"#);
 //! assert_eq!(decode_string::<Sample>(&bytes).unwrap(), x);
+//!
+//! #[derive(Debug, PartialEq)]
+//! enum Frame {
+//!     Sample(Sample),
+//!     Stop { code: u64 },
+//! }
+//! wire_enum!(Frame by "type" { Sample "sample" (Sample), Stop "stop" { code } });
+//!
+//! assert_eq!(decode_string::<Frame>(&bytes).unwrap(), Frame::Sample(x));
+//! assert_eq!(encode_string(&Frame::Stop { code: 2 }), r#"{"type":"stop","code":2}"#);
+//! assert!(decode_string::<Frame>(r#"{"type":"halt"}"#).is_err());
 //! ```
 
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Open-loop load shapes (§4.1): diurnal, spiky, and stepped arrivals.
+//! Open-loop load shapes (§4.1): diurnal, spiky, and replayed arrivals.
 //!
 //! Constant and exponential (Poisson) processes live in
 //! [`firm_sim::arrival`]; this module adds the time-varying shapes the
@@ -99,57 +99,6 @@ impl SpikeArrivals {
 }
 
 impl ArrivalProcess for SpikeArrivals {
-    fn next_interarrival(&mut self, now: SimTime, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(rng.exponential(self.rate_at(now)))
-    }
-
-    fn nominal_rate(&self, now: SimTime) -> f64 {
-        self.rate_at(now)
-    }
-}
-
-/// Piecewise-constant rate steps, e.g. for load sweeps (Fig. 5).
-#[derive(Debug, Clone)]
-pub struct StepArrivals {
-    /// `(start_time, rate)` steps, sorted by time; the rate before the
-    /// first step is the first rate.
-    steps: Vec<(SimTime, f64)>,
-}
-
-impl StepArrivals {
-    /// Creates a stepped process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is empty, unsorted, or contains a non-positive
-    /// rate.
-    pub fn new(steps: Vec<(SimTime, f64)>) -> Self {
-        assert!(!steps.is_empty(), "need at least one step");
-        assert!(
-            steps.windows(2).all(|w| w[0].0 <= w[1].0),
-            "steps must be sorted by time"
-        );
-        assert!(
-            steps.iter().all(|(_, r)| *r > 0.0),
-            "rates must be positive"
-        );
-        StepArrivals { steps }
-    }
-
-    fn rate_at(&self, now: SimTime) -> f64 {
-        let mut rate = self.steps[0].1;
-        for &(at, r) in &self.steps {
-            if at <= now {
-                rate = r;
-            } else {
-                break;
-            }
-        }
-        rate
-    }
-}
-
-impl ArrivalProcess for StepArrivals {
     fn next_interarrival(&mut self, now: SimTime, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_secs_f64(rng.exponential(self.rate_at(now)))
     }
@@ -511,27 +460,6 @@ mod tests {
         assert_eq!(p.nominal_rate(SimTime::from_secs(5)), 500.0);
         assert_eq!(p.nominal_rate(SimTime::from_secs(30)), 100.0);
         assert_eq!(p.nominal_rate(SimTime::from_secs(65)), 500.0);
-    }
-
-    #[test]
-    fn steps_switch_rates() {
-        let p = StepArrivals::new(vec![
-            (SimTime::ZERO, 100.0),
-            (SimTime::from_secs(10), 300.0),
-            (SimTime::from_secs(20), 50.0),
-        ]);
-        assert_eq!(p.nominal_rate(SimTime::from_secs(5)), 100.0);
-        assert_eq!(p.nominal_rate(SimTime::from_secs(15)), 300.0);
-        assert_eq!(p.nominal_rate(SimTime::from_secs(99)), 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_steps_rejected() {
-        StepArrivals::new(vec![
-            (SimTime::from_secs(10), 100.0),
-            (SimTime::ZERO, 300.0),
-        ]);
     }
 
     #[test]

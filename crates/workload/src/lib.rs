@@ -29,6 +29,4 @@ pub mod wire;
 
 pub use apps::{fig2_compose_post, Benchmark};
 pub use builder::{scale_replicas, AppBuilder, Tier};
-pub use generator::{
-    DiurnalArrivals, LoadShape, ReplayArrivals, ReplayTrace, SpikeArrivals, StepArrivals,
-};
+pub use generator::{DiurnalArrivals, LoadShape, ReplayArrivals, ReplayTrace, SpikeArrivals};

@@ -8,13 +8,13 @@
 //! name, decoded by lookup in [`crate::apps::ALL_BENCHMARKS`].
 
 use firm_sim::SimDuration;
-use firm_wire::{DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_enum, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 
 use crate::apps::{Benchmark, ALL_BENCHMARKS};
 use crate::generator::{LoadShape, ReplayTrace};
 
-// Hand-written (not `wire_struct!`): a label enum, decoded by lookup
-// in `ALL_BENCHMARKS`.
+// Hand-written (not `wire_enum!`): a label enum travels as a bare
+// string, decoded by lookup in `ALL_BENCHMARKS`.
 impl WireEncode for Benchmark {
     fn encode(&self) -> JsonValue {
         JsonValue::Str(self.name().to_string())
@@ -69,72 +69,12 @@ impl WireDecode for ReplayTrace {
     }
 }
 
-// Hand-written: an enum whose variants carry their fields inline
-// behind a `"shape"` tag.
-impl WireEncode for LoadShape {
-    fn encode(&self) -> JsonValue {
-        match self {
-            LoadShape::Steady { rate } => Obj::new()
-                .field("shape", "steady")
-                .field("rate", *rate)
-                .build(),
-            LoadShape::Diurnal {
-                base,
-                amplitude,
-                period_secs,
-            } => Obj::new()
-                .field("shape", "diurnal")
-                .field("base", *base)
-                .field("amplitude", *amplitude)
-                .field("period_secs", *period_secs)
-                .build(),
-            LoadShape::FlashCrowd {
-                base,
-                multiplier,
-                every_secs,
-                crest_secs,
-            } => Obj::new()
-                .field("shape", "flash-crowd")
-                .field("base", *base)
-                .field("multiplier", *multiplier)
-                .field("every_secs", *every_secs)
-                .field("crest_secs", *crest_secs)
-                .build(),
-            LoadShape::Replay { trace } => Obj::new()
-                .field("shape", "replay")
-                .field("trace", trace)
-                .build(),
-        }
-    }
-}
-
-impl WireDecode for LoadShape {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        let tag: String = v.field("shape")?;
-        match tag.as_str() {
-            "steady" => Ok(LoadShape::Steady {
-                rate: v.field("rate")?,
-            }),
-            "diurnal" => Ok(LoadShape::Diurnal {
-                base: v.field("base")?,
-                amplitude: v.field("amplitude")?,
-                period_secs: v.field("period_secs")?,
-            }),
-            "flash-crowd" => Ok(LoadShape::FlashCrowd {
-                base: v.field("base")?,
-                multiplier: v.field("multiplier")?,
-                every_secs: v.field("every_secs")?,
-                crest_secs: v.field("crest_secs")?,
-            }),
-            "replay" => Ok(LoadShape::Replay {
-                trace: v.field("trace")?,
-            }),
-            other => {
-                Err(DecodeError::new(format!("unknown load shape {other:?}")).push_segment("shape"))
-            }
-        }
-    }
-}
+wire_enum!(LoadShape by "shape" {
+    Steady "steady" { rate },
+    Diurnal "diurnal" { base, amplitude, period_secs },
+    FlashCrowd "flash-crowd" { base, multiplier, every_secs, crest_secs },
+    Replay "replay" { trace },
+});
 
 #[cfg(test)]
 mod tests {
@@ -181,6 +121,41 @@ mod tests {
     }
 
     #[test]
+    fn every_load_shape_has_a_golden_frame() {
+        let trace =
+            ReplayTrace::from_offsets(vec![10, 20, 20, 999], SimDuration::from_micros(1_000));
+        for (shape, golden) in [
+            (
+                LoadShape::Steady { rate: 250.0 },
+                r#"{"shape":"steady","rate":250}"#,
+            ),
+            (
+                LoadShape::Diurnal {
+                    base: 200.0,
+                    amplitude: 0.4,
+                    period_secs: 40,
+                },
+                r#"{"shape":"diurnal","base":200,"amplitude":0.4,"period_secs":40}"#,
+            ),
+            (
+                LoadShape::FlashCrowd {
+                    base: 150.5,
+                    multiplier: 3.0,
+                    every_secs: 20,
+                    crest_secs: 5,
+                },
+                r#"{"shape":"flash-crowd","base":150.5,"multiplier":3,"every_secs":20,"crest_secs":5}"#,
+            ),
+            (
+                LoadShape::Replay { trace },
+                r#"{"shape":"replay","trace":{"offsets_us":[10,20,20,999],"span_us":1000}}"#,
+            ),
+        ] {
+            assert_eq!(encode_string(&shape), golden);
+        }
+    }
+
+    #[test]
     fn replay_traces_ship_their_offsets_verbatim() {
         let trace =
             ReplayTrace::from_offsets(vec![10, 20, 20, 999], SimDuration::from_micros(1_000));
@@ -204,6 +179,9 @@ mod tests {
     #[test]
     fn unknown_shape_tags_are_rejected_with_a_path() {
         let err = decode_string::<LoadShape>(r#"{"shape":"square-wave"}"#).unwrap_err();
-        assert!(err.to_string().contains("square-wave"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            r#"decode error at `shape`: unknown LoadShape tag "square-wave""#
+        );
     }
 }

@@ -50,13 +50,6 @@ fn spawn_tcp_worker() -> String {
     addr
 }
 
-/// Both tests reap wedged workers with a 2 s wall-clock request
-/// timeout, and a 3-simulated-second scenario takes over a second in a
-/// debug build: run side by side on a 2-core host every attempt times
-/// out and the catalog is given up. Holding this for the test's length
-/// keeps the timeout measuring the worker, not the neighbouring test.
-static ONE_SOAK_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn short_catalog(n: usize, secs: u64) -> Vec<Scenario> {
     builtin_catalog()
         .into_iter()
@@ -92,7 +85,6 @@ fn chaos_transports(
 /// between them schedule the whole lethal taxonomy.
 #[test]
 fn eight_seeded_fault_plans_leave_every_fleet_byte_identical() {
-    let _serial = ONE_SOAK_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let scenarios = short_catalog(6, 3);
     let config = |timeout_ms: u64| FleetConfig {
         threads: 2,
@@ -193,7 +185,6 @@ fn submit_and_vanish(
 /// for bit.
 #[test]
 fn client_disconnects_under_chaos_leave_the_resident_state_batch_identical() {
-    let _serial = ONE_SOAK_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Roughly half of all clients disconnect, so some small seed is
     // guaranteed to schedule one for this run's two clients — pick the
     // first deterministically rather than hardcoding a lucky number.

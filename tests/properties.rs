@@ -151,3 +151,17 @@ fn histogram_quantile_invariants() {
         }
     }
 }
+
+/// Tier-1 runs on an optimised `[profile.dev]` that keeps debug
+/// assertions on, so every `debug_assert!` invariant (the simulator's
+/// contention rates against the naive peer walk among them) still
+/// runs in the test build.
+#[test]
+fn the_test_build_keeps_debug_assertions() {
+    const {
+        assert!(
+            cfg!(debug_assertions),
+            "the test profile turned debug assertions off"
+        )
+    };
+}
