@@ -12,17 +12,40 @@ use std::collections::{BTreeMap, BTreeSet};
 use firm_core::extractor::CriticalComponentExtractor;
 use firm_ml::metrics::{auc, roc_curve};
 use firm_sim::spec::ClusterSpec;
-use firm_sim::{AnomalyKind, AnomalySpec, InstanceId, SimDuration, SimRng};
-use firm_trace::{StoredTrace, TracingCoordinator};
+use firm_sim::{
+    AnomalyKind, AnomalySpec, CompletedRequest, InstanceId, SimDuration, SimRng, SimTime,
+};
+use firm_trace::TracingCoordinator;
 use firm_workload::apps::Benchmark;
 
 use crate::{banner, calibrated_app, paper_note, poisson_sim, quantiles, section, Args};
 
-/// Mean span latency per instance (raw id) over `traces`, us.
-fn mean_span_us<'a>(traces: impl Iterator<Item = &'a StoredTrace>) -> BTreeMap<u32, f64> {
+/// Whether the trace store accepts `r`: one root span and no parent that
+/// never completed, the rule `ExecutionHistoryGraph::from_spans` applies.
+fn stored(r: &CompletedRequest) -> bool {
+    let spans = &r.spans;
+    spans.iter().filter(|s| s.parent.is_none()).count() == 1
+        && spans.iter().all(|s| {
+            s.parent
+                .is_none_or(|p| spans.iter().any(|q| q.span_id == p))
+        })
+}
+
+/// Mean span latency per instance (raw id), us, over the drained
+/// requests `traces_since(since)` would return once they are ingested:
+/// those the store accepts that finished at or after `since`. The store
+/// keeps critical paths, not spans, so the means are taken before
+/// ingest.
+fn mean_span_us<'a>(
+    requests: impl IntoIterator<Item = &'a CompletedRequest>,
+    since: SimTime,
+) -> BTreeMap<u32, f64> {
     let mut sums: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
-    for t in traces {
-        for s in &t.graph.spans {
+    for r in requests {
+        if r.finished < since || !stored(r) {
+            continue;
+        }
+        for s in &r.spans {
             let e = sums.entry(s.instance.raw()).or_insert((0.0, 0));
             e.0 += s.duration().as_micros() as f64;
             e.1 += 1;
@@ -56,15 +79,16 @@ fn run_kind(
     // are the Extractor's candidates and the injection targets — and
     // capture per-instance baseline span latencies.
     sim.run_for(SimDuration::from_secs(4));
-    coord.ingest(sim.drain_completed());
+    let warmup = sim.drain_completed();
+    let baseline = mean_span_us(&warmup, SimTime::ZERO);
+    coord.ingest(warmup);
     let mut cp_instances: BTreeSet<u32> = BTreeSet::new();
-    for cp in coord.critical_paths_since(firm_sim::SimTime::ZERO) {
+    for cp in coord.critical_paths_since(SimTime::ZERO) {
         for e in &cp.entries {
             cp_instances.insert(e.instance.raw());
         }
     }
     let targets: Vec<InstanceId> = cp_instances.into_iter().map(InstanceId).collect();
-    let baseline = mean_span_us(coord.traces_since(firm_sim::SimTime::ZERO));
 
     let mut scores = Vec::new();
     let mut labels = Vec::new();
@@ -103,7 +127,11 @@ fn run_kind(
         // stalled by it still complete inside the window.
         let window_start = sim.now();
         sim.run_for(SimDuration::from_secs(5));
-        coord.ingest(sim.drain_completed());
+        let drained = sim.drain_completed();
+        // For workload surges the culprits are the instances that
+        // actually degraded (≥1.5x their baseline span latency).
+        let window = mean_span_us(&drained, window_start);
+        coord.ingest(drained);
         sim.drain_telemetry();
 
         // §4.2: only rounds whose injection triggers an SLO violation
@@ -123,9 +151,6 @@ fn run_kind(
 
         if violated {
             let traces: Vec<_> = coord.traces_since(window_start).cloned().collect();
-            // For workload surges the culprits are the instances that
-            // actually degraded (≥1.5x their baseline span latency).
-            let window = mean_span_us(traces.iter());
             let degraded = |i: InstanceId| match (baseline.get(&i.raw()), window.get(&i.raw())) {
                 (Some(base), Some(mean)) => *mean > base * 1.5,
                 _ => false,

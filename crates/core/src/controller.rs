@@ -8,10 +8,17 @@
 //!
 //! The driver owns the parts that used to be duplicated and drift:
 //!
-//! * **window measurement** — each control window's completed traces
-//!   are drained from the simulator exactly once and measured before
-//!   the controller sees them, so a trace finishing exactly on a tick
+//! * **window measurement** — each control window runs in steps of
+//!   [`INGEST_PERIOD`]; after each step the requests completed in it are
+//!   drained from the simulator exactly once and measured before the
+//!   controller sees them, so a trace finishing exactly on a tick
 //!   boundary can never be counted in two windows;
+//! * **streaming ingest** — each step's requests go to
+//!   [`Controller::observe`] as they complete, and what it hands back
+//!   reaches the window's tick. FIRM ingests them into its trace store
+//!   and keeps only their critical paths, so its span memory is bounded
+//!   by the busiest ingest period, not the busiest control window, as
+//!   the paper's streaming Tracing Coordinator (§3.1) is;
 //! * **warmup gating** — measurements start only after the warmup;
 //! * **drop accounting** — a dropped request counts as a completion
 //!   *and* an SLO violation, so load-shedding controllers never flatter
@@ -58,14 +65,25 @@ impl PolicyCheckpoint {
     }
 }
 
+/// How often [`run_episode`] drains the requests completed inside a
+/// control window and hands them to [`Controller::observe`]: 100 ms of
+/// simulated time, the last step of a window ending at the window's end.
+/// Stepping changes no result (the simulator processes the same events
+/// in the same order whatever deadlines it is run to); it bounds how
+/// long a completed request's spans wait for a streaming controller.
+pub const INGEST_PERIOD: SimDuration = SimDuration::from_millis(100);
+
 /// Everything one control tick hands a controller: the window's drained
 /// traces and telemetry.
 #[derive(Debug)]
 pub struct TickContext {
     /// Start of the control window that just elapsed.
     pub window_start: SimTime,
-    /// End-to-end requests completed in the window (drained exactly
-    /// once; ownership passes to the controller).
+    /// End-to-end requests completed in the window that the controller's
+    /// [`Controller::observe`] handed back (each drained exactly once;
+    /// ownership passes to the controller). Under [`run_episode`] that
+    /// is the whole window for every controller but FIRM, which ingests
+    /// its requests as they complete and leaves this empty.
     pub completed: Vec<CompletedRequest>,
     /// The window's telemetry snapshot.
     pub telemetry: TelemetryWindow,
@@ -73,8 +91,10 @@ pub struct TickContext {
 
 impl TickContext {
     /// Drains the window that opened at `window_start`: its completed
-    /// requests, then its telemetry. Every [`run_episode`] tick is built
-    /// here, and so is every tick a caller steps by hand.
+    /// requests, then its telemetry, in one piece. A caller that steps
+    /// a controller by hand builds its ticks here; [`run_episode`]
+    /// drains each [`INGEST_PERIOD`] instead and builds the tick from
+    /// what [`Controller::observe`] kept.
     pub fn drain(sim: &mut Simulation, window_start: SimTime) -> TickContext {
         TickContext {
             window_start,
@@ -106,6 +126,14 @@ pub trait Controller {
 
     /// One control pass: observe the window, actuate on the simulation.
     fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision;
+
+    /// Sees requests as they complete, every [`INGEST_PERIOD`] of a
+    /// control window, before the window's tick; returns the ones the
+    /// tick should still receive in [`TickContext::completed`]. The
+    /// default keeps them all, so the tick sees the whole window.
+    fn observe(&mut self, completed: Vec<CompletedRequest>) -> Vec<CompletedRequest> {
+        completed
+    }
 
     /// Takes the experience recorded since the last drain (empty for
     /// controllers that don't learn).
@@ -148,6 +176,13 @@ impl Controller for FirmManager {
         ControlDecision {
             violating: assessment.any_violation(),
         }
+    }
+
+    /// Ingests the requests into the trace store, which keeps their
+    /// critical paths and frees their spans; the tick receives none.
+    fn observe(&mut self, completed: Vec<CompletedRequest>) -> Vec<CompletedRequest> {
+        self.ingest(completed);
+        Vec::new()
     }
 
     fn drain_experience(&mut self) -> ExperienceLog {
@@ -358,45 +393,62 @@ pub fn run_episode(
     let stage_sim = firm_obs::metrics().histogram("stage.sim_us");
     while sim.now() < end {
         let window_start = sim.now();
+        let window_end = window_start + spec.control_interval;
         if let Some(inj) = injector.as_deref_mut() {
             inj.tick(sim);
         }
-        let sim_started = std::time::Instant::now();
-        sim.run_for(spec.control_interval);
-        stage_sim.record(sim_started.elapsed().as_micros() as u64);
         ticks += 1;
-        let measuring = sim.now() > warm_until;
+        let measuring = window_end > warm_until;
 
-        // The single measurement pass. Completed traces are *drained*
-        // (each appears in exactly one window), which is what makes a
-        // trace finishing exactly on a tick boundary count once — the
-        // bug the old per-harness loops fixed independently or not at
-        // all.
-        let ctx = TickContext::drain(sim, window_start);
-
+        // The window runs in ingest periods; nothing outside the
+        // simulator acts between them (the injector and the tick act
+        // only at window boundaries), so the steps replay the one
+        // `run_for` of the whole window event for event.
+        let mut completed = Vec::new();
         let mut window_drops = 0u64;
-        for r in &ctx.completed {
-            if r.dropped {
-                window_drops += 1;
-                if measuring {
-                    drops += 1;
-                    completions += 1;
-                    // A dropped request failed its SLO by definition;
-                    // counting it keeps shedding controllers comparable
-                    // to slow ones.
-                    slo_violations += 1;
-                }
-            } else {
-                let us = r.latency.as_micros();
-                if measuring {
-                    latency.record(us);
-                    completions += 1;
-                    if us > app.request_types[r.request_type.index()].slo_latency_us {
+        let mut sim_spent = std::time::Duration::ZERO;
+        while sim.now() < window_end {
+            let sim_started = std::time::Instant::now();
+            sim.run_until((sim.now() + INGEST_PERIOD).min(window_end));
+            sim_spent += sim_started.elapsed();
+
+            // The single measurement pass. Completed traces are
+            // *drained* (each appears in exactly one step of one
+            // window), which is what makes a trace finishing exactly on
+            // a tick boundary count once — the bug the old per-harness
+            // loops fixed independently or not at all.
+            let step = sim.drain_completed();
+            for r in &step {
+                if r.dropped {
+                    window_drops += 1;
+                    if measuring {
+                        drops += 1;
+                        completions += 1;
+                        // A dropped request failed its SLO by definition;
+                        // counting it keeps shedding controllers
+                        // comparable to slow ones.
                         slo_violations += 1;
+                    }
+                } else {
+                    let us = r.latency.as_micros();
+                    if measuring {
+                        latency.record(us);
+                        completions += 1;
+                        if us > app.request_types[r.request_type.index()].slo_latency_us {
+                            slo_violations += 1;
+                        }
                     }
                 }
             }
+            completed.extend(controller.observe(step));
         }
+        stage_sim.record(sim_spent.as_micros() as u64);
+
+        let ctx = TickContext {
+            window_start,
+            completed,
+            telemetry: sim.drain_telemetry(),
+        };
         let decision = controller.tick(sim, ctx);
 
         // Requested CPU reflects the controller's actions this tick.
@@ -449,7 +501,7 @@ mod tests {
     use crate::injector::CampaignConfig;
     use crate::manager::FirmConfig;
     use firm_sim::spec::{AppSpec, ClusterSpec};
-    use firm_sim::PoissonArrivals;
+    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals};
 
     fn tight_sim(seed: u64) -> Simulation {
         let mut app = AppSpec::three_tier_demo();
@@ -618,6 +670,105 @@ mod tests {
         assert_eq!(result.timeline.len(), 6);
         // Only the post-warmup half was measured.
         assert!(result.completions < sim.stats().completions);
+    }
+
+    /// Forwards only `name` and `tick`, so it keeps the default
+    /// `observe`: FIRM is handed each whole window at the tick and
+    /// ingests it there, as under any wrapping controller.
+    struct TickOnly<'a>(&'a mut FirmManager);
+
+    impl Controller for TickOnly<'_> {
+        fn name(&self) -> &'static str {
+            Controller::name(self.0)
+        }
+
+        fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision {
+            Controller::tick(self.0, sim, ctx)
+        }
+    }
+
+    /// FIRM ingesting each [`INGEST_PERIOD`] as it completes must act
+    /// exactly as FIRM ingesting the window at its tick: same episode,
+    /// same experience, same policy. The 1.25 s interval ends each
+    /// window on a short step.
+    #[test]
+    fn streamed_ingest_matches_ingest_at_the_tick() {
+        for interval_ms in [1_000, 1_250] {
+            let run = |streamed: bool| {
+                let mut firm = FirmManager::new(FirmConfig {
+                    training: true,
+                    record_experience: true,
+                    ..FirmConfig::default()
+                });
+                let mut sim = tight_sim(6);
+                for (kind, intensity) in [
+                    (AnomalyKind::MemBwStress, 1.0),
+                    (AnomalyKind::NetworkDelay, 0.15),
+                ] {
+                    let spec =
+                        AnomalySpec::new(kind, NodeId(0), intensity, SimDuration::from_secs(15));
+                    sim.inject_at(spec, SimTime::from_secs(8));
+                }
+                let mut injector =
+                    AnomalyInjector::new(CampaignConfig::stressors_only(), 6 ^ 0xF00D);
+                let spec = EpisodeSpec {
+                    duration: SimDuration::from_secs(30),
+                    control_interval: SimDuration::from_millis(interval_ms),
+                    warmup: SimDuration::from_secs(5),
+                };
+                let result = if streamed {
+                    run_episode(&mut sim, &mut firm, Some(&mut injector), &spec)
+                } else {
+                    run_episode(
+                        &mut sim,
+                        &mut TickOnly(&mut firm),
+                        Some(&mut injector),
+                        &spec,
+                    )
+                };
+                let policy = Controller::export_policy(&firm).expect("FIRM has a policy");
+                (result, firm.drain_experience(), policy.digest())
+            };
+            let (streamed, streamed_log, streamed_policy) = run(true);
+            let (ticked, ticked_log, ticked_policy) = run(false);
+            assert!(
+                streamed.slo_violations > 0,
+                "{interval_ms} ms: no violations"
+            );
+            assert!(
+                !streamed_log.transitions.is_empty(),
+                "{interval_ms} ms: FIRM never acted"
+            );
+
+            assert_eq!(streamed.ticks, ticked.ticks, "{interval_ms} ms");
+            assert_eq!(
+                format!("{:?}", streamed.latency),
+                format!("{:?}", ticked.latency),
+                "{interval_ms} ms"
+            );
+            assert_eq!(
+                format!("{:?}", streamed.timeline),
+                format!("{:?}", ticked.timeline),
+                "{interval_ms} ms"
+            );
+            assert_eq!(streamed.completions, ticked.completions, "{interval_ms} ms");
+            assert_eq!(streamed.drops, ticked.drops, "{interval_ms} ms");
+            assert_eq!(
+                streamed.slo_violations, ticked.slo_violations,
+                "{interval_ms} ms"
+            );
+            assert_eq!(
+                streamed.mean_requested_cpu.to_bits(),
+                ticked.mean_requested_cpu.to_bits(),
+                "{interval_ms} ms"
+            );
+            assert_eq!(
+                streamed.mitigation_times, ticked.mitigation_times,
+                "{interval_ms} ms"
+            );
+            assert_eq!(streamed_log, ticked_log, "{interval_ms} ms");
+            assert_eq!(streamed_policy, ticked_policy, "{interval_ms} ms");
+        }
     }
 
     #[test]

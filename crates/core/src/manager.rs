@@ -1,6 +1,7 @@
 //! The FIRM manager: the full Fig. 6 control loop.
 //!
-//! Each control tick the manager (1) ingests traces and telemetry, (2)
+//! Each control tick the manager (1) ingests traces (streamed in as they
+//! complete when [`run_episode`] drives it) and telemetry, (2)
 //! assesses SLOs, (3) completes the reward/next-state half of pending RL
 //! transitions, (4) when violations exist, extracts critical paths and
 //! localizes culprit instances with Algorithm 2, (5) queries the RL
@@ -10,12 +11,14 @@
 //! scale-out (§3.5), and an action at the top of its range asks for one
 //! (§3.4). In training mode the injector's ground truth also feeds the
 //! SVM online and the agent explores.
+//!
+//! [`run_episode`]: crate::controller::run_episode
 
 use std::collections::BTreeMap;
 
 use firm_ml::ddpg::Transition;
 use firm_sim::telemetry_probe::{InstanceSnapshot, TelemetryWindow};
-use firm_sim::{InstanceId, ServiceId, SimDuration, Simulation, RESOURCE_KINDS};
+use firm_sim::{CompletedRequest, InstanceId, ServiceId, SimDuration, Simulation, RESOURCE_KINDS};
 use firm_trace::TracingCoordinator;
 
 use crate::controller::TickContext;
@@ -134,7 +137,8 @@ struct Pending {
     action: Vec<f64>,
 }
 
-/// The FIRM framework; its trace store holds one control window of traces.
+/// The FIRM framework; its trace store holds one control window of
+/// critical paths.
 #[derive(Debug)]
 pub struct FirmManager {
     /// Configuration.
@@ -268,23 +272,20 @@ impl FirmManager {
             .collect()
     }
 
-    /// One control tick over the window `ctx` hands in (built by
-    /// [`TickContext::drain`]): FIRM reads traces finished at or after
-    /// `ctx.window_start`. Returns the assessment it acted on.
+    /// Ingests completed requests into the trace store, which keeps
+    /// each one's critical path and frees its spans. [`run_episode`]
+    /// calls it (through [`Controller::observe`]) every
+    /// [`INGEST_PERIOD`] of a window; [`FirmManager::tick_window`] calls
+    /// it on the requests its context still carries. An empty batch is
+    /// not timed.
     ///
-    /// Ends with `evict_before(now)`: tick k reads `finished >=` tick k−1's
-    /// time, which every earlier tick's traces finished by, so the store
-    /// keeps this tick's ingest from its first boundary request
-    /// (`finished == now`, read again next tick) on. Stragglers fail
-    /// `since` either way; the 200 000 capacity now bounds one window.
-    pub fn tick_window(&mut self, sim: &mut Simulation, ctx: TickContext) -> SloAssessment {
-        let TickContext {
-            window_start,
-            completed,
-            telemetry,
-        } = ctx;
-        self.stats.ticks += 1;
-
+    /// [`run_episode`]: crate::controller::run_episode
+    /// [`Controller::observe`]: crate::controller::Controller::observe
+    /// [`INGEST_PERIOD`]: crate::controller::INGEST_PERIOD
+    pub(crate) fn ingest(&mut self, completed: Vec<CompletedRequest>) {
+        if completed.is_empty() {
+            return;
+        }
         // The store rejects a span-less request silently, and an empty
         // window reads as "no traces ⇒ no violation": fail loudly instead.
         debug_assert!(
@@ -294,15 +295,41 @@ impl FirmManager {
             "FIRM ingested a served request without a root span: its simulation must be \
              built with SimulationBuilder::record_spans(true)"
         );
-
-        // ① Ingest traces. Graph/critical-path builds fan out over the
-        // shard pool; the merge is input-ordered, so the store is
-        // byte-identical at any shard count.
+        // Graph/critical-path builds fan out over the shard pool; the
+        // merge is input-ordered, so the store is byte-identical at any
+        // shard count.
         let ingest_started = std::time::Instant::now();
         self.coordinator.ingest_sharded(completed, &self.pool);
         self.timers
             .ingest
             .record(ingest_started.elapsed().as_micros() as u64);
+    }
+
+    /// One control tick over the window `ctx` hands in: FIRM reads
+    /// traces finished at or after `ctx.window_start`, from its store
+    /// after ingesting whatever `ctx.completed` still carries (the whole
+    /// window when the tick was built by [`TickContext::drain`], nothing
+    /// under [`run_episode`], which streamed it in through
+    /// [`Controller::observe`]). Returns the assessment it acted on.
+    ///
+    /// Ends with `evict_before(now)`: tick k reads `finished >=` tick k−1's
+    /// time, which every earlier tick's traces finished by, so the store
+    /// keeps this tick's ingest from its first boundary request
+    /// (`finished == now`, read again next tick) on. Stragglers fail
+    /// `since` either way; the 200 000 capacity now bounds one window.
+    ///
+    /// [`run_episode`]: crate::controller::run_episode
+    /// [`Controller::observe`]: crate::controller::Controller::observe
+    pub fn tick_window(&mut self, sim: &mut Simulation, ctx: TickContext) -> SloAssessment {
+        let TickContext {
+            window_start,
+            completed,
+            telemetry,
+        } = ctx;
+        self.stats.ticks += 1;
+
+        // ① Ingest the traces not yet streamed in.
+        self.ingest(completed);
 
         // ② Detect SLO violations.
         let assessment = assess(sim.app(), |rt| {

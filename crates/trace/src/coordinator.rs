@@ -1,9 +1,14 @@
 //! The Tracing Coordinator (§3.1 of the paper).
 //!
 //! A stateless, replicable data-processing front-end that collects spans
-//! from tracing agents, combines them into execution history graphs, and
-//! stores them in the graph store. FIRM queries it one control window at
-//! a time and evicts older traces after each tick; offline readers keep all.
+//! from tracing agents, combines them into execution history graphs,
+//! extracts each graph's critical path and stores the path, not the
+//! graph. FIRM's episode loop (`firm_core::controller::run_episode`)
+//! feeds it as requests complete, every `INGEST_PERIOD` (100 ms of
+//! simulated time), so the spans in memory are bounded by the busiest
+//! ingest period rather than the busiest control window. FIRM queries
+//! it one control window at a time and evicts older traces after each
+//! tick; offline readers keep all.
 //!
 //! In the paper the coordinator also handles clock drift (via Jaeger);
 //! the simulator has a global clock, so that concern disappears.

@@ -1,10 +1,13 @@
-//! A bounded in-memory trace/graph store.
+//! A bounded in-memory critical-path store.
 //!
-//! Stands in for the paper's Neo4j graph database (§3.1): it stores
-//! execution history graphs with their critical paths and answers FIRM's
-//! time-windowed queries. Neo4j keeps history; FIRM evicts after every
-//! tick, so its store holds only what the next window's queries can read.
-//! Capacity is bounded too; the oldest traces are evicted first.
+//! Stands in for the paper's Neo4j graph database (§3.1) and answers
+//! FIRM's time-windowed queries. Neo4j keeps every execution history
+//! graph; this store keeps each trace's metadata and critical path only,
+//! because the Extractor (§3.2) reads nothing else: a graph lives while
+//! Algorithm 1 runs over it and is dropped before the trace is stored.
+//! Neo4j also keeps history; FIRM evicts after every tick, so its store
+//! holds only what the next window's queries can read. Capacity is
+//! bounded too; the oldest traces are evicted first.
 
 use std::collections::VecDeque;
 
@@ -13,7 +16,7 @@ use firm_sim::{CompletedRequest, RequestTypeId, SimDuration, SimTime, TraceId};
 use crate::critical_path::{critical_path, CriticalPath};
 use crate::graph::ExecutionHistoryGraph;
 
-/// A stored trace: the graph plus its pre-extracted critical path.
+/// A stored trace: its metadata plus its pre-extracted critical path.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
     /// Trace identifier.
@@ -28,8 +31,6 @@ pub struct StoredTrace {
     pub latency: SimDuration,
     /// Whether the request was dropped.
     pub dropped: bool,
-    /// The execution history graph.
-    pub graph: ExecutionHistoryGraph,
     /// The critical path (extracted at ingestion, as the paper folds CP
     /// extraction into span construction).
     pub cp: CriticalPath,
@@ -37,8 +38,9 @@ pub struct StoredTrace {
 
 /// Builds one [`StoredTrace`] from a completed request — graph
 /// construction plus Algorithm 1 critical-path extraction, the
-/// compute-heavy half of ingestion. Returns `None` for malformed traces
-/// (no root / dangling parent).
+/// compute-heavy half of ingestion. The graph, and with it the
+/// request's spans, is dropped once its critical path is out. Returns
+/// `None` for malformed traces (no root / dangling parent).
 ///
 /// This is a pure function of its input: no store state, no RNG, no
 /// clocks. That is what makes it safe to evaluate on shard threads —
@@ -64,7 +66,6 @@ pub fn build_stored(request: CompletedRequest) -> Option<StoredTrace> {
         finished,
         latency,
         dropped,
-        graph,
         cp,
     })
 }
@@ -93,9 +94,9 @@ impl TraceStore {
     /// Ingests one completed request; returns `false` if the trace was
     /// malformed (no root / dangling parent) and rejected.
     ///
-    /// The request's span buffers move into the stored graph — each
-    /// trace is materialized exactly once between the simulator and the
-    /// store.
+    /// The request's span buffers move into the graph [`build_stored`]
+    /// extracts from — each trace is materialized exactly once between
+    /// the simulator and the store, and its spans are freed here.
     pub fn ingest(&mut self, request: CompletedRequest) -> bool {
         self.insert_built(build_stored(request))
     }
