@@ -18,24 +18,21 @@ use std::process::ExitCode;
 
 use firm_fleet::OpsReport;
 use firm_obs::{EventRecord, MetricsSnapshot};
-use firm_wire::{decode_string, JsonValue, WireDecode};
+use firm_wire::{decode_string, wire_enum};
 
-fn check_line(line: &str) -> Result<&'static str, String> {
-    let v: JsonValue = decode_string(line).map_err(|e| format!("not valid wire JSON: {e}"))?;
-    let tag = v.tag().map_err(|e| format!("missing `type` tag: {e}"))?;
-    match tag {
-        "event" => EventRecord::decode(&v)
-            .map(|_| "event")
-            .map_err(|e| format!("bad event frame: {e}")),
-        "metrics" => MetricsSnapshot::decode(&v)
-            .map(|_| "metrics")
-            .map_err(|e| format!("bad metrics frame: {e}")),
-        "ops_report" => OpsReport::decode(&v)
-            .map(|_| "ops_report")
-            .map_err(|e| format!("bad ops_report frame: {e}")),
-        other => Err(format!("unknown frame type `{other}`")),
-    }
+/// One line of an observability export.
+#[derive(Debug, PartialEq)]
+enum ObsFrame {
+    Event(EventRecord),
+    Metrics(MetricsSnapshot),
+    OpsReport(OpsReport),
 }
+
+wire_enum!(ObsFrame by "type" {
+    Event "event" (EventRecord),
+    Metrics "metrics" (MetricsSnapshot),
+    OpsReport "ops_report" (OpsReport),
+});
 
 fn main() -> ExitCode {
     let mut paths: Vec<String> = std::env::args().skip(1).collect();
@@ -66,12 +63,16 @@ fn main() -> ExitCode {
             if line.trim().is_empty() {
                 continue;
             }
-            match check_line(line) {
-                Ok("event") => events += 1,
-                Ok("metrics") => metrics += 1,
-                Ok(_) => ops_reports += 1,
+            match decode_string(line) {
+                Ok(ObsFrame::Event(_)) => events += 1,
+                Ok(ObsFrame::Metrics(_)) => metrics += 1,
+                Ok(ObsFrame::OpsReport(_)) => ops_reports += 1,
                 Err(e) => {
-                    let _ = writeln!(std::io::stderr(), "obs-check: {path}:{}: {e}", i + 1);
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "obs-check: {path}:{}: not an obs frame: {e}",
+                        i + 1
+                    );
                     bad += 1;
                 }
             }
@@ -94,5 +95,47 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use firm_obs::{Event, FieldValue, Level};
+
+    /// Each frame kind decodes to its variant and renders back to the
+    /// line it came from; a frame of another type is refused by name.
+    #[test]
+    fn obs_frames_decode_by_type_and_render_back() {
+        let event = Event {
+            ts_us: 5,
+            level: Level::Warn,
+            target: "fleet supervisor",
+            pid: 7,
+            thread: 0,
+            message: "recycled".into(),
+            fields: vec![("attempts", FieldValue::U64(1))],
+        };
+        let snapshot = firm_obs::metrics().snapshot();
+        let lines = [
+            firm_wire::encode_line(&event),
+            firm_wire::encode_line(&snapshot),
+            firm_wire::encode_line(&OpsReport::new(snapshot.clone(), Vec::new())),
+        ];
+        let frames: Vec<ObsFrame> = lines
+            .iter()
+            .map(|line| firm_wire::decode_line(line).expect("obs frame decodes"))
+            .collect();
+        assert!(matches!(frames[0], ObsFrame::Event(_)));
+        assert_eq!(frames[1], ObsFrame::Metrics(snapshot));
+        assert!(matches!(frames[2], ObsFrame::OpsReport(_)));
+        for (line, frame) in lines.iter().zip(&frames) {
+            assert_eq!(&firm_wire::encode_line(frame), line);
+        }
+        let err = decode_string::<ObsFrame>(r#"{"type":"hello"}"#).expect_err("not obs");
+        assert!(
+            err.to_string().contains(r#"unknown ObsFrame tag "hello""#),
+            "{err}"
+        );
     }
 }

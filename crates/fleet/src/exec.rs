@@ -16,9 +16,13 @@
 //! this moves no result byte (`tests/span_free_twin.rs`).
 //!
 //! [`run_one_with`] additionally accepts a frozen [`PolicyCheckpoint`]:
-//! FIRM scenarios then run the shared agent in pure inference mode
-//! (no training, no exploration, no experience tap) — the deployment
-//! half of [`crate::runner::FleetRunner::run_round_trip`].
+//! FIRM scenarios, the only ones whose controller
+//! [reads it](FleetController::reads_policy), then run the shared agent
+//! in pure inference mode (no training, no exploration, no experience
+//! tap) — the deployment half of
+//! [`crate::runner::FleetRunner::run_round_trip`], which therefore
+//! deploys into FIRM scenarios alone. Every other controller ignores the
+//! policy, so its outcome equals the training run's at the same seed.
 //!
 //! [`run_one_sharded`] additionally accepts an intra-scenario shard
 //! count, fanned into the FIRM manager's ingest/extract stages. It is
@@ -37,11 +41,13 @@ use firm_sim::Simulation;
 use crate::report::ScenarioOutcome;
 use crate::scenario::{FleetController, Scenario};
 
-/// Builds the live controller for a scenario. With `policy` set, a FIRM
-/// scenario deploys the frozen shared agent (inference mode) instead of
-/// training a fresh one. `intra_shards` sets the FIRM manager's
-/// intra-scenario stage fan-out; it changes wall-clock time only, never
-/// a result byte (the property `tests/fleet_determinism.rs` pins).
+/// Builds the live controller for a scenario. With `policy` set, a
+/// controller that [reads a policy](FleetController::reads_policy)
+/// (FIRM) deploys the frozen shared agent (inference mode) instead of
+/// training a fresh one; any other controller ignores it. `intra_shards`
+/// sets the FIRM manager's intra-scenario stage fan-out; it changes
+/// wall-clock time only, never a result byte (the property
+/// `tests/fleet_determinism.rs` pins).
 fn build_controller(
     scenario: &Scenario,
     seed: u64,
@@ -49,6 +55,7 @@ fn build_controller(
     policy: Option<&PolicyCheckpoint>,
     intra_shards: usize,
 ) -> Box<dyn Controller> {
+    let policy = policy.filter(|_| scenario.controller.reads_policy());
     match scenario.controller {
         FleetController::Unmanaged => Box::new(Unmanaged),
         FleetController::Firm => {

@@ -25,8 +25,10 @@
 //!   [`WorkerPool`] (in-process worker threads by default, subprocess
 //!   or TCP workers when configured — one engine either way) and folds
 //!   the results. [`FleetRunner::run_round_trip`] then freezes the
-//!   trained agent and re-runs the catalog in inference mode, reporting
-//!   per-scenario train-vs-deploy deltas (Fig. 11b at fleet scale);
+//!   trained agent and re-runs the catalog's FIRM scenarios in
+//!   inference mode (the others cannot change, so their training rows
+//!   stand), reporting per-scenario train-vs-deploy deltas (Fig. 11b at
+//!   fleet scale);
 //! * [`fold`] — the [`Fold`]: outcomes and streamed-home RL
 //!   transitions and SVM ground-truth labels pooled in catalog order,
 //!   and one shared agent trained from scratch on the pooled,
@@ -50,8 +52,9 @@
 //!   ever run: idle-queue (JIQ-style) dispatch, per-request timeouts,
 //!   dead-worker detection, and restart-and-replay that cannot move a
 //!   report byte, for every worker kind. [`WorkerPool::run_catalog`] is
-//!   the one catalog driver, shared by the batch runner (a one-shot
-//!   pool) and `firm-serve` (one pool across submissions);
+//!   the one catalog driver, shared by the batch runner's passes (a
+//!   one-shot pool each; a deploy pass runs only the policy readers'
+//!   catalog indices) and `firm-serve` (one pool across submissions);
 //! * [`worker`] — the worker-side serve loop behind both modes of the
 //!   `firm-fleet-worker` binary;
 //! * [`ops`] — the [`OpsReport`]: runtime self-metrics (dispatch

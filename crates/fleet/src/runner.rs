@@ -9,7 +9,10 @@
 //! when neither is configured, in-process [`LocalTransport`] threads —
 //! hands the catalog to [`WorkerPool::run_catalog`], and folds the
 //! catalog-ordered results through one [`Fold`]. Dispatch, liveness and
-//! restart-and-replay are the pool's; see [`crate::supervisor`].
+//! restart-and-replay are the pool's; see [`crate::supervisor`]. A
+//! round trip's deploy pass is one more such pool over the catalog
+//! indices whose controller reads the frozen policy; every other deploy
+//! row is the training row, which a re-run would only reproduce.
 //!
 //! # Determinism
 //!
@@ -253,7 +256,9 @@ fn worker_bin_candidates(exe: &Path) -> Vec<PathBuf> {
 pub struct RoundTripResult {
     /// The training pass (report + trained shared pipeline).
     pub train: FleetResult,
-    /// The deployment (inference) pass over the same catalog.
+    /// The deployment (inference) report over the same catalog: the
+    /// policy readers' rows from the deploy pass, every other row
+    /// copied from the training pass (the one a re-run would produce).
     pub deploy: FleetReport,
     /// The frozen policy the deployment pass ran.
     pub policy: PolicyCheckpoint,
@@ -341,7 +346,8 @@ impl FleetRunner {
         scenarios: &[Scenario],
         transports: Vec<Box<dyn Transport>>,
     ) -> FleetResult {
-        let (results, worker_ops) = self.run_pass(scenarios, transports, None);
+        let jobs: Vec<_> = (0..).zip(scenarios).collect();
+        let (results, worker_ops) = self.run_pass(&jobs, transports, None);
         let mut fold = Fold::new(&self.config);
         fold.absorb(results);
         // Central shared-agent training from the pooled, ordered
@@ -363,11 +369,20 @@ impl FleetRunner {
         }
     }
 
-    /// Trains across the catalog, freezes the shared agent, and re-runs
-    /// the *same* catalog (same derived seeds, hence the same arrival
-    /// sequences and anomaly campaigns) with the frozen policy deployed
-    /// in inference mode. [`RoundTripResult::report`] combines both
-    /// passes with the per-scenario deltas.
+    /// Trains across the catalog, freezes the shared agent, and deploys
+    /// it in inference mode back onto the *same* catalog (same derived
+    /// seeds, hence the same arrival sequences and anomaly campaigns).
+    /// [`RoundTripResult::report`] combines both passes with the
+    /// per-scenario deltas.
+    ///
+    /// Only a scenario whose controller
+    /// [reads the policy](crate::scenario::FleetController::reads_policy)
+    /// (FIRM) can change when the policy is deployed; any other would
+    /// re-run at the same seed and return its training row bit for bit.
+    /// So the deploy pass runs the policy readers alone, and the deploy
+    /// report is the training rows, in catalog order, with the readers'
+    /// rows replaced. A catalog without a policy reader starts no deploy
+    /// pool.
     ///
     /// Like [`FleetRunner::run`], the whole round trip is bit-identical
     /// at any worker count: the deploy pass derives per-scenario seeds
@@ -381,13 +396,22 @@ impl FleetRunner {
         let (actor, critic) = train.estimator.shared_agent().export_weights();
         let policy = PolicyCheckpoint { actor, critic };
 
-        // The deploy pass's worker snapshots are folded into the same
-        // process-cumulative registries; the train pass's OpsReport
-        // already tells the operability story, so they are not kept
-        // separately.
-        let transports = self.transports(scenarios.len());
-        let (results, _deploy_ops) = self.run_pass(scenarios, transports, Some(&policy));
-        let outcomes = results.into_iter().map(|(outcome, _)| outcome).collect();
+        let readers: Vec<(u64, &Scenario)> = (0..)
+            .zip(scenarios)
+            .filter(|(_, s)| s.controller.reads_policy())
+            .collect();
+        let mut outcomes = train.report.scenarios.clone();
+        if !readers.is_empty() {
+            // The deploy pass's worker snapshots are folded into the
+            // same process-cumulative registries; the train pass's
+            // OpsReport already tells the operability story, so they
+            // are not kept separately.
+            let transports = self.transports(readers.len());
+            let (results, _deploy_ops) = self.run_pass(&readers, transports, Some(&policy));
+            for (&(index, _), (outcome, _)) in readers.iter().zip(results) {
+                outcomes[index as usize] = outcome;
+            }
+        }
         let deploy = FleetReport::new(self.config.seed, outcomes);
 
         RoundTripResult {
@@ -417,21 +441,22 @@ impl FleetRunner {
         (0..slots).map(|_| Box::new(LocalTransport) as _).collect()
     }
 
-    /// One pass of the catalog through a one-shot [`WorkerPool`]:
-    /// results in catalog order, plus each worker's session-end metrics
-    /// snapshot. The shared skeleton of the training and deployment
-    /// passes; `policy` deploys a frozen agent into FIRM scenarios.
+    /// One pass of indexed catalog jobs through a one-shot
+    /// [`WorkerPool`]: results in job order, plus each worker's
+    /// session-end metrics snapshot. The shared skeleton of the training
+    /// pass (the whole catalog) and the deployment pass (its policy
+    /// readers); `policy` deploys a frozen agent.
     fn run_pass(
         &self,
-        scenarios: &[Scenario],
+        jobs: &[(u64, &Scenario)],
         transports: Vec<Box<dyn Transport>>,
         policy: Option<&PolicyCheckpoint>,
     ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
-        assert!(!scenarios.is_empty(), "fleet needs at least one scenario");
+        assert!(!jobs.is_empty(), "fleet needs at least one scenario");
         assert!(!transports.is_empty(), "fleet needs at least one transport");
         let pool = WorkerPool::start(transports, self.config.supervisor_config())
             .unwrap_or_else(|e| panic!("{e}"));
-        let results = pool.run_catalog(scenarios, self.config.seed, 0, policy, &mut |_| {});
+        let results = pool.run_catalog(jobs.iter().copied(), self.config.seed, policy, &mut |_| {});
         let worker_ops = pool.shutdown();
         (results.unwrap_or_else(|e| panic!("{e}")), worker_ops)
     }
@@ -440,8 +465,14 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::run_one_with;
     use crate::scenario::builtin_catalog;
+    use crate::worker::{serve_session, ServeOptions};
     use firm_sim::SimDuration;
+    use std::io::{self, BufReader, Read};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A root-package test binary (`target/debug/deps/…`) must reach the
     /// worker a release build left in the sibling profile dir, after the
@@ -635,6 +666,150 @@ mod tests {
         let (actor, critic) = rt.train.estimator.shared_agent().export_weights();
         assert_eq!(rt.policy.actor, actor);
         assert_eq!(rt.policy.critic, critic);
+    }
+
+    /// Counts the newline-terminated frames read through it.
+    struct FrameCounter {
+        inner: TcpStream,
+        frames: Arc<AtomicUsize>,
+    }
+
+    impl Read for FrameCounter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            let lines = buf[..n].iter().filter(|&&b| b == b'\n').count();
+            self.frames.fetch_add(lines, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    /// The builtin scenarios with these names, shortened to `secs`.
+    fn named_catalog(names: &[&str], secs: u64) -> Vec<Scenario> {
+        let builtin = builtin_catalog();
+        names
+            .iter()
+            .map(|name| {
+                let s = builtin.iter().find(|s| s.name == *name).expect("builtin");
+                s.clone().with_duration(SimDuration::from_secs(secs))
+            })
+            .collect()
+    }
+
+    /// A round trip over one TCP worker in this process, and the request
+    /// frames each of that worker's sessions read, in accept order.
+    fn counted_round_trip(scenarios: &[Scenario], seed: u64) -> (RoundTripResult, Vec<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("local addr");
+        let runner = FleetRunner::new(
+            FleetConfig {
+                seed,
+                train_steps: 64,
+                ..FleetConfig::default()
+            }
+            .remote_workers(&[addr.to_string()]),
+        );
+        let finished = AtomicBool::new(false);
+        thread::scope(|scope| {
+            let acceptor = scope.spawn(|| {
+                let mut sessions = Vec::new();
+                for stream in listener.incoming() {
+                    if finished.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let stream = stream.expect("accept");
+                    let frames = Arc::new(AtomicUsize::new(0));
+                    let inner = stream.try_clone().expect("clone the stream");
+                    let reader = BufReader::new(FrameCounter {
+                        inner,
+                        frames: Arc::clone(&frames),
+                    });
+                    let opts = ServeOptions { heartbeat_ms: 0 };
+                    let session = scope.spawn(move || serve_session(reader, stream, &opts));
+                    sessions.push((frames, session));
+                }
+                sessions
+                    .into_iter()
+                    .map(|(frames, session)| {
+                        let ended = session.join().expect("session thread");
+                        ended.expect("session ends cleanly");
+                        frames.load(Ordering::SeqCst)
+                    })
+                    .collect()
+            });
+            // Wakes the acceptor out of `accept` once the round trip is
+            // over, also when it panics, so the scope can join it.
+            let wake = Wake(addr, &finished);
+            let rt = runner.run_round_trip(scenarios);
+            drop(wake);
+            (rt, acceptor.join().expect("acceptor thread"))
+        })
+    }
+
+    struct Wake<'a>(SocketAddr, &'a AtomicBool);
+
+    impl Drop for Wake<'_> {
+        fn drop(&mut self) {
+            self.1.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(self.0);
+        }
+    }
+
+    /// The oracle for the deploy pass's reuse: every policy-free deploy
+    /// row equals an independent deployment of its scenario, a FIRM row
+    /// changes, and the deploy pass submits exactly the policy readers.
+    #[test]
+    fn round_trip_deploys_only_into_policy_readers() {
+        let scenarios = named_catalog(
+            &[
+                "social-steady-firm",
+                "media-steady-none",
+                "hotel-flash-k8s",
+                "train-steady-aimd",
+                "incident-replay-firm",
+            ],
+            6,
+        );
+        let seed = 23;
+        let (rt, frames) = counted_round_trip(&scenarios, seed);
+
+        let readers: Vec<usize> = (0..scenarios.len())
+            .filter(|&i| scenarios[i].controller.reads_policy())
+            .collect();
+        assert_eq!(readers, [0, 4]);
+        let (train, deploy) = (&rt.train.report.scenarios, &rt.deploy.scenarios);
+        for (i, scenario) in scenarios.iter().enumerate() {
+            if !readers.contains(&i) {
+                let (fresh, _) = run_one_with(scenario, scenario_seed(seed, i), Some(&rt.policy));
+                assert_eq!(
+                    deploy[i], fresh,
+                    "{}: reused row is not a deployment",
+                    scenario.name
+                );
+            }
+        }
+        assert!(
+            readers.iter().any(|&i| train[i] != deploy[i]),
+            "every FIRM deploy row equals its training row"
+        );
+        assert_eq!(
+            frames,
+            [scenarios.len(), readers.len()],
+            "request frames per pass (train, deploy)"
+        );
+    }
+
+    /// A catalog with no policy reader starts no deploy pool: its deploy
+    /// report is the training report.
+    #[test]
+    fn a_round_trip_without_policy_readers_deploys_nothing() {
+        let scenarios = named_catalog(&["media-steady-none", "hotel-flash-k8s"], 6);
+        let (rt, frames) = counted_round_trip(&scenarios, 29);
+        assert_eq!(
+            frames,
+            [scenarios.len()],
+            "request frames per pass (train only)"
+        );
+        assert_eq!(rt.deploy.to_json(), rt.train.report.to_json());
     }
 
     #[test]

@@ -50,6 +50,18 @@ impl FleetController {
     pub const fn reads_spans(self) -> bool {
         matches!(self, FleetController::Firm)
     }
+
+    /// Whether the controller runs a deployed [`PolicyCheckpoint`].
+    /// Only FIRM does; the others never read one, so a round trip's
+    /// deploy pass would reproduce their training rows bit for bit and
+    /// runs them not at all. The single place this is decided: the
+    /// deploy pass selects its scenarios with it, and the controller
+    /// builder imports a policy only where it holds.
+    ///
+    /// [`PolicyCheckpoint`]: firm_core::controller::PolicyCheckpoint
+    pub const fn reads_policy(self) -> bool {
+        matches!(self, FleetController::Firm)
+    }
 }
 
 impl FromStr for FleetController {

@@ -34,11 +34,12 @@
 //! completion (or unrecoverable failure) is delivered as a [`JobDone`]
 //! on the job's own reply channel, and a failure fails *that job*,
 //! never the pool. [`WorkerPool::run_catalog`] is the one catalog
-//! driver on top: submit every scenario, collect into catalog order.
+//! driver on top: submit every indexed job, collect in the order given.
 //! The batch [`crate::runner::FleetRunner`] starts a pool, runs one
-//! catalog and shuts it down (panicking on an `Err` — a report missing
-//! a scenario would silently break the determinism contract); the
-//! resident `firm-fleet serve` keeps one pool for days and calls
+//! catalog (or, deploying a round trip's policy, the catalog indices
+//! that read it) and shuts it down (panicking on an `Err` — a report
+//! missing a scenario would silently break the determinism contract);
+//! the resident `firm-fleet serve` keeps one pool for days and calls
 //! `run_catalog` once per submission.
 //!
 //! # Why failures cannot move the report
@@ -205,25 +206,37 @@ impl WorkerPool {
         }
     }
 
-    /// Runs one catalog: submits every scenario (job index
-    /// `base_index + i`, seed [`scenario_seed`]`(seed, index)`, `policy`
-    /// deployed when set), calls `on_done` with each delivery the moment
-    /// it lands, and returns `(outcome, experience)` in catalog order.
-    /// On failure the error is the first casualty's; the remaining
-    /// deliveries are still drained, so nothing of this catalog is left
-    /// in flight when the call returns.
-    pub fn run_catalog(
+    /// Runs one catalog: submits every `(job index, scenario)` pair
+    /// (seed [`scenario_seed`]`(seed, index)`, `policy` deployed when
+    /// set), calls `on_done` with each delivery the moment it lands, and
+    /// returns `(outcome, experience)` in the order the jobs were given.
+    /// The indices need not be contiguous: a batch run numbers its
+    /// catalog from 0, a resident service continues from its previous
+    /// submission, and a round trip's deploy pass runs only the
+    /// catalog indices whose controller reads the policy. On failure the
+    /// error is the first casualty's; the remaining deliveries are still
+    /// drained, so nothing of this catalog is left in flight when the
+    /// call returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one job index is given twice.
+    pub fn run_catalog<'a>(
         &self,
-        scenarios: &[Scenario],
+        jobs: impl IntoIterator<Item = (u64, &'a Scenario)>,
         seed: u64,
-        base_index: u64,
         policy: Option<&PolicyCheckpoint>,
         on_done: &mut dyn FnMut(&JobDone),
     ) -> Result<Vec<(ScenarioOutcome, ExperienceLog)>, String> {
         let policy = policy.map(|p| Arc::new(p.clone()));
         let (reply_tx, reply_rx) = mpsc::channel();
-        for (i, scenario) in scenarios.iter().enumerate() {
-            let index = base_index + i as u64;
+        let mut positions = HashMap::new();
+        for (index, scenario) in jobs {
+            let position = positions.len();
+            assert!(
+                positions.insert(index, position).is_none(),
+                "job {index} submitted twice"
+            );
             self.submit(PoolJob {
                 index,
                 seed: scenario_seed(seed, index as usize),
@@ -235,9 +248,9 @@ impl WorkerPool {
         drop(reply_tx);
 
         let mut results: Vec<Option<(ScenarioOutcome, ExperienceLog)>> =
-            (0..scenarios.len()).map(|_| None).collect();
+            (0..positions.len()).map(|_| None).collect();
         let mut failure = None;
-        for _ in 0..scenarios.len() {
+        for _ in 0..positions.len() {
             let Ok(done) = reply_rx.recv() else {
                 failure.get_or_insert_with(|| "the worker pool died mid-catalog".to_string());
                 break;
@@ -245,7 +258,7 @@ impl WorkerPool {
             on_done(&done);
             match done.result {
                 Ok(r) => {
-                    let cell = &mut results[(done.index - base_index) as usize];
+                    let cell = &mut results[positions[&done.index]];
                     assert!(cell.is_none(), "job {} completed twice", done.index);
                     *cell = Some(r);
                 }
@@ -1264,7 +1277,7 @@ mod tests {
                     .expect("pool");
                 let mut delivered = 0;
                 let results = pool
-                    .run_catalog(&catalog, 9, 0, None, &mut |_| delivered += 1)
+                    .run_catalog((0..).zip(&catalog), 9, None, &mut |_| delivered += 1)
                     .expect("catalog runs");
                 assert_eq!(delivered, catalog.len());
                 pool.shutdown();
@@ -1326,7 +1339,7 @@ mod tests {
         // Beside a healthy slot: the survivor absorbs the catalog.
         let mixed: Vec<Box<dyn Transport>> = vec![Box::new(Skewed), Box::new(LocalTransport)];
         let pool = WorkerPool::start(mixed, SupervisorConfig::default()).expect("pool");
-        let results = pool.run_catalog(&catalog, 3, 0, None, &mut |_| {});
+        let results = pool.run_catalog((0..).zip(&catalog), 3, None, &mut |_| {});
         assert_eq!(results.expect("the healthy slot serves").len(), 2);
         pool.shutdown();
 

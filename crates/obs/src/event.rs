@@ -11,10 +11,10 @@
 //! which is what keeps operator output from regressing when `eprintln!`
 //! call sites migrate here.
 //!
-//! Every event is firm-wire encodable, one frame per line
-//! ([`Event::encode`] / [`Event::decode`] round-trip exactly), so an
-//! exported `--obs-out` JSONL file is machine-parseable with the same
-//! codec the fleet protocol uses.
+//! Every event is firm-wire encodable, one frame per line: an [`Event`]
+//! encodes, and the [`EventRecord`] decoded from its frame renders the
+//! same bytes back, so an exported `--obs-out` JSONL file is
+//! machine-parseable with the same codec the fleet protocol uses.
 
 use std::fmt;
 use std::str::FromStr;
@@ -221,26 +221,49 @@ impl Event {
 
 impl WireEncode for Event {
     fn encode(&self) -> JsonValue {
-        let fields = JsonValue::Object(
-            self.fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.encode()))
-                .collect(),
-        );
-        Obj::tagged("event")
-            .field("ts_us", self.ts_us)
-            .field("level", self.level.label())
-            .field("target", self.target)
-            .field("pid", self.pid)
-            .field("thread", self.thread)
-            .field("message", self.message.as_str())
-            .field("fields", fields)
-            .build()
+        event_frame(
+            self.ts_us,
+            self.level,
+            self.target,
+            self.pid,
+            self.thread,
+            &self.message,
+            &self.fields,
+        )
     }
 }
 
+/// The one `event` frame layout, shared by [`Event`] and [`EventRecord`]
+/// so a decoded record renders the bytes its event rendered.
+fn event_frame<K: AsRef<str>>(
+    ts_us: u64,
+    level: Level,
+    target: &str,
+    pid: u64,
+    thread: u64,
+    message: &str,
+    fields: &[(K, FieldValue)],
+) -> JsonValue {
+    let fields = JsonValue::Object(
+        fields
+            .iter()
+            .map(|(k, v)| (k.as_ref().to_string(), v.encode()))
+            .collect(),
+    );
+    Obj::tagged("event")
+        .field("ts_us", ts_us)
+        .field("level", level.label())
+        .field("target", target)
+        .field("pid", pid)
+        .field("thread", thread)
+        .field("message", message)
+        .field("fields", fields)
+        .build()
+}
+
 /// The owned-decode counterpart of [`Event`] (decoding cannot resurrect
-/// `&'static str` keys, so keys and target come back owned).
+/// `&'static str` keys, so keys and target come back owned). It encodes
+/// to the bytes its event rendered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// See [`Event::ts_us`].
@@ -257,6 +280,20 @@ pub struct EventRecord {
     pub message: String,
     /// See [`Event::fields`].
     pub fields: Vec<(String, FieldValue)>,
+}
+
+impl WireEncode for EventRecord {
+    fn encode(&self) -> JsonValue {
+        event_frame(
+            self.ts_us,
+            self.level,
+            &self.target,
+            self.pid,
+            self.thread,
+            &self.message,
+            &self.fields,
+        )
+    }
 }
 
 impl WireDecode for EventRecord {
@@ -509,6 +546,38 @@ mod tests {
             assert_eq!(k1, k2);
             assert_eq!(v1, v2);
         }
+    }
+
+    /// The `event` frame's bytes, pinned: an [`Event`] renders them, and
+    /// the [`EventRecord`] decoded from them renders them back.
+    #[test]
+    fn event_frames_match_their_golden() {
+        const GOLDEN: &str = concat!(
+            r#"{"type":"event","ts_us":987654,"level":"info","target":"fleet supervisor","#,
+            r#""pid":4242,"thread":1,"message":"worker \"slot0\" restarted","#,
+            r#""fields":{"generation":2,"delta":-3,"secs":0.25,"wedged":false,"#,
+            r#""transport":"tcp:127.0.0.1:7401"}}"#,
+            "\n"
+        );
+        let event = Event {
+            ts_us: 987_654,
+            level: Level::Info,
+            target: "fleet supervisor",
+            pid: 4242,
+            thread: 1,
+            message: "worker \"slot0\" restarted".into(),
+            fields: vec![
+                ("generation", FieldValue::U64(2)),
+                ("delta", FieldValue::I64(-3)),
+                ("secs", FieldValue::F64(0.25)),
+                ("wedged", FieldValue::Bool(false)),
+                ("transport", FieldValue::Str("tcp:127.0.0.1:7401".into())),
+            ],
+        };
+        assert_eq!(firm_wire::encode_line(&event), GOLDEN);
+        let record: EventRecord = firm_wire::decode_line(GOLDEN).expect("golden decodes");
+        assert_eq!(record.target, event.target);
+        assert_eq!(firm_wire::encode_line(&record), GOLDEN);
     }
 
     #[test]

@@ -299,15 +299,14 @@ impl FleetService {
         let mut received = 0usize;
         // Always training-mode: the resident policy is a product, never
         // an input (see the module docs).
-        let results = self
-            .pool
-            .run_catalog(scenarios, seed, base_index, None, &mut |done| {
-                received += 1;
-                self.bump_depth(-1);
-                if let Ok((outcome, _)) = &done.result {
-                    on_outcome(done.index, outcome);
-                }
-            });
+        let jobs = (base_index..).zip(scenarios);
+        let results = self.pool.run_catalog(jobs, seed, None, &mut |done| {
+            received += 1;
+            self.bump_depth(-1);
+            if let Ok((outcome, _)) = &done.result {
+                on_outcome(done.index, outcome);
+            }
+        });
         self.bump_depth(received as i64 - n as i64);
 
         let mut results = match results {

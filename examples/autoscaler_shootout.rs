@@ -68,6 +68,6 @@ fn main() {
             r.mean_mitigation_secs()
         );
     }
-    println!("\n(an untrained FIRM learns online during the run; see the fig10/fig11 binaries");
-    println!(" in crates/bench for the pre-trained comparison the paper reports)");
+    println!("\n(an untrained FIRM learns online during the run; see `paper fig10` and");
+    println!(" `paper fig11b` in crates/bench for the pre-trained comparison the paper reports)");
 }

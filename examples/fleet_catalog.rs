@@ -1,7 +1,8 @@
 //! Run the built-in scenario catalog round trip: train the shared
-//! agent across all tenants, freeze it, deploy it back onto the same
-//! catalog in inference mode, and print the per-scenario
-//! train-vs-deploy deltas (Fig. 11b at fleet scale).
+//! agent across all tenants, freeze it, deploy it back into the same
+//! catalog's FIRM scenarios in inference mode (the other controllers
+//! never read it, so their training rows stand), and print the
+//! per-scenario train-vs-deploy deltas (Fig. 11b at fleet scale).
 //!
 //! ```sh
 //! cargo run --release --example fleet_catalog
@@ -12,8 +13,8 @@ use firm::sim::SimDuration;
 use firm::wire;
 
 fn main() {
-    // Half-length scenarios keep the double pass close to the old
-    // single-pass wall time.
+    // Half-length scenarios keep the round trip short: a training pass
+    // over every scenario, then a deploy pass over the FIRM ones.
     let scenarios: Vec<Scenario> = builtin_catalog()
         .into_iter()
         .map(|s| s.with_duration(SimDuration::from_secs(15)))

@@ -37,8 +37,8 @@
 //!   a `FleetRunner` sharded over OS threads *or* `firm-fleet-worker`
 //!   subprocesses with bit-identical results either way, cross-
 //!   simulation experience aggregation into one shared agent (§4.3
-//!   one-for-all), and round-trip deployment of the frozen agent with
-//!   train-vs-deploy deltas;
+//!   one-for-all), and round-trip deployment of the frozen agent into
+//!   the FIRM scenarios with train-vs-deploy deltas;
 //! * [`serve`] — the resident fleet service: a `firm-fleet serve`
 //!   coordinator that keeps the supervised worker pool alive across
 //!   scenario submissions from many concurrent clients, streams
