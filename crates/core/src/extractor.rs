@@ -17,7 +17,6 @@
 //! enough examples, a conservative threshold heuristic stands in.
 
 use firm_ml::svm::IncrementalSvm;
-use firm_par::ShardPool;
 use firm_sim::stats::{pearson, sample_quantile};
 use firm_sim::{InstanceId, ServiceId, SimTime};
 use firm_trace::store::StoredTrace;
@@ -71,29 +70,6 @@ struct FeatureScratch {
     touched: Vec<u32>,
     /// Per-trace `(instance, max exclusive time)` pairs.
     per_trace: Vec<(u32, f64)>,
-    /// Features emitted by the most recent sharded window (reused
-    /// capacity; drained by the merge).
-    out: Vec<InstanceFeatures>,
-}
-
-/// Cached `firm_obs` histogram handles for the sharded extract path,
-/// grown lazily to the largest shard count seen. Purely observational.
-#[derive(Debug, Default)]
-struct ShardTimers {
-    merge: Option<std::sync::Arc<firm_obs::Histogram>>,
-    per_shard: Vec<std::sync::Arc<firm_obs::Histogram>>,
-}
-
-impl ShardTimers {
-    fn ensure(&mut self, shards: usize) {
-        if self.merge.is_none() {
-            self.merge = Some(firm_obs::metrics().histogram("stage.shard_merge_us"));
-        }
-        while self.per_shard.len() < shards {
-            let name = format!("stage.shard{}.tick_us", self.per_shard.len());
-            self.per_shard.push(firm_obs::metrics().histogram(&name));
-        }
-    }
 }
 
 /// The Algorithm 2 extractor: features + incremental SVM.
@@ -110,10 +86,6 @@ pub struct CriticalComponentExtractor {
     /// Reused across windows; cleared (capacity retained) after each
     /// [`CriticalComponentExtractor::features`] call.
     scratch: FeatureScratch,
-    /// Per-shard scratches for the sharded path, grown lazily to the
-    /// largest shard count seen.
-    shard_scratch: Vec<FeatureScratch>,
-    timers: ShardTimers,
 }
 
 impl CriticalComponentExtractor {
@@ -126,8 +98,6 @@ impl CriticalComponentExtractor {
             heuristic_ci: 2.0,
             heuristic_ri: 0.7,
             scratch: FeatureScratch::default(),
-            shard_scratch: Vec::new(),
-            timers: ShardTimers::default(),
         }
     }
 
@@ -160,76 +130,7 @@ impl CriticalComponentExtractor {
         &mut self,
         traces: impl IntoIterator<Item = &'a StoredTrace>,
     ) -> Vec<InstanceFeatures> {
-        Self::accumulate(&mut self.scratch, traces, |_| true);
-        Self::emit(&mut self.scratch);
-        std::mem::take(&mut self.scratch.out)
-    }
-
-    /// [`CriticalComponentExtractor::features`] with the accumulation
-    /// fanned out over `pool`'s shards.
-    ///
-    /// Sharding is by *instance ownership*, not by trace: every shard
-    /// scans the full (read-only) trace window but accumulates only the
-    /// instances it owns (`instance % shards == shard`). Each
-    /// instance's sample vectors therefore see the same values in the
-    /// same trace order as the sequential path — the Pearson and
-    /// quantile folds are untouched — and the merge just concatenates
-    /// the shards' disjoint outputs and sorts by instance id, restoring
-    /// the sequential ascending-instance order. Bit-identical at any
-    /// shard count, which `tests/fleet_determinism.rs` pins.
-    ///
-    /// Small windows fall back to the sequential path; the scan is
-    /// cheap enough that fan-out only pays past a few dozen traces.
-    pub fn features_sharded(
-        &mut self,
-        traces: &[&StoredTrace],
-        pool: &ShardPool,
-    ) -> Vec<InstanceFeatures> {
-        /// Below this many traces the sequential scan wins.
-        const MIN_PARALLEL: usize = 64;
-        if pool.is_sequential() || traces.len() < MIN_PARALLEL {
-            return self.features(traces.iter().copied());
-        }
-        let shards = pool.shards();
-        if self.shard_scratch.len() < shards {
-            self.shard_scratch
-                .resize_with(shards, FeatureScratch::default);
-        }
-        self.timers.ensure(shards);
-        let per_shard_timers = &self.timers.per_shard;
-        pool.each_mut(&mut self.shard_scratch[..shards], |shard, scratch| {
-            let started = std::time::Instant::now();
-            Self::accumulate(scratch, traces.iter().copied(), |iid| {
-                iid as usize % shards == shard
-            });
-            Self::emit(scratch);
-            per_shard_timers[shard].record(started.elapsed().as_micros() as u64);
-        });
-        let merge_started = std::time::Instant::now();
-        let total = self.shard_scratch[..shards]
-            .iter()
-            .map(|s| s.out.len())
-            .sum();
-        let mut out = Vec::with_capacity(total);
-        for scratch in &mut self.shard_scratch[..shards] {
-            out.append(&mut scratch.out);
-        }
-        // Instances are disjoint across shards, so the key is unique
-        // and the unstable sort is deterministic.
-        out.sort_unstable_by_key(|f| f.instance.raw());
-        if let Some(merge) = &self.timers.merge {
-            merge.record(merge_started.elapsed().as_micros() as u64);
-        }
-        out
-    }
-
-    /// The window accumulation pass over `traces`, restricted to
-    /// instances selected by `owns`.
-    fn accumulate<'a>(
-        scratch: &mut FeatureScratch,
-        traces: impl IntoIterator<Item = &'a StoredTrace>,
-        owns: impl Fn(u32) -> bool,
-    ) {
+        let scratch = &mut self.scratch;
         debug_assert!(scratch.touched.is_empty(), "scratch not cleared");
         for trace in traces {
             if trace.dropped {
@@ -244,9 +145,6 @@ impl CriticalComponentExtractor {
             scratch.per_trace.clear();
             for entry in &trace.cp.entries {
                 let iid = entry.instance.raw();
-                if !owns(iid) {
-                    continue;
-                }
                 let d = entry.exclusive.as_micros() as f64;
                 // A CP visits only a handful of instances; linear scan
                 // beats any map here.
@@ -284,16 +182,16 @@ impl CriticalComponentExtractor {
                 slot.sorted.insert(at, ti);
             }
         }
+        Self::emit(scratch)
     }
 
-    /// Turns accumulated slots into [`InstanceFeatures`], written to
-    /// `scratch.out` in ascending instance order (matching the
-    /// ordered-map iteration of the original implementation), and
-    /// clears the slots for the next window.
-    fn emit(scratch: &mut FeatureScratch) {
+    /// Turns accumulated slots into [`InstanceFeatures`] in ascending
+    /// instance order (matching the ordered-map iteration of the
+    /// original implementation), and clears the slots for the next
+    /// window.
+    fn emit(scratch: &mut FeatureScratch) -> Vec<InstanceFeatures> {
         scratch.touched.sort_unstable();
-        scratch.out.clear();
-        scratch.out.reserve(scratch.touched.len());
+        let mut out = Vec::with_capacity(scratch.touched.len());
         for &iid in &scratch.touched {
             let slot = &mut scratch.slots[scratch.slot_of[iid as usize] as usize - 1];
             let ri = pearson(&slot.tis, &slot.tcps);
@@ -304,7 +202,7 @@ impl CriticalComponentExtractor {
             } else {
                 (p99 / p50).max(1.0)
             };
-            scratch.out.push(InstanceFeatures {
+            out.push(InstanceFeatures {
                 instance: InstanceId(iid),
                 service: ServiceId(slot.service),
                 ri,
@@ -316,6 +214,7 @@ impl CriticalComponentExtractor {
             slot.sorted.clear();
         }
         scratch.touched.clear();
+        out
     }
 
     /// Classifies features into SLO-violation candidates (Algorithm 2's
@@ -501,53 +400,6 @@ mod tests {
                     r.ci
                 );
             }
-        }
-    }
-
-    /// The sharded fan-out must be invisible in the output: same
-    /// instances, same order, bit-identical floats at every shard
-    /// count — including counts far above the instance count, where
-    /// some shards own nothing.
-    #[test]
-    fn sharded_features_are_bit_identical_to_sequential() {
-        let mut sim =
-            Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), 78).build();
-        sim.apply(firm_sim::Command::SetPartition {
-            instance: InstanceId(1),
-            kind: firm_sim::ResourceKind::Cpu,
-            amount: 0.2,
-        });
-        let mut coord = TracingCoordinator::new(100_000);
-        let traces = window(&mut sim, &mut coord, 3);
-        assert!(traces.len() >= 64, "need enough traces to shard");
-        let refs: Vec<&StoredTrace> = traces.iter().collect();
-
-        let mut seq = CriticalComponentExtractor::new(4);
-        let want = seq.features(traces.iter());
-        for shards in [1, 2, 3, 4, 16] {
-            let mut ex = CriticalComponentExtractor::new(4);
-            let pool = firm_par::ShardPool::new(shards);
-            let got = ex.features_sharded(&refs, &pool);
-            assert_eq!(got.len(), want.len(), "shards={shards}");
-            for (g, r) in got.iter().zip(&want) {
-                assert_eq!(g.instance, r.instance, "shards={shards}");
-                assert_eq!(g.service, r.service, "shards={shards}");
-                assert_eq!(g.samples, r.samples, "shards={shards}");
-                assert_eq!(g.ri.to_bits(), r.ri.to_bits(), "shards={shards}");
-                assert_eq!(g.ci.to_bits(), r.ci.to_bits(), "shards={shards}");
-            }
-        }
-
-        // Repeated windows through one sharded extractor: scratch reuse
-        // must not leak samples between windows either.
-        let mut ex = CriticalComponentExtractor::new(4);
-        let pool = firm_par::ShardPool::new(2);
-        let first = ex.features_sharded(&refs, &pool);
-        let again = ex.features_sharded(&refs, &pool);
-        assert_eq!(first.len(), again.len());
-        for (a, b) in first.iter().zip(&again) {
-            assert_eq!(a.ri.to_bits(), b.ri.to_bits());
-            assert_eq!(a.ci.to_bits(), b.ci.to_bits());
         }
     }
 

@@ -65,12 +65,6 @@ pub struct FirmConfig {
     pub slo_penalty: bool,
     /// RNG seed for the ML components.
     pub seed: u64,
-    /// Intra-scenario fan-out: the number of shards the trace-ingest
-    /// and extract stages spread over per control tick. Results are
-    /// bit-identical at any value (the sharded stages are pure per-item
-    /// computations merged in input order); `1` runs everything on the
-    /// scenario's own thread.
-    pub intra_shards: usize,
 }
 
 impl Default for FirmConfig {
@@ -84,7 +78,6 @@ impl Default for FirmConfig {
             record_experience: false,
             slo_penalty: false,
             seed: 7,
-            intra_shards: 1,
         }
     }
 }
@@ -153,8 +146,6 @@ pub struct FirmManager {
     stats: ManagerStats,
     experience: ExperienceLog,
     timers: StageTimers,
-    /// Intra-scenario fan-out for the ingest/extract stages.
-    pool: firm_par::ShardPool,
 }
 
 /// Cached handles into the process-wide `firm_obs` registry, resolved
@@ -194,7 +185,6 @@ impl FirmManager {
             stats: ManagerStats::default(),
             experience: ExperienceLog::default(),
             timers: StageTimers::new(),
-            pool: firm_par::ShardPool::new(config.intra_shards),
             config,
         }
     }
@@ -295,11 +285,8 @@ impl FirmManager {
             "FIRM ingested a served request without a root span: its simulation must be \
              built with SimulationBuilder::record_spans(true)"
         );
-        // Graph/critical-path builds fan out over the shard pool; the
-        // merge is input-ordered, so the store is byte-identical at any
-        // shard count.
         let ingest_started = std::time::Instant::now();
-        self.coordinator.ingest_sharded(completed, &self.pool);
+        self.coordinator.ingest(completed);
         self.timers
             .ingest
             .record(ingest_started.elapsed().as_micros() as u64);
@@ -360,14 +347,9 @@ impl FirmManager {
             // The extractor consumes the coordinator's stored traces by
             // reference — the window is never copied out of the store.
             let extract_started = std::time::Instant::now();
-            let features = if self.pool.is_sequential() {
-                self.extractor
-                    .features(self.coordinator.traces_since(window_start))
-            } else {
-                let window: Vec<&firm_trace::store::StoredTrace> =
-                    self.coordinator.traces_since(window_start).collect();
-                self.extractor.features_sharded(&window, &self.pool)
-            };
+            let features = self
+                .extractor
+                .features(self.coordinator.traces_since(window_start));
             self.timers
                 .extract
                 .record(extract_started.elapsed().as_micros() as u64);
@@ -698,42 +680,6 @@ mod tests {
             assert!(tr.done);
             assert_eq!(tr.state[1].to_bits(), expected(&rates, rates.len() - 1));
             assert_eq!(tr.next_state[1], 1.0);
-        }
-    }
-
-    /// The control loop's output — learned weights, counters, recorded
-    /// experience — must not move when the ingest/extract stages fan
-    /// out. Arrival rate is set high enough that windows cross the
-    /// sharded paths' sequential-fallback thresholds.
-    #[test]
-    fn intra_sharded_control_loop_is_bit_identical() {
-        let run = |shards: usize| {
-            let mut sim = Simulation::builder(ClusterSpec::small(2), tight_app(), 86)
-                .arrivals(Box::new(PoissonArrivals::new(120.0)))
-                .build();
-            let mut mgr = FirmManager::new(FirmConfig {
-                training: true,
-                record_experience: true,
-                intra_shards: shards,
-                ..FirmConfig::default()
-            });
-            sim.inject(AnomalySpec::new(
-                AnomalyKind::MemBwStress,
-                NodeId(0),
-                1.0,
-                SimDuration::from_secs(10),
-            ));
-            run_firm(&mut sim, &mut mgr, SimDuration::from_secs(8));
-            (
-                mgr.shared_weights(),
-                format!("{:?}", mgr.stats()),
-                mgr.drain_experience(),
-            )
-        };
-        let base = run(1);
-        assert!(!base.2.is_empty(), "run harvested no experience");
-        for shards in [2, 4] {
-            assert_eq!(base, run(shards), "intra_shards={shards} moved the output");
         }
     }
 

@@ -26,7 +26,7 @@
 //! Generated scenarios are plain data like hand-written ones, so they
 //! inherit every standing fleet invariant — bit-identical reports,
 //! pooled experience, and trained weights at any thread count, worker
-//! count, transport, `intra_shards`, and under chaos
+//! count, transport, and under chaos
 //! (`tests/scale_determinism.rs` pins this).
 //!
 //! Per-tenant draws deliberately never consult `sf`: only the tenant

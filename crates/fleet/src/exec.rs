@@ -24,11 +24,8 @@
 //! deploys into FIRM scenarios alone. Every other controller ignores the
 //! policy, so its outcome equals the training run's at the same seed.
 //!
-//! [`run_one_sharded`] additionally accepts an intra-scenario shard
-//! count, fanned into the FIRM manager's ingest/extract stages. It is
-//! purely a latency knob: results stay bit-identical at any shard
-//! count, so `(scenario, seed, policy)` remains the full determinism
-//! domain.
+//! A scenario runs on one thread, start to finish: fleet throughput
+//! comes from running many scenarios at once, never from splitting one.
 
 use firm_core::baselines::{AimdController, K8sHpaController};
 use firm_core::controller::{run_episode, Controller, EpisodeSpec, PolicyCheckpoint, Unmanaged};
@@ -44,16 +41,12 @@ use crate::scenario::{FleetController, Scenario};
 /// Builds the live controller for a scenario. With `policy` set, a
 /// controller that [reads a policy](FleetController::reads_policy)
 /// (FIRM) deploys the frozen shared agent (inference mode) instead of
-/// training a fresh one; any other controller ignores it. `intra_shards`
-/// sets the FIRM manager's intra-scenario stage fan-out; it changes
-/// wall-clock time only, never a result byte (the property
-/// `tests/fleet_determinism.rs` pins).
+/// training a fresh one; any other controller ignores it.
 fn build_controller(
     scenario: &Scenario,
     seed: u64,
     services: usize,
     policy: Option<&PolicyCheckpoint>,
-    intra_shards: usize,
 ) -> Box<dyn Controller> {
     let policy = policy.filter(|_| scenario.controller.reads_policy());
     match scenario.controller {
@@ -67,7 +60,6 @@ fn build_controller(
                 record_experience: !deployed,
                 slo_penalty: scenario.slo_penalty,
                 seed: seed ^ 0xF12A,
-                intra_shards,
                 ..FirmConfig::default()
             }));
             if let Some(p) = policy {
@@ -108,7 +100,7 @@ fn build_simulation(scenario: &Scenario, seed: u64) -> Simulation {
 /// Runs one scenario to completion; returns its measurements and the
 /// experience log (empty for non-FIRM controllers).
 pub fn run_one(scenario: &Scenario, seed: u64) -> (ScenarioOutcome, ExperienceLog) {
-    run_one_sharded(scenario, seed, None, 1)
+    run_one_with(scenario, seed, None)
 }
 
 /// Runs one scenario, optionally deploying a frozen policy into its
@@ -118,25 +110,11 @@ pub fn run_one_with(
     seed: u64,
     policy: Option<&PolicyCheckpoint>,
 ) -> (ScenarioOutcome, ExperienceLog) {
-    run_one_sharded(scenario, seed, policy, 1)
-}
-
-/// [`run_one_with`] plus intra-scenario parallelism: the FIRM manager's
-/// ingest and feature-extraction stages fan out over `intra_shards`
-/// threads inside each control window. Sharding is a pure speed knob —
-/// the outcome and experience are bit-identical at any shard count, so
-/// the fleet's determinism contract is untouched.
-pub fn run_one_sharded(
-    scenario: &Scenario,
-    seed: u64,
-    policy: Option<&PolicyCheckpoint>,
-    intra_shards: usize,
-) -> (ScenarioOutcome, ExperienceLog) {
     let wall = std::time::Instant::now();
     let mut sim = build_simulation(scenario, seed);
     let services = sim.app().services.len();
 
-    let mut controller = build_controller(scenario, seed, services, policy, intra_shards);
+    let mut controller = build_controller(scenario, seed, services, policy);
     let mut injector = scenario
         .campaign
         .clone()
@@ -183,6 +161,17 @@ pub fn run_one_sharded(
         .field("completions", outcome.completions)
         .emit();
     (outcome, experience)
+}
+
+// The benchmark harness still calls this; the shard count is ignored.
+#[doc(hidden)]
+pub fn run_one_sharded(
+    scenario: &Scenario,
+    seed: u64,
+    policy: Option<&PolicyCheckpoint>,
+    _shards: usize,
+) -> (ScenarioOutcome, ExperienceLog) {
+    run_one_with(scenario, seed, policy)
 }
 
 #[cfg(test)]
@@ -252,24 +241,6 @@ mod tests {
         // The deploy pass itself is deterministic.
         let (again, _) = run_one_with(&scenario, 9, Some(&frozen));
         assert_eq!(deployed, again);
-    }
-
-    #[test]
-    fn intra_shards_change_nothing_but_wall_clock() {
-        let scenario = builtin_catalog()
-            .remove(0)
-            .with_duration(SimDuration::from_secs(8));
-        assert_eq!(scenario.controller, FleetController::Firm);
-        let (outcome_1, log_1) = run_one_sharded(&scenario, 7, None, 1);
-        for shards in [2, 4] {
-            let (outcome_n, log_n) = run_one_sharded(&scenario, 7, None, shards);
-            assert_eq!(outcome_1, outcome_n, "outcome moved at {shards} shards");
-            assert_eq!(
-                format!("{log_1:?}"),
-                format!("{log_n:?}"),
-                "experience moved at {shards} shards"
-            );
-        }
     }
 
     /// One 12-second scenario per controller: FIRM, K8s, AIMD, unmanaged.

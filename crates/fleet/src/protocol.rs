@@ -44,7 +44,8 @@ use crate::scenario::Scenario;
 /// version.
 ///
 /// v2 added the [`WorkerMessage::Metrics`] session-end frame. v3 added
-/// [`WorkerRequest::intra_shards`]. v4 added the client-side serve
+/// [`WorkerRequest::intra_shards`], inert since scenarios stopped
+/// fanning out inside a worker. v4 added the client-side serve
 /// vocabulary (`firm-serve`'s `ClientRequest`/`ServerMessage` frames,
 /// which share this version so a mixed-version fleet fails loudly at
 /// either boundary). v5 added the `retryable` field to the serve
@@ -73,11 +74,10 @@ pub struct WorkerRequest {
     /// so a deployment pass ships the weights `workers` times, not
     /// `scenarios` times.
     pub reuse_policy: bool,
-    /// Intra-scenario stage fan-out on the worker (see
-    /// [`crate::exec::run_one_sharded`]); 0 and 1 both mean sequential.
-    /// A latency knob only — the response is bit-identical at any
-    /// value, so a retry dispatched with a different shard count would
-    /// still be byte-identical. Added in protocol v3.
+    /// Inert: every coordinator sends 1 and nothing reads it, since a
+    /// worker runs each scenario on one thread. Added in protocol v3
+    /// for a per-scenario stage fan-out that no longer exists; the v8
+    /// frame change drops it.
     pub intra_shards: u64,
 }
 

@@ -27,13 +27,8 @@
 //! can recover from. Worker count changes wall-clock time, nothing
 //! else.
 //!
-//! [`FleetConfig::intra_shards`] adds a second, *intra*-scenario axis:
-//! each FIRM control loop fans its trace-ingest and feature-extraction
-//! stages over that many threads between deterministic barriers. Like
-//! the worker count, it is a pure latency knob — every sharded stage is
-//! bit-identical to its sequential form — so the two axes compose
-//! freely against one core budget (local slots number the thread
-//! budget divided by the shard count).
+//! Parallelism has one level: a worker runs one scenario at a time on
+//! one thread, and the pool hands whole scenarios to idle workers.
 
 use std::path::{Path, PathBuf};
 use std::thread;
@@ -82,13 +77,6 @@ pub struct FleetConfig {
     /// Minibatch updates to run on the shared agent after pooling
     /// (§4.3 one-for-all training from the fleet's experience).
     pub train_steps: usize,
-    /// Intra-scenario parallelism: threads each FIRM control loop fans
-    /// its ingest/extract stages over (1, the default, keeps scenarios
-    /// single-threaded). A pure latency knob — results are bit-identical
-    /// at any value — that trades scenario-level for stage-level
-    /// parallelism: in-process slots number `threads` divided by this,
-    /// so `threads` stays the total core budget.
-    pub intra_shards: usize,
 }
 
 impl Default for FleetConfig {
@@ -102,7 +90,6 @@ impl Default for FleetConfig {
             max_attempts: 3,
             seed: 1,
             train_steps: 256,
-            intra_shards: 1,
         }
     }
 }
@@ -126,13 +113,6 @@ impl FleetConfig {
     /// Sets the per-scenario request timeout (0 disables).
     pub fn request_timeout_ms(mut self, ms: u64) -> Self {
         self.request_timeout_ms = ms;
-        self
-    }
-
-    /// Sets the intra-scenario shard count (0 and 1 both mean
-    /// sequential). Results are bit-identical at any value.
-    pub fn intra_shards(mut self, n: usize) -> Self {
-        self.intra_shards = n.max(1);
         self
     }
 
@@ -170,7 +150,6 @@ impl FleetConfig {
             request_timeout: (self.request_timeout_ms > 0)
                 .then(|| Duration::from_millis(self.request_timeout_ms)),
             max_attempts: self.max_attempts.max(1),
-            intra_shards: self.intra_shards.max(1),
         }
     }
 
@@ -423,10 +402,7 @@ impl FleetRunner {
 
     /// The transports of one pass over `jobs` scenarios: the config's
     /// workers, or — with none configured — one local slot per
-    /// scenario, up to `effective_threads / intra_shards` (each
-    /// scenario spawns `intra_shards` stage threads at its barriers, so
-    /// total concurrency stays ≈ `effective_threads` whichever way the
-    /// product is split).
+    /// scenario, up to `effective_threads`.
     fn transports(&self, jobs: usize) -> Vec<Box<dyn Transport>> {
         let configured = self
             .config
@@ -435,9 +411,7 @@ impl FleetRunner {
         if !configured.is_empty() {
             return configured;
         }
-        let slots = (self.config.effective_threads() / self.config.intra_shards.max(1))
-            .max(1)
-            .min(jobs);
+        let slots = self.config.effective_threads().min(jobs);
         (0..slots).map(|_| Box::new(LocalTransport) as _).collect()
     }
 
@@ -603,30 +577,6 @@ mod tests {
             one.estimator.shared_agent().export_weights(),
             four.estimator.shared_agent().export_weights(),
             "pooled training diverged across thread counts"
-        );
-    }
-
-    #[test]
-    fn intra_shards_do_not_change_results() {
-        let scenarios = short_catalog(3, 6);
-        let run = |intra_shards| {
-            FleetRunner::new(FleetConfig {
-                threads: 2,
-                seed: 5,
-                train_steps: 32,
-                intra_shards,
-                ..FleetConfig::default()
-            })
-            .run(&scenarios)
-        };
-        let sequential = run(1);
-        let sharded = run(3);
-        assert_eq!(sequential.report.to_json(), sharded.report.to_json());
-        assert_eq!(sequential.report.digest(), sharded.report.digest());
-        assert_eq!(
-            sequential.estimator.shared_agent().export_weights(),
-            sharded.estimator.shared_agent().export_weights(),
-            "pooled training diverged across intra-shard counts"
         );
     }
 

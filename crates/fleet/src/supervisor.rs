@@ -87,10 +87,6 @@ pub struct SupervisorConfig {
     /// it, delivers the failure on the job's reply channel, and keeps
     /// serving everything else.
     pub max_attempts: usize,
-    /// Intra-scenario stage fan-out shipped on every request frame
-    /// ([`WorkerRequest::intra_shards`]); 1 keeps workers sequential.
-    /// A latency knob only — responses are bit-identical at any value.
-    pub intra_shards: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -98,7 +94,6 @@ impl Default for SupervisorConfig {
         SupervisorConfig {
             request_timeout: Some(Duration::from_secs(300)),
             max_attempts: 3,
-            intra_shards: 1,
         }
     }
 }
@@ -658,7 +653,8 @@ impl PoolRuntime {
             scenario: entry.job.scenario.clone(),
             policy,
             reuse_policy,
-            intra_shards: self.config.intra_shards.max(1) as u64,
+            // Inert on the v7 frame: no worker reads it.
+            intra_shards: 1,
         };
         let slot = &mut self.slots[slot_id];
         let live = slot.live.as_ref().expect("dispatch checked live");

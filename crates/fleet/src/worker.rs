@@ -2,7 +2,7 @@
 //! ends.
 //!
 //! [`serve_session`] is the entire worker: write a [`WorkerHello`],
-//! start a heartbeat ticker, then `decode → run_one_sharded → encode`
+//! start a heartbeat ticker, then `decode → run_one_with → encode`
 //! each [`WorkerRequest`] until the input stream ends. The
 //! `firm-fleet-worker` binary wraps it twice:
 //!
@@ -16,10 +16,9 @@
 //! The worker is deliberately dumb: no seed derivation, no ordering, no
 //! training, no retries. All of that stays at the coordinator, which is
 //! what lets the multi-node fleet stay bit-identical to the in-process
-//! one — a worker can only compute `run_one_sharded(scenario, seed,
-//! policy, intra_shards)`, and that function's results are a pure
-//! function of the frame's first three fields (the shard count moves
-//! wall-clock time only).
+//! one — a worker can only compute `run_one_with(scenario, seed,
+//! policy)`, a pure function of those frame fields, on the session's
+//! one thread.
 
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
@@ -30,7 +29,7 @@ use std::time::Duration;
 use firm_core::controller::PolicyCheckpoint;
 use firm_obs::Level;
 
-use crate::exec::run_one_sharded;
+use crate::exec::run_one_with;
 use crate::protocol::{
     WorkerHeartbeat, WorkerHello, WorkerMessage, WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
 };
@@ -179,7 +178,7 @@ fn serve_jobs<R: BufRead, W: Write>(
     Ok(())
 }
 
-/// One request → [`run_one_sharded`] → response step: everything a
+/// One request → [`run_one_with`] → response step: everything a
 /// worker does with a request once it holds the value, so a stream
 /// session and an in-process one run the same code. `cached_policy` is
 /// the session's policy cache: the checkpoint an earlier request
@@ -210,8 +209,7 @@ fn run_request(
         .field("scenario", req.scenario.name.as_str())
         .field("deploy", policy.is_some())
         .emit();
-    let (outcome, experience) =
-        run_one_sharded(&req.scenario, req.seed, policy, req.intra_shards as usize);
+    let (outcome, experience) = run_one_with(&req.scenario, req.seed, policy);
     Ok(WorkerResponse {
         index: req.index,
         outcome,
@@ -340,7 +338,7 @@ mod tests {
                     scenario: scenario.clone(),
                     policy: None,
                     reuse_policy: false,
-                    intra_shards: 2,
+                    intra_shards: 1,
                 })
             })
             .collect();
@@ -393,6 +391,46 @@ mod tests {
         assert!(*n >= 2, "requests counter {n} < the 2 this session ran");
         assert!(snap.get("worker.frames.tx").is_some());
         assert!(snap.get("worker.bytes.rx").is_some());
+    }
+
+    /// `intra_shards` is inert on the v7 frame: requests that differ
+    /// only there get the same response bytes. Only response frames are
+    /// compared, since the session-end metrics frame is process-global.
+    #[test]
+    fn intra_shards_on_the_frame_moves_no_response_byte() {
+        let scenario = builtin_catalog()
+            .remove(0)
+            .with_duration(SimDuration::from_secs(4));
+        assert_eq!(scenario.controller, crate::FleetController::Firm);
+        let responses = |intra_shards| {
+            let frame = firm_wire::encode_line(&WorkerRequest {
+                index: 0,
+                seed: scenario_seed(5, 0),
+                scenario: scenario.clone(),
+                policy: None,
+                reuse_policy: false,
+                intra_shards,
+            });
+            let out = SharedBuf::default();
+            serve_session(
+                frame.as_bytes(),
+                out.clone(),
+                &ServeOptions { heartbeat_ms: 0 },
+            )
+            .expect("session serves");
+            let text = out.take();
+            let is_response = |line: &&str| {
+                let msg = firm_wire::decode_line::<WorkerMessage>(line).expect("valid frame");
+                matches!(msg, WorkerMessage::Response(_))
+            };
+            let frames: Vec<&str> = text.lines().filter(is_response).collect();
+            frames.join("\n")
+        };
+        let base = responses(1);
+        assert_eq!(base.lines().count(), 1, "one request, one response");
+        for intra_shards in [0, 4] {
+            assert_eq!(base, responses(intra_shards), "intra_shards={intra_shards}");
+        }
     }
 
     #[test]

@@ -53,9 +53,6 @@ fn serve(mut args: impl Iterator<Item = String>) {
             "--worker-bin" => config.worker_bin = Some(need(&mut args, "--worker-bin").into()),
             "--seed" => config.seed = need_u64(&mut args, "--seed"),
             "--train-steps" => config.train_steps = need_u64(&mut args, "--train-steps") as usize,
-            "--intra-shards" => {
-                config.intra_shards = (need_u64(&mut args, "--intra-shards") as usize).max(1)
-            }
             "--request-timeout-ms" => {
                 config.request_timeout_ms = need_u64(&mut args, "--request-timeout-ms")
             }
@@ -152,13 +149,14 @@ fn usage(problem: &str) -> ! {
          --listen host:port       address to accept clients on (0 picks a port;\n\
          \x20                        the bound address is printed to stderr).\n\
          --workers N              subprocess firm-fleet-worker count (default 2).\n\
+         \x20                        Each worker runs one scenario at a time, on one\n\
+         \x20                        thread; more workers is the only parallelism.\n\
          --remote host:port       a firm-fleet-worker --listen address; repeatable.\n\
          --worker-bin PATH        worker binary (default: FIRM_FLEET_WORKER, then\n\
          \x20                        next to this executable).\n\
          --seed N                 the service's fleet seed (default 7) — seeds the\n\
          \x20                        cumulative report and the resident policy.\n\
          --train-steps N          minibatches per resident-policy train (default 128).\n\
-         --intra-shards N         per-scenario stage fan-out on workers (default 1).\n\
          --request-timeout-ms N   per-scenario timeout (default 300000, 0 disables).\n\
          --max-attempts N         worker failures tolerated per scenario (default 3).\n\
          --max-pending N          backpressure bound: scenarios admitted but not yet\n\

@@ -79,6 +79,13 @@ fn main() {
     if scenarios == 0 && scale_factor == 0 && !drain && !shutdown {
         usage("nothing to do: give --scenarios N, --scale-factor N, --drain, or --shutdown");
     }
+    if verify_batch && base_index != 0 {
+        // Refused before connecting: a submission sent first would be
+        // folded into the coordinator's resident state for nothing.
+        usage(
+            "--verify-batch only supports --base-index 0 (a batch run starts at catalog index 0)",
+        );
+    }
 
     let mut client = match ServeClient::connect(&connect) {
         Ok(c) => c,
@@ -143,13 +150,6 @@ fn main() {
             // same index window. train_steps 0 — central training
             // happens after every outcome is final, so it cannot move
             // the report digest, and skipping it keeps the check fast.
-            if base_index != 0 {
-                fail(
-                    "--verify-batch only supports --base-index 0",
-                    &connect,
-                    "a batch run always starts at catalog index 0",
-                );
-            }
             let batch = FleetRunner::new(FleetConfig {
                 threads: 2,
                 seed,

@@ -665,3 +665,62 @@ fn served_ops_report_names_the_product_kernel() {
     let gauge = here.get("ml.kernel_avx2").expect("gauge recorded here");
     assert_eq!(ops.coordinator.get("ml.kernel_avx2"), Some(gauge));
 }
+
+/// Runs `bin` with `args` and asserts it exits 64 (usage) with `problem`
+/// on stderr. A run still going after 30 s is killed and fails.
+fn assert_usage_error(bin: &str, args: &[&str], problem: &str) -> String {
+    use std::process::Stdio;
+    let mut child = std::process::Command::new(bin)
+        .args(args)
+        .env_remove("FIRM_LOG")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bin");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while child.try_wait().expect("poll bin").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("{bin} {args:?} still running after 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().expect("collect bin output");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(64), "stderr: {stderr}");
+    assert!(stderr.contains(problem), "{stderr}");
+    stderr
+}
+
+/// `--verify-batch` with a nonzero `--base-index` is a usage error,
+/// refused before the client connects: a submission sent first would
+/// be folded into the coordinator for nothing. Nothing listens at the
+/// address, so a connect attempt would exit 1 with "connect failed".
+#[test]
+fn verify_batch_with_a_nonzero_base_index_is_refused_before_connecting() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let dead = listener.local_addr().expect("local addr").to_string();
+    drop(listener);
+    let args = [
+        "--connect",
+        &dead,
+        "--scenarios",
+        "2",
+        "--base-index",
+        "3",
+        "--verify-batch",
+    ];
+    let problem = "--verify-batch only supports --base-index 0";
+    let stderr = assert_usage_error(env!("CARGO_BIN_EXE_firm-fleet-client"), &args, problem);
+    assert!(!stderr.contains("connect failed"), "{stderr}");
+}
+
+/// `--intra-shards` was removed with per-scenario stage fan-out; the
+/// coordinator refuses it instead of ignoring it.
+#[test]
+fn serve_refuses_the_removed_intra_shards_flag() {
+    let args = ["serve", "--listen", "127.0.0.1:0", "--intra-shards", "2"];
+    let problem = "unknown argument `--intra-shards`";
+    assert_usage_error(env!("CARGO_BIN_EXE_firm-fleet"), &args, problem);
+}

@@ -13,11 +13,10 @@
 //! In the paper the coordinator also handles clock drift (via Jaeger);
 //! the simulator has a global clock, so that concern disappears.
 
-use firm_par::ShardPool;
 use firm_sim::{CompletedRequest, RequestTypeId, SimTime};
 
 use crate::critical_path::CriticalPath;
-use crate::store::{build_stored, StoredTrace, TraceStore};
+use crate::store::{StoredTrace, TraceStore};
 
 /// Span-collection and query front-end.
 #[derive(Debug)]
@@ -37,40 +36,6 @@ impl TracingCoordinator {
     pub fn ingest(&mut self, requests: Vec<CompletedRequest>) {
         for r in requests {
             self.store.ingest(r);
-        }
-    }
-
-    /// Ingests a batch with the graph/critical-path construction fanned
-    /// out over `pool`'s shards.
-    ///
-    /// Ingestion splits into two phases: a parallel build of each
-    /// trace's graph and critical path ([`build_stored`] is pure, and
-    /// each shard owns a disjoint contiguous index range), and a
-    /// sequential merge that inserts the built traces in input order.
-    /// Because the build is pure and the merge is index-ordered, the
-    /// store ends up byte-identical to [`TracingCoordinator::ingest`]
-    /// at any shard count — the property `tests/fleet_determinism.rs`
-    /// pins.
-    ///
-    /// Small windows fall back to the sequential path: below a few
-    /// dozen traces, spawn-and-join overhead exceeds the build work.
-    pub fn ingest_sharded(&mut self, requests: Vec<CompletedRequest>, pool: &ShardPool) {
-        /// Fan-out pays for itself only when each shard gets a real
-        /// chunk of graph builds.
-        const MIN_PARALLEL: usize = 64;
-        if pool.is_sequential() || requests.len() < MIN_PARALLEL {
-            return self.ingest(requests);
-        }
-        let mut requests: Vec<Option<CompletedRequest>> = requests.into_iter().map(Some).collect();
-        let mut built: Vec<Option<StoredTrace>> = Vec::new();
-        built.resize_with(requests.len(), || None);
-        pool.zip_chunks(&mut requests, &mut built, |_, reqs, outs| {
-            for (r, out) in reqs.iter_mut().zip(outs) {
-                *out = build_stored(r.take().expect("each request consumed once"));
-            }
-        });
-        for b in built {
-            self.store.insert_built(b);
         }
     }
 
@@ -138,27 +103,6 @@ mod tests {
         // Every CP starts at the frontend.
         assert!(cps.iter().all(|cp| cp.entries[0].service.raw() == 0));
         assert_eq!(c.latencies_since(SimTime::ZERO, RequestTypeId(0)).len(), n);
-    }
-
-    #[test]
-    fn sharded_ingest_matches_sequential_at_any_shard_count() {
-        let mut sim =
-            Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), 11).build();
-        sim.run_for(SimDuration::from_secs(3));
-        let rs = sim.drain_completed();
-        assert!(rs.len() >= 64, "need enough traces to cross MIN_PARALLEL");
-
-        let fingerprint = |c: &TracingCoordinator| -> Vec<String> {
-            c.store().all().map(|t| format!("{t:?}")).collect()
-        };
-
-        let mut seq = TracingCoordinator::new(10_000);
-        seq.ingest(rs.clone());
-        for shards in [1, 2, 3, 4] {
-            let mut par = TracingCoordinator::new(10_000);
-            par.ingest_sharded(rs.clone(), &firm_par::ShardPool::new(shards));
-            assert_eq!(fingerprint(&seq), fingerprint(&par), "shards={shards}");
-        }
     }
 
     #[test]

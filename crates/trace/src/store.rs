@@ -36,40 +36,6 @@ pub struct StoredTrace {
     pub cp: CriticalPath,
 }
 
-/// Builds one [`StoredTrace`] from a completed request — graph
-/// construction plus Algorithm 1 critical-path extraction, the
-/// compute-heavy half of ingestion. The graph, and with it the
-/// request's spans, is dropped once its critical path is out. Returns
-/// `None` for malformed traces (no root / dangling parent).
-///
-/// This is a pure function of its input: no store state, no RNG, no
-/// clocks. That is what makes it safe to evaluate on shard threads —
-/// any schedule of calls produces the same per-trace values, and a
-/// merge ordered by input index reproduces sequential ingestion bit for
-/// bit.
-pub fn build_stored(request: CompletedRequest) -> Option<StoredTrace> {
-    let CompletedRequest {
-        trace_id,
-        request_type,
-        started,
-        finished,
-        latency,
-        dropped,
-        spans,
-    } = request;
-    let graph = ExecutionHistoryGraph::from_spans(spans)?;
-    let cp = critical_path(&graph);
-    Some(StoredTrace {
-        trace_id,
-        request_type,
-        started,
-        finished,
-        latency,
-        dropped,
-        cp,
-    })
-}
-
 /// Bounded trace store with time-windowed queries.
 #[derive(Debug)]
 pub struct TraceStore {
@@ -94,26 +60,35 @@ impl TraceStore {
     /// Ingests one completed request; returns `false` if the trace was
     /// malformed (no root / dangling parent) and rejected.
     ///
-    /// The request's span buffers move into the graph [`build_stored`]
-    /// extracts from — each trace is materialized exactly once between
-    /// the simulator and the store, and its spans are freed here.
+    /// The request's span buffers move into the graph Algorithm 1
+    /// extracts the critical path from — each trace is materialized
+    /// exactly once between the simulator and the store — and the
+    /// graph, spans included, is dropped once the path is out.
     pub fn ingest(&mut self, request: CompletedRequest) -> bool {
-        self.insert_built(build_stored(request))
-    }
-
-    /// Inserts the result of [`build_stored`]: the sequential,
-    /// order-sensitive half of ingestion (capacity eviction, deque
-    /// append). Callers that build traces on
-    /// shard threads feed the results back through here in input order,
-    /// which keeps the store byte-identical to sequential ingestion.
-    pub fn insert_built(&mut self, built: Option<StoredTrace>) -> bool {
-        let Some(trace) = built else {
+        let CompletedRequest {
+            trace_id,
+            request_type,
+            started,
+            finished,
+            latency,
+            dropped,
+            spans,
+        } = request;
+        let Some(graph) = ExecutionHistoryGraph::from_spans(spans) else {
             return false;
         };
         if self.traces.len() == self.capacity {
             self.traces.pop_front();
         }
-        self.traces.push_back(trace);
+        self.traces.push_back(StoredTrace {
+            trace_id,
+            request_type,
+            started,
+            finished,
+            latency,
+            dropped,
+            cp: critical_path(&graph),
+        });
         true
     }
 

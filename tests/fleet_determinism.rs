@@ -75,61 +75,6 @@ fn report_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Intra-scenario parallelism is held to the same standard as thread
-/// count: fanning each FIRM control loop's ingest/extract stages over
-/// 2 or 4 shard threads must leave the report bytes, the digest, the
-/// pooled experience, and the trained weights bit-identical to the
-/// fully sequential run.
-#[test]
-fn report_is_bit_identical_across_intra_shard_counts() {
-    let scenarios = short_catalog();
-    let run = |intra_shards: usize| {
-        FleetRunner::new(
-            FleetConfig {
-                threads: 2,
-                seed: 20_26,
-                train_steps: 64,
-                ..FleetConfig::default()
-            }
-            .intra_shards(intra_shards),
-        )
-        .run(&scenarios)
-    };
-
-    let base = run(1);
-    let base_json = base.report.to_json();
-    let base_weights = base.estimator.shared_agent().export_weights();
-    let base_pooled = firm::wire::encode_string(&base.pooled);
-    assert!(
-        !base.pooled.transitions.is_empty(),
-        "no experience reached the shared trainer"
-    );
-
-    for intra_shards in [2, 4] {
-        let r = run(intra_shards);
-        assert_eq!(
-            base_json,
-            r.report.to_json(),
-            "report bytes diverged at {intra_shards} intra-shards"
-        );
-        assert_eq!(
-            base.report.digest(),
-            r.report.digest(),
-            "digest diverged at {intra_shards} intra-shards"
-        );
-        assert_eq!(
-            base_pooled,
-            firm::wire::encode_string(&r.pooled),
-            "pooled experience diverged at {intra_shards} intra-shards"
-        );
-        assert_eq!(
-            base_weights,
-            r.estimator.shared_agent().export_weights(),
-            "trained weights diverged at {intra_shards} intra-shards"
-        );
-    }
-}
-
 /// Round-trip determinism: the deployment pass (frozen shared agent in
 /// inference mode) and the frozen policy bytes themselves must be
 /// bit-identical at 1, 2, and 4 worker threads, exactly like the
@@ -271,24 +216,6 @@ fn seed7_catalog_digest_is_pinned() {
         format!("{:016x}", result.report.digest()),
         "69bd598896dd3318",
         "the seed-7 catalog digest moved — a perf change altered behavior"
-    );
-
-    // The same golden must hold with intra-scenario sharding engaged:
-    // stage fan-out is a wall-clock knob, never a results knob.
-    let sharded = FleetRunner::new(
-        FleetConfig {
-            threads: 1,
-            seed: 7,
-            train_steps: 128,
-            ..FleetConfig::default()
-        }
-        .intra_shards(2),
-    )
-    .run(&scenarios);
-    assert_eq!(
-        format!("{:016x}", sharded.report.digest()),
-        "69bd598896dd3318",
-        "the seed-7 catalog digest moved under intra-scenario sharding"
     );
 }
 

@@ -18,7 +18,7 @@ use firm::fleet::{builtin_catalog, FleetConfig, FleetResult, FleetRunner, Scenar
 use firm::obs;
 use firm::sim::SimDuration;
 
-/// The full built-in catalog, shortened so eight fleet runs fit in a
+/// The full built-in catalog, shortened so six fleet runs fit in a
 /// test budget (duration is scenario data, identical across runs).
 fn full_catalog() -> Vec<Scenario> {
     builtin_catalog()
@@ -27,24 +27,18 @@ fn full_catalog() -> Vec<Scenario> {
         .collect()
 }
 
-fn run(scenarios: &[Scenario], threads: usize, intra_shards: usize) -> FleetResult {
-    FleetRunner::new(
-        FleetConfig {
-            threads,
-            seed: 20_26,
-            train_steps: 64,
-            ..FleetConfig::default()
-        }
-        .intra_shards(intra_shards),
-    )
+fn run(scenarios: &[Scenario], threads: usize) -> FleetResult {
+    FleetRunner::new(FleetConfig {
+        threads,
+        seed: 20_26,
+        train_steps: 64,
+        ..FleetConfig::default()
+    })
     .run(scenarios)
 }
 
-/// The (threads, intra_shards) grid each phase runs: the original
-/// thread ladder plus one intra-sharded configuration, so the on/off
-/// comparison also covers the barrier-stepped parallel path (which has
-/// its own obs hooks: `stage.shard_merge_us`, `stage.shardN.tick_us`).
-const GRID: [(usize, usize); 4] = [(1, 1), (2, 1), (4, 1), (2, 2)];
+/// The thread counts each phase runs.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
@@ -55,7 +49,7 @@ fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
     // relaxed atomics, out-of-band by the same construction).
     obs::set_level(None);
     obs::set_stderr_level(None);
-    let off: Vec<FleetResult> = GRID.iter().map(|&(t, s)| run(&scenarios, t, s)).collect();
+    let off: Vec<FleetResult> = THREADS.iter().map(|&t| run(&scenarios, t)).collect();
     let _ = obs::drain_events(); // start phase 2 with an empty ring
 
     // Phase 2 — obs fully on: trace-level recording of every event and
@@ -63,7 +57,7 @@ fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
     // readable; the rendering path shares the recording path's inputs
     // and cannot touch results either way.
     obs::set_level(Some(obs::Level::Trace));
-    let on: Vec<FleetResult> = GRID.iter().map(|&(t, s)| run(&scenarios, t, s)).collect();
+    let on: Vec<FleetResult> = THREADS.iter().map(|&t| run(&scenarios, t)).collect();
 
     // The obs-on runs really did observe: per-scenario wall time and
     // per-stage hot-path timings landed in the registry, and the
@@ -77,11 +71,6 @@ fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
         "stage.train_us",
         // Not a timing: the traces FIRM's store holds after each tick.
         "stage.retained_traces",
-        // Recorded only by the intra-sharded (2, 2) grid entry: the
-        // merge barrier and each shard's per-tick wall time.
-        "stage.shard_merge_us",
-        "stage.shard0.tick_us",
-        "stage.shard1.tick_us",
     ] {
         match snap.get(key) {
             Some(obs::MetricValue::Histogram(h)) => {
@@ -96,13 +85,13 @@ fn observability_on_vs_off_is_bit_identical_at_1_2_and_4_threads() {
         "trace-level scenario events were not recorded with obs on"
     );
 
-    // The invariant: all eight runs produced identical results.
+    // The invariant: all six runs produced identical results.
     let base = &off[0];
     let base_json = base.report.to_json();
     let base_weights = base.estimator.shared_agent().export_weights();
     assert!(base.report.totals.completions > 1_000);
     for (i, r) in off.iter().chain(on.iter()).enumerate() {
-        let mode = if i < GRID.len() { "off" } else { "on" };
+        let mode = if i < THREADS.len() { "off" } else { "on" };
         assert_eq!(
             base_json,
             r.report.to_json(),

@@ -6,8 +6,8 @@
 //! them unchanged. This suite pins the (catalog seed 7, sf=1)
 //! generated catalog the way `tests/fleet_determinism.rs` pins the
 //! seed-7 builtin catalog: one golden digest, bit-identical at 1/2/4
-//! threads, across 2 subprocess workers, at `intra_shards` 2, and
-//! under seeded chaos fault plans.
+//! threads, across 2 subprocess workers, and under seeded chaos fault
+//! plans.
 //!
 //! It also checks what generated harsh tenants (correlated
 //! all-stressor squeezes under a tight SLO with the penalized reward)
@@ -69,8 +69,8 @@ fn spawn_tcp_worker() -> String {
 
 /// The headline golden: the (catalog seed 7, sf=1) generated catalog
 /// produces one pinned digest — bit-identical report bytes, pooled
-/// experience, and trained weights at 1, 2, and 4 threads, across two
-/// subprocess workers, and at intra_shards 2. The sf=10 catalog
+/// experience, and trained weights at 1, 2, and 4 threads and across
+/// two subprocess workers. The sf=10 catalog
 /// (shortened to 2 simulated seconds) runs the same ladder unpinned:
 /// sf=1 tenants all have `replica_factor` 1, so it is the input that
 /// sends scaled-out applications through the pipe transport.
@@ -122,10 +122,6 @@ fn generated_sf1_seed7_digest_is_pinned_across_threads_workers_and_shards() {
         // end to end.
         let workers = FleetRunner::new(config(1).workers(2)).run(&catalog);
         assert_matches_base(&workers, "across the subprocess boundary");
-
-        // Intra-scenario sharding stays a pure wall-clock knob.
-        let sharded = FleetRunner::new(config(1).intra_shards(2)).run(&catalog);
-        assert_matches_base(&sharded, "at intra_shards 2");
     }
 }
 
