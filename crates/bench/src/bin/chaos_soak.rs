@@ -31,13 +31,14 @@
 //! `chaos.injected.*`, `fleet.reconnect.backoff_us`, and retry/recycle
 //! counters the soak exercised.
 
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use firm_bench::{banner, Args};
 use firm_chaos::{ChaosTransport, FaultPlan};
 use firm_fleet::transport::{PipeTransport, TcpTransport, Transport};
-use firm_fleet::{builtin_catalog, FleetConfig, FleetRunner, Scenario};
+use firm_fleet::{builtin_catalog, FleetConfig, FleetRunner, Scenario, SupervisorConfig};
 use firm_sim::SimDuration;
 use firm_wire::{JsonValue, Obj};
 
@@ -71,7 +72,10 @@ fn main() {
         threads: 2,
         seed,
         train_steps: 32,
-        request_timeout_ms: timeout_ms,
+        supervisor: SupervisorConfig {
+            request_timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
+            ..SupervisorConfig::default()
+        },
         ..FleetConfig::default()
     };
     let slots = if remote.is_empty() {
@@ -104,7 +108,7 @@ fn main() {
         let mut counters = Vec::new();
         for slot in 0..slots {
             let inner: Box<dyn Transport> = if remote.is_empty() {
-                Box::new(PipeTransport::new(config.resolve_worker_bin()))
+                Box::new(PipeTransport::new(worker_bin(&config)))
             } else {
                 Box::new(TcpTransport::new(remote[slot].clone()))
             };
@@ -183,4 +187,13 @@ fn main() {
         std::fs::write(path, jsonl).expect("write --obs-out file");
         println!("wrote {path}");
     }
+}
+
+/// The worker binary the pipe slots spawn; without one the soak cannot
+/// run, so the error is printed and the process exits non-zero.
+fn worker_bin(config: &FleetConfig) -> PathBuf {
+    config.resolve_worker_bin().unwrap_or_else(|e| {
+        eprintln!("chaos_soak: {e}");
+        std::process::exit(1)
+    })
 }

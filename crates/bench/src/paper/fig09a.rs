@@ -15,20 +15,15 @@ use firm_sim::spec::ClusterSpec;
 use firm_sim::{
     AnomalyKind, AnomalySpec, CompletedRequest, InstanceId, SimDuration, SimRng, SimTime,
 };
-use firm_trace::TracingCoordinator;
+use firm_trace::{ExecutionHistoryGraph, TracingCoordinator};
 use firm_workload::apps::Benchmark;
 
 use crate::{banner, calibrated_app, paper_note, poisson_sim, quantiles, section, Args};
 
-/// Whether the trace store accepts `r`: one root span and no parent that
-/// never completed, the rule `ExecutionHistoryGraph::from_spans` applies.
+/// Whether `TracingCoordinator::ingest` keeps `r`: it keeps a trace
+/// exactly when `ExecutionHistoryGraph::from_spans` builds its graph.
 fn stored(r: &CompletedRequest) -> bool {
-    let spans = &r.spans;
-    spans.iter().filter(|s| s.parent.is_none()).count() == 1
-        && spans.iter().all(|s| {
-            s.parent
-                .is_none_or(|p| spans.iter().any(|q| q.span_id == p))
-        })
+    ExecutionHistoryGraph::from_spans(r.spans.clone()).is_some()
 }
 
 /// Mean span latency per instance (raw id), us, over the drained

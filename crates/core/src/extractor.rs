@@ -19,7 +19,7 @@
 use firm_ml::svm::IncrementalSvm;
 use firm_sim::stats::{pearson, sample_quantile};
 use firm_sim::{InstanceId, ServiceId, SimTime};
-use firm_trace::store::StoredTrace;
+use firm_trace::StoredTrace;
 
 /// Per-instance Algorithm 2 features over one control window.
 #[derive(Debug, Clone, Copy, PartialEq)]

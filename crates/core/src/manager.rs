@@ -432,7 +432,7 @@ impl FirmManager {
         }
 
         self.coordinator.evict_before(sim.now());
-        let kept = self.coordinator.store().len() as u64;
+        let kept = self.coordinator.len() as u64;
         self.timers.retained.record(kept);
         self.timers.train.record(train_spent.as_micros() as u64);
         assessment
@@ -737,8 +737,7 @@ mod tests {
             let mut ingested = drained.iter();
             assert!(
                 mgr.coordinator
-                    .store()
-                    .all()
+                    .traces_since(SimTime::ZERO)
                     .all(|t| ingested.any(|id| *id == t.trace_id)),
                 "tick at {at:?} kept a trace from an earlier window"
             );

@@ -17,19 +17,19 @@ use std::io::Write;
 use std::process::ExitCode;
 
 use firm_fleet::OpsReport;
-use firm_obs::{EventRecord, MetricsSnapshot};
+use firm_obs::{Event, MetricsSnapshot};
 use firm_wire::{decode_string, wire_enum};
 
 /// One line of an observability export.
 #[derive(Debug, PartialEq)]
 enum ObsFrame {
-    Event(EventRecord),
+    Event(Event),
     Metrics(MetricsSnapshot),
     OpsReport(OpsReport),
 }
 
 wire_enum!(ObsFrame by "type" {
-    Event "event" (EventRecord),
+    Event "event" (Event),
     Metrics "metrics" (MetricsSnapshot),
     OpsReport "ops_report" (OpsReport),
 });
@@ -101,7 +101,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firm_obs::{Event, FieldValue, Level};
+    use firm_obs::{FieldValue, Level};
 
     /// Each frame kind decodes to its variant and renders back to the
     /// line it came from; a frame of another type is refused by name.
@@ -110,11 +110,11 @@ mod tests {
         let event = Event {
             ts_us: 5,
             level: Level::Warn,
-            target: "fleet supervisor",
+            target: "fleet supervisor".into(),
             pid: 7,
             thread: 0,
             message: "recycled".into(),
-            fields: vec![("attempts", FieldValue::U64(1))],
+            fields: vec![("attempts".into(), FieldValue::U64(1))],
         };
         let snapshot = firm_obs::metrics().snapshot();
         let lines = [
@@ -126,7 +126,7 @@ mod tests {
             .iter()
             .map(|line| firm_wire::decode_line(line).expect("obs frame decodes"))
             .collect();
-        assert!(matches!(frames[0], ObsFrame::Event(_)));
+        assert_eq!(frames[0], ObsFrame::Event(event));
         assert_eq!(frames[1], ObsFrame::Metrics(snapshot));
         assert!(matches!(frames[2], ObsFrame::OpsReport(_)));
         for (line, frame) in lines.iter().zip(&frames) {

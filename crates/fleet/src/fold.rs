@@ -12,7 +12,6 @@
 //! slices leaves the same policy bytes as one batch run.
 
 use firm_core::estimator::{AgentRegime, ResourceEstimator};
-use firm_core::extractor::CriticalComponentExtractor;
 use firm_core::manager::ExperienceLog;
 use firm_core::training::replay_experience;
 
@@ -21,11 +20,11 @@ use crate::runner::FleetConfig;
 
 /// Salt of the shared agent's seed.
 const AGENT_SALT: u64 = 0x0A11;
-/// Salt of the SVM extractor's seed.
-const EXTRACTOR_SALT: u64 = 0x51FE;
 
 /// Ordered outcomes, the pooled experience, and the seeded training of
-/// the shared pipeline from it.
+/// the shared agent from it. The pooled SVM examples are kept for
+/// readers of the pool; no central SVM is trained on them, since each
+/// FIRM scenario's extractor learns online inside its own episode.
 pub struct Fold {
     seed: u64,
     train_steps: usize,
@@ -62,14 +61,5 @@ impl Fold {
         let mut estimator = ResourceEstimator::new(AgentRegime::Shared, self.seed ^ AGENT_SALT);
         let trained = replay_experience(&mut estimator, &self.pooled, self.train_steps);
         (estimator, trained)
-    }
-
-    /// Trains a fresh SVM extractor on the pooled ground truth.
-    pub fn train_extractor(&self) -> CriticalComponentExtractor {
-        let mut extractor = CriticalComponentExtractor::new(self.seed ^ EXTRACTOR_SALT);
-        for (features, label) in &self.pooled.svm_examples {
-            extractor.train(features, *label);
-        }
-        extractor
     }
 }

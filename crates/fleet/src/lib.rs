@@ -34,7 +34,9 @@
 //!   and one shared agent trained from scratch on the pooled,
 //!   heterogeneous experience — the paper's one-for-all regime fed by
 //!   many apps at once. The batch runner and the resident `firm-serve`
-//!   coordinator both train through it;
+//!   coordinator both train through it; the SVM examples are pooled
+//!   but not trained on, since each FIRM scenario's extractor learns
+//!   online inside its own episode;
 //! * [`report`] — the aggregated [`FleetReport`] and the round-trip
 //!   [`RoundTripReport`]: per-scenario SLO violation rates, p99
 //!   latencies, mitigation times, train-vs-deploy deltas, and total

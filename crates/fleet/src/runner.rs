@@ -32,11 +32,9 @@
 
 use std::path::{Path, PathBuf};
 use std::thread;
-use std::time::Duration;
 
 use firm_core::controller::PolicyCheckpoint;
 use firm_core::estimator::ResourceEstimator;
-use firm_core::extractor::CriticalComponentExtractor;
 use firm_core::manager::ExperienceLog;
 
 use crate::fold::Fold;
@@ -65,13 +63,10 @@ pub struct FleetConfig {
     /// `FIRM_FLEET_WORKER` environment variable, then next to the
     /// current executable.
     pub worker_bin: Option<PathBuf>,
-    /// Per-scenario wall-clock budget on one worker, in milliseconds; a
-    /// worker holding a job longer is presumed wedged and replaced.
-    /// 0 disables the timeout (crash detection still applies).
-    pub request_timeout_ms: u64,
-    /// How many different workers may fail one scenario before the
-    /// fleet panics rather than emit a partial report.
-    pub max_attempts: usize,
+    /// The worker pool's supervision knobs: the per-scenario request
+    /// timeout and how many different workers may fail one scenario
+    /// before the fleet panics rather than emit a partial report.
+    pub supervisor: SupervisorConfig,
     /// Fleet seed; per-scenario seeds derive from it.
     pub seed: u64,
     /// Minibatch updates to run on the shared agent after pooling
@@ -86,8 +81,7 @@ impl Default for FleetConfig {
             workers: 0,
             remote_workers: Vec::new(),
             worker_bin: None,
-            request_timeout_ms: 300_000,
-            max_attempts: 3,
+            supervisor: SupervisorConfig::default(),
             seed: 1,
             train_steps: 256,
         }
@@ -107,12 +101,6 @@ impl FleetConfig {
     /// with [`FleetConfig::workers`] for a mixed local/remote pool.
     pub fn remote_workers<S: AsRef<str>>(mut self, addrs: &[S]) -> Self {
         self.remote_workers = addrs.iter().map(|a| a.as_ref().to_string()).collect();
-        self
-    }
-
-    /// Sets the per-scenario request timeout (0 disables).
-    pub fn request_timeout_ms(mut self, ms: u64) -> Self {
-        self.request_timeout_ms = ms;
         self
     }
 
@@ -136,21 +124,12 @@ impl FleetConfig {
         let pipes = self.workers.min(max_pipes);
         let mut transports: Vec<Box<dyn Transport>> = Vec::new();
         if pipes > 0 {
-            let bin = self.try_resolve_worker_bin()?;
+            let bin = self.resolve_worker_bin()?;
             transports.extend((0..pipes).map(|_| Box::new(PipeTransport::new(bin.clone())) as _));
         }
         let remotes = self.remote_workers.iter();
         transports.extend(remotes.map(|addr| Box::new(TcpTransport::new(addr.clone())) as _));
         Ok(transports)
-    }
-
-    /// The pool's supervision knobs, as this config sets them.
-    pub fn supervisor_config(&self) -> SupervisorConfig {
-        SupervisorConfig {
-            request_timeout: (self.request_timeout_ms > 0)
-                .then(|| Duration::from_millis(self.request_timeout_ms)),
-            max_attempts: self.max_attempts.max(1),
-        }
     }
 
     /// Resolves the worker binary: explicit config, then the
@@ -159,24 +138,9 @@ impl FleetConfig {
     /// directory up, covering cargo's `deps/` test layout), then the
     /// same name in the target directory's `release` and `debug`
     /// profile dirs — a test binary of one package finds the worker a
-    /// plain `cargo build --release` left behind.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no candidate exists — a subprocess fleet cannot run
-    /// without its worker. Long-running callers (the resident
-    /// `firm-fleet serve` coordinator) that want to refuse a bad
-    /// configuration at startup instead of dying mid-submission use
-    /// [`FleetConfig::try_resolve_worker_bin`].
-    pub fn resolve_worker_bin(&self) -> PathBuf {
-        self.try_resolve_worker_bin()
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`FleetConfig::resolve_worker_bin`]: the same
-    /// candidate search, returning a descriptive error instead of
-    /// panicking when no worker binary exists.
-    pub fn try_resolve_worker_bin(&self) -> Result<PathBuf, String> {
+    /// plain `cargo build --release` left behind. An error names every
+    /// path searched when no candidate exists.
+    pub fn resolve_worker_bin(&self) -> Result<PathBuf, String> {
         if let Some(path) = &self.worker_bin {
             return Ok(path.clone());
         }
@@ -233,7 +197,7 @@ fn worker_bin_candidates(exe: &Path) -> Vec<PathBuf> {
 /// seeds, same incidents) in inference mode, and report the
 /// improvement — Fig. 11b's train-vs-deploy comparison at fleet scale.
 pub struct RoundTripResult {
-    /// The training pass (report + trained shared pipeline).
+    /// The training pass (report + trained shared agent).
     pub train: FleetResult,
     /// The deployment (inference) report over the same catalog: the
     /// policy readers' rows from the deploy pass, every other row
@@ -252,15 +216,13 @@ impl RoundTripResult {
 }
 
 /// The result of one fleet run: the aggregated report plus the
-/// centrally trained shared pipeline.
+/// centrally trained shared agent.
 pub struct FleetResult {
     /// Per-scenario measurements and fleet totals.
     pub report: FleetReport,
     /// The shared (one-for-all) DDPG estimator trained on the pooled
     /// experience.
     pub estimator: ResourceEstimator,
-    /// The SVM-backed extractor trained on the pooled ground truth.
-    pub extractor: CriticalComponentExtractor,
     /// The pooled experience, in catalog order.
     pub pooled: ExperienceLog,
     /// Shared-agent updates that actually trained.
@@ -316,7 +278,7 @@ impl FleetRunner {
     ///
     /// Panics if `scenarios` or `transports` is empty, an initial
     /// connection fails, or a scenario exhausts
-    /// [`FleetConfig::max_attempts`] (a panicking scenario does, on
+    /// [`SupervisorConfig::max_attempts`] (a panicking scenario does, on
     /// every worker that tries it) — a fleet result built from partial
     /// data would silently break the determinism contract, so there is
     /// nothing sensible to salvage.
@@ -333,7 +295,6 @@ impl FleetRunner {
         // experience (the paper's one-for-all regime, fed by
         // heterogeneous tenants instead of one app).
         let (estimator, trained_updates) = fold.train();
-        let extractor = fold.train_extractor();
         // Assembled last so the coordinator snapshot includes the
         // aggregation and training it just did. Diagnostics only: the
         // report and weights above were already final.
@@ -341,7 +302,6 @@ impl FleetRunner {
         FleetResult {
             report: FleetReport::new(self.config.seed, fold.outcomes),
             estimator,
-            extractor,
             pooled: fold.pooled,
             trained_updates,
             ops,
@@ -428,7 +388,7 @@ impl FleetRunner {
     ) -> (Vec<(ScenarioOutcome, ExperienceLog)>, Vec<WorkerOps>) {
         assert!(!jobs.is_empty(), "fleet needs at least one scenario");
         assert!(!transports.is_empty(), "fleet needs at least one transport");
-        let pool = WorkerPool::start(transports, self.config.supervisor_config())
+        let pool = WorkerPool::start(transports, self.config.supervisor.clone())
             .unwrap_or_else(|e| panic!("{e}"));
         let results = pool.run_catalog(jobs.iter().copied(), self.config.seed, policy, &mut |_| {});
         let worker_ops = pool.shutdown();
@@ -554,7 +514,6 @@ mod tests {
         // The two FIRM scenarios in the prefix contribute experience.
         assert!(!result.pooled.transitions.is_empty());
         assert!(!result.pooled.svm_examples.is_empty());
-        assert!(result.extractor.trained_examples() > 0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ use crate::worker::serve_local;
 /// Event target for everything the coordinator side emits.
 const TARGET: &str = "fleet supervisor";
 
-/// Supervision knobs, derived from [`crate::runner::FleetConfig`].
+/// Supervision knobs; a fleet's are [`crate::runner::FleetConfig::supervisor`].
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Wall-clock budget for one job on one worker; a worker that

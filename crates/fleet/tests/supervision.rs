@@ -16,6 +16,7 @@ mod util;
 
 use std::io;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use firm_chaos::{ChaosTransport, FaultKind, FaultPlan};
 use firm_fleet::transport::{Connection, TcpTransport, Transport};
@@ -164,8 +165,9 @@ fn tcp_blackholed_worker_times_out_and_its_scenario_replays_identically() {
         Box::new(chaos),
         Box::new(TcpTransport::new(workers[1].addr.clone())),
     ];
-    let tcp = FleetRunner::new(base_config(41, 32).request_timeout_ms(3_000))
-        .run_with_transports(&scenarios, transports);
+    let mut config = base_config(41, 32);
+    config.supervisor.request_timeout = Some(Duration::from_secs(3));
+    let tcp = FleetRunner::new(config).run_with_transports(&scenarios, transports);
 
     assert!(
         injected.load(Ordering::Relaxed) >= 1,

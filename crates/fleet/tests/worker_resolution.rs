@@ -26,7 +26,7 @@ fn worker_bin_resolution_prefers_config_then_env_var() {
         worker_bin: Some(real.clone()),
         ..FleetConfig::default()
     };
-    assert_eq!(explicit.resolve_worker_bin(), real);
+    assert_eq!(explicit.resolve_worker_bin().unwrap(), real);
 
     // 2. With no config path, the env var is taken verbatim — even a
     // path that does not exist (it may be valid only on the remote
@@ -34,7 +34,7 @@ fn worker_bin_resolution_prefers_config_then_env_var() {
     // sibling search.
     let from_env = FleetConfig::default();
     assert_eq!(
-        from_env.resolve_worker_bin(),
+        from_env.resolve_worker_bin().unwrap(),
         PathBuf::from("/nonexistent/from-env")
     );
 

@@ -11,11 +11,14 @@
 //! which is what keeps operator output from regressing when `eprintln!`
 //! call sites migrate here.
 //!
-//! Every event is firm-wire encodable, one frame per line: an [`Event`]
-//! encodes, and the [`EventRecord`] decoded from its frame renders the
-//! same bytes back, so an exported `--obs-out` JSONL file is
-//! machine-parseable with the same codec the fleet protocol uses.
+//! Every event is firm-wire encodable, one frame per line, and the
+//! [`Event`] decoded from a frame renders the same bytes back, so an
+//! exported `--obs-out` JSONL file is machine-parseable with the same
+//! codec the fleet protocol uses. The target and field keys are
+//! [`Cow`]s: an emitted event borrows its `&'static str` names, a
+//! decoded one owns what it read.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -193,7 +196,7 @@ pub struct Event {
     /// The emitting component (`"fleet supervisor"`,
     /// `"firm-fleet-worker"`, ...) — doubles as the human-readable
     /// stderr line's prefix.
-    pub target: &'static str,
+    pub target: Cow<'static, str>,
     /// The emitting OS process (distinguishes workers in merged JSONL).
     pub pid: u64,
     /// A small per-process thread ordinal (0 = first thread to emit).
@@ -201,7 +204,7 @@ pub struct Event {
     /// The human-readable message.
     pub message: String,
     /// Typed key-value payload.
-    pub fields: Vec<(&'static str, FieldValue)>,
+    pub fields: Vec<(Cow<'static, str>, FieldValue)>,
 }
 
 impl Event {
@@ -221,82 +224,25 @@ impl Event {
 
 impl WireEncode for Event {
     fn encode(&self) -> JsonValue {
-        event_frame(
-            self.ts_us,
-            self.level,
-            self.target,
-            self.pid,
-            self.thread,
-            &self.message,
-            &self.fields,
-        )
+        let fields = JsonValue::Object(
+            self.fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.encode()))
+                .collect(),
+        );
+        Obj::tagged("event")
+            .field("ts_us", self.ts_us)
+            .field("level", self.level.label())
+            .field("target", self.target.as_ref())
+            .field("pid", self.pid)
+            .field("thread", self.thread)
+            .field("message", self.message.as_str())
+            .field("fields", fields)
+            .build()
     }
 }
 
-/// The one `event` frame layout, shared by [`Event`] and [`EventRecord`]
-/// so a decoded record renders the bytes its event rendered.
-fn event_frame<K: AsRef<str>>(
-    ts_us: u64,
-    level: Level,
-    target: &str,
-    pid: u64,
-    thread: u64,
-    message: &str,
-    fields: &[(K, FieldValue)],
-) -> JsonValue {
-    let fields = JsonValue::Object(
-        fields
-            .iter()
-            .map(|(k, v)| (k.as_ref().to_string(), v.encode()))
-            .collect(),
-    );
-    Obj::tagged("event")
-        .field("ts_us", ts_us)
-        .field("level", level.label())
-        .field("target", target)
-        .field("pid", pid)
-        .field("thread", thread)
-        .field("message", message)
-        .field("fields", fields)
-        .build()
-}
-
-/// The owned-decode counterpart of [`Event`] (decoding cannot resurrect
-/// `&'static str` keys, so keys and target come back owned). It encodes
-/// to the bytes its event rendered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// See [`Event::ts_us`].
-    pub ts_us: u64,
-    /// See [`Event::level`].
-    pub level: Level,
-    /// See [`Event::target`].
-    pub target: String,
-    /// See [`Event::pid`].
-    pub pid: u64,
-    /// See [`Event::thread`].
-    pub thread: u64,
-    /// See [`Event::message`].
-    pub message: String,
-    /// See [`Event::fields`].
-    pub fields: Vec<(String, FieldValue)>,
-}
-
-impl WireEncode for EventRecord {
-    fn encode(&self) -> JsonValue {
-        event_frame(
-            self.ts_us,
-            self.level,
-            &self.target,
-            self.pid,
-            self.thread,
-            &self.message,
-            &self.fields,
-        )
-    }
-}
-
-impl WireDecode for EventRecord {
+impl WireDecode for Event {
     fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
         v.expect_tag("event")?;
         let level_label: String = v.field("level")?;
@@ -307,12 +253,12 @@ impl WireDecode for EventRecord {
         };
         let fields = entries
             .iter()
-            .map(|(k, fv)| Ok((k.clone(), FieldValue::decode(fv)?)))
+            .map(|(k, fv)| Ok((Cow::Owned(k.clone()), FieldValue::decode(fv)?)))
             .collect::<Result<Vec<_>, DecodeError>>()?;
-        Ok(EventRecord {
+        Ok(Event {
             ts_us: v.field("ts_us")?,
             level,
-            target: v.field("target")?,
+            target: Cow::Owned(v.field("target")?),
             pid: v.field("pid")?,
             thread: v.field("thread")?,
             message: v.field("message")?,
@@ -403,7 +349,7 @@ pub(crate) struct EventState<'a> {
     pub(crate) level: Level,
     pub(crate) target: &'static str,
     pub(crate) message: String,
-    pub(crate) fields: Vec<(&'static str, FieldValue)>,
+    pub(crate) fields: Vec<(Cow<'static, str>, FieldValue)>,
     pub(crate) ring: &'a Mutex<Ring>,
     pub(crate) epoch: &'a Instant,
     pub(crate) thread_counter: &'a AtomicU64,
@@ -422,7 +368,7 @@ impl EventBuilder<'_> {
     /// Appends one typed field.
     pub fn field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Self {
         if let Some(s) = self.state.as_mut() {
-            s.fields.push((key, value.into()));
+            s.fields.push((Cow::Borrowed(key), value.into()));
         }
         self
     }
@@ -434,7 +380,7 @@ impl EventBuilder<'_> {
         let event = Event {
             ts_us: now_us(s.epoch),
             level: s.level,
-            target: s.target,
+            target: Cow::Borrowed(s.target),
             pid: std::process::id() as u64,
             thread: thread_ordinal(s.thread_counter),
             message: s.message,
@@ -479,7 +425,7 @@ mod tests {
         let ev = |n: u64| Event {
             ts_us: n,
             level: Level::Info,
-            target: "t",
+            target: "t".into(),
             pid: 1,
             thread: 0,
             message: format!("m{n}"),
@@ -504,7 +450,7 @@ mod tests {
         let ev = Event {
             ts_us: 0,
             level: Level::Info,
-            target: "t",
+            target: "t".into(),
             pid: 1,
             thread: 0,
             message: String::new(),
@@ -521,35 +467,31 @@ mod tests {
         let event = Event {
             ts_us: 123_456,
             level: Level::Warn,
-            target: "fleet supervisor",
+            target: "fleet supervisor".into(),
             pid: 42,
             thread: 3,
             message: "recycling \"worker\"".into(),
             fields: vec![
-                ("transport", FieldValue::Str("tcp:127.0.0.1:7401".into())),
-                ("generation", FieldValue::U64(2)),
-                ("attempts", FieldValue::U64(1)),
-                ("wedged", FieldValue::Bool(true)),
-                ("secs", FieldValue::F64(1.5)),
-                ("delta", FieldValue::I64(-3)),
+                (
+                    "transport".into(),
+                    FieldValue::Str("tcp:127.0.0.1:7401".into()),
+                ),
+                ("generation".into(), FieldValue::U64(2)),
+                ("attempts".into(), FieldValue::U64(1)),
+                ("wedged".into(), FieldValue::Bool(true)),
+                ("secs".into(), FieldValue::F64(1.5)),
+                ("delta".into(), FieldValue::I64(-3)),
             ],
         };
         let frame = firm_wire::encode_line(&event);
         assert_eq!(frame.matches('\n').count(), 1);
-        let back: EventRecord = firm_wire::decode_line(&frame).expect("event decodes");
-        assert_eq!(back.ts_us, event.ts_us);
-        assert_eq!(back.level, event.level);
-        assert_eq!(back.target, event.target);
-        assert_eq!(back.message, event.message);
-        assert_eq!(back.fields.len(), event.fields.len());
-        for ((k1, v1), (k2, v2)) in back.fields.iter().zip(&event.fields) {
-            assert_eq!(k1, k2);
-            assert_eq!(v1, v2);
-        }
+        let back: Event = firm_wire::decode_line(&frame).expect("event decodes");
+        assert_eq!(back, event);
     }
 
     /// The `event` frame's bytes, pinned: an [`Event`] renders them, and
-    /// the [`EventRecord`] decoded from them renders them back.
+    /// the [`Event`] decoded from them is that event and renders them
+    /// back.
     #[test]
     fn event_frames_match_their_golden() {
         const GOLDEN: &str = concat!(
@@ -562,22 +504,25 @@ mod tests {
         let event = Event {
             ts_us: 987_654,
             level: Level::Info,
-            target: "fleet supervisor",
+            target: "fleet supervisor".into(),
             pid: 4242,
             thread: 1,
             message: "worker \"slot0\" restarted".into(),
             fields: vec![
-                ("generation", FieldValue::U64(2)),
-                ("delta", FieldValue::I64(-3)),
-                ("secs", FieldValue::F64(0.25)),
-                ("wedged", FieldValue::Bool(false)),
-                ("transport", FieldValue::Str("tcp:127.0.0.1:7401".into())),
+                ("generation".into(), FieldValue::U64(2)),
+                ("delta".into(), FieldValue::I64(-3)),
+                ("secs".into(), FieldValue::F64(0.25)),
+                ("wedged".into(), FieldValue::Bool(false)),
+                (
+                    "transport".into(),
+                    FieldValue::Str("tcp:127.0.0.1:7401".into()),
+                ),
             ],
         };
         assert_eq!(firm_wire::encode_line(&event), GOLDEN);
-        let record: EventRecord = firm_wire::decode_line(GOLDEN).expect("golden decodes");
-        assert_eq!(record.target, event.target);
-        assert_eq!(firm_wire::encode_line(&record), GOLDEN);
+        let decoded: Event = firm_wire::decode_line(GOLDEN).expect("golden decodes");
+        assert_eq!(decoded, event);
+        assert_eq!(firm_wire::encode_line(&decoded), GOLDEN);
     }
 
     #[test]
@@ -585,13 +530,13 @@ mod tests {
         let event = Event {
             ts_us: 0,
             level: Level::Info,
-            target: "firm-fleet-worker",
+            target: "firm-fleet-worker".into(),
             pid: 1,
             thread: 0,
             message: "listening on 127.0.0.1:7401".into(),
             fields: vec![
-                ("protocol", FieldValue::U64(2)),
-                ("reason", FieldValue::Str("has spaces".into())),
+                ("protocol".into(), FieldValue::U64(2)),
+                ("reason".into(), FieldValue::Str("has spaces".into())),
             ],
         };
         assert_eq!(

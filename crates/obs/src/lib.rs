@@ -15,7 +15,8 @@
 //!   line when the level clears the stderr threshold. Filterable at
 //!   runtime via the `FIRM_LOG` env var (`off|error|warn|info|debug|
 //!   trace`, default `info`), exportable as firm-wire JSONL via
-//!   [`drain_events`].
+//!   [`drain_events`]. One type is both sides of the `event` frame: an
+//!   exported line decodes back into the [`Event`] that rendered it.
 //! * **Metrics** ([`metrics`], [`Registry`]): atomic counters, gauges,
 //!   and log2-bucketed histograms (p50/p95/p99/max) for runtime
 //!   self-metrics — dispatch latency, queue depth, heartbeat gaps,
@@ -52,7 +53,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-pub use event::{Event, EventBuilder, EventRecord, FieldValue, Level};
+pub use event::{Event, EventBuilder, FieldValue, Level};
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
     MetricsSnapshot, Registry, BUCKETS,
@@ -226,7 +227,7 @@ mod tests {
         let mine: Vec<_> = events.iter().filter(|e| e.target == "test").collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(mine[0].message, "kept");
-        assert_eq!(mine[0].fields, vec![("n", FieldValue::U64(1))]);
+        assert_eq!(mine[0].fields, vec![("n".into(), FieldValue::U64(1))]);
 
         // Phase 2: fully off — builders are inert.
         set_level(None);
@@ -246,7 +247,7 @@ mod tests {
         let jsonl = drain_events_jsonl();
         let mut decoded = 0;
         for line in jsonl.lines().filter(|l| !l.is_empty()) {
-            let rec: EventRecord = firm_wire::decode_line(line).expect("line decodes");
+            let rec: Event = firm_wire::decode_line(line).expect("line decodes");
             if rec.target == "test" {
                 decoded += 1;
             }

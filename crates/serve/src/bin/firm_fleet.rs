@@ -16,6 +16,7 @@
 use std::io::Write;
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use firm_fleet::{FleetConfig, OpsReport};
 use firm_obs::Level;
@@ -53,11 +54,14 @@ fn serve(mut args: impl Iterator<Item = String>) {
             "--worker-bin" => config.worker_bin = Some(need(&mut args, "--worker-bin").into()),
             "--seed" => config.seed = need_u64(&mut args, "--seed"),
             "--train-steps" => config.train_steps = need_u64(&mut args, "--train-steps") as usize,
+            // 0 disables the timeout (crash detection still applies).
             "--request-timeout-ms" => {
-                config.request_timeout_ms = need_u64(&mut args, "--request-timeout-ms")
+                let ms = need_u64(&mut args, "--request-timeout-ms");
+                config.supervisor.request_timeout = (ms > 0).then(|| Duration::from_millis(ms))
             }
             "--max-attempts" => {
-                config.max_attempts = (need_u64(&mut args, "--max-attempts") as usize).max(1)
+                config.supervisor.max_attempts =
+                    (need_u64(&mut args, "--max-attempts") as usize).max(1)
             }
             "--max-pending" => {
                 limits.max_pending_scenarios = need_u64(&mut args, "--max-pending") as usize

@@ -184,7 +184,7 @@ impl FleetService {
                 "a resident fleet needs at least one worker (subprocess or remote)".to_string(),
             );
         }
-        let pool = WorkerPool::start(transports, config.supervisor_config())?;
+        let pool = WorkerPool::start(transports, config.supervisor.clone())?;
         let m = firm_obs::metrics();
         let fold = Fold::new(&config);
         Ok(FleetService {

@@ -12,12 +12,12 @@
 //!   parallel / background, §3.2).
 //! * [`mod@critical_path`] — Algorithm 1: weighted longest-path extraction
 //!   with `lastReturnedChild` and happens-before recursion.
-//! * [`store::TraceStore`] — a bounded in-memory store standing in for
-//!   the paper's Neo4j instance. It keeps each trace's critical path, not
-//!   its graph: the Extractor (§3.2) reads only critical paths and
-//!   latencies, so a trace's spans live until Algorithm 1 has run.
-//! * [`coordinator::TracingCoordinator`] — the stateless ingestion and
-//!   query front-end used by FIRM's Extractor.
+//! * [`coordinator::TracingCoordinator`] — ingestion, query front-end
+//!   and store in one: a bounded in-memory store standing in for the
+//!   paper's Neo4j instance. It keeps each trace's critical path
+//!   ([`coordinator::StoredTrace`]), not its graph: the Extractor
+//!   (§3.2) reads only critical paths and latencies, so a trace's spans
+//!   live until Algorithm 1 has run.
 //!
 //! # Examples
 //!
@@ -41,9 +41,7 @@
 pub mod coordinator;
 pub mod critical_path;
 pub mod graph;
-pub mod store;
 
-pub use coordinator::TracingCoordinator;
+pub use coordinator::{StoredTrace, TracingCoordinator};
 pub use critical_path::{critical_path, CriticalPath, PathEntry};
 pub use graph::{ExecutionHistoryGraph, SiblingRelation};
-pub use store::{StoredTrace, TraceStore};

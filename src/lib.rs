@@ -15,8 +15,9 @@
 //! * [`sim`] — deterministic discrete-event cluster/microservice
 //!   simulator (the Kubernetes-cluster substitute), which also exports
 //!   the Table 2 telemetry as `telemetry_probe::TelemetryWindow`;
-//! * [`trace`] — spans, execution history graphs, graph store, and
-//!   Algorithm 1 critical-path extraction;
+//! * [`trace`] — spans, execution history graphs, Algorithm 1
+//!   critical-path extraction, and the `TracingCoordinator` that
+//!   ingests traces and stores their critical paths;
 //! * [`ml`] — from-scratch MLP/DDPG/SVM substrate;
 //! * [`workload`] — the four benchmark topologies and load shapes;
 //! * [`core`] — FIRM itself: extractor, RL estimator, deployment

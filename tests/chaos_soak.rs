@@ -21,11 +21,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 
 use firm::chaos::{ChaosTransport, FaultKind, FaultPlan};
 use firm::fleet::transport::{TcpTransport, Transport};
 use firm::fleet::worker::{serve_session, ServeOptions};
-use firm::fleet::{builtin_catalog, FleetConfig, FleetRunner, Scenario};
+use firm::fleet::{builtin_catalog, FleetConfig, FleetRunner, Scenario, SupervisorConfig};
 use firm::serve::protocol::{ClientRequest, ServerMessage, SubmitRequest};
 use firm::serve::{FleetServer, FleetService, ServeClient, ServiceLimits, PROTOCOL_VERSION};
 use firm::sim::SimDuration;
@@ -86,14 +87,17 @@ fn chaos_transports(
 #[test]
 fn eight_seeded_fault_plans_leave_every_fleet_byte_identical() {
     let scenarios = short_catalog(6, 3);
-    let config = |timeout_ms: u64| FleetConfig {
+    let config = |request_timeout: Option<Duration>| FleetConfig {
         threads: 2,
         seed: 7,
         train_steps: 16,
-        request_timeout_ms: timeout_ms,
+        supervisor: SupervisorConfig {
+            request_timeout,
+            ..SupervisorConfig::default()
+        },
         ..FleetConfig::default()
     };
-    let baseline = FleetRunner::new(config(0)).run(&scenarios);
+    let baseline = FleetRunner::new(config(None)).run(&scenarios);
 
     let addrs: Vec<String> = (0..2).map(|_| spawn_tcp_worker()).collect();
     let mut covered = BTreeSet::new();
@@ -103,7 +107,8 @@ fn eight_seeded_fault_plans_leave_every_fleet_byte_identical() {
         // The short request timeout turns a planned blackhole into a
         // quick reap instead of a five-minute stall; timeouts are
         // recovery machinery and may never affect output bytes.
-        let chaotic = FleetRunner::new(config(2_000)).run_with_transports(&scenarios, transports);
+        let chaotic = FleetRunner::new(config(Some(Duration::from_secs(2))))
+            .run_with_transports(&scenarios, transports);
         let injected: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         total_injected += injected;
 
@@ -195,7 +200,10 @@ fn client_disconnects_under_chaos_leave_the_resident_state_batch_identical() {
     let config = FleetConfig {
         seed: 5,
         train_steps: 8,
-        request_timeout_ms: 2_000,
+        supervisor: SupervisorConfig {
+            request_timeout: Some(Duration::from_secs(2)),
+            ..SupervisorConfig::default()
+        },
         ..FleetConfig::default()
     };
     let addrs: Vec<String> = (0..2).map(|_| spawn_tcp_worker()).collect();

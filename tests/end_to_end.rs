@@ -168,7 +168,7 @@ fn coordinator_and_baselines_compose_across_crates() {
         let t = sim.drain_telemetry();
         hpa.tick(&mut sim, &t);
     }
-    assert!(coord.store().len() > 300);
+    assert!(coord.len() > 300);
     let cps = coord.critical_paths_since(firm::sim::SimTime::ZERO);
     assert!(!cps.is_empty());
     // Every CP is rooted at nginx.

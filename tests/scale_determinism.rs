@@ -19,11 +19,15 @@ use std::collections::BTreeSet;
 use std::io::BufReader;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 use firm::chaos::{ChaosTransport, FaultPlan};
 use firm::fleet::transport::{TcpTransport, Transport};
 use firm::fleet::worker::{serve_session, ServeOptions};
-use firm::fleet::{generate_catalog, CatalogSpec, FleetConfig, FleetResult, FleetRunner, Scenario};
+use firm::fleet::{
+    generate_catalog, CatalogSpec, FleetConfig, FleetResult, FleetRunner, Scenario,
+    SupervisorConfig,
+};
 use firm::sim::SimDuration;
 
 /// The golden digest for `generate_catalog(CatalogSpec::new(7, 1))`
@@ -131,14 +135,17 @@ fn generated_sf1_seed7_digest_is_pinned_across_threads_workers_and_shards() {
 #[test]
 fn generated_catalog_survives_chaos_bit_identically() {
     let catalog = sf1_catalog();
-    let config = |timeout_ms: u64| FleetConfig {
+    let config = |request_timeout: Option<Duration>| FleetConfig {
         threads: 2,
         seed: 7,
         train_steps: 64,
-        request_timeout_ms: timeout_ms,
+        supervisor: SupervisorConfig {
+            request_timeout,
+            ..SupervisorConfig::default()
+        },
         ..FleetConfig::default()
     };
-    let baseline = FleetRunner::new(config(0)).run(&catalog);
+    let baseline = FleetRunner::new(config(None)).run(&catalog);
 
     let addrs: Vec<String> = (0..2).map(|_| spawn_tcp_worker()).collect();
     let mut covered = BTreeSet::new();
@@ -155,7 +162,8 @@ fn generated_catalog_survives_chaos_bit_identically() {
         }
         // A short request timeout turns planned blackholes into quick
         // reaps; timeouts are recovery machinery, never output.
-        let chaotic = FleetRunner::new(config(2_000)).run_with_transports(&catalog, transports);
+        let chaotic = FleetRunner::new(config(Some(Duration::from_secs(2))))
+            .run_with_transports(&catalog, transports);
         total_injected += counters
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
