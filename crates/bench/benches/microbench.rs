@@ -234,7 +234,7 @@ fn bench_simulator() {
                     .record_spans(spans)
                     .build();
             sim.run_for(SimDuration::from_secs(1));
-            sim.stats().completions
+            sim.drain_completed().len()
         });
     }
 }

@@ -87,3 +87,34 @@ pub fn run(_: &Args) {
         println!("  {:<30} {} / {}", kind.label(), kind.paper_tools(), model);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::TABLE2;
+    use firm_sim::spec::{AppSpec, ClusterSpec};
+    use firm_sim::{SimDuration, Simulation};
+
+    /// Table 2 prints its field names from literals, so a deleted or
+    /// renamed `InstanceSnapshot` field would leave the table wrong:
+    /// every field it names (the identifier before any `[`) must be a
+    /// field of a snapshot drained from a short run.
+    #[test]
+    fn table2_names_instance_snapshot_fields() {
+        let mut sim =
+            Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), 3).build();
+        sim.run_for(SimDuration::from_millis(500));
+        let snapshot = format!("{:?}", sim.drain_telemetry().instances[0]);
+        for (_, rows) in TABLE2 {
+            for (metric, field) in rows {
+                let name: String = field
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                assert!(
+                    !name.is_empty() && snapshot.contains(&format!(" {name}: ")),
+                    "Table 2's {metric:?} names {name:?}, not a field of {snapshot}"
+                );
+            }
+        }
+    }
+}

@@ -227,8 +227,6 @@ impl Controller for AimdController {
 /// One point of the per-tick timeline (Fig. 10 series).
 #[derive(Debug, Clone, Copy)]
 pub struct TimelinePoint {
-    /// Tick end time.
-    pub at: SimTime,
     /// Sum of requested CPU limits (cores).
     pub requested_cpu: f64,
     /// Drops in the window.
@@ -458,7 +456,6 @@ pub fn run_episode(
             cpu_n += 1;
         }
         timeline.push(TimelinePoint {
-            at: sim.now(),
             requested_cpu,
             drops: window_drops,
         });
@@ -602,12 +599,51 @@ mod tests {
         }
     }
 
+    /// Forwards `name`, `observe` and `tick`, counting every request
+    /// the episode drains and hands to `observe`.
+    struct Counting<'a> {
+        inner: &'a mut dyn Controller,
+        served: u64,
+        dropped: u64,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a mut dyn Controller) -> Self {
+            Counting {
+                inner,
+                served: 0,
+                dropped: 0,
+            }
+        }
+    }
+
+    impl Controller for Counting<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn tick(&mut self, sim: &mut Simulation, ctx: TickContext) -> ControlDecision {
+            self.inner.tick(sim, ctx)
+        }
+
+        fn observe(&mut self, completed: Vec<CompletedRequest>) -> Vec<CompletedRequest> {
+            for r in &completed {
+                if r.dropped {
+                    self.dropped += 1;
+                } else {
+                    self.served += 1;
+                }
+            }
+            self.inner.observe(completed)
+        }
+    }
+
     /// Regression pin for the window-boundary double-count: with zero
-    /// warmup, everything the simulator finalized must be measured
-    /// exactly once, for every controller — including FIRM, whose old
-    /// coordinator-side measurement loop counted a trace finishing
-    /// exactly on a tick boundary in two windows until each harness
-    /// patched it by hand.
+    /// warmup, everything the simulator finalized must be drained and
+    /// measured exactly once, for every controller — including FIRM,
+    /// whose old coordinator-side measurement loop counted a trace
+    /// finishing exactly on a tick boundary in two windows until each
+    /// harness patched it by hand.
     #[test]
     fn window_boundary_traces_are_counted_exactly_once() {
         let controllers: Vec<Box<dyn Controller>> = vec![
@@ -621,19 +657,25 @@ mod tests {
         ];
         for mut ctl in controllers {
             let mut sim = tight_sim(31);
-            let result = run_episode(&mut sim, ctl.as_mut(), None, &no_warmup_spec(12));
-            let stats = sim.stats();
+            let mut counted = Counting::new(ctl.as_mut());
+            let result = run_episode(&mut sim, &mut counted, None, &no_warmup_spec(12));
+            let drained = counted.served + counted.dropped;
+            assert!(
+                sim.drain_completed().is_empty(),
+                "{}: the episode left finalized requests undrained",
+                ctl.name()
+            );
             assert_eq!(
                 result.completions,
-                stats.completions,
-                "{}: measured {} but the sim finalized {}",
+                drained,
+                "{}: measured {} but the episode drained {}",
                 ctl.name(),
                 result.completions,
-                stats.completions
+                drained
             );
             assert_eq!(
                 result.drops,
-                stats.drops,
+                counted.dropped,
                 "{}: drop count drifted",
                 ctl.name()
             );
@@ -661,15 +703,16 @@ mod tests {
     fn warmup_gates_measurement_but_not_the_timeline() {
         let mut sim = tight_sim(33);
         let mut ctl = Unmanaged;
+        let mut counted = Counting::new(&mut ctl);
         let spec = EpisodeSpec {
             duration: SimDuration::from_secs(6),
             control_interval: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(3),
         };
-        let result = run_episode(&mut sim, &mut ctl, None, &spec);
+        let result = run_episode(&mut sim, &mut counted, None, &spec);
         assert_eq!(result.timeline.len(), 6);
         // Only the post-warmup half was measured.
-        assert!(result.completions < sim.stats().completions);
+        assert!(result.completions < counted.served + counted.dropped);
     }
 
     /// Forwards only `name` and `tick`, so it keeps the default

@@ -221,9 +221,7 @@ impl ResourceEstimator {
     /// returns how many actually trained (the agent skips steps until
     /// its replay buffer warms up).
     pub fn train_shared(&mut self, steps: usize) -> usize {
-        (0..steps)
-            .filter(|_| self.shared.train_step().is_some())
-            .count()
+        (0..steps).filter(|_| self.shared.train_step()).count()
     }
 
     /// Resets exploration noise on all agents (episode boundary).

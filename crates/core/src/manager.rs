@@ -485,7 +485,7 @@ mod tests {
     use super::*;
     use crate::controller::{run_episode, EpisodeSpec};
     use firm_sim::spec::{AppSpec, ClusterSpec};
-    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, SimTime};
+    use firm_sim::{AnomalyKind, AnomalySpec, NodeId, PoissonArrivals, RequestTypeId, SimTime};
 
     fn tight_app() -> AppSpec {
         let mut app = AppSpec::three_tier_demo();
@@ -687,8 +687,9 @@ mod tests {
     struct Drive {
         sim: Simulation,
         stats: ManagerStats,
-        /// FNV-1a over every tick's `SloAssessment` `Debug` output, then
-        /// the recorded experience and the counters.
+        /// FNV-1a over every tick's assessment in the `Debug` form it
+        /// had when the pins were captured ([`pinned_debug`]), then the
+        /// recorded experience and the counters.
         hash: u64,
         /// Drained requests that finished before their window opened:
         /// background spans kept them open past the root response.
@@ -730,8 +731,9 @@ mod tests {
                 .count();
             boundary += completed.iter().filter(|r| r.finished == at).count();
             let drained: Vec<_> = completed.iter().map(|r| r.trace_id).collect();
+            let tails = per_type_tails(&mgr, &ctx, sim.app());
             let assessment = mgr.tick_window(&mut sim, ctx);
-            bytes.extend(format!("{assessment:?}").bytes());
+            bytes.extend(pinned_debug(&assessment, &tails).bytes());
             // The store holds only traces this tick ingested, in drain
             // order (a subsequence, so never more than were drained).
             let mut ingested = drained.iter();
@@ -750,6 +752,53 @@ mod tests {
             stragglers,
             boundary,
         }
+    }
+
+    /// Each request type's `(id, p99 us, SLO us, sv)` over what the
+    /// coming tick assesses: the store's traces since the window opened
+    /// plus the window's served requests. The retention pins were
+    /// captured while `SloAssessment` carried these as `per_type`, so
+    /// the test rebuilds them to hash the same bytes.
+    fn per_type_tails(
+        mgr: &FirmManager,
+        ctx: &TickContext,
+        app: &AppSpec,
+    ) -> Vec<(RequestTypeId, f64, u64, f64)> {
+        let window = ctx
+            .completed
+            .iter()
+            .filter(|r| r.finished >= ctx.window_start);
+        let tails = app.request_types.iter().enumerate().map(|(i, rt)| {
+            let id = RequestTypeId(i as u16);
+            let mut lats = mgr.coordinator.latencies_since(ctx.window_start, id);
+            lats.extend(
+                window
+                    .clone()
+                    .filter(|r| r.request_type == id && !r.dropped)
+                    .map(|r| r.latency.as_micros() as f64),
+            );
+            if lats.is_empty() {
+                return (id, 0.0, rt.slo_latency_us, 1.0);
+            }
+            lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            let p99 = firm_sim::stats::sample_quantile(&lats, 0.99);
+            let sv = if p99 <= 0.0 {
+                1.0
+            } else {
+                (rt.slo_latency_us as f64 / p99).min(2.0)
+            };
+            (id, p99, rt.slo_latency_us, sv)
+        });
+        tails.collect()
+    }
+
+    /// `assessment`'s derived `Debug` with `per_type` where it stood.
+    fn pinned_debug(
+        assessment: &SloAssessment,
+        per_type: &[(RequestTypeId, f64, u64, f64)],
+    ) -> String {
+        let SloAssessment { sv, violated } = assessment;
+        format!("SloAssessment {{ sv: {sv:?}, per_type: {per_type:?}, violated: {violated:?} }}")
     }
 
     /// `n` tick times `interval` apart, except that each tick listed in

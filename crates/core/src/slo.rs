@@ -19,8 +19,6 @@ const SLO_QUANTILE: f64 = 0.99;
 pub struct SloAssessment {
     /// Worst (smallest) SLO violation ratio across request types.
     pub sv: f64,
-    /// Per-request-type `(p99 latency us, SLO us, sv)`.
-    pub per_type: Vec<(RequestTypeId, f64, u64, f64)>,
     /// Request types currently violating their SLO.
     pub violated: Vec<RequestTypeId>,
 }
@@ -39,36 +37,32 @@ pub fn assess(
     app: &AppSpec,
     mut latencies: impl FnMut(RequestTypeId) -> Vec<f64>,
 ) -> SloAssessment {
-    let mut per_type = Vec::with_capacity(app.request_types.len());
     let mut violated = Vec::new();
     let mut worst_sv: f64 = 1.0;
 
     for (i, rt) in app.request_types.iter().enumerate() {
         let rt_id = RequestTypeId(i as u16);
         let mut lats = latencies(rt_id);
-        let (p99, sv) = if lats.is_empty() {
+        let sv = if lats.is_empty() {
             // No traces ⇒ assume no violation (§3.4).
-            (0.0, 1.0)
+            1.0
         } else {
             lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
             let p99 = firm_sim::stats::sample_quantile(&lats, SLO_QUANTILE);
-            let sv = if p99 <= 0.0 {
+            if p99 <= 0.0 {
                 1.0
             } else {
                 (rt.slo_latency_us as f64 / p99).min(2.0)
-            };
-            (p99, sv)
+            }
         };
         if sv < 1.0 {
             violated.push(rt_id);
         }
         worst_sv = worst_sv.min(sv);
-        per_type.push((rt_id, p99, rt.slo_latency_us, sv));
     }
 
     SloAssessment {
         sv: worst_sv,
-        per_type,
         violated,
     }
 }
@@ -156,8 +150,12 @@ mod tests {
         let a = assess_store(sim.app(), &coord);
         assert!(!a.any_violation());
         assert!(a.sv >= 1.0);
-        assert_eq!(a.per_type.len(), 1);
-        assert!(a.per_type[0].1 > 0.0, "p99 recorded");
+        assert!(
+            !coord
+                .latencies_since(SimTime::ZERO, RequestTypeId(0))
+                .is_empty(),
+            "the window held traces"
+        );
     }
 
     #[test]
@@ -199,7 +197,7 @@ mod tests {
         sim.run_for(SimDuration::from_secs(3));
         coord.ingest(sim.drain_completed());
         let a = assess_store(sim.app(), &coord);
-        assert!(a.any_violation(), "sv={} per_type={:?}", a.sv, a.per_type);
+        assert!(a.any_violation(), "sv={} violated={:?}", a.sv, a.violated);
         assert!(a.sv < 1.0);
     }
 

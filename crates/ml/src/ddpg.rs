@@ -175,15 +175,6 @@ impl DdpgConfig {
     }
 }
 
-/// Statistics of one training step.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainStats {
-    /// Critic MSE loss on the minibatch.
-    pub critic_loss: f64,
-    /// Mean Q value under the current policy on the minibatch.
-    pub q_mean: f64,
-}
-
 /// Preallocated minibatch workspaces: one warmed-up
 /// [`DdpgAgent::train_step`] performs zero matrix allocations — every
 /// intermediate (batch assembly, target bootstrap, both forward/backward
@@ -325,8 +316,8 @@ impl DdpgAgent {
     }
 
     /// One minibatch update of critic, actor and targets (Algorithm 3,
-    /// lines 11–15). Returns `None` when the replay buffer holds fewer
-    /// than one batch.
+    /// lines 11–15). Returns whether it trained: `false`, and nothing
+    /// changes, while the replay buffer holds fewer than one batch.
     ///
     /// Runs entirely on preallocated `TrainScratch` workspaces: after the first
     /// call no matrix is allocated, and the arithmetic (operand values,
@@ -339,10 +330,10 @@ impl DdpgAgent {
     /// actor wants the action columns of the input gradient and no
     /// parameter gradients. Nothing else is computed, and what is
     /// computed is the same bits as in the full pass.
-    pub fn train_step(&mut self) -> Option<TrainStats> {
+    pub fn train_step(&mut self) -> bool {
         let b = BATCH_SIZE;
         if self.replay.len() < b {
-            return None;
+            return false;
         }
         let sd = self.config.state_dim;
         let asd = self.config.actor_state_dim;
@@ -388,10 +379,8 @@ impl DdpgAgent {
         sc.s_full.hstack_into(&sc.actions, &mut sc.cat);
         self.critic.forward_into(&sc.cat, &mut sc.q, true);
         sc.grad.resize(b, 1);
-        let mut loss = 0.0;
         for (i, &yi) in sc.y.iter().enumerate() {
             let d = sc.q.get(i, 0) - yi;
-            loss += d * d / b as f64;
             sc.grad.set(i, 0, 2.0 * d / b as f64);
         }
         self.critic.backward_into(&sc.grad, true, None);
@@ -404,7 +393,6 @@ impl DdpgAgent {
         self.actor.forward_into(&sc.s_actor, &mut sc.a_pred, true);
         sc.s_full.hstack_into(&sc.a_pred, &mut sc.cat);
         self.critic.forward_into(&sc.cat, &mut sc.q_pi, true);
-        let q_mean = (0..b).map(|i| sc.q_pi.get(i, 0)).sum::<f64>() / b as f64;
         sc.grad_q.resize(b, 1);
         sc.grad_q.fill(-1.0 / b as f64);
         // Only the actor learns from this pass: ask the critic for the
@@ -420,10 +408,7 @@ impl DdpgAgent {
         self.critic_target.soft_update_from(&self.critic, TAU);
 
         self.train_steps += 1;
-        Some(TrainStats {
-            critic_loss: loss,
-            q_mean,
-        })
+        true
     }
 
     /// Exports `(actor, critic)` weights for checkpoints and transfer.
@@ -524,7 +509,7 @@ mod tests {
     #[test]
     fn train_step_requires_full_batch() {
         let mut agent = DdpgAgent::new(DdpgConfig::paper(3, 2, 2), 3);
-        assert!(agent.train_step().is_none());
+        assert!(!agent.train_step());
         for _ in 0..BATCH_SIZE - 1 {
             agent.observe(Transition {
                 state: vec![0.0; 3],
@@ -534,7 +519,7 @@ mod tests {
                 done: true,
             });
         }
-        assert!(agent.train_step().is_none());
+        assert!(!agent.train_step());
         agent.observe(Transition {
             state: vec![0.0; 3],
             action: vec![0.0; 2],
@@ -542,7 +527,7 @@ mod tests {
             next_state: vec![0.0; 3],
             done: true,
         });
-        assert!(agent.train_step().is_some());
+        assert!(agent.train_step());
         assert_eq!(agent.train_steps(), 1);
     }
 
@@ -663,7 +648,7 @@ mod tests {
             });
         }
         for _ in 0..200 {
-            agent.train_step().expect("buffer holds a batch");
+            assert!(agent.train_step(), "buffer holds a batch");
         }
         assert_eq!(weights_fnv(&agent), 0x66fe_ee2e_08a1_9e8f);
     }

@@ -166,8 +166,8 @@ pub struct Mlp {
     pong: Matrix,
 }
 
-/// Stack budget for the single-sample fast path: wide enough for the
-/// paper's networks (hidden width 40, critic input 23) with headroom.
+/// Widest layer [`Mlp::forward_one`] takes: the paper's networks (hidden
+/// width 40, critic input 23) with headroom.
 const FORWARD_ONE_STACK: usize = 64;
 
 impl Mlp {
@@ -229,55 +229,43 @@ impl Mlp {
 
     /// Convenience single-sample forward (no caching).
     ///
-    /// Activations for the paper-sized networks live in two stack
-    /// buffers; only the returned output vector is heap-allocated.
-    /// The arithmetic (dot in `k` order, then bias, then activation)
-    /// matches the batch path exactly.
+    /// Activations live in two stack buffers; only the returned output
+    /// vector is heap-allocated. The arithmetic (dot in `k` order, then
+    /// bias, then activation) matches the batch path exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not `input_dim` wide, or if the input or any
+    /// layer is wider than 64 (every DDPG network is at most 40).
     pub fn forward_one(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.input_dim, "forward_one input width mismatch");
         let widest = self
             .layers
             .iter()
             .map(|l| l.w.rows())
-            .max()
-            .unwrap_or(0)
-            .max(x.len());
-        if widest <= FORWARD_ONE_STACK {
-            let mut cur = [0.0f64; FORWARD_ONE_STACK];
-            let mut next = [0.0f64; FORWARD_ONE_STACK];
-            cur[..x.len()].copy_from_slice(x);
-            let mut len = x.len();
-            for layer in &self.layers {
-                let nout = layer.w.rows();
-                for (j, slot) in next.iter_mut().take(nout).enumerate() {
-                    let wrow = layer.w.row(j);
-                    let mut acc = 0.0;
-                    for (a, b) in cur[..len].iter().zip(wrow) {
-                        acc += a * b;
-                    }
-                    *slot = layer.act.apply_scalar(acc + layer.b[j]);
+            .fold(x.len(), usize::max);
+        assert!(
+            widest <= FORWARD_ONE_STACK,
+            "forward_one takes layers up to {FORWARD_ONE_STACK} wide, not {widest}"
+        );
+        let mut cur = [0.0f64; FORWARD_ONE_STACK];
+        let mut next = [0.0f64; FORWARD_ONE_STACK];
+        cur[..x.len()].copy_from_slice(x);
+        let mut len = x.len();
+        for layer in &self.layers {
+            let nout = layer.w.rows();
+            for (j, slot) in next.iter_mut().take(nout).enumerate() {
+                let wrow = layer.w.row(j);
+                let mut acc = 0.0;
+                for (a, b) in cur[..len].iter().zip(wrow) {
+                    acc += a * b;
                 }
-                std::mem::swap(&mut cur, &mut next);
-                len = nout;
+                *slot = layer.act.apply_scalar(acc + layer.b[j]);
             }
-            cur[..len].to_vec()
-        } else {
-            // Fallback for networks wider than the stack budget.
-            let mut cur = x.to_vec();
-            let mut next = Vec::new();
-            for layer in &self.layers {
-                next.clear();
-                for j in 0..layer.w.rows() {
-                    let mut acc = 0.0;
-                    for (a, b) in cur.iter().zip(layer.w.row(j)) {
-                        acc += a * b;
-                    }
-                    next.push(layer.act.apply_scalar(acc + layer.b[j]));
-                }
-                std::mem::swap(&mut cur, &mut next);
-            }
-            cur
+            std::mem::swap(&mut cur, &mut next);
+            len = nout;
         }
+        cur[..len].to_vec()
     }
 
     /// Backpropagates the loss gradient w.r.t. the network output,
@@ -459,15 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn forward_one_heap_fallback_matches_batch_forward() {
-        // Hidden width beyond the stack budget exercises the Vec path.
-        let mut net = Mlp::new(&[4, 100, 3], Activation::Tanh, Activation::Identity, 12);
-        let x = [0.4, -0.9, 0.05, 0.3];
-        let single = net.forward_one(&x);
-        let batch = net.forward(&Matrix::row_from(&x), false);
-        for (a, b) in single.iter().zip(batch.row(0)) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    #[should_panic(expected = "forward_one takes layers up to 64 wide, not 100")]
+    fn forward_one_rejects_layers_wider_than_its_stack() {
+        let net = Mlp::new(&[4, 100, 3], Activation::Tanh, Activation::Identity, 12);
+        net.forward_one(&[0.4, -0.9, 0.05, 0.3]);
     }
 
     #[test]

@@ -299,15 +299,11 @@ impl Ring {
     }
 
     /// Drains every buffered event in arrival order and resets the ring
-    /// (the drop counter survives, it is cumulative).
+    /// (the drop counter survives, it is cumulative). The buffer itself
+    /// is handed out, rotated so the oldest event comes first.
     pub(crate) fn drain(&mut self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        let head = self.head;
-        let len = self.buf.len();
-        let buf = std::mem::take(&mut self.buf);
-        for i in 0..len {
-            out.push(buf[(head + i) % len].clone());
-        }
+        let mut out = std::mem::take(&mut self.buf);
+        out.rotate_left(self.head);
         self.head = 0;
         out
     }
@@ -421,7 +417,6 @@ mod tests {
 
     #[test]
     fn ring_wraps_and_counts_drops() {
-        let mut ring = Ring::new(3);
         let ev = |n: u64| Event {
             ts_us: n,
             level: Level::Info,
@@ -431,17 +426,34 @@ mod tests {
             message: format!("m{n}"),
             fields: Vec::new(),
         };
-        for n in 0..5 {
-            ring.push(ev(n));
+        // (events pushed into a ring of 3, survivors in order, drops):
+        // wrapped with the head mid-buffer, every slot overwritten once
+        // (head back at 0), never wrapped, empty.
+        let cases: [(u64, &[u64], u64); 4] = [
+            (5, &[2, 3, 4], 2),
+            (6, &[3, 4, 5], 3),
+            (2, &[0, 1], 0),
+            (0, &[], 0),
+        ];
+        for (pushed, survivors, drops) in cases {
+            let mut ring = Ring::new(3);
+            for n in 0..pushed {
+                ring.push(ev(n));
+            }
+            assert_eq!(ring.dropped(), drops, "{pushed} pushed");
+            let drained: Vec<(u64, String)> = ring
+                .drain()
+                .into_iter()
+                .map(|e| (e.ts_us, e.message))
+                .collect();
+            let expected: Vec<(u64, String)> =
+                survivors.iter().map(|&n| (n, format!("m{n}"))).collect();
+            assert_eq!(drained, expected, "{pushed} pushed");
+            // The ring is reusable after a drain and keeps its counter.
+            ring.push(ev(9));
+            assert_eq!(ring.drain().len(), 1, "{pushed} pushed");
+            assert_eq!(ring.dropped(), drops, "{pushed} pushed");
         }
-        assert_eq!(ring.dropped(), 2);
-        let drained: Vec<u64> = ring.drain().iter().map(|e| e.ts_us).collect();
-        // Oldest two were overwritten; survivors come out in order.
-        assert_eq!(drained, vec![2, 3, 4]);
-        // The ring is reusable after a drain and keeps its counter.
-        ring.push(ev(9));
-        assert_eq!(ring.drain().len(), 1);
-        assert_eq!(ring.dropped(), 2);
     }
 
     #[test]

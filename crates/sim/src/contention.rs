@@ -412,7 +412,6 @@ mod tests {
     use crate::ids::{AnomalyId, InstanceId, NodeId, ServiceId};
     use crate::node::ActiveContender;
     use crate::spec::NodeSpec;
-    use crate::time::SimTime;
 
     fn node() -> Node {
         Node::new(NodeSpec::x86_default())
@@ -426,7 +425,6 @@ mod tests {
             64,
             128,
             InstanceState::Running,
-            SimTime::ZERO,
         );
         i.busy_workers = busy;
         i

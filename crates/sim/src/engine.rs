@@ -28,7 +28,7 @@ use crate::resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
 use crate::rng::SimRng;
 use crate::span::{CallRecord, CompletedRequest, SpanRecord};
 use crate::spec::{AppSpec, ClusterSpec};
-use crate::telemetry_probe::{InstanceSnapshot, NodeSnapshot, TelemetryWindow};
+use crate::telemetry_probe::{InstanceSnapshot, TelemetryWindow};
 use crate::time::{SimDuration, SimTime};
 
 /// One-way base latency of an inter-service RPC.
@@ -38,42 +38,14 @@ const CLIENT_RTT: SimDuration = SimDuration::from_micros(250);
 /// Queue-length sampling period.
 const SAMPLE_PERIOD: SimDuration = SimDuration::from_millis(100);
 
-/// Cumulative run statistics.
+/// Cumulative run statistics: the simulator's own arrival tally, the
+/// one count no drained request carries. Completions, drops and
+/// latencies are counted from what [`Simulation::drain_completed`]
+/// hands out.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunStats {
     /// Client requests generated.
     pub arrivals: u64,
-    /// Requests completed (including degraded ones that had internal
-    /// drops).
-    pub completions: u64,
-    /// Requests dropped somewhere on their path.
-    pub drops: u64,
-    /// Completed, non-dropped requests whose end-to-end latency exceeded
-    /// their type's SLO.
-    pub slo_violations: u64,
-    /// Sum of end-to-end latencies of completed, non-dropped requests, us.
-    pub latency_sum_us: u128,
-}
-
-impl RunStats {
-    /// Mean end-to-end latency of completed requests, us.
-    pub fn mean_latency_us(&self) -> f64 {
-        let ok = self.completions.saturating_sub(self.drops);
-        if ok == 0 {
-            0.0
-        } else {
-            self.latency_sum_us as f64 / ok as f64
-        }
-    }
-
-    /// Fraction of completed requests that violated their SLO.
-    pub fn violation_rate(&self) -> f64 {
-        if self.completions == 0 {
-            0.0
-        } else {
-            self.slo_violations as f64 / self.completions as f64
-        }
-    }
 }
 
 /// One client arrival, as recorded when the simulation is built with
@@ -278,7 +250,6 @@ impl SimulationBuilder {
                     node,
                     spec.initial_cpu,
                     InstanceState::Running,
-                    SimTime::ZERO,
                 );
             }
         }
@@ -656,7 +627,6 @@ impl Simulation {
             self.mutate_instance(iid, |inst| inst.queue.push_back(act_idx));
         } else {
             inst.window.drops += 1;
-            inst.total_drops += 1;
             self.drop_activity(act_idx);
         }
     }
@@ -893,7 +863,6 @@ impl Simulation {
             let span_latency = (self.now - self.activities[act_idx].arrived).as_micros();
             let next = self.mutate_instance(iid, |inst| {
                 inst.window.completions += 1;
-                inst.total_completions += 1;
                 inst.window.latency_sum_us += span_latency;
                 inst.busy_workers = inst.busy_workers.saturating_sub(1);
                 let next = inst.queue.pop_front();
@@ -999,33 +968,20 @@ impl Simulation {
     }
 
     fn try_finalize_trace(&mut self, trace_slot: usize) {
-        let buf = &self.traces[trace_slot];
-        if !buf.live || buf.open_activities > 0 || buf.root_response_at.is_none() {
+        let buf = &mut self.traces[trace_slot];
+        let Some(finished) = buf.root_response_at else {
+            return;
+        };
+        if !buf.live || buf.open_activities > 0 {
             return;
         }
-        let finished = buf.root_response_at.expect("checked above");
-        let latency = finished - buf.started;
-        let rt = buf.rt;
-        let dropped = buf.dropped;
-
-        self.stats.completions += 1;
-        if dropped {
-            self.stats.drops += 1;
-        } else {
-            self.stats.latency_sum_us += latency.as_micros() as u128;
-            if latency.as_micros() > self.app.request_types[rt.index()].slo_latency_us {
-                self.stats.slo_violations += 1;
-            }
-        }
-
-        let buf = &mut self.traces[trace_slot];
         let completed = CompletedRequest {
             trace_id: buf.trace_id,
-            request_type: rt,
+            request_type: buf.rt,
             started: buf.started,
             finished,
-            latency,
-            dropped,
+            latency: finished - buf.started,
+            dropped: buf.dropped,
             spans: std::mem::take(&mut buf.spans),
         };
         buf.live = false;
@@ -1146,13 +1102,7 @@ impl Simulation {
             // latency.
             let node = self.pick_node_for(service);
             let template = self.template_limits(service);
-            let iid = self.spawn_instance(
-                service,
-                node,
-                template,
-                InstanceState::Starting,
-                self.now + latency,
-            );
+            let iid = self.spawn_instance(service, node, template, InstanceState::Starting);
             // Copy non-CPU partitions from an existing replica.
             if let Some(&src) = self.services[service.index()]
                 .replicas
@@ -1210,18 +1160,9 @@ impl Simulation {
         node: NodeId,
         cpu: f64,
         state: InstanceState,
-        ready_at: SimTime,
     ) -> InstanceId {
         let spec = &self.app.services[service.index()];
-        let inst = Instance::new(
-            service,
-            node,
-            cpu,
-            spec.max_threads,
-            spec.queue_cap,
-            state,
-            ready_at,
-        );
+        let inst = Instance::new(service, node, cpu, spec.max_threads, spec.queue_cap, state);
         let id = InstanceId(self.instances.len() as u32);
         self.instances.push(inst);
         self.nodes[node.index()].instances.push(id);
@@ -1307,7 +1248,6 @@ impl Simulation {
 
         let mut out = TelemetryWindow {
             instances: Vec::new(),
-            nodes: Vec::new(),
             arrival_rate: self.window_arrivals as f64 / window_s,
             request_mix: {
                 let total: u64 = self.window_mix.iter().sum();
@@ -1323,8 +1263,6 @@ impl Simulation {
                     .collect()
             },
         };
-
-        let mut node_used = vec![ResourceVec::ZERO; self.nodes.len()];
 
         for (ii, inst) in self.instances.iter_mut().enumerate() {
             if inst.state == InstanceState::Removed {
@@ -1345,15 +1283,12 @@ impl Simulation {
                 let lim = rlt.get(kind).max(1e-9);
                 utilization.set(kind, (usage.get(kind) / lim).clamp(0.0, 1.0));
             }
-            node_used[inst.node.index()] = node_used[inst.node.index()].add(&usage);
 
             let w = &inst.window;
             out.instances.push(InstanceSnapshot {
-                at: self.now,
                 window,
                 instance: InstanceId(ii as u32),
                 service: inst.service,
-                node: inst.node,
                 state: inst.state,
                 rlt,
                 usage,
@@ -1361,7 +1296,6 @@ impl Simulation {
                 workers: inst.workers(),
                 avg_queue_len: w.avg_queue_len(),
                 arrivals: w.arrivals,
-                completions: w.completions,
                 drops: w.drops,
                 mean_latency_us: if w.completions == 0 {
                     0.0
@@ -1372,17 +1306,6 @@ impl Simulation {
                 per_core_dram_mbps: usage.get(ResourceKind::MemBw) / inst.cpu_limit().max(0.1),
             });
             inst.window.clear();
-        }
-
-        for (ni, node) in self.nodes.iter().enumerate() {
-            out.nodes.push(NodeSnapshot {
-                at: self.now,
-                node: NodeId(ni as u16),
-                arch: node.spec.arch,
-                capacity: node.spec.capacity,
-                anomaly_load: node.anomaly_load(),
-                used: node_used[ni],
-            });
         }
 
         self.window_started = self.now;
@@ -1629,7 +1552,6 @@ mod tests {
         let mut sim = demo_sim(10);
         sim.run_for(SimDuration::from_secs(1));
         let t = sim.drain_telemetry();
-        assert_eq!(t.nodes.len(), 2);
         assert!(!t.instances.is_empty());
         assert!(
             (t.arrival_rate - 200.0).abs() < 30.0,
@@ -1700,11 +1622,8 @@ mod tests {
     fn run_stats_accumulate() {
         let mut sim = demo_sim(12);
         sim.run_for(SimDuration::from_secs(2));
-        let s = sim.stats();
-        assert!(s.arrivals > 300);
-        assert!(s.completions > 300);
-        assert!(s.mean_latency_us() > 0.0);
-        assert!(s.violation_rate() < 0.2);
+        assert!(sim.stats().arrivals > 300);
+        assert!(sim.drain_completed().len() > 300);
     }
 
     #[test]
@@ -1762,8 +1681,9 @@ mod tests {
         assert_eq!(total_weight, per_instance);
     }
 
-    #[test]
-    fn node_aggregates_track_random_actuation_and_anomalies() {
+    /// One random step of the actuation-and-anomaly walk: a command
+    /// or an injection, then 1–120 ms of simulated time.
+    fn random_step(sim: &mut Simulation, rng: &mut SimRng) {
         const STRESSORS: [AnomalyKind; 5] = [
             AnomalyKind::CpuStress,
             AnomalyKind::LlcStress,
@@ -1771,61 +1691,70 @@ mod tests {
             AnomalyKind::IoStress,
             AnomalyKind::NetBwStress,
         ];
-        // What the driver must have reached for the run to mean much.
+        let instance = InstanceId(rng.index(sim.instances.len()) as u32);
+        let service = ServiceId(rng.index(sim.app.services.len()) as u16);
+        let node = sim.instances[instance.index()].node;
+        let kind = RESOURCE_KINDS[rng.index(RESOURCE_KINDS.len())];
+        let stressor = STRESSORS[rng.index(STRESSORS.len())];
+        let length = SimDuration::from_millis(50 + rng.index(400) as u64);
+        match rng.index(9) {
+            // Large shares, so reservations oversubscribe.
+            0..=2 => {
+                let capacity = sim.nodes[node.index()].capacity(kind);
+                let amount = capacity * rng.uniform_range(0.05, 0.8);
+                sim.apply(Command::SetPartition {
+                    instance,
+                    kind,
+                    amount,
+                });
+            }
+            3 => {
+                sim.apply(Command::ClearPartition { instance, kind });
+            }
+            4 => {
+                let warm = rng.chance(0.7);
+                sim.apply(Command::ScaleOut { service, warm });
+            }
+            5 => {
+                sim.apply(Command::ScaleIn { service });
+            }
+            6 => {
+                sim.inject(AnomalySpec::new(stressor, node, rng.uniform(), length));
+            }
+            7 => {
+                let spec = AnomalySpec::at_instance(stressor, instance, rng.uniform(), length);
+                sim.inject(spec);
+            }
+            // A CPU quota below the busy count: the worker pool
+            // shrinks under the work it is running.
+            _ => {
+                sim.apply(Command::SetPartition {
+                    instance,
+                    kind: ResourceKind::Cpu,
+                    amount: 0.05,
+                });
+            }
+        }
+        sim.run_for(SimDuration::from_millis(1 + rng.index(120) as u64));
+    }
+
+    /// The random walk's simulation: the demo app at 1,200 req/s,
+    /// enough to queue and drop under the walk's squeezes.
+    fn busy_sim(seed: u64) -> Simulation {
+        Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), seed)
+            .arrivals(Box::new(ConstantArrivals::new(1_200.0)))
+            .build()
+    }
+
+    #[test]
+    fn node_aggregates_track_random_actuation_and_anomalies() {
+        // What the walk must have reached for the run to mean much.
         let (mut removed, mut reserved_pair, mut over_busy) = (false, false, false);
         for seed in 0..4 {
-            let mut sim =
-                Simulation::builder(ClusterSpec::small(2), AppSpec::three_tier_demo(), seed)
-                    .arrivals(Box::new(ConstantArrivals::new(1_200.0)))
-                    .build();
+            let mut sim = busy_sim(seed);
             let mut rng = SimRng::new(seed ^ 0xA66);
             for _ in 0..150 {
-                let instance = InstanceId(rng.index(sim.instances.len()) as u32);
-                let service = ServiceId(rng.index(sim.app.services.len()) as u16);
-                let node = sim.instances[instance.index()].node;
-                let kind = RESOURCE_KINDS[rng.index(RESOURCE_KINDS.len())];
-                let stressor = STRESSORS[rng.index(STRESSORS.len())];
-                let length = SimDuration::from_millis(50 + rng.index(400) as u64);
-                match rng.index(9) {
-                    // Large shares, so reservations oversubscribe.
-                    0..=2 => {
-                        let capacity = sim.nodes[node.index()].capacity(kind);
-                        let amount = capacity * rng.uniform_range(0.05, 0.8);
-                        sim.apply(Command::SetPartition {
-                            instance,
-                            kind,
-                            amount,
-                        });
-                    }
-                    3 => {
-                        sim.apply(Command::ClearPartition { instance, kind });
-                    }
-                    4 => {
-                        let warm = rng.chance(0.7);
-                        sim.apply(Command::ScaleOut { service, warm });
-                    }
-                    5 => {
-                        sim.apply(Command::ScaleIn { service });
-                    }
-                    6 => {
-                        sim.inject(AnomalySpec::new(stressor, node, rng.uniform(), length));
-                    }
-                    7 => {
-                        let spec =
-                            AnomalySpec::at_instance(stressor, instance, rng.uniform(), length);
-                        sim.inject(spec);
-                    }
-                    // A CPU quota below the busy count: the worker pool
-                    // shrinks under the work it is running.
-                    _ => {
-                        sim.apply(Command::SetPartition {
-                            instance,
-                            kind: ResourceKind::Cpu,
-                            amount: 0.05,
-                        });
-                    }
-                }
-                sim.run_for(SimDuration::from_millis(1 + rng.index(120) as u64));
+                random_step(&mut sim, &mut rng);
                 assert_aggregates_current(&sim);
 
                 removed |= sim
@@ -1837,5 +1766,39 @@ mod tests {
             }
         }
         assert!(removed && reserved_pair && over_busy);
+    }
+
+    /// Conservation of requests: after every step, each arrival the
+    /// simulator counted is either drained (served or dropped) or a
+    /// trace still live.
+    #[test]
+    fn arrivals_are_drained_or_still_live() {
+        let (mut served, mut dropped) = (0u64, 0u64);
+        for seed in 0..4 {
+            let mut sim = busy_sim(seed);
+            let mut rng = SimRng::new(seed ^ 0xC0175);
+            let mut drained = 0u64;
+            for step in 0..150 {
+                random_step(&mut sim, &mut rng);
+                for r in sim.drain_completed() {
+                    drained += 1;
+                    if r.dropped {
+                        dropped += 1;
+                    } else {
+                        served += 1;
+                    }
+                }
+                let live = sim.traces.iter().filter(|t| t.live).count() as u64;
+                assert_eq!(
+                    sim.stats().arrivals,
+                    drained + live,
+                    "seed {seed} step {step}: {drained} drained, {live} live"
+                );
+            }
+        }
+        assert!(
+            served > 0 && dropped > 0,
+            "{served} served, {dropped} dropped"
+        );
     }
 }

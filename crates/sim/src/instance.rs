@@ -2,7 +2,6 @@
 
 use crate::ids::{NodeId, ServiceId};
 use crate::resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
-use crate::time::SimTime;
 
 /// Lifecycle state of an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,8 +95,6 @@ pub struct Instance {
     pub node: NodeId,
     /// Lifecycle state.
     pub state: InstanceState,
-    /// When the instance becomes `Running` (while `Starting`).
-    pub ready_at: SimTime,
     /// Per-resource partitions: `Some(amount)` = an explicit limit
     /// (cgroups quota / MBA / CAT / blkio / HTB); `None` = best-effort.
     /// CPU always has a quota, Kubernetes-style.
@@ -112,10 +109,6 @@ pub struct Instance {
     pub queue_cap: usize,
     /// Current usage-accounting window.
     pub window: UsageWindow,
-    /// Lifetime drop counter.
-    pub total_drops: u64,
-    /// Lifetime completion counter.
-    pub total_completions: u64,
     /// Per-resource direct stress from container-level anomaly
     /// injections (§3.6: the injector runs inside the container);
     /// intensity sums in `[0, 1+]` per canonical resource index.
@@ -131,7 +124,6 @@ impl Instance {
         max_threads: u32,
         queue_cap: usize,
         state: InstanceState,
-        ready_at: SimTime,
     ) -> Self {
         let mut partitions = [None; 5];
         partitions[ResourceKind::Cpu.index()] = Some(cpu_limit);
@@ -139,15 +131,12 @@ impl Instance {
             service,
             node,
             state,
-            ready_at,
             partitions,
             max_threads,
             busy_workers: 0,
             queue: std::collections::VecDeque::new(),
             queue_cap,
             window: UsageWindow::default(),
-            total_drops: 0,
-            total_completions: 0,
             stress: [0.0; 5],
         }
     }
@@ -215,7 +204,6 @@ mod tests {
             64,
             128,
             InstanceState::Running,
-            SimTime::ZERO,
         )
     }
 

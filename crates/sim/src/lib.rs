@@ -7,7 +7,7 @@
 //! offered to FIRM:
 //!
 //! * **Observations** — distributed-tracing spans for every request
-//!   ([`SpanRecord`]), and per-instance/per-node telemetry (resource
+//!   ([`SpanRecord`]), and per-instance telemetry (resource
 //!   utilization, queue lengths, drop counts, synthetic performance
 //!   counters).
 //! * **Actions** — fine-grained resource partitioning (CPU quota, memory

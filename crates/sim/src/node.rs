@@ -1,7 +1,7 @@
 //! Runtime state of a physical node.
 
 use crate::ids::{AnomalyId, InstanceId};
-use crate::resources::{ResourceKind, ResourceVec, RESOURCE_KINDS};
+use crate::resources::{ResourceKind, RESOURCE_KINDS};
 use crate::spec::NodeSpec;
 use crate::time::SimDuration;
 
@@ -70,7 +70,8 @@ impl Node {
             reserved: Vec::new(),
         };
         // The empty fold, not a literal zero: `f64` sums start at -0.0,
-        // and the sign reaches `anomaly_load` in telemetry.
+        // and every fraction is the bits of a fresh fold of the
+        // contenders.
         node.refold_anomaly_fractions();
         node
     }
@@ -128,15 +129,6 @@ impl Node {
         }
     }
 
-    /// Anomaly pressure on every resource, as absolute units.
-    pub fn anomaly_load(&self) -> ResourceVec {
-        let mut v = ResourceVec::ZERO;
-        for (kind, cap) in self.spec.capacity.iter() {
-            v.set(kind, self.anomaly_fraction(kind) * cap);
-        }
-        v
-    }
-
     /// Mean extra network delay for RPCs touching this node.
     pub fn extra_delay_mean(&self) -> SimDuration {
         let total: u64 = self.delays.iter().map(|d| d.mean.as_micros()).sum();
@@ -188,19 +180,6 @@ mod tests {
         n.remove_anomaly(AnomalyId(1));
         assert!(n.contenders.is_empty());
         assert!(n.delays.is_empty());
-    }
-
-    #[test]
-    fn anomaly_load_absolute_units() {
-        let mut n = Node::new(NodeSpec::x86_default());
-        n.add_contender(ActiveContender {
-            anomaly: AnomalyId(1),
-            resource: ResourceKind::Cpu,
-            intensity: 0.25,
-        });
-        let load = n.anomaly_load();
-        assert_eq!(load.get(ResourceKind::Cpu), 12.0);
-        assert_eq!(load.get(ResourceKind::IoBw), 0.0);
     }
 
     #[test]

@@ -38,7 +38,6 @@ fn main() {
     // node/cluster for workload and delay anomalies).
     let victim_svc = sim.app().service_by_name("movie-info").unwrap();
     for kind in ANOMALY_KINDS {
-        let drops_before = sim.stats().drops;
         let victim = sim.replicas(victim_svc)[0];
         let spec = if kind.contended_resource().is_some() {
             AnomalySpec::at_instance(kind, victim, 0.9, SimDuration::from_secs(5))
@@ -47,8 +46,8 @@ fn main() {
         };
         sim.inject(spec);
         sim.run_for(SimDuration::from_secs(5));
-        let mut lats: Vec<f64> = sim
-            .drain_completed()
+        let done = sim.drain_completed();
+        let mut lats: Vec<f64> = done
             .iter()
             .filter(|r| !r.dropped)
             .map(|r| r.latency.as_micros() as f64)
@@ -58,7 +57,7 @@ fn main() {
             kind.label(),
             kind.paper_tools(),
             p99(&mut lats),
-            sim.stats().drops - drops_before
+            done.len() - lats.len()
         );
         // Cool down between injections.
         sim.run_for(SimDuration::from_secs(4));

@@ -16,11 +16,18 @@ use firm::sim::{
 };
 use firm::workload::apps::Benchmark;
 
-/// One 1 s control tick: FIRM acts on the window just drained.
-fn tick(sim: &mut Simulation, firm: &mut FirmManager) -> SloAssessment {
+/// Requests drained so far: `(completions, drops)`, a dropped request
+/// counting in both.
+type Tally = (u64, u64);
+
+/// One 1 s control tick: FIRM acts on the window just drained, whose
+/// requests are added to `tally` first.
+fn tick(sim: &mut Simulation, firm: &mut FirmManager, tally: &mut Tally) -> SloAssessment {
     let window_start = sim.now();
     sim.run_for(SimDuration::from_secs(1));
     let ctx = TickContext::drain(sim, window_start);
+    tally.0 += ctx.completed.len() as u64;
+    tally.1 += ctx.completed.iter().filter(|r| r.dropped).count() as u64;
     firm.tick_window(sim, ctx)
 }
 
@@ -39,8 +46,9 @@ fn main() {
     });
 
     // Healthy warmup.
+    let mut tally = Tally::default();
     for _ in 0..5 {
-        tick(&mut sim, &mut firm);
+        tick(&mut sim, &mut firm, &mut tally);
     }
 
     // Stress a container on the read path (§3.6-style injection).
@@ -55,7 +63,7 @@ fn main() {
     println!("injected MemBwStress into {victim} (post-storage-memcached)");
 
     for second in 0..15 {
-        let assessment = tick(&mut sim, &mut firm);
+        let assessment = tick(&mut sim, &mut firm, &mut tally);
         println!(
             "t={:>2}s sv={:.2} violating={:<5} actions so far={}",
             second + 6,
@@ -73,7 +81,7 @@ fn main() {
     println!(
         "SVM trained on {} labelled examples; completions={} drops={}",
         firm.extractor().trained_examples(),
-        sim.stats().completions,
-        sim.stats().drops
+        tally.0,
+        tally.1
     );
 }

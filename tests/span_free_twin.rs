@@ -140,7 +140,7 @@ fn span_free_run_is_the_full_run_minus_the_spans() {
                     "{case}"
                 );
                 assert_eq!(full.telemetry, lean.telemetry, "{case}");
-                drops += full.stats.drops;
+                drops += full.requests.iter().filter(|r| r.5).count();
             }
         }
     }
