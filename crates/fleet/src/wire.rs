@@ -297,12 +297,56 @@ mod tests {
 
     #[test]
     fn round_trip_reports_round_trip() {
-        let train = FleetReport::new(7, vec![outcome("a"), outcome("b")]);
+        assert_round_trip(&round_trip());
+    }
+
+    /// Two delta rows: "a" improves under the deployed policy, "b" is a
+    /// `none` row whose passes agree.
+    fn round_trip() -> RoundTripReport {
+        let mut b = outcome("b");
+        b.benchmark = "Hotel Reservation";
+        b.controller = "none";
+        b.mean_mitigation_secs = 0.0;
+        let train = FleetReport::new(7, vec![outcome("a"), b.clone()]);
         let mut improved = outcome("a");
         improved.slo_violations = 2;
-        let deploy = FleetReport::new(7, vec![improved, outcome("b")]);
-        let rt = RoundTripReport::new(train, deploy);
-        assert_round_trip(&rt);
+        improved.p99_us = 4_321;
+        improved.mean_mitigation_secs = 1.125;
+        let deploy = FleetReport::new(7, vec![improved, b]);
+        RoundTripReport::new(train, deploy)
+    }
+
+    // Both literals were captured before `ScenarioOutcome` and
+    // `ScenarioDelta` became `wire_struct!` declarations: a failure
+    // means frame bytes moved — do not re-pin.
+    const OUTCOME_GOLDEN: &str = r#"{"name":"a","benchmark":"Social Network","controller":"FIRM","load":"steady@250","seed":16045690984503111693,"ticks":30,"arrivals":110,"completions":100,"drops":1,"slo_violations":10,"violation_rate":0.1,"p50_us":1500,"p99_us":5000,"mean_latency_us":2000.25,"anomalies_injected":4,"mitigations":3,"mean_mitigation_secs":2.5,"transitions":20,"svm_examples":200}"#;
+    const ROUND_TRIP_GOLDEN: &str = r#"{"train":{"seed":7,"totals":{"scenarios":2,"arrivals":220,"completions":200,"drops":2,"slo_violations":20,"violation_rate":0.1,"worst_p99_us":5000,"anomalies_injected":8,"mitigations":6,"transitions":40,"svm_examples":400},"scenarios":[{"name":"a","benchmark":"Social Network","controller":"FIRM","load":"steady@250","seed":16045690984503111693,"ticks":30,"arrivals":110,"completions":100,"drops":1,"slo_violations":10,"violation_rate":0.1,"p50_us":1500,"p99_us":5000,"mean_latency_us":2000.25,"anomalies_injected":4,"mitigations":3,"mean_mitigation_secs":2.5,"transitions":20,"svm_examples":200},{"name":"b","benchmark":"Hotel Reservation","controller":"none","load":"steady@250","seed":16045690984503111693,"ticks":30,"arrivals":110,"completions":100,"drops":1,"slo_violations":10,"violation_rate":0.1,"p50_us":1500,"p99_us":5000,"mean_latency_us":2000.25,"anomalies_injected":4,"mitigations":3,"mean_mitigation_secs":0,"transitions":20,"svm_examples":200}]},"deploy":{"seed":7,"totals":{"scenarios":2,"arrivals":220,"completions":200,"drops":2,"slo_violations":12,"violation_rate":0.06,"worst_p99_us":5000,"anomalies_injected":8,"mitigations":6,"transitions":40,"svm_examples":400},"scenarios":[{"name":"a","benchmark":"Social Network","controller":"FIRM","load":"steady@250","seed":16045690984503111693,"ticks":30,"arrivals":110,"completions":100,"drops":1,"slo_violations":2,"violation_rate":0.02,"p50_us":1500,"p99_us":4321,"mean_latency_us":2000.25,"anomalies_injected":4,"mitigations":3,"mean_mitigation_secs":1.125,"transitions":20,"svm_examples":200},{"name":"b","benchmark":"Hotel Reservation","controller":"none","load":"steady@250","seed":16045690984503111693,"ticks":30,"arrivals":110,"completions":100,"drops":1,"slo_violations":10,"violation_rate":0.1,"p50_us":1500,"p99_us":5000,"mean_latency_us":2000.25,"anomalies_injected":4,"mitigations":3,"mean_mitigation_secs":0,"transitions":20,"svm_examples":200}]},"deltas":[{"name":"a","controller":"FIRM","train_violation_rate":0.1,"deploy_violation_rate":0.02,"train_p99_us":5000,"deploy_p99_us":4321,"train_mean_mitigation_secs":2.5,"deploy_mean_mitigation_secs":1.125},{"name":"b","controller":"none","train_violation_rate":0.1,"deploy_violation_rate":0.1,"train_p99_us":5000,"deploy_p99_us":5000,"train_mean_mitigation_secs":0,"deploy_mean_mitigation_secs":0}]}"#;
+
+    #[test]
+    fn outcome_frames_match_their_golden() {
+        let outcome = outcome("a");
+        assert_eq!(encode_string(&outcome), OUTCOME_GOLDEN);
+        assert_eq!(
+            decode_string::<ScenarioOutcome>(OUTCOME_GOLDEN).unwrap(),
+            outcome
+        );
+    }
+
+    #[test]
+    fn round_trip_frames_match_their_golden() {
+        let rt = round_trip();
+        assert_eq!(encode_string(&rt), ROUND_TRIP_GOLDEN);
+        assert_eq!(
+            decode_string::<RoundTripReport>(ROUND_TRIP_GOLDEN).unwrap(),
+            rt
+        );
+        // The report's decode recomputes its deltas, so decode the rows
+        // themselves too.
+        let doc = firm_wire::parse(ROUND_TRIP_GOLDEN).unwrap();
+        assert_eq!(
+            doc.field::<Vec<ScenarioDelta>>("deltas").unwrap(),
+            rt.deltas
+        );
     }
 
     #[test]
