@@ -12,7 +12,6 @@
 //! fleet's fault-injection soak, not a figure.
 
 use firm_core::controller::{run_episode, Controller, EpisodeResult, EpisodeSpec};
-use firm_core::estimator::AgentRegime;
 use firm_core::injector::{AnomalyInjector, CampaignConfig};
 use firm_core::training::TrainingConfig;
 use firm_sim::spec::{AppSpec, ClusterSpec};
@@ -239,7 +238,6 @@ pub(crate) fn training_config(
     ramp_episodes: usize,
     min_steps: usize,
     arrival_rate: f64,
-    regime: AgentRegime,
     seed: u64,
 ) -> TrainingConfig {
     TrainingConfig {
@@ -249,7 +247,6 @@ pub(crate) fn training_config(
         min_steps,
         arrival_rate,
         cluster: ClusterSpec::small(6),
-        regime,
         campaign: CampaignConfig {
             lambda: 0.6,
             intensity: (0.6, 1.0),

@@ -7,7 +7,6 @@
 //! RL agent fed *every* critical-path instance — and compares actions
 //! issued, mitigation quality, and tail latency.
 
-use firm_core::estimator::AgentRegime;
 use firm_core::manager::{FirmConfig, FirmManager};
 use firm_core::training::train_into;
 use firm_sim::spec::ClusterSpec;
@@ -29,14 +28,7 @@ fn run_variant(svm_filter: bool, episodes: usize, seconds: u64, seed: u64) {
         seed,
         ..FirmConfig::default()
     });
-    let cfg = training_config(
-        episodes,
-        (episodes / 3).max(1),
-        10,
-        350.0,
-        AgentRegime::Shared,
-        seed,
-    );
+    let cfg = training_config(episodes, (episodes / 3).max(1), 10, 350.0, seed);
     train_into(&app, &cfg, &mut mgr);
     let trained_actions = mgr.stats().actions;
     mgr.config.explore = false;

@@ -130,8 +130,8 @@ pub fn run(args: &Args) {
     // Pre-train FIRM online against the injector (§3.6/§4.3).
     eprintln!("[fig01] pre-training FIRM for {episodes} episodes...");
     let train_app = calibrated_app(Benchmark::SocialNetwork, &ClusterSpec::small(6), rate, seed);
-    let cfg = training_config(episodes, episodes / 3, 10, rate, AgentRegime::Shared, seed);
-    let (_, mut manager) = train_firm(&train_app, &cfg);
+    let cfg = training_config(episodes, episodes / 3, 10, rate, seed);
+    let (_, mut manager) = train_firm(&train_app, AgentRegime::Shared, &cfg);
     manager.config.explore = false;
     manager.reset_environment();
 

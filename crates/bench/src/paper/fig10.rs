@@ -31,12 +31,12 @@ pub fn run(args: &Args) {
 
     // Train on Train-Ticket (§4.3), validate on Social Network (§4.4).
     let train_app = calibrated_app(Benchmark::TrainTicket, &ClusterSpec::small(6), 250.0, seed);
-    let train_cfg = |regime| training_config(episodes, episodes / 3, 10, 250.0, regime, seed);
+    let train_cfg = training_config(episodes, episodes / 3, 10, 250.0, seed);
     eprintln!("[fig10] training single-RL (one-for-all) agent...");
-    let (_, mut single) = train_firm(&train_app, &train_cfg(AgentRegime::Shared));
+    let (_, mut single) = train_firm(&train_app, AgentRegime::Shared, &train_cfg);
     single.config.explore = false;
     eprintln!("[fig10] training multi-RL (one-for-each) agents...");
-    let (_, mut multi) = train_firm(&train_app, &train_cfg(AgentRegime::PerService));
+    let (_, mut multi) = train_firm(&train_app, AgentRegime::PerService, &train_cfg);
     multi.config.explore = false;
 
     let validate_app = calibrated_app(Benchmark::SocialNetwork, &ClusterSpec::small(6), rate, seed);

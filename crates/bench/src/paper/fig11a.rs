@@ -40,12 +40,12 @@ pub fn run(args: &Args) {
     );
 
     let app = calibrated_app(Benchmark::TrainTicket, &ClusterSpec::small(6), 250.0, seed);
-    let cfg = |regime, seed| training_config(episodes, episodes / 4, 8, 250.0, regime, seed);
+    let cfg = |seed| training_config(episodes, episodes / 4, 8, 250.0, seed);
 
     eprintln!("[fig11a] training one-for-all...");
-    let (all_stats, teacher) = train_firm(&app, &cfg(AgentRegime::Shared, seed));
+    let (all_stats, teacher) = train_firm(&app, AgentRegime::Shared, &cfg(seed));
     eprintln!("[fig11a] training one-for-each...");
-    let (each_stats, _) = train_firm(&app, &cfg(AgentRegime::PerService, seed + 1));
+    let (each_stats, _) = train_firm(&app, AgentRegime::PerService, &cfg(seed + 1));
     eprintln!("[fig11a] training transferred (from the one-for-all weights)...");
     let (actor, critic) = teacher.shared_weights();
     let mut student = FirmManager::new(FirmConfig {
@@ -55,7 +55,7 @@ pub fn run(args: &Args) {
         ..FirmConfig::default()
     });
     student.estimator_mut().import_shared(&actor, &critic);
-    let transfer_stats = train_into(&app, &cfg(AgentRegime::Transfer, seed + 2), &mut student);
+    let transfer_stats = train_into(&app, &cfg(seed + 2), &mut student);
 
     section("total reward (moving average over 10 episodes), sampled every 10 episodes");
     let a = moving_avg(&all_stats, 10);

@@ -43,7 +43,7 @@ fn checkpoint(app: &AppSpec, regime: AgentRegime, episodes: usize, seed: u64) ->
         ..FirmConfig::default()
     });
     if episodes > 0 {
-        let cfg = training_config(episodes, (episodes / 3).max(1), 8, 250.0, regime, seed);
+        let cfg = training_config(episodes, (episodes / 3).max(1), 8, 250.0, seed);
         train_into(app, &cfg, &mut mgr);
     }
     mgr.config.training = false;

@@ -367,12 +367,21 @@ impl EpisodeResult {
 /// simulation, the controller, and the injector, so it can read
 /// whatever else it needs afterwards (run stats, arrival logs,
 /// injection history, harvested experience).
+///
+/// # Panics
+///
+/// If `spec.control_interval` is zero: no window would ever advance
+/// simulated time, so the loop would tick forever.
 pub fn run_episode(
     sim: &mut Simulation,
     controller: &mut dyn Controller,
     mut injector: Option<&mut AnomalyInjector>,
     spec: &EpisodeSpec,
 ) -> EpisodeResult {
+    assert!(
+        spec.control_interval > SimDuration::ZERO,
+        "run_episode needs a non-zero control interval"
+    );
     let app = sim.app().clone();
 
     let mut latency = Histogram::new();
@@ -562,6 +571,17 @@ mod tests {
                 injector.history().len()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero control interval")]
+    fn a_zero_control_interval_panics_instead_of_spinning() {
+        let spec = EpisodeSpec {
+            duration: SimDuration::from_secs(2),
+            control_interval: SimDuration::ZERO,
+            warmup: SimDuration::ZERO,
+        };
+        run_episode(&mut tight_sim(1), &mut Unmanaged, None, &spec);
     }
 
     #[test]

@@ -31,8 +31,6 @@ pub struct TrainingConfig {
     pub ramp_episodes: usize,
     /// Initial (early-terminated) episode length.
     pub min_steps: usize,
-    /// Agent regime to train.
-    pub regime: AgentRegime,
     /// Arrival rate driving the app during training.
     pub arrival_rate: f64,
     /// Injection campaign.
@@ -50,7 +48,6 @@ impl Default for TrainingConfig {
             max_steps: 60,
             ramp_episodes: 30,
             min_steps: 10,
-            regime: AgentRegime::Shared,
             arrival_rate: 60.0,
             campaign: CampaignConfig::default(),
             cluster: ClusterSpec::small(4),
@@ -84,12 +81,16 @@ pub struct EpisodeStats {
     pub actions: u64,
 }
 
-/// Trains a FIRM manager on `app`, returning the per-episode stats and
-/// the trained manager.
-pub fn train_firm(app: &AppSpec, config: &TrainingConfig) -> (Vec<EpisodeStats>, FirmManager) {
+/// Trains a fresh FIRM manager in `regime` on `app`, returning the
+/// per-episode stats and the trained manager.
+pub fn train_firm(
+    app: &AppSpec,
+    regime: AgentRegime,
+    config: &TrainingConfig,
+) -> (Vec<EpisodeStats>, FirmManager) {
     let mut manager = FirmManager::new(FirmConfig {
         control_interval: CONTROL_INTERVAL,
-        regime: config.regime,
+        regime,
         training: true,
         seed: config.seed,
         ..FirmConfig::default()
@@ -197,7 +198,7 @@ mod tests {
 
     #[test]
     fn training_produces_episode_stats() {
-        let (stats, manager) = train_firm(&tight_app(), &tiny_config());
+        let (stats, manager) = train_firm(&tight_app(), AgentRegime::Shared, &tiny_config());
         assert_eq!(stats.len(), 6);
         assert_eq!(stats[0].steps, 3);
         assert_eq!(stats[5].steps, 10);
@@ -209,7 +210,7 @@ mod tests {
 
     #[test]
     fn transfer_training_continues_from_shared_weights() {
-        let (_, teacher) = train_firm(&tight_app(), &tiny_config());
+        let (_, teacher) = train_firm(&tight_app(), AgentRegime::Shared, &tiny_config());
         let (actor, critic) = teacher.shared_weights();
         let mut student = FirmManager::new(FirmConfig {
             training: true,
@@ -241,7 +242,7 @@ mod tests {
                 bytes.extend(s.actions.to_le_bytes());
             }
         };
-        let (stats, teacher) = train_firm(&tight_app(), &tiny_config());
+        let (stats, teacher) = train_firm(&tight_app(), AgentRegime::Shared, &tiny_config());
         record(&teacher, &stats);
         let (actor, critic) = teacher.shared_weights();
         let mut student = FirmManager::new(FirmConfig {

@@ -10,8 +10,6 @@
 //! exercises the shared pipeline against genuinely heterogeneous
 //! tenants (the paper's §4.3 generalization claim).
 
-use std::str::FromStr;
-
 use firm_core::baselines::{AimdConfig, K8sConfig};
 use firm_core::injector::CampaignConfig;
 use firm_sim::{AnomalyKind, SimDuration};
@@ -64,24 +62,14 @@ impl FleetController {
     }
 }
 
-impl FromStr for FleetController {
-    type Err = String;
-
-    /// Parses a report label (or common alias) back into the
-    /// controller, case-insensitively — the inverse of
-    /// [`FleetController::label`].
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "none" | "unmanaged" => Ok(FleetController::Unmanaged),
-            "firm" => Ok(FleetController::Firm),
-            "k8s" | "k8s-hpa" | "k8shpa" | "hpa" => Ok(FleetController::K8sHpa),
-            "aimd" => Ok(FleetController::Aimd),
-            other => Err(format!(
-                "unknown controller {other:?} (expected none|FIRM|K8S|AIMD)"
-            )),
-        }
-    }
-}
+/// Every controller, in report order: the table a wire label decodes
+/// through.
+pub(crate) const FLEET_CONTROLLERS: [FleetController; 4] = [
+    FleetController::Unmanaged,
+    FleetController::Firm,
+    FleetController::K8sHpa,
+    FleetController::Aimd,
+];
 
 /// A declarative, fully reproducible cluster-simulation recipe.
 ///
@@ -406,32 +394,9 @@ mod tests {
         }
 
         // All four controllers appear.
-        for ctl in [
-            FleetController::Unmanaged,
-            FleetController::Firm,
-            FleetController::K8sHpa,
-            FleetController::Aimd,
-        ] {
+        for ctl in FLEET_CONTROLLERS {
             assert!(catalog.iter().any(|s| s.controller == ctl));
         }
-    }
-
-    #[test]
-    fn controller_labels_round_trip_through_from_str() {
-        for ctl in [
-            FleetController::Unmanaged,
-            FleetController::Firm,
-            FleetController::K8sHpa,
-            FleetController::Aimd,
-        ] {
-            let parsed: FleetController = ctl.label().parse().expect("label parses");
-            assert_eq!(parsed, ctl, "label {:?} did not round-trip", ctl.label());
-            // Case-insensitive.
-            let parsed: FleetController = ctl.label().to_ascii_lowercase().parse().expect("parses");
-            assert_eq!(parsed, ctl);
-        }
-        assert!("nonesuch".parse::<FleetController>().is_err());
-        assert!("".parse::<FleetController>().is_err());
     }
 
     #[test]

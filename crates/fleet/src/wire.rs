@@ -9,29 +9,20 @@
 //! recomputes them from the underlying measurements, so a decoded
 //! report is internally consistent by construction.
 //!
-//! `benchmark` / `controller` labels decode back to the same `&'static
-//! str` instances the in-process path uses, via [`Benchmark`]'s wire
-//! decode and [`FleetController`]'s label set.
+//! [`ScenarioOutcome`] and [`ScenarioDelta`] are `wire_struct!`
+//! declarations: their `benchmark` / `controller` labels decode `via`
+//! [`Benchmark`] and [`FleetController`] back to the same `&'static
+//! str` instances the in-process path uses, and the outcome's
+//! `violation_rate()` is rendered in place, not decoded. The two
+//! reports stay hand-written because their decode recomputes.
 
-use firm_wire::{wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_as, wire_struct, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 use firm_workload::apps::Benchmark;
 
 use crate::report::{FleetReport, RoundTripReport, ScenarioDelta, ScenarioOutcome};
-use crate::scenario::{FleetController, Scenario};
+use crate::scenario::{FleetController, Scenario, FLEET_CONTROLLERS};
 
-// Hand-written (not `wire_enum!`): a label enum travels as a bare
-// string, decoded by `FromStr` lookup.
-impl WireEncode for FleetController {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
-    }
-}
-
-impl WireDecode for FleetController {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        v.as_str()?.parse().map_err(DecodeError::new)
-    }
-}
+wire_as!(FleetController by label in FLEET_CONTROLLERS);
 
 wire_struct!(Scenario {
     name,
@@ -50,61 +41,27 @@ wire_struct!(Scenario {
     slo_penalty,
 });
 
-// Hand-written: renders the derived `violation_rate` without decoding
-// it, and decodes its `&'static str` labels through `Benchmark` /
-// `FleetController`.
-impl WireEncode for ScenarioOutcome {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("name", &self.name)
-            .field("benchmark", self.benchmark)
-            .field("controller", self.controller)
-            .field("load", &self.load)
-            .field("seed", self.seed)
-            .field("ticks", self.ticks)
-            .field("arrivals", self.arrivals)
-            .field("completions", self.completions)
-            .field("drops", self.drops)
-            .field("slo_violations", self.slo_violations)
-            .field("violation_rate", self.violation_rate())
-            .field("p50_us", self.p50_us)
-            .field("p99_us", self.p99_us)
-            .field("mean_latency_us", self.mean_latency_us)
-            .field("anomalies_injected", self.anomalies_injected)
-            .field("mitigations", self.mitigations)
-            .field("mean_mitigation_secs", self.mean_mitigation_secs)
-            .field("transitions", self.transitions)
-            .field("svm_examples", self.svm_examples)
-            .build()
-    }
-}
-
-impl WireDecode for ScenarioOutcome {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        // `violation_rate` is derived from completions and violations;
-        // it is rendered for readers but deliberately not decoded.
-        Ok(ScenarioOutcome {
-            name: v.field("name")?,
-            benchmark: v.field::<Benchmark>("benchmark")?.name(),
-            controller: v.field::<FleetController>("controller")?.label(),
-            load: v.field("load")?,
-            seed: v.field("seed")?,
-            ticks: v.field("ticks")?,
-            arrivals: v.field("arrivals")?,
-            completions: v.field("completions")?,
-            drops: v.field("drops")?,
-            slo_violations: v.field("slo_violations")?,
-            p50_us: v.field("p50_us")?,
-            p99_us: v.field("p99_us")?,
-            mean_latency_us: v.field("mean_latency_us")?,
-            anomalies_injected: v.field("anomalies_injected")?,
-            mitigations: v.field("mitigations")?,
-            mean_mitigation_secs: v.field("mean_mitigation_secs")?,
-            transitions: v.field("transitions")?,
-            svm_examples: v.field("svm_examples")?,
-        })
-    }
-}
+wire_struct!(ScenarioOutcome {
+    name,
+    benchmark via Benchmark::name,
+    controller via FleetController::label,
+    load,
+    seed,
+    ticks,
+    arrivals,
+    completions,
+    drops,
+    slo_violations,
+    violation_rate(),
+    p50_us,
+    p99_us,
+    mean_latency_us,
+    anomalies_injected,
+    mitigations,
+    mean_mitigation_secs,
+    transitions,
+    svm_examples,
+});
 
 // Hand-written: `totals` is rendered for readers and recomputed on
 // decode.
@@ -143,43 +100,16 @@ impl WireDecode for FleetReport {
     }
 }
 
-// Hand-written: `controller` decodes through `FleetController` to its
-// `&'static str` label.
-impl WireEncode for ScenarioDelta {
-    fn encode(&self) -> JsonValue {
-        Obj::new()
-            .field("name", &self.name)
-            .field("controller", self.controller)
-            .field("train_violation_rate", self.train_violation_rate)
-            .field("deploy_violation_rate", self.deploy_violation_rate)
-            .field("train_p99_us", self.train_p99_us)
-            .field("deploy_p99_us", self.deploy_p99_us)
-            .field(
-                "train_mean_mitigation_secs",
-                self.train_mean_mitigation_secs,
-            )
-            .field(
-                "deploy_mean_mitigation_secs",
-                self.deploy_mean_mitigation_secs,
-            )
-            .build()
-    }
-}
-
-impl WireDecode for ScenarioDelta {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(ScenarioDelta {
-            name: v.field("name")?,
-            controller: v.field::<FleetController>("controller")?.label(),
-            train_violation_rate: v.field("train_violation_rate")?,
-            deploy_violation_rate: v.field("deploy_violation_rate")?,
-            train_p99_us: v.field("train_p99_us")?,
-            deploy_p99_us: v.field("deploy_p99_us")?,
-            train_mean_mitigation_secs: v.field("train_mean_mitigation_secs")?,
-            deploy_mean_mitigation_secs: v.field("deploy_mean_mitigation_secs")?,
-        })
-    }
-}
+wire_struct!(ScenarioDelta {
+    name,
+    controller via FleetController::label,
+    train_violation_rate,
+    deploy_violation_rate,
+    train_p99_us,
+    deploy_p99_us,
+    train_mean_mitigation_secs,
+    deploy_mean_mitigation_secs,
+});
 
 // Hand-written: decode validates that the two passes line up and
 // recomputes `deltas`.
@@ -246,13 +176,14 @@ mod tests {
 
     #[test]
     fn controllers_round_trip() {
-        for ctl in [
-            FleetController::Unmanaged,
-            FleetController::Firm,
-            FleetController::K8sHpa,
-            FleetController::Aimd,
-        ] {
+        for ctl in FLEET_CONTROLLERS {
             assert_round_trip(&ctl);
+            assert_eq!(encode_string(&ctl), format!("{:?}", ctl.label()));
+        }
+        // A label is matched exactly: no aliases, no case folding.
+        for bad in ["firm", "k8s", "unmanaged", "nonesuch", ""] {
+            let err = FleetController::decode(&JsonValue::Str(bad.into())).unwrap_err();
+            assert_eq!(err.msg, format!("unknown FleetController label {bad:?}"));
         }
     }
 

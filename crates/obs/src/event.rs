@@ -159,6 +159,8 @@ impl From<String> for FieldValue {
     }
 }
 
+// Hand-written: an untagged scalar whose variant is the JSON value's
+// own kind.
 impl WireEncode for FieldValue {
     fn encode(&self) -> JsonValue {
         match self {
@@ -222,6 +224,8 @@ impl Event {
     }
 }
 
+// Hand-written: `fields` is an open object of any keys, and decode
+// parses `level` and owns the names an emitted event borrows.
 impl WireEncode for Event {
     fn encode(&self) -> JsonValue {
         let fields = JsonValue::Object(

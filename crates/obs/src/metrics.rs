@@ -203,6 +203,8 @@ impl HistogramSnapshot {
     }
 }
 
+// Hand-written: buckets travel as `[index, count]` pairs, and decode
+// validates each pair and index.
 impl WireEncode for HistogramSnapshot {
     fn encode(&self) -> JsonValue {
         let buckets = JsonValue::Array(
@@ -422,6 +424,8 @@ impl MetricsSnapshot {
     }
 }
 
+// Hand-written: entries are key/value objects tagged by metric kind, a
+// list of pairs rather than a struct.
 impl WireEncode for MetricsSnapshot {
     fn encode(&self) -> JsonValue {
         let entries = JsonValue::Array(

@@ -230,7 +230,7 @@ fn serve_client_session(
         }
         match request {
             ClientRequest::Submit(submit) => {
-                let id = match service.begin(submit.scenarios.len()) {
+                let id = match service.begin(&submit.scenarios) {
                     Ok(id) => id,
                     Err(rejection) => {
                         let _ = write_msg(

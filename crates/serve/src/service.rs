@@ -41,6 +41,7 @@ use firm_fleet::supervisor::WorkerPool;
 use firm_fleet::transport::Transport;
 use firm_fleet::{FleetConfig, Fold, WorkerOps};
 use firm_obs::{Counter, Gauge, Histogram, Level};
+use firm_sim::SimDuration;
 
 use crate::protocol::SubmissionReport;
 
@@ -223,21 +224,33 @@ impl FleetService {
         &self.limits
     }
 
-    /// Admits a submission of `scenarios` scenarios, returning its id.
-    /// Call [`FleetService::run`] with the id next; every successful
-    /// `begin` must be paired with exactly one `run`.
+    /// Admits a submission of `scenarios`, returning its id. Call
+    /// [`FleetService::run`] with the id and the same scenarios next;
+    /// every successful `begin` must be paired with exactly one `run`.
     ///
     /// Refusals carry a [`Rejection`]: *retryable* for transient
     /// conditions (the service is draining for shutdown, or admitting
     /// the scenarios would exceed the
     /// [`ServiceLimits::max_pending_scenarios`] backpressure bound) and
-    /// permanent for requests that can never succeed.
-    pub fn begin(&self, scenarios: usize) -> Result<u64, Rejection> {
-        if scenarios == 0 {
+    /// permanent for requests that can never succeed (an empty
+    /// submission, or a scenario with a zero control interval, which
+    /// no worker can run).
+    pub fn begin(&self, scenarios: &[Scenario]) -> Result<u64, Rejection> {
+        if scenarios.is_empty() {
             return Err(Rejection::permanent(
                 "a submission needs at least one scenario",
             ));
         }
+        if let Some(bad) = scenarios
+            .iter()
+            .find(|s| s.control_interval == SimDuration::ZERO)
+        {
+            return Err(Rejection::permanent(format!(
+                "scenario `{}` has a zero control interval",
+                bad.name
+            )));
+        }
+        let scenarios = scenarios.len();
         let mut st = self.state.lock().expect("service state lock");
         if let Some(why) = &st.retired {
             return Err(Rejection::transient(format!("submission rejected: {why}")));
@@ -373,7 +386,7 @@ impl FleetService {
         scenarios: &[Scenario],
         on_outcome: &mut dyn FnMut(u64, &ScenarioOutcome),
     ) -> Result<SubmissionReport, String> {
-        let id = self.begin(scenarios.len()).map_err(|r| r.message)?;
+        let id = self.begin(scenarios).map_err(|r| r.message)?;
         self.run(id, seed, base_index, scenarios, on_outcome)
     }
 

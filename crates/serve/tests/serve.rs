@@ -391,6 +391,47 @@ fn submissions_after_retire_are_rejected_retryably() {
     server.join();
 }
 
+/// A scenario with a zero control interval would spin its worker
+/// forever, so the service refuses the whole submission before
+/// dispatch: a permanent error naming the scenario, no submission id
+/// spent, and the same session's next submission is served.
+#[test]
+fn a_zero_control_interval_is_refused_before_dispatch() {
+    let server = start_server(1, 5, 0);
+    let mut client =
+        ServeClient::connect(&server.local_addr().to_string()).expect("client connects");
+    let mut bad = short_catalog(2, 2);
+    bad[1].control_interval = SimDuration::ZERO;
+    let name = bad[1].name.clone();
+    let err = client
+        .submit(5, 0, bad, &mut |_, _| panic!("a refused submission ran"))
+        .expect_err("a zero control interval must be refused");
+    match &err {
+        ClientError::Rejected {
+            submission,
+            message,
+            retryable,
+        } => {
+            assert_eq!(*submission, 0, "{message}");
+            assert!(message.contains(&format!("`{name}`")), "{message}");
+            assert!(message.contains("zero control interval"), "{message}");
+            assert!(!retryable, "retrying the same scenarios can never help");
+        }
+        other => panic!("expected a rejection, got {other}"),
+    }
+
+    let report = client
+        .submit(5, 0, short_catalog(1, 2), &mut |_, _| {})
+        .expect("the session keeps serving");
+    assert_eq!(
+        report.submission, 0,
+        "the refused submission must never have been admitted"
+    );
+    assert_eq!(report.report.scenarios.len(), 1);
+    let _ = client.shutdown().expect("shutdown");
+    server.join();
+}
+
 /// A malformed frame mid-session gets an error frame and closes only
 /// *that* session: the worker pool and every other session keep
 /// working.
@@ -551,9 +592,9 @@ fn backpressure_sheds_submissions_retryably_until_the_backlog_drains() {
         .get();
 
     let catalog = short_catalog(2, 6);
-    let id = service.begin(catalog.len()).expect("within the bound");
+    let id = service.begin(&catalog).expect("within the bound");
     let shed = service
-        .begin(1)
+        .begin(&catalog[..1])
         .expect_err("one more scenario must exceed the bound");
     assert!(shed.retryable, "backpressure must be retryable");
     assert!(shed.message.contains("max-pending"), "{}", shed.message);
@@ -571,7 +612,7 @@ fn backpressure_sheds_submissions_retryably_until_the_backlog_drains() {
         .expect("the admitted submission still runs");
     assert_eq!(report.report.scenarios.len(), 2);
     let id = service
-        .begin(1)
+        .begin(&catalog[..1])
         .expect("admission reopens once the backlog drained");
     let _ = service
         .run(id, 3, 2, &catalog[..1], &mut |_, _| {})

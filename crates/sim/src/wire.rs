@@ -1,71 +1,25 @@
-//! Wire-codec impls for the simulator's plain-data types.
-//!
-//! Durations travel as integer microseconds (the simulator's native
-//! unit, so the round trip is exact); identifiers as their raw
-//! integers; anomaly kinds as their report labels, decoded by lookup in
-//! [`crate::anomaly::ANOMALY_KINDS`].
+//! Wire-codec impls for the simulator's plain-data types, each a
+//! [`wire_as!`] declaration: durations travel as integer microseconds
+//! (the simulator's native unit, so the round trip is exact);
+//! identifiers as their raw integers; anomaly kinds as their report
+//! labels, decoded by lookup in [`ANOMALY_KINDS`].
 
-use firm_wire::{DecodeError, JsonValue, WireDecode, WireEncode};
+use firm_wire::wire_as;
 
 use crate::anomaly::{AnomalyKind, ANOMALY_KINDS};
 use crate::ids::{InstanceId, NodeId, ServiceId};
 use crate::time::SimDuration;
 
-// Hand-written (not `wire_struct!`): a newtype travels as its bare
-// integer, not as an object.
-impl WireEncode for SimDuration {
-    fn encode(&self) -> JsonValue {
-        JsonValue::U64(self.as_micros())
-    }
-}
-
-impl WireDecode for SimDuration {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        Ok(SimDuration::from_micros(u64::decode(v)?))
-    }
-}
-
-// Newtype ids, likewise bare integers.
-macro_rules! wire_id {
-    ($($ty:ident => $raw:ty),*) => {$(
-        impl WireEncode for $ty {
-            fn encode(&self) -> JsonValue {
-                JsonValue::U64(self.raw() as u64)
-            }
-        }
-
-        impl WireDecode for $ty {
-            fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-                Ok($ty(<$raw>::decode(v)?))
-            }
-        }
-    )*};
-}
-
-wire_id!(NodeId => u16, ServiceId => u16, InstanceId => u32);
-
-// Hand-written (not `wire_enum!`): a label enum travels as a bare
-// string, decoded by lookup in `ANOMALY_KINDS`.
-impl WireEncode for AnomalyKind {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
-    }
-}
-
-impl WireDecode for AnomalyKind {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        let label = v.as_str()?;
-        ANOMALY_KINDS
-            .into_iter()
-            .find(|k| k.label() == label)
-            .ok_or_else(|| DecodeError::new(format!("unknown anomaly kind {label:?}")))
-    }
-}
+wire_as!(SimDuration as u64 by as_micros, SimDuration::from_micros);
+wire_as!(NodeId as u16 by raw, NodeId);
+wire_as!(ServiceId as u16 by raw, ServiceId);
+wire_as!(InstanceId as u32 by raw, InstanceId);
+wire_as!(AnomalyKind by label in ANOMALY_KINDS);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firm_wire::assert_round_trip;
+    use firm_wire::{assert_round_trip, encode_string, JsonValue, WireDecode};
 
     #[test]
     fn durations_round_trip_exactly() {
@@ -87,6 +41,22 @@ mod tests {
         for kind in ANOMALY_KINDS {
             assert_round_trip(&kind);
         }
-        assert!(AnomalyKind::decode(&JsonValue::Str("nonesuch".into())).is_err());
+        let err = AnomalyKind::decode(&JsonValue::Str("nonesuch".into())).unwrap_err();
+        assert_eq!(err.msg, r#"unknown AnomalyKind label "nonesuch""#);
+    }
+
+    #[test]
+    fn bare_values_match_their_goldens() {
+        assert_eq!(
+            encode_string(&SimDuration::from_micros(2_500_000)),
+            "2500000"
+        );
+        assert_eq!(encode_string(&NodeId(7)), "7");
+        assert_eq!(encode_string(&ServiceId(u16::MAX)), "65535");
+        assert_eq!(encode_string(&InstanceId(70_000)), "70000");
+        assert_eq!(
+            encode_string(&AnomalyKind::MemBwStress),
+            r#""Memory Bandwidth""#
+        );
     }
 }

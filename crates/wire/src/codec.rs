@@ -270,32 +270,61 @@ impl JsonValue {
 ///
 /// `wire_struct!(Ty { a, b as "b_us" })` encodes an object whose keys
 /// are the field names (or the `as` key) in list order, and decodes by
-/// reading the same keys back. `wire_struct!(Ty tagged "tag" { .. })`
-/// prepends `"type": "tag"` like [`Obj::tagged`], and decode rejects a
-/// frame whose `"type"` differs ([`JsonValue::expect_tag`]). Tagged
-/// unions of such frames are declared with [`wire_enum!`](crate::wire_enum). Codecs that
-/// validate, derive a field, or decode through another type stay
-/// hand-written. The crate-level docs have an example.
+/// reading the same keys back. Two more forms cover fields whose wire
+/// value is not the field's own:
+/// * `label via Kind::name` decodes the key as `Kind` and keeps
+///   `kind.name()` — how a `&'static str` label field comes back as
+///   the very string the in-process path holds (encode writes the
+///   field itself);
+/// * `rate()` renders the method's value under its name at that place
+///   in the list and is not decoded — a derived figure kept in the
+///   document for readers, recomputed from the fields it derives from.
+///
+/// `wire_struct!(Ty tagged "tag" { .. })` prepends `"type": "tag"`
+/// like [`Obj::tagged`], and decode rejects a frame whose `"type"`
+/// differs ([`JsonValue::expect_tag`]). Tagged unions of such frames
+/// are declared with [`wire_enum!`](crate::wire_enum), and a type that
+/// travels as one bare value with [`wire_as!`](crate::wire_as). Codecs
+/// that validate or recompute on decode stay hand-written. The
+/// crate-level docs have an example.
 #[macro_export]
 macro_rules! wire_struct {
-    ($ty:ident $(tagged $tag:literal)? { $($field:ident $(as $key:literal)?),* $(,)? }) => {
+    ($ty:ident $(tagged $tag:literal)? { $($fields:tt)* }) => {
         impl $crate::WireEncode for $ty {
             fn encode(&self) -> $crate::JsonValue {
-                $crate::Obj::new()
-                    $(.field("type", $tag))?
-                    $(.field($crate::wire_struct!(@key $field $($key)?), &self.$field))*
-                    .build()
+                $crate::wire_struct!(@encode self, $crate::Obj::new() $(.field("type", $tag))?; $($fields)*)
             }
         }
 
         impl $crate::WireDecode for $ty {
             fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
                 $(v.expect_tag($tag)?;)?
-                Ok($ty {
-                    $($field: v.field($crate::wire_struct!(@key $field $($key)?))?,)*
-                })
+                Ok($crate::wire_struct!(@decode v, $ty {}; $($fields)*))
             }
         }
+    };
+    // Encode: one `.field` call per list entry, in list order.
+    (@encode $s:ident, $obj:expr;) => { $obj.build() };
+    (@encode $s:ident, $obj:expr; $method:ident () $(, $($rest:tt)*)?) => {
+        $crate::wire_struct!(@encode $s, $obj.field(stringify!($method), $s.$method()); $($($rest)*)?)
+    };
+    (@encode $s:ident, $obj:expr; $field:ident $(via $via:ident :: $conv:ident)? $(as $key:literal)? $(, $($rest:tt)*)?) => {
+        $crate::wire_struct!(@encode $s, $obj.field($crate::wire_struct!(@key $field $($key)?), &$s.$field); $($($rest)*)?)
+    };
+    // Decode: one initializer per field; a rendered method adds none.
+    (@decode $v:ident, $ty:ident { $($init:tt)* };) => { $ty { $($init)* } };
+    (@decode $v:ident, $ty:ident { $($init:tt)* }; $method:ident () $(, $($rest:tt)*)?) => {
+        $crate::wire_struct!(@decode $v, $ty { $($init)* }; $($($rest)*)?)
+    };
+    (@decode $v:ident, $ty:ident { $($init:tt)* }; $field:ident via $via:ident :: $conv:ident $(as $key:literal)? $(, $($rest:tt)*)?) => {
+        $crate::wire_struct!(@decode $v, $ty {
+            $($init)* $field: $v.field::<$via>($crate::wire_struct!(@key $field $($key)?))?.$conv(),
+        }; $($($rest)*)?)
+    };
+    (@decode $v:ident, $ty:ident { $($init:tt)* }; $field:ident $(as $key:literal)? $(, $($rest:tt)*)?) => {
+        $crate::wire_struct!(@decode $v, $ty {
+            $($init)* $field: $v.field($crate::wire_struct!(@key $field $($key)?))?,
+        }; $($($rest)*)?)
     };
     (@key $field:ident) => { stringify!($field) };
     (@key $field:ident $key:literal) => { $key };
@@ -349,6 +378,84 @@ macro_rules! wire_enum {
                     ))
                     .push_segment($key)),
                 }
+            }
+        }
+    };
+}
+
+/// Declares a type that travels as one bare wire value, not as an
+/// object: generates both [`WireEncode`] and [`WireDecode`].
+///
+/// * `wire_as!(Kind by label in KINDS)` — a label enum: encodes as
+///   the string `kind.label()`, and decodes by finding the entry of the
+///   table `KINDS` whose label it is. An unknown label is a
+///   [`DecodeError`] naming the type and the label.
+/// * `wire_as!(Id as u16 by raw, Id)` — a newtype: encodes as the
+///   `u16` that `id.raw()` returns, and decodes that `u16` (with its
+///   range check) and rebuilds the value with `Id` (a constructor
+///   function or a tuple struct's name).
+///
+/// ```
+/// use firm_wire::{decode_string, encode_string, wire_as};
+///
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Tier { Front, Back }
+/// impl Tier {
+///     fn label(self) -> &'static str {
+///         match self { Tier::Front => "front", Tier::Back => "back" }
+///     }
+/// }
+/// const TIERS: [Tier; 2] = [Tier::Front, Tier::Back];
+/// wire_as!(Tier by label in TIERS);
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Port(u16);
+/// impl Port {
+///     fn raw(&self) -> u16 { self.0 }
+/// }
+/// wire_as!(Port as u16 by raw, Port);
+///
+/// assert_eq!(encode_string(&Tier::Back), r#""back""#);
+/// assert_eq!(decode_string::<Tier>(r#""front""#).unwrap(), Tier::Front);
+/// let err = decode_string::<Tier>(r#""middle""#).unwrap_err();
+/// assert_eq!(err.to_string(), r#"decode error: unknown Tier label "middle""#);
+/// assert_eq!(encode_string(&Port(8080)), "8080");
+/// assert!(decode_string::<Port>("70000").is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_as {
+    ($ty:ident by $label:ident in $table:expr) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::JsonValue::Str(self.$label().to_string())
+            }
+        }
+
+        impl $crate::WireDecode for $ty {
+            fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
+                let label = v.as_str()?;
+                $table
+                    .into_iter()
+                    .find(|x| x.$label() == label)
+                    .ok_or_else(|| {
+                        $crate::DecodeError::new(format!(
+                            "unknown {} label {label:?}",
+                            stringify!($ty)
+                        ))
+                    })
+            }
+        }
+    };
+    ($ty:ident as $raw:ident by $get:ident, $make:expr) => {
+        impl $crate::WireEncode for $ty {
+            fn encode(&self) -> $crate::JsonValue {
+                $crate::WireEncode::encode(&self.$get())
+            }
+        }
+
+        impl $crate::WireDecode for $ty {
+            fn decode(v: &$crate::JsonValue) -> Result<Self, $crate::DecodeError> {
+                <$raw as $crate::WireDecode>::decode(v).map($make)
             }
         }
     };
@@ -651,6 +758,59 @@ mod tests {
         };
         assert_eq!(e.path, "type");
         assert_eq!(e.msg, r#"expected a "probe" frame, found "sample""#);
+    }
+
+    #[test]
+    fn wire_struct_decodes_through_another_type_and_renders_methods() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Tier {
+            Front,
+            Back,
+        }
+        impl Tier {
+            fn label(self) -> &'static str {
+                match self {
+                    Tier::Front => "front",
+                    Tier::Back => "back",
+                }
+            }
+        }
+        wire_as!(Tier by label in [Tier::Front, Tier::Back]);
+        #[derive(Debug, PartialEq)]
+        struct Row {
+            tier: &'static str,
+            hits: u64,
+            misses: u64,
+        }
+        impl Row {
+            fn hit_rate(&self) -> f64 {
+                self.hits as f64 / (self.hits + self.misses) as f64
+            }
+        }
+        wire_struct!(Row { tier via Tier::label, hits, hit_rate(), misses });
+
+        let row = Row {
+            tier: "back",
+            hits: 3,
+            misses: 1,
+        };
+        assert_eq!(
+            encode_string(&row),
+            r#"{"tier":"back","hits":3,"hit_rate":0.75,"misses":1}"#
+        );
+        assert_round_trip(&row);
+        // The rendered rate is not read back, and the label decodes to
+        // the table's own string.
+        let back: Row = decode_string(r#"{"tier":"front","hits":1,"misses":0}"#).unwrap();
+        assert!(std::ptr::eq(back.tier, Tier::Front.label()));
+        let unknown = decode_string::<Row>(r#"{"tier":"middle","hits":1,"misses":0}"#);
+        let Err(WireError::Decode(e)) = unknown else {
+            panic!("decoded an unknown label: {unknown:?}");
+        };
+        assert_eq!(
+            (e.path.as_str(), e.msg.as_str()),
+            ("tier", r#"unknown Tier label "middle""#)
+        );
     }
 
     #[test]

@@ -16,8 +16,11 @@
 //!   round-trip contract `decode(encode(x)) == x` checked by
 //!   [`assert_round_trip`] in every owning crate; a plain struct
 //!   declares its shape once through [`wire_struct!`], which generates
-//!   both halves from one field list, and a tagged union through
-//!   [`wire_enum!`], which dispatches on its tag;
+//!   both halves from one field list (a field may decode `via` another
+//!   type, and a `method()` entry renders a derived value in place), a
+//!   tagged union through [`wire_enum!`], which dispatches on its tag,
+//!   and a type carried as one bare value — a label enum as its label,
+//!   a newtype as its integer — through [`wire_as!`];
 //! * [`encode_line`] / [`decode_line`] — newline-delimited frames for
 //!   the fleet's subprocess worker protocol (the escaper guarantees a
 //!   rendered document never contains a raw newline).

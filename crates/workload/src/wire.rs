@@ -5,31 +5,16 @@
 //! [`ReplayTrace`], whose recorded arrival offsets ship verbatim so
 //! every shard can re-run an identical incident. Shapes travel as
 //! tagged objects (`{"shape":"steady",...}`); benchmarks by display
-//! name, decoded by lookup in [`crate::apps::ALL_BENCHMARKS`].
+//! name, a [`wire_as!`] label decoded by lookup in
+//! [`crate::apps::ALL_BENCHMARKS`].
 
 use firm_sim::SimDuration;
-use firm_wire::{wire_enum, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
+use firm_wire::{wire_as, wire_enum, DecodeError, JsonValue, Obj, WireDecode, WireEncode};
 
 use crate::apps::{Benchmark, ALL_BENCHMARKS};
 use crate::generator::{LoadShape, ReplayTrace};
 
-// Hand-written (not `wire_enum!`): a label enum travels as a bare
-// string, decoded by lookup in `ALL_BENCHMARKS`.
-impl WireEncode for Benchmark {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.name().to_string())
-    }
-}
-
-impl WireDecode for Benchmark {
-    fn decode(v: &JsonValue) -> Result<Self, DecodeError> {
-        let name = v.as_str()?;
-        ALL_BENCHMARKS
-            .into_iter()
-            .find(|b| b.name() == name)
-            .ok_or_else(|| DecodeError::new(format!("unknown benchmark {name:?}")))
-    }
-}
+wire_as!(Benchmark by name in ALL_BENCHMARKS);
 
 // Hand-written: private fields behind accessors, and decode re-validates
 // the constructor contract.
@@ -86,7 +71,12 @@ mod tests {
         for b in ALL_BENCHMARKS {
             assert_round_trip(&b);
         }
-        assert!(Benchmark::decode(&JsonValue::Str("Unknown App".into())).is_err());
+        assert_eq!(
+            encode_string(&Benchmark::HotelReservation),
+            r#""Hotel Reservation""#
+        );
+        let err = Benchmark::decode(&JsonValue::Str("Unknown App".into())).unwrap_err();
+        assert_eq!(err.msg, r#"unknown Benchmark label "Unknown App""#);
     }
 
     #[test]

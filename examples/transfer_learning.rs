@@ -18,14 +18,13 @@ fn main() {
     let mut app = Benchmark::TrainTicket.build();
     firm::core::slo::calibrate_slos(&mut app, &cluster, 150.0, 1.4, 1);
 
-    let cfg = |regime, seed| TrainingConfig {
+    let cfg = |seed| TrainingConfig {
         episodes: 30,
         max_steps: 20,
         ramp_episodes: 10,
         min_steps: 8,
         arrival_rate: 150.0,
         cluster: cluster.clone(),
-        regime,
         campaign: CampaignConfig {
             lambda: 0.8,
             intensity: (0.7, 1.0),
@@ -35,13 +34,13 @@ fn main() {
     };
 
     println!("training the general (one-for-all) teacher agent...");
-    let (teacher_stats, teacher) = train_firm(&app, &cfg(AgentRegime::Shared, 100));
+    let (teacher_stats, teacher) = train_firm(&app, AgentRegime::Shared, &cfg(100));
     let teacher_avg =
         teacher_stats.iter().map(|s| s.total_reward).sum::<f64>() / teacher_stats.len() as f64;
     println!("teacher mean episode reward: {teacher_avg:.1}");
 
     println!("\ntraining per-service agents from scratch...");
-    let (scratch_stats, _) = train_firm(&app, &cfg(AgentRegime::PerService, 200));
+    let (scratch_stats, _) = train_firm(&app, AgentRegime::PerService, &cfg(200));
 
     println!("training per-service agents transferred from the teacher...");
     let (actor, critic) = teacher.shared_weights();
@@ -52,7 +51,7 @@ fn main() {
         ..FirmConfig::default()
     });
     student.estimator_mut().import_shared(&actor, &critic);
-    let transfer_stats = train_into(&app, &cfg(AgentRegime::Transfer, 300), &mut student);
+    let transfer_stats = train_into(&app, &cfg(300), &mut student);
 
     let early = |stats: &[firm::core::training::EpisodeStats]| {
         let k = stats.len() / 2;
