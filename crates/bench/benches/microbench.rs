@@ -19,8 +19,10 @@
 //! The container image carries no external crates, so this is a plain
 //! `harness = false` bench: each case is timed over a fixed iteration
 //! budget with `std::time::Instant` and reported as ns/iter. Run with
-//! `cargo bench -p firm-bench`.
+//! `cargo bench -p firm-bench`; name prefixes after `--` select cases,
+//! e.g. `cargo bench -p firm-bench -- simulator slo`.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
@@ -37,10 +39,35 @@ use firm_trace::graph::ExecutionHistoryGraph;
 use firm_trace::TracingCoordinator;
 use firm_workload::apps::Benchmark;
 
-/// Times `f` over `iters` iterations and prints a ns/iter line. The
-/// closure returns a value that is folded into a black-box accumulator
-/// so the optimizer cannot elide the work.
+/// The name-prefix filters given on the command line; none selects
+/// every case. Flags (cargo passes `--bench`) are not filters.
+static FILTERS: OnceLock<Vec<String>> = OnceLock::new();
+
+fn filters() -> &'static [String] {
+    FILTERS.get().map_or(&[], Vec::as_slice)
+}
+
+/// Whether a filter selects the case `name`.
+fn selected(name: &str) -> bool {
+    filters().is_empty() || filters().iter().any(|f| name.starts_with(f.as_str()))
+}
+
+/// Whether a filter may select a case of the group whose names start
+/// with `group` (the group's setup is skipped otherwise).
+fn group_selected(group: &str) -> bool {
+    filters().is_empty()
+        || filters()
+            .iter()
+            .any(|f| f.starts_with(group) || group.starts_with(f.as_str()))
+}
+
+/// Times `f` over `iters` iterations and prints a ns/iter line, if a
+/// filter selects `name`. The closure returns a value that is folded
+/// into a black-box accumulator so the optimizer cannot elide the work.
 fn bench<T>(name: &str, iters: u64, mut f: impl FnMut() -> T) {
+    if !selected(name) {
+        return;
+    }
     let start = Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
@@ -268,16 +295,25 @@ fn bench_extractor() {
 }
 
 fn main() {
+    let filters = std::env::args().skip(1).filter(|a| !a.starts_with('-'));
+    FILTERS.get_or_init(|| filters.collect());
     println!(
         "firm micro-benchmarks (plain harness, ns/iter, kernel {})",
         kernel_isa()
     );
     println!("{}", "-".repeat(74));
-    bench_critical_path();
-    bench_svm();
-    bench_ddpg();
-    bench_kernels();
-    bench_simulator();
-    bench_calibrate_slos();
-    bench_extractor();
+    let groups: [(&str, fn()); 7] = [
+        ("critical_path/", bench_critical_path),
+        ("svm/", bench_svm),
+        ("ddpg/", bench_ddpg),
+        ("kernel/", bench_kernels),
+        ("simulator/", bench_simulator),
+        ("slo/", bench_calibrate_slos),
+        ("extractor/", bench_extractor),
+    ];
+    for (group, run) in groups {
+        if group_selected(group) {
+            run();
+        }
+    }
 }

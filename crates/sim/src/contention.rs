@@ -58,7 +58,9 @@ const RATE_FLOOR_FRAC: f64 = 0.01;
 /// Reservations may cover at most this fraction of a node's capacity.
 pub const MAX_RESERVABLE_FRAC: f64 = 0.9;
 
-/// Effective resource rates for one instance at one moment.
+/// The effective rates one compute chunk reads, for one instance at one
+/// moment. The network rate is not among them: only a cross-node hop
+/// reads it, through [`effective_rate`].
 #[derive(Debug, Clone, Copy)]
 pub struct EffectiveRates {
     /// Per-worker CPU speed in cores (≤ 1.0 × node speed).
@@ -69,8 +71,6 @@ pub struct EffectiveRates {
     pub llc_mb: f64,
     /// Disk bandwidth, MB/s.
     pub io_mbps: f64,
-    /// Network bandwidth, MB/s.
-    pub net_mbps: f64,
     /// DRAM-traffic inflation factor from LLC shortfall (≥ 1).
     pub mem_inflation: f64,
 }
@@ -280,10 +280,16 @@ const STRESS_GAIN: [f64; 5] = [2.0, 9.0, 9.0, 6.0, 6.0];
 /// level stressor (the paper's injector runs inside the container)
 /// competes head-to-head with the service on that resource.
 fn instance_stress_factor(target: &Instance, kind: ResourceKind) -> f64 {
-    1.0 / (1.0 + STRESS_GAIN[kind.index()] * target.stress[kind.index()].max(0.0))
+    let stress = target.stress[kind.index()].max(0.0);
+    // Exactly what the formula gives at zero stress, without the divide.
+    if stress == 0.0 {
+        return 1.0;
+    }
+    1.0 / (1.0 + STRESS_GAIN[kind.index()] * stress)
 }
 
-/// All effective rates of `target`, given every kind's peer sums.
+/// The rates a compute chunk reads (every kind but the network's),
+/// given every kind's peer sums.
 fn rates_from_sums(
     node: &Node,
     target: &Instance,
@@ -302,7 +308,6 @@ fn rates_from_sums(
     let mem_mbps = rate(ResourceKind::MemBw) * instance_stress_factor(target, ResourceKind::MemBw);
     let llc_mb = rate(ResourceKind::Llc) * instance_stress_factor(target, ResourceKind::Llc);
     let io_mbps = rate(ResourceKind::IoBw) * instance_stress_factor(target, ResourceKind::IoBw);
-    let net_mbps = rate(ResourceKind::NetBw) * instance_stress_factor(target, ResourceKind::NetBw);
     let mem_inflation = llc_inflation(llc_mb, llc_working_set_mb, llc_sensitivity);
 
     EffectiveRates {
@@ -310,7 +315,6 @@ fn rates_from_sums(
         mem_mbps,
         llc_mb,
         io_mbps,
-        net_mbps,
         mem_inflation,
     }
 }
@@ -345,9 +349,9 @@ pub fn effective_rate(
     rate
 }
 
-/// All effective rates of `target` at once — the engine's per-chunk
-/// query. Same contract as [`effective_rate`], and bit-identical to five
-/// independent calls of it.
+/// The rates a compute chunk reads — CPU, memory bandwidth, LLC and
+/// disk — at once: the engine's per-chunk query. Same contract as
+/// [`effective_rate`], and bit-identical to independent calls of it.
 pub fn effective_rates(
     node: &Node,
     instances: &[Instance],
@@ -372,13 +376,12 @@ pub fn effective_rates(
 }
 
 #[cfg(any(test, debug_assertions))]
-fn rate_bits(r: &EffectiveRates) -> [u64; 6] {
+fn rate_bits(r: &EffectiveRates) -> [u64; 5] {
     [
         r.cpu_per_worker,
         r.mem_mbps,
         r.llc_mb,
         r.io_mbps,
-        r.net_mbps,
         r.mem_inflation,
     ]
     .map(f64::to_bits)
@@ -451,14 +454,16 @@ mod tests {
         effective_rate(&node, &peers, &peers[target], kind)
     }
 
-    /// The aggregate-fed five-kind query must reproduce the peer walk
-    /// and five independent per-kind queries bit for bit — partitions,
+    /// The aggregate-fed per-chunk query must reproduce the peer walk
+    /// and the independent per-kind queries bit for bit — partitions,
     /// oversubscribed reservations, contenders, stress and every
-    /// lifecycle state included.
+    /// lifecycle state included. The network rate, which the per-chunk
+    /// query does not compute, is held to the peer walk per kind.
     #[test]
     fn fused_rates_match_per_kind_rates_bit_for_bit() {
         let mut n = node();
         n.add_contender(contender(ResourceKind::MemBw, 0.6));
+        n.add_contender(contender(ResourceKind::NetBw, 0.3));
         // Reservations oversubscribed on both kinds: 27,000 of 23,040
         // reservable MB/s, 38 of 31.5 reservable MB.
         let mut a = inst(2.0, 3);
@@ -513,10 +518,14 @@ mod tests {
                 fused.io_mbps.to_bits(),
                 per_kind(ResourceKind::IoBw).to_bits()
             );
-            assert_eq!(
-                fused.net_mbps.to_bits(),
-                per_kind(ResourceKind::NetBw).to_bits()
+            let net = effective_rate(&n, &peers, target, ResourceKind::NetBw);
+            let net_walk = rate_from_sums(
+                &n,
+                target,
+                ResourceKind::NetBw,
+                walk_sums(&n, &peers)[ResourceKind::NetBw.index()],
             );
+            assert_eq!(net.to_bits(), net_walk.to_bits());
         }
     }
 

@@ -13,6 +13,15 @@
 //! Events are ordered by `(time, sequence)`, every random draw comes from
 //! one seeded [`SimRng`], and per-entity state lives in index-addressed
 //! vectors, so a `(spec, seed)` pair reproduces a run bit-for-bit.
+//!
+//! The order is packed into one `u128` key per event, `(time_us << 64) |
+//! seq`, so the heap compares one integer; `seq` only grows, so keys are
+//! unique and the order is total. The event being dispatched stays at
+//! the top of the heap until its handler's first `schedule`, which
+//! overwrites it in place: one sift-down instead of a pop (sift down to
+//! the bottom, then up) plus a push. Only a handler that schedules
+//! nothing pops. The heap holds the same set of keys either way, so the
+//! dispatch order is the same.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,29 +70,31 @@ pub struct ArrivalRecord {
     pub request_type: RequestTypeId,
 }
 
+/// What an event does. Slots are `u32` and the rare actuation's
+/// command is boxed, so a heap entry is 32 bytes.
 #[derive(Debug, Clone)]
 enum EventKind {
     Arrival,
-    HopDeliver { act: usize },
-    ComputeDone { act: usize },
-    ResponseDeliver { parent_act: usize, call_idx: usize },
-    RootResponse { trace_slot: usize },
+    HopDeliver { act: u32 },
+    ComputeDone { act: u32 },
+    ResponseDeliver { parent_act: u32, call_idx: u32 },
+    RootResponse { trace_slot: u32 },
     AnomalyStart { id: AnomalyId },
     AnomalyEnd { id: AnomalyId },
-    ActuationDone { cmd: Command },
+    ActuationDone { cmd: Box<Command> },
     Sample,
 }
 
 #[derive(Debug)]
 struct EventEntry {
-    time: SimTime,
-    seq: u64,
+    /// `(time_us << 64) | seq`.
+    key: u128,
     kind: EventKind,
 }
 
 impl PartialEq for EventEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl Eq for EventEntry {}
@@ -94,7 +105,57 @@ impl PartialOrd for EventEntry {
 }
 impl Ord for EventEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key.cmp(&other.key)
+    }
+}
+
+/// An event's slab index. Slabs hold what is in flight, so they stay far
+/// below 2^32 entries.
+fn slot(index: usize) -> u32 {
+    u32::try_from(index).expect("slab index fits in an event slot")
+}
+
+/// The time-ordered event queue (see the module's Determinism section).
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<EventEntry>>,
+    seq: u64,
+    /// The top of the heap is the event last handed out by
+    /// [`EventQueue::next_due`]: the next `schedule` overwrites it.
+    spent_top: bool,
+    /// The smallest key the next dispatch may carry (debug order check).
+    next_min_key: u128,
+}
+
+impl EventQueue {
+    fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        let key = (u128::from(time.as_micros()) << 64) | u128::from(self.seq);
+        self.seq += 1;
+        let entry = Reverse(EventEntry { key, kind });
+        if self.spent_top {
+            self.spent_top = false;
+            *self.heap.peek_mut().expect("the spent event is on top") = entry;
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// The earliest event at or before `deadline`, if any. It stays on
+    /// top of the heap, spent, until the next `schedule` overwrites it
+    /// or the next call pops it.
+    fn next_due(&mut self, deadline: SimTime) -> Option<(SimTime, EventKind)> {
+        if std::mem::take(&mut self.spent_top) {
+            self.heap.pop();
+        }
+        let Reverse(head) = self.heap.peek()?;
+        let time = SimTime::from_micros((head.key >> 64) as u64);
+        if time > deadline {
+            return None;
+        }
+        debug_assert!(head.key >= self.next_min_key, "event keys out of order");
+        self.next_min_key = head.key + 1;
+        self.spent_top = true;
+        Some((time, head.kind.clone()))
     }
 }
 
@@ -131,7 +192,17 @@ struct TraceBuf {
 #[derive(Debug, Default)]
 struct ServiceRuntime {
     replicas: Vec<InstanceId>,
+    /// Each replica's [`offer`], in `replicas` order, kept current by
+    /// `Simulation::mutate_instance`: the replica choice reads this list
+    /// instead of every replica's `Instance`.
+    offers: Vec<Option<usize>>,
     rr_cursor: usize,
+}
+
+/// What the replica choice reads of an instance: its load, if it
+/// accepts load.
+fn offer(inst: &Instance) -> Option<usize> {
+    inst.accepts_load().then(|| inst.load())
 }
 
 /// Builder for [`Simulation`].
@@ -192,8 +263,7 @@ impl SimulationBuilder {
 
         let mut sim = Simulation {
             now: SimTime::ZERO,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: EventQueue::default(),
             rng: SimRng::new(seed),
             nodes: cluster.nodes.into_iter().map(Node::new).collect(),
             app,
@@ -220,7 +290,7 @@ impl SimulationBuilder {
             arrival_log: Vec::new(),
             rt_weights: Vec::new(),
             chunk_noise: Vec::new(),
-            replica_scratch: Vec::new(),
+            replica_pos: Vec::new(),
         };
         sim.window_mix = vec![0u64; sim.app.request_types.len()];
         sim.rt_weights = sim.app.request_types.iter().map(|r| r.weight).collect();
@@ -256,8 +326,9 @@ impl SimulationBuilder {
 
         // Seed the arrival stream and the sampling tick.
         let first = sim.next_arrival_gap();
-        sim.schedule(sim.now + first, EventKind::Arrival);
-        sim.schedule(sim.now + SAMPLE_PERIOD, EventKind::Sample);
+        sim.events.schedule(sim.now + first, EventKind::Arrival);
+        sim.events
+            .schedule(sim.now + SAMPLE_PERIOD, EventKind::Sample);
         sim
     }
 }
@@ -265,8 +336,7 @@ impl SimulationBuilder {
 /// The discrete-event simulator.
 pub struct Simulation {
     now: SimTime,
-    seq: u64,
-    events: BinaryHeap<Reverse<EventEntry>>,
+    events: EventQueue,
     rng: SimRng,
     nodes: Vec<Node>,
     app: AppSpec,
@@ -300,8 +370,8 @@ pub struct Simulation {
     /// computed once here instead of on every compute chunk. `None`
     /// where the noise is the constant 1 (no demand, or `cv <= 0`).
     chunk_noise: Vec<Option<(f64, f64)>>,
-    /// Reusable buffer for replica selection (live-replica list).
-    replica_scratch: Vec<InstanceId>,
+    /// Each instance's position in its service's `replicas`.
+    replica_pos: Vec<usize>,
 }
 
 impl Simulation {
@@ -385,22 +455,12 @@ impl Simulation {
         self.load_multipliers.iter().map(|(_, m)| m).product()
     }
 
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(EventEntry { time, seq, kind }));
-    }
-
     /// Runs the simulation until `deadline` (inclusive of events at it).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(Reverse(head)) = self.events.peek() {
-            if head.time > deadline {
-                break;
-            }
-            let Reverse(entry) = self.events.pop().expect("peeked");
-            debug_assert!(entry.time >= self.now, "time went backwards");
-            self.now = entry.time;
-            self.dispatch(entry.kind);
+        while let Some((time, kind)) = self.events.next_due(deadline) {
+            debug_assert!(time >= self.now, "time went backwards");
+            self.now = time;
+            self.dispatch(kind);
         }
         self.now = self.now.max(deadline);
     }
@@ -419,16 +479,16 @@ impl Simulation {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Arrival => self.on_arrival(),
-            EventKind::HopDeliver { act } => self.on_hop_deliver(act),
-            EventKind::ComputeDone { act } => self.on_compute_done(act),
+            EventKind::HopDeliver { act } => self.on_hop_deliver(act as usize),
+            EventKind::ComputeDone { act } => self.on_compute_done(act as usize),
             EventKind::ResponseDeliver {
                 parent_act,
                 call_idx,
-            } => self.on_response_deliver(parent_act, call_idx),
-            EventKind::RootResponse { trace_slot } => self.on_root_response(trace_slot),
+            } => self.on_response_deliver(parent_act as usize, call_idx as usize),
+            EventKind::RootResponse { trace_slot } => self.on_root_response(trace_slot as usize),
             EventKind::AnomalyStart { id } => self.on_anomaly_start(id),
             EventKind::AnomalyEnd { id } => self.on_anomaly_end(id),
-            EventKind::ActuationDone { cmd } => self.on_actuation_done(cmd),
+            EventKind::ActuationDone { cmd } => self.on_actuation_done(*cmd),
             EventKind::Sample => self.on_sample(),
         }
     }
@@ -447,7 +507,7 @@ impl Simulation {
 
     fn on_arrival(&mut self) {
         let gap = self.next_arrival_gap();
-        self.schedule(self.now + gap, EventKind::Arrival);
+        self.events.schedule(self.now + gap, EventKind::Arrival);
 
         let rt = RequestTypeId(self.rng.weighted_index(&self.rt_weights) as u16);
         self.stats.arrivals += 1;
@@ -465,9 +525,10 @@ impl Simulation {
         let trace_slot = self.alloc_trace(trace_id, rt);
 
         let entry = self.app.request_types[rt.index()].entry;
-        let act = self.alloc_activity(trace_slot, None, None, entry, rt, false);
+        let act = slot(self.alloc_activity(trace_slot, None, None, entry, rt, false));
         let delay = CLIENT_RTT + self.entry_delay(entry);
-        self.schedule(self.now + delay, EventKind::HopDeliver { act });
+        self.events
+            .schedule(self.now + delay, EventKind::HopDeliver { act });
     }
 
     fn entry_delay(&mut self, service: ServiceId) -> SimDuration {
@@ -561,39 +622,49 @@ impl Simulation {
 
     /// Least-loaded replica of a service (ties broken round-robin).
     ///
-    /// Runs on a reusable scratch buffer — replica selection happens at
-    /// least twice per span (allocation and delivery-time
-    /// re-validation), so a fresh `Vec` here would dominate the
-    /// allocator profile.
+    /// Scans the service's replica offers in place, from the cursor's
+    /// accepting replica onward and wrapping round, skipping those that
+    /// accept no load: the first replica of the lowest load wins. In
+    /// debug builds the offers are checked against the instances.
     fn pick_replica(&mut self, service: ServiceId) -> Option<InstanceId> {
-        let mut live = std::mem::take(&mut self.replica_scratch);
-        live.clear();
-        live.extend(
-            self.services[service.index()]
-                .replicas
+        let rt = &mut self.services[service.index()];
+        debug_assert!(
+            rt.replicas
                 .iter()
-                .copied()
-                .filter(|id| self.instances[id.index()].accepts_load()),
+                .zip(&rt.offers)
+                .all(|(id, &o)| o == offer(&self.instances[id.index()])),
+            "replica offers vs instances"
         );
-        if live.is_empty() {
-            self.replica_scratch = live;
+        let live = rt.offers.iter().filter(|o| o.is_some()).count();
+        if live == 0 {
             return None;
         }
-        let rt = &mut self.services[service.index()];
         rt.rr_cursor = rt.rr_cursor.wrapping_add(1);
-        let start = rt.rr_cursor % live.len();
-        let mut best = live[start];
-        let mut best_load = self.instances[best.index()].load();
-        for k in 1..live.len() {
-            let cand = live[(start + k) % live.len()];
-            let load = self.instances[cand.index()].load();
-            if load < best_load {
-                best = cand;
-                best_load = load;
+        let skip = rt.rr_cursor % live;
+        let start = if live == rt.offers.len() {
+            skip
+        } else {
+            let mut accepting_at = (0..rt.offers.len()).filter(|&i| rt.offers[i].is_some());
+            accepting_at.nth(skip).expect("skip < live")
+        };
+        let (wrapped, from_start) = rt.offers.split_at(start);
+        let mut best = start;
+        let mut best_load = from_start[0].expect("the start replica accepts load");
+        let mut consider = |i: usize, o: Option<usize>| {
+            if let Some(load) = o {
+                if load < best_load {
+                    best = i;
+                    best_load = load;
+                }
             }
+        };
+        for (i, &o) in from_start.iter().enumerate().skip(1) {
+            consider(start + i, o);
         }
-        self.replica_scratch = live;
-        Some(best)
+        for (i, &o) in wrapped.iter().enumerate() {
+            consider(i, o);
+        }
+        Some(rt.replicas[best])
     }
 
     // ----- activity lifecycle -----------------------------------------
@@ -632,9 +703,10 @@ impl Simulation {
     }
 
     /// Applies `f` to instance `iid`, then folds what it changed into the
-    /// node's contention aggregates. Every write to an instance's
-    /// `busy_workers`, `queue`, `partitions` or `state` goes through
-    /// here, so rate queries never have to walk the node's peers.
+    /// node's contention aggregates and its service's replica offers.
+    /// Every write to an instance's `busy_workers`, `queue`, `partitions`
+    /// or `state` goes through here, so rate queries never have to walk
+    /// the node's peers, nor the replica choice the service's instances.
     fn mutate_instance<R>(&mut self, iid: InstanceId, f: impl FnOnce(&mut Instance) -> R) -> R {
         let inst = &mut self.instances[iid.index()];
         let (weight_before, reserved_before) = contention::footprint(inst);
@@ -645,6 +717,7 @@ impl Simulation {
         if reserved != reserved_before {
             node.set_reserved(iid, reserved);
         }
+        self.services[inst.service.index()].offers[self.replica_pos[iid.index()]] = offer(inst);
         out
     }
 
@@ -711,7 +784,9 @@ impl Simulation {
             SimDuration::from_micros(1)
         };
 
-        self.schedule(self.now + dur, EventKind::ComputeDone { act: act_idx });
+        let act = slot(act_idx);
+        self.events
+            .schedule(self.now + dur, EventKind::ComputeDone { act });
     }
 
     fn on_compute_done(&mut self, act_idx: usize) {
@@ -802,7 +877,9 @@ impl Simulation {
             }
             let dst = self.activities[child].instance;
             let transfer = self.transfer_time(call.req_kb, src_node, dst);
-            self.schedule(self.now + transfer, EventKind::HopDeliver { act: child });
+            let act = slot(child);
+            self.events
+                .schedule(self.now + transfer, EventKind::HopDeliver { act });
         }
         pending
     }
@@ -891,17 +968,19 @@ impl Simulation {
             } else {
                 self.transfer_time(resp_kb, src_node, p_inst)
             };
-            self.schedule(
+            self.events.schedule(
                 self.now + transfer,
                 EventKind::ResponseDeliver {
-                    parent_act: p_act,
-                    call_idx,
+                    parent_act: slot(p_act),
+                    call_idx: slot(call_idx),
                 },
             );
         } else if !is_background {
             // Root span: response to the client.
             let transfer = CLIENT_RTT;
-            self.schedule(self.now + transfer, EventKind::RootResponse { trace_slot });
+            let trace_slot = slot(trace_slot);
+            self.events
+                .schedule(self.now + transfer, EventKind::RootResponse { trace_slot });
         }
 
         self.close_activity(act_idx);
@@ -1013,8 +1092,9 @@ impl Simulation {
             }
         }
         self.active_anomalies.push((id, spec, at));
-        self.schedule(at, EventKind::AnomalyStart { id });
-        self.schedule(at + spec.duration, EventKind::AnomalyEnd { id });
+        self.events.schedule(at, EventKind::AnomalyStart { id });
+        self.events
+            .schedule(at + spec.duration, EventKind::AnomalyEnd { id });
         id
     }
 
@@ -1119,7 +1199,9 @@ impl Simulation {
                 });
             }
         }
-        self.schedule(self.now + latency, EventKind::ActuationDone { cmd });
+        let cmd = Box::new(cmd);
+        self.events
+            .schedule(self.now + latency, EventKind::ActuationDone { cmd });
         latency
     }
 
@@ -1164,9 +1246,12 @@ impl Simulation {
         let spec = &self.app.services[service.index()];
         let inst = Instance::new(service, node, cpu, spec.max_threads, spec.queue_cap, state);
         let id = InstanceId(self.instances.len() as u32);
+        let rt = &mut self.services[service.index()];
+        self.replica_pos.push(rt.replicas.len());
+        rt.replicas.push(id);
+        rt.offers.push(offer(&inst));
         self.instances.push(inst);
         self.nodes[node.index()].instances.push(id);
-        self.services[service.index()].replicas.push(id);
         id
     }
 
@@ -1230,7 +1315,8 @@ impl Simulation {
     // ----- telemetry ------------------------------------------------------
 
     fn on_sample(&mut self) {
-        self.schedule(self.now + SAMPLE_PERIOD, EventKind::Sample);
+        self.events
+            .schedule(self.now + SAMPLE_PERIOD, EventKind::Sample);
         for inst in &mut self.instances {
             if inst.state != InstanceState::Removed {
                 inst.window.queue_len_sum += inst.queue.len() as u64;
@@ -1651,9 +1737,137 @@ mod tests {
         assert!(quiet.arrival_log().is_empty());
     }
 
+    #[test]
+    fn event_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Reverse<EventEntry>>(), 32);
+    }
+
+    /// Schedules an event at `at` µs in both the queue and the plain
+    /// reference heap; the event carries its expected `seq` as its slot.
+    fn schedule_both(
+        queue: &mut EventQueue,
+        reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+        next_seq: &mut u64,
+        at: u64,
+    ) {
+        let act = *next_seq as u32;
+        queue.schedule(SimTime::from_micros(at), EventKind::HopDeliver { act });
+        reference.push(Reverse((at, *next_seq)));
+        *next_seq += 1;
+    }
+
+    /// The event-order oracle: the queue dispatches in the order of a
+    /// plain heap of `(time, seq)` pairs, under a seeded random walk.
+    /// Each dispatch's handler schedules zero to two events at equal or
+    /// nearby times (so the spent top is overwritten, or popped when
+    /// nothing is scheduled), and events are also scheduled between
+    /// deadlines, as `apply` and `inject` do.
+    #[test]
+    fn event_queue_matches_reference_heap() {
+        let (mut dispatched, mut ties, mut popped) = (0u64, 0u64, 0u64);
+        for seed in 0..4 {
+            let mut rng = SimRng::new(seed ^ 0xE7E27);
+            let mut queue = EventQueue::default();
+            let mut reference = BinaryHeap::new();
+            let mut next_seq = 0u64;
+            let mut now = 0u64;
+            for _ in 0..300 {
+                for _ in 0..rng.index(4) {
+                    let at = now + rng.index(50) as u64;
+                    schedule_both(&mut queue, &mut reference, &mut next_seq, at);
+                }
+                let deadline = now + rng.index(200) as u64;
+                while let Some((time, kind)) = queue.next_due(SimTime::from_micros(deadline)) {
+                    let Reverse((at, seq)) = reference.pop().expect("the reference holds it");
+                    let EventKind::HopDeliver { act } = kind else {
+                        panic!("seed {seed}: unexpected {kind:?}");
+                    };
+                    assert_eq!(
+                        (time.as_micros(), u64::from(act)),
+                        (at, seq),
+                        "seed {seed}: dispatch {dispatched}"
+                    );
+                    ties += u64::from(at == now && dispatched > 0);
+                    now = at;
+                    dispatched += 1;
+                    // The handler: 0, 1 or 2 events, 0.95 on average.
+                    let children = match rng.index(20) {
+                        0..=6 => 0,
+                        7..=13 => 1,
+                        _ => 2,
+                    };
+                    popped += u64::from(children == 0);
+                    for _ in 0..children {
+                        let at = now + rng.index(20) as u64;
+                        schedule_both(&mut queue, &mut reference, &mut next_seq, at);
+                    }
+                }
+                assert!(
+                    reference
+                        .peek()
+                        .is_none_or(|Reverse((at, _))| *at > deadline),
+                    "seed {seed}: a due event was not dispatched"
+                );
+                now = deadline;
+            }
+        }
+        assert!(
+            dispatched > 10_000 && ties > 1_000 && popped > 1_000,
+            "{dispatched} dispatched, {ties} at the previous time, {popped} popped"
+        );
+    }
+
+    /// The least-loaded choice pinned pick by pick: five replicas with
+    /// a `Draining` one between `Running` peers, load ties broken by the
+    /// round-robin cursor, and the cursor wrapping past `usize::MAX`.
+    /// The literals were captured from the earlier choice, which
+    /// filtered the replicas into a copy and scanned that.
+    #[test]
+    fn replica_choice_is_pinned() {
+        let mut sim = demo_sim(19);
+        let svc = sim.app().service_by_name("logic-a").unwrap();
+        for k in 0..4 {
+            sim.spawn_instance(svc, NodeId(k % 2), 2.0, InstanceState::Running);
+        }
+        let replicas = sim.services[svc.index()].replicas.clone();
+        assert_eq!(replicas.len(), 5);
+        sim.mutate_instance(replicas[2], |inst| inst.state = InstanceState::Draining);
+
+        let mut picks = Vec::new();
+        for step in 0..20 {
+            if step == 12 {
+                sim.services[svc.index()].rr_cursor = usize::MAX - 2;
+            }
+            let iid = sim.pick_replica(svc).expect("a replica accepts load");
+            picks.push(iid.0);
+            // Each pick occupies a worker; every third frees one on the
+            // first replica, so ties and strict minima alternate.
+            sim.mutate_instance(iid, |inst| inst.busy_workers += 1);
+            if step % 3 == 2 {
+                sim.mutate_instance(replicas[0], |inst| {
+                    inst.busy_workers = inst.busy_workers.saturating_sub(1)
+                });
+            }
+        }
+        assert_eq!(replicas, [1, 5, 6, 7, 8].map(InstanceId));
+        assert_eq!(
+            picks,
+            [5, 7, 8, 1, 5, 7, 1, 1, 8, 1, 8, 1, 7, 1, 5, 1, 7, 8, 1, 5]
+        );
+    }
+
     /// Each node's maintained aggregates against a from-scratch
-    /// recomputation, and the weight total against the instances'.
+    /// recomputation, the weight total against the instances', and each
+    /// service's replica offers against its instances.
     fn assert_aggregates_current(sim: &Simulation) {
+        for rt in &sim.services {
+            let offers: Vec<_> = rt
+                .replicas
+                .iter()
+                .map(|id| offer(&sim.instances[id.index()]))
+                .collect();
+            assert_eq!(rt.offers, offers);
+        }
         let mut total_weight = 0;
         for node in &sim.nodes {
             let (weight_sum, reserved) = contention::aggregates_from_scratch(node, &sim.instances);
@@ -1679,6 +1893,27 @@ mod tests {
             .map(|i| contention::footprint(i).0)
             .sum();
         assert_eq!(total_weight, per_instance);
+    }
+
+    /// No `Removed` instance is served: after every step it holds no
+    /// busy worker and no queue, and its window has counted no arrival
+    /// since the step it was first seen removed after (`at_removal`
+    /// keeps that count per instance).
+    fn assert_removed_unserved(sim: &Simulation, at_removal: &mut Vec<Option<u64>>) {
+        at_removal.resize(sim.instances.len(), None);
+        for (i, inst) in sim.instances.iter().enumerate() {
+            if inst.state != InstanceState::Removed {
+                continue;
+            }
+            assert_eq!(inst.busy_workers, 0, "removed instance {i} is busy");
+            assert!(inst.queue.is_empty(), "removed instance {i} has a queue");
+            let arrivals = *at_removal[i].get_or_insert(inst.window.arrivals);
+            assert!(
+                inst.window.arrivals <= arrivals,
+                "removed instance {i} was served: {arrivals} -> {} arrivals",
+                inst.window.arrivals
+            );
+        }
     }
 
     /// One random step of the actuation-and-anomaly walk: a command
@@ -1770,16 +2005,18 @@ mod tests {
 
     /// Conservation of requests: after every step, each arrival the
     /// simulator counted is either drained (served or dropped) or a
-    /// trace still live.
+    /// trace still live, and no removed instance is served.
     #[test]
     fn arrivals_are_drained_or_still_live() {
-        let (mut served, mut dropped) = (0u64, 0u64);
+        let (mut served, mut dropped, mut removed) = (0u64, 0u64, 0usize);
         for seed in 0..4 {
             let mut sim = busy_sim(seed);
             let mut rng = SimRng::new(seed ^ 0xC0175);
             let mut drained = 0u64;
+            let mut at_removal = Vec::new();
             for step in 0..150 {
                 random_step(&mut sim, &mut rng);
+                assert_removed_unserved(&sim, &mut at_removal);
                 for r in sim.drain_completed() {
                     drained += 1;
                     if r.dropped {
@@ -1795,10 +2032,11 @@ mod tests {
                     "seed {seed} step {step}: {drained} drained, {live} live"
                 );
             }
+            removed += at_removal.iter().flatten().count();
         }
         assert!(
-            served > 0 && dropped > 0,
-            "{served} served, {dropped} dropped"
+            served > 0 && dropped > 0 && removed > 0,
+            "{served} served, {dropped} dropped, {removed} removed"
         );
     }
 }
