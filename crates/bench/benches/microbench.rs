@@ -14,19 +14,24 @@
 //! * `simulator` — discrete-event throughput on Social Network, with
 //!   spans recorded and span-free;
 //! * `slo` — `calibrate_slos` at replica fan-out ×10;
-//! * `extractor` — Algorithm 2 feature computation over a window.
+//! * `extractor` — Algorithm 2 feature computation over a window;
+//! * `wire` — one sf=10 FIRM scenario's `WorkerResponse` frame, encoded
+//!   and decoded.
 //!
 //! The container image carries no external crates, so this is a plain
 //! `harness = false` bench: each case is timed over a fixed iteration
 //! budget with `std::time::Instant` and reported as ns/iter. Run with
 //! `cargo bench -p firm-bench`; name prefixes after `--` select cases,
-//! e.g. `cargo bench -p firm-bench -- simulator slo`.
+//! e.g. `cargo bench -p firm-bench -- simulator slo wire`.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use firm_core::estimator::{ACTION_DIM, ACTOR_STATE_DIM, STATE_DIM};
 use firm_core::extractor::CriticalComponentExtractor;
+use firm_fleet::{
+    generate_catalog, run_one, scenario_seed, CatalogSpec, FleetController, WorkerResponse,
+};
 use firm_ml::ddpg::{DdpgAgent, DdpgConfig, Transition, BATCH_SIZE, HIDDEN, TAU};
 use firm_ml::linalg::{kernel_isa, with_portable_kernel};
 use firm_ml::nn::{Activation, Mlp};
@@ -294,6 +299,27 @@ fn bench_extractor() {
     });
 }
 
+/// The response frame a worker ships for the first FIRM scenario of the
+/// (7, sf=10) catalog, encoded and decoded back.
+fn bench_wire() {
+    let catalog = generate_catalog(&CatalogSpec::new(7, 10));
+    let index = catalog
+        .iter()
+        .position(|s| s.controller == FleetController::Firm)
+        .expect("the catalog has a FIRM scenario");
+    let (outcome, experience) = run_one(&catalog[index], scenario_seed(7, index));
+    let response = WorkerResponse {
+        index: index as u64,
+        outcome,
+        experience,
+    };
+    bench("wire/worker_response_sf10", 2_000, || {
+        let frame = firm_wire::encode_line(&response);
+        let back: WorkerResponse = firm_wire::decode_line(&frame).expect("frame decodes");
+        back.index
+    });
+}
+
 fn main() {
     let filters = std::env::args().skip(1).filter(|a| !a.starts_with('-'));
     FILTERS.get_or_init(|| filters.collect());
@@ -302,7 +328,7 @@ fn main() {
         kernel_isa()
     );
     println!("{}", "-".repeat(74));
-    let groups: [(&str, fn()); 7] = [
+    let groups: [(&str, fn()); 8] = [
         ("critical_path/", bench_critical_path),
         ("svm/", bench_svm),
         ("ddpg/", bench_ddpg),
@@ -310,6 +336,7 @@ fn main() {
         ("simulator/", bench_simulator),
         ("slo/", bench_calibrate_slos),
         ("extractor/", bench_extractor),
+        ("wire/", bench_wire),
     ];
     for (group, run) in groups {
         if group_selected(group) {

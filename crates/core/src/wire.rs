@@ -3,7 +3,7 @@
 //! These are the payloads of the fleet's cut points: a
 //! [`PolicyCheckpoint`] ships a frozen shared agent to a remote worker
 //! and back, an [`ExperienceLog`] streams a worker's harvested
-//! transitions and SVM ground truth home to the central trainer, and
+//! transitions home to the central trainer, and
 //! the controller/campaign configs ride inside a `Scenario`. Floats use
 //! shortest round-trip rendering, so a policy that crosses the wire
 //! deploys bit-identical weights.

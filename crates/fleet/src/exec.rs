@@ -24,6 +24,10 @@
 //! deploys into FIRM scenarios alone. Every other controller ignores the
 //! policy, so its outcome equals the training run's at the same seed.
 //!
+//! A run returns its [`ScenarioOutcome`] and RL transitions. Its SVM
+//! examples are counted into the outcome and dropped: each extractor
+//! learns online inside its episode (§3.3), so no frame or pool holds them.
+//!
 //! A scenario runs on one thread, start to finish: fleet throughput
 //! comes from running many scenarios at once, never from splitting one.
 
@@ -98,7 +102,7 @@ fn build_simulation(scenario: &Scenario, seed: u64) -> Simulation {
 }
 
 /// Runs one scenario to completion; returns its measurements and the
-/// experience log (empty for non-FIRM controllers).
+/// RL transitions it recorded (none for non-FIRM controllers).
 pub fn run_one(scenario: &Scenario, seed: u64) -> (ScenarioOutcome, ExperienceLog) {
     run_one_with(scenario, seed, None)
 }
@@ -126,7 +130,7 @@ pub fn run_one_with(
         warmup: scenario.warmup,
     };
     let episode = run_episode(&mut sim, controller.as_mut(), injector.as_mut(), &spec);
-    let experience = controller.drain_experience();
+    let mut experience = controller.drain_experience();
 
     let outcome = ScenarioOutcome {
         name: scenario.name.clone(),
@@ -146,7 +150,7 @@ pub fn run_one_with(
         mitigations: episode.mitigation_times.len() as u64,
         mean_mitigation_secs: episode.mean_mitigation_secs(),
         transitions: experience.transitions.len() as u64,
-        svm_examples: experience.svm_examples.len() as u64,
+        svm_examples: std::mem::take(&mut experience.svm_examples).len() as u64,
     };
     // Out-of-band self-metrics only: nothing below reads back into the
     // outcome, so wall time can vary run to run without moving a byte.
@@ -194,7 +198,29 @@ mod tests {
         assert!(outcome.p99_us > 0);
         assert_eq!(outcome.ticks, 10);
         assert_eq!(outcome.transitions as usize, log.transitions.len());
-        assert!(!log.svm_examples.is_empty(), "FIRM harvested no labels");
+        assert!(!log.transitions.is_empty(), "FIRM harvested no transitions");
+        // The SVM examples stop here: counted into the outcome, never
+        // returned.
+        assert!(log.svm_examples.is_empty(), "run_one returned SVM examples");
+        assert!(outcome.svm_examples > 0, "FIRM harvested no labels");
+
+        // The count is what the FIRM manager itself recorded.
+        let mut sim = build_simulation(&scenario, 42);
+        let services = sim.app().services.len();
+        let mut controller = build_controller(&scenario, 42, services, None);
+        let mut injector = scenario
+            .campaign
+            .clone()
+            .map(|c| AnomalyInjector::new(c, 42 ^ 0xF00D));
+        let spec = EpisodeSpec {
+            duration: scenario.duration,
+            control_interval: scenario.control_interval,
+            warmup: scenario.warmup,
+        };
+        run_episode(&mut sim, controller.as_mut(), injector.as_mut(), &spec);
+        let recorded = controller.drain_experience();
+        assert_eq!(outcome.svm_examples as usize, recorded.svm_examples.len());
+        assert_eq!(log.transitions, recorded.transitions);
     }
 
     #[test]
@@ -226,7 +252,10 @@ mod tests {
             .with_duration(SimDuration::from_secs(8));
         assert_eq!(scenario.controller, FleetController::Firm);
         let (_, log) = run_one(&scenario, 9);
-        assert!(!log.is_empty(), "training pass harvested nothing");
+        assert!(
+            !log.transitions.is_empty(),
+            "training pass harvested nothing"
+        );
         // Deploy a correctly-shaped frozen policy.
         let mgr = FirmManager::new(FirmConfig::default());
         let frozen = Controller::export_policy(&mgr).expect("policy");

@@ -21,16 +21,16 @@ use crate::runner::FleetConfig;
 /// Salt of the shared agent's seed.
 const AGENT_SALT: u64 = 0x0A11;
 
-/// Ordered outcomes, the pooled experience, and the seeded training of
-/// the shared agent from it. The pooled SVM examples are kept for
-/// readers of the pool; no central SVM is trained on them, since each
-/// FIRM scenario's extractor learns online inside its own episode.
+/// Ordered outcomes, the pooled RL transitions, and the seeded training
+/// of the shared agent from them. SVM examples are never pooled: each
+/// FIRM scenario's extractor learns online inside its own episode, so
+/// an outcome's `svm_examples` count is all that reaches the fold.
 pub struct Fold {
     seed: u64,
     train_steps: usize,
     /// Every absorbed outcome, in absorption order.
     pub outcomes: Vec<ScenarioOutcome>,
-    /// The pooled experience, in absorption order.
+    /// The pooled RL transitions (no SVM examples), in absorption order.
     pub pooled: ExperienceLog,
 }
 
@@ -47,11 +47,11 @@ impl Fold {
 
     /// Appends one catalog's results, in the order given — the only
     /// ordering aggregation and training ever see, regardless of which
-    /// worker finished first.
+    /// worker finished first. A log's SVM examples, if any, are dropped.
     pub fn absorb(&mut self, results: Vec<(ScenarioOutcome, ExperienceLog)>) {
         for (outcome, log) in results {
             self.outcomes.push(outcome);
-            self.pooled.merge(log);
+            self.pooled.transitions.extend(log.transitions);
         }
     }
 

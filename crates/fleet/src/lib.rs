@@ -30,13 +30,13 @@
 //!   stand), reporting per-scenario train-vs-deploy deltas (Fig. 11b at
 //!   fleet scale);
 //! * [`fold`] — the [`Fold`]: outcomes and streamed-home RL
-//!   transitions and SVM ground-truth labels pooled in catalog order,
-//!   and one shared agent trained from scratch on the pooled,
-//!   heterogeneous experience — the paper's one-for-all regime fed by
-//!   many apps at once. The batch runner and the resident `firm-serve`
-//!   coordinator both train through it; the SVM examples are pooled
-//!   but not trained on, since each FIRM scenario's extractor learns
-//!   online inside its own episode;
+//!   transitions pooled in catalog order, and one shared agent trained
+//!   from scratch on the pooled, heterogeneous experience — the paper's
+//!   one-for-all regime fed by many apps at once. The batch runner and
+//!   the resident `firm-serve` coordinator both train through it. SVM
+//!   ground-truth labels stay at the worker, counted into each outcome,
+//!   since each FIRM scenario's extractor learns online inside its own
+//!   episode;
 //! * [`report`] — the aggregated [`FleetReport`] and the round-trip
 //!   [`RoundTripReport`]: per-scenario SLO violation rates, p99
 //!   latencies, mitigation times, train-vs-deploy deltas, and total

@@ -81,6 +81,20 @@ pub struct WorkerRequest {
     pub intra_shards: u64,
 }
 
+impl WorkerRequest {
+    /// A training-mode request: no policy, and the inert `intra_shards` 1.
+    pub fn new(index: u64, seed: u64, scenario: Scenario) -> WorkerRequest {
+        WorkerRequest {
+            index,
+            seed,
+            scenario,
+            policy: None,
+            reuse_policy: false,
+            intra_shards: 1,
+        }
+    }
+}
+
 wire_struct!(WorkerRequest {
     index,
     seed,
@@ -97,8 +111,8 @@ pub struct WorkerResponse {
     pub index: u64,
     /// The scenario's deterministic measurements.
     pub outcome: ScenarioOutcome,
-    /// Experience harvested for the central trainer (empty for
-    /// baselines and inference-mode runs).
+    /// RL transitions for the central trainer (none for baselines and
+    /// inference-mode runs); no SVM examples, which the outcome counts.
     pub experience: ExperienceLog,
 }
 
@@ -182,14 +196,7 @@ mod tests {
     #[test]
     fn requests_round_trip_with_and_without_a_policy() {
         let scenario = builtin_catalog().remove(0);
-        let fresh = WorkerRequest {
-            index: 3,
-            seed: u64::MAX,
-            scenario: scenario.clone(),
-            policy: None,
-            reuse_policy: false,
-            intra_shards: 1,
-        };
+        let fresh = WorkerRequest::new(3, u64::MAX, scenario.clone());
         assert_round_trip(&fresh);
         assert_eq!(
             encode_string(&fresh),
@@ -199,23 +206,17 @@ mod tests {
             )
         );
         assert_round_trip(&WorkerRequest {
-            index: 0,
-            seed: 1,
-            scenario: scenario.clone(),
             policy: Some(PolicyCheckpoint {
                 actor: vec![0.5, -0.25],
                 critic: vec![1.0 / 3.0],
             }),
-            reuse_policy: false,
             intra_shards: 4,
+            ..WorkerRequest::new(0, 1, scenario.clone())
         });
         assert_round_trip(&WorkerRequest {
-            index: 1,
-            seed: 2,
-            scenario,
-            policy: None,
             reuse_policy: true,
             intra_shards: 0,
+            ..WorkerRequest::new(1, 2, scenario)
         });
     }
 

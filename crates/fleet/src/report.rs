@@ -52,7 +52,7 @@ pub struct ScenarioOutcome {
     pub mean_mitigation_secs: f64,
     /// RL transitions contributed to the shared trainer.
     pub transitions: u64,
-    /// SVM ground-truth examples contributed.
+    /// SVM ground-truth examples recorded (counted, never shipped).
     pub svm_examples: u64,
 }
 
@@ -94,7 +94,7 @@ pub struct FleetTotals {
     pub mitigations: u64,
     /// RL transitions pooled into the shared trainer.
     pub transitions: u64,
-    /// SVM examples pooled into the shared trainer.
+    /// SVM examples the scenarios recorded (counted, never pooled).
     pub svm_examples: u64,
 }
 

@@ -223,7 +223,7 @@ pub struct FleetResult {
     /// The shared (one-for-all) DDPG estimator trained on the pooled
     /// experience.
     pub estimator: ResourceEstimator,
-    /// The pooled experience, in catalog order.
+    /// The pooled RL transitions (no SVM examples), in catalog order.
     pub pooled: ExperienceLog,
     /// Shared-agent updates that actually trained.
     pub trained_updates: usize,
@@ -402,7 +402,8 @@ mod tests {
     use crate::exec::run_one_with;
     use crate::scenario::builtin_catalog;
     use crate::worker::{serve_session, ServeOptions};
-    use firm_sim::SimDuration;
+    use firm_core::extractor::InstanceFeatures;
+    use firm_sim::{InstanceId, ServiceId, SimDuration};
     use std::io::{self, BufReader, Read};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -511,9 +512,35 @@ mod tests {
             assert_eq!(s.name, o.name);
         }
         assert!(result.report.totals.completions > 500);
-        // The two FIRM scenarios in the prefix contribute experience.
+        // The two FIRM scenarios in the prefix contribute transitions;
+        // their SVM examples are counted in the report, never pooled.
         assert!(!result.pooled.transitions.is_empty());
-        assert!(!result.pooled.svm_examples.is_empty());
+        assert!(result.pooled.svm_examples.is_empty());
+        assert!(result.report.totals.svm_examples > 0);
+    }
+
+    /// The fold pools outcomes and transitions; an SVM example in a log
+    /// it absorbs is dropped.
+    #[test]
+    fn the_fold_pools_no_svm_examples() {
+        let scenario = short_catalog(1, 8).remove(0);
+        let (outcome, mut log) = run_one_with(&scenario, 3, None);
+        let transitions = log.transitions.clone();
+        assert!(!transitions.is_empty(), "FIRM recorded no transitions");
+        let features = InstanceFeatures {
+            instance: InstanceId(1),
+            service: ServiceId(0),
+            ri: 0.5,
+            ci: 1.5,
+            samples: 8,
+        };
+        log.svm_examples.push((features, true));
+
+        let mut fold = Fold::new(&FleetConfig::default());
+        fold.absorb(vec![(outcome.clone(), log)]);
+        assert_eq!(fold.outcomes, [outcome]);
+        assert_eq!(fold.pooled.transitions, transitions);
+        assert!(fold.pooled.svm_examples.is_empty(), "SVM examples pooled");
     }
 
     #[test]

@@ -634,28 +634,17 @@ impl PoolRuntime {
     /// weights the first time a connection sees a given checkpoint,
     /// `reuse_policy` afterwards) lives here.
     fn send_job(&mut self, slot_id: usize, id: u64) -> Result<(), ()> {
-        let entry = &self.jobs[&id];
-        let slot_cached = self.slots[slot_id].wire_policy;
-        let (policy, reuse_policy, new_cache) = match &entry.job.policy {
-            None => (None, false, None),
-            Some(p) => {
-                let digest = p.digest();
-                if slot_cached == Some(digest) {
-                    (None, true, Some(digest))
-                } else {
-                    (Some((**p).clone()), false, Some(digest))
-                }
+        let job = &self.jobs[&id].job;
+        let mut request = WorkerRequest::new(job.index, job.seed, job.scenario.clone());
+        let new_cache = job.policy.as_ref().map(|p| {
+            let digest = p.digest();
+            if self.slots[slot_id].wire_policy == Some(digest) {
+                request.reuse_policy = true;
+            } else {
+                request.policy = Some((**p).clone());
             }
-        };
-        let request = WorkerRequest {
-            index: entry.job.index,
-            seed: entry.job.seed,
-            scenario: entry.job.scenario.clone(),
-            policy,
-            reuse_policy,
-            // Inert on the v7 frame: no worker reads it.
-            intra_shards: 1,
-        };
+            digest
+        });
         let slot = &mut self.slots[slot_id];
         let live = slot.live.as_ref().expect("dispatch checked live");
         if live.requests.send(request).is_err() {

@@ -332,14 +332,11 @@ mod tests {
             .with_duration(SimDuration::from_secs(4));
         let frames: String = (0..2)
             .map(|i| {
-                firm_wire::encode_line(&WorkerRequest {
-                    index: i,
-                    seed: scenario_seed(3, i as usize),
-                    scenario: scenario.clone(),
-                    policy: None,
-                    reuse_policy: false,
-                    intra_shards: 1,
-                })
+                firm_wire::encode_line(&WorkerRequest::new(
+                    i,
+                    scenario_seed(3, i as usize),
+                    scenario.clone(),
+                ))
             })
             .collect();
 
@@ -404,12 +401,8 @@ mod tests {
         assert_eq!(scenario.controller, crate::FleetController::Firm);
         let responses = |intra_shards| {
             let frame = firm_wire::encode_line(&WorkerRequest {
-                index: 0,
-                seed: scenario_seed(5, 0),
-                scenario: scenario.clone(),
-                policy: None,
-                reuse_policy: false,
                 intra_shards,
+                ..WorkerRequest::new(0, scenario_seed(5, 0), scenario.clone())
             });
             let out = SharedBuf::default();
             serve_session(
@@ -433,18 +426,45 @@ mod tests {
         }
     }
 
+    /// A FIRM response counts its SVM examples in the outcome and ships
+    /// none: the frame's experience carries `"svm_examples":[]`.
+    #[test]
+    fn a_firm_response_counts_svm_examples_without_shipping_them() {
+        let scenario = builtin_catalog()
+            .remove(0)
+            .with_duration(SimDuration::from_secs(4));
+        assert_eq!(scenario.controller, crate::FleetController::Firm);
+        let frame = firm_wire::encode_line(&WorkerRequest::new(0, scenario_seed(5, 0), scenario));
+        let out = SharedBuf::default();
+        serve_session(
+            frame.as_bytes(),
+            out.clone(),
+            &ServeOptions { heartbeat_ms: 0 },
+        )
+        .expect("session serves");
+        let text = out.take();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(r#"{"type":"response""#))
+            .expect("a response frame");
+        assert!(
+            line.contains(r#""svm_examples":[]"#),
+            "the response ships SVM examples"
+        );
+        let Ok(WorkerMessage::Response(response)) = firm_wire::decode_line(line) else {
+            panic!("the response frame does not decode");
+        };
+        assert!(response.outcome.svm_examples > 0, "no SVM example counted");
+    }
+
     #[test]
     fn reuse_policy_without_a_cached_policy_is_a_bad_frame() {
         let scenario = builtin_catalog()
             .remove(4)
             .with_duration(SimDuration::from_secs(4));
         let frame = firm_wire::encode_line(&WorkerRequest {
-            index: 0,
-            seed: 1,
-            scenario,
-            policy: None,
             reuse_policy: true,
-            intra_shards: 1,
+            ..WorkerRequest::new(0, 1, scenario)
         });
         let err = serve_session(
             frame.as_bytes(),

@@ -114,8 +114,8 @@ pub struct SubmissionReport {
     pub policy: PolicyCheckpoint,
     /// Transitions in the cumulative experience pool.
     pub pooled_transitions: u64,
-    /// SVM ground-truth examples the cumulative pool has seen (the
-    /// coordinator counts them; it does not keep them).
+    /// SVM ground-truth examples the folded scenarios recorded (their
+    /// outcomes' counts, summed; the workers keep no examples).
     pub pooled_svm: u64,
     /// Shared-agent minibatch updates that actually trained `policy`
     /// (0 in a per-submission report).

@@ -27,8 +27,8 @@
 //! single batch [`firm_fleet::FleetRunner`] run.
 //!
 //! The pool keeps only what serving reads: the outcomes and the RL
-//! transitions. A log's SVM examples are counted and dropped before the
-//! fold, since no serve path trains an extractor.
+//! transitions. A worker counts SVM examples into each outcome and
+//! drops them, so `pooled_svm` sums the folded outcomes' counts.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -123,9 +123,9 @@ struct ServiceState {
     pending_scenarios: usize,
     /// Every outcome and all RL transitions the service has folded, in
     /// submission-completion order (within a submission: submission
-    /// order). Its SVM examples stay empty: see `pooled_svm`.
+    /// order).
     fold: Fold,
-    /// SVM examples the folded logs carried, counted instead of pooled.
+    /// The folded outcomes' SVM example counts, summed.
     pooled_svm: u64,
     /// The resident one-for-all policy and the updates that trained it
     /// (empty until the first fold); `None` once a fold has made it
@@ -322,7 +322,7 @@ impl FleetService {
         });
         self.bump_depth(received as i64 - n as i64);
 
-        let mut results = match results {
+        let results = match results {
             Ok(results) => results,
             Err(e) => {
                 let mut st = self.state.lock().expect("service state lock");
@@ -339,11 +339,7 @@ impl FleetService {
             }
         };
 
-        let sub_outcomes = results.iter().map(|(o, _)| o.clone()).collect();
-        let svm: u64 = results
-            .iter_mut()
-            .map(|(_, log)| std::mem::take(&mut log.svm_examples).len() as u64)
-            .sum();
+        let report = FleetReport::new(seed, results.iter().map(|(o, _)| o.clone()).collect());
 
         // Fold under the state lock: concurrent submissions serialize
         // here, in completion order.
@@ -353,12 +349,12 @@ impl FleetService {
         self.obs
             .fold_us
             .record(started.elapsed().as_micros() as u64);
-        st.pooled_svm += svm;
+        st.pooled_svm += report.totals.svm_examples;
         st.policy = None;
         let report = SubmissionReport {
             submission,
             cumulative: false,
-            report: FleetReport::new(seed, sub_outcomes),
+            report,
             policy: PolicyCheckpoint::default(),
             pooled_transitions: st.fold.pooled.transitions.len() as u64,
             pooled_svm: st.pooled_svm,

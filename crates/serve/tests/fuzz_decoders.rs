@@ -12,6 +12,7 @@
 //! failure reproduces byte-for-byte.
 
 use firm_core::controller::PolicyCheckpoint;
+use firm_core::extractor::InstanceFeatures;
 use firm_fleet::{
     builtin_catalog, run_one, FleetController, FleetReport, Scenario, WorkerHeartbeat, WorkerHello,
     WorkerMessage, WorkerRequest, WorkerResponse,
@@ -19,7 +20,7 @@ use firm_fleet::{
 use firm_rng::Xoshiro256;
 use firm_serve::protocol::{ClientRequest, ServerMessage, SubmitRequest};
 use firm_serve::{SubmissionReport, PROTOCOL_VERSION};
-use firm_sim::SimDuration;
+use firm_sim::{InstanceId, ServiceId, SimDuration};
 use firm_wire::{decode_line, encode_line, parse, JsonValue, WireDecode};
 
 /// Mutations per frame per mutation kind.
@@ -143,18 +144,25 @@ fn sweep<T: WireDecode>(frame: &str, rng: &mut Xoshiro256) {
 #[test]
 fn worker_frames_decode_or_error_under_mutation() {
     let scenario = firm_scenario();
-    let (outcome, experience) = run_one(&scenario, 11);
+    let (outcome, mut experience) = run_one(&scenario, 11);
     assert!(!experience.transitions.is_empty(), "no experience to fuzz");
+    // Workers ship no SVM examples, but the v7 frame still decodes them.
+    let features = InstanceFeatures {
+        instance: InstanceId(4),
+        service: ServiceId(2),
+        ri: 0.75,
+        ci: 1.25,
+        samples: 12,
+    };
+    experience.svm_examples.push((features, false));
     let mut rng = Xoshiro256::new(0xDEC0_DE01);
 
     for (policy, reuse_policy) in [(None, false), (Some(policy()), false), (None, true)] {
         let request = WorkerRequest {
-            index: 3,
-            seed: u64::MAX,
-            scenario: scenario.clone(),
             policy,
             reuse_policy,
             intra_shards: 2,
+            ..WorkerRequest::new(3, u64::MAX, scenario.clone())
         };
         sweep::<WorkerRequest>(&encode_line(&request), &mut rng);
     }

@@ -79,10 +79,7 @@ fn assert_reproduces_batch(cumulative: &SubmissionReport, batch: &FleetResult) {
         cumulative.pooled_transitions,
         batch.pooled.transitions.len() as u64
     );
-    assert_eq!(
-        cumulative.pooled_svm,
-        batch.pooled.svm_examples.len() as u64
-    );
+    assert_eq!(cumulative.pooled_svm, batch.report.totals.svm_examples);
     assert_eq!(cumulative.trained_updates, batch.trained_updates as u64);
     let (actor, critic) = batch.estimator.shared_agent().export_weights();
     assert_eq!(

@@ -70,7 +70,7 @@ fn main() {
         deploy.worst_p99_us as f64 / 1e3
     );
     println!(
-        "shared trainer: {} transitions + {} SVM labels pooled, {} DDPG updates",
+        "shared trainer: {} transitions pooled ({} SVM labels counted), {} DDPG updates",
         train.transitions, train.svm_examples, rt.train.trained_updates
     );
     println!(

@@ -85,11 +85,12 @@ fn a_firm_scenario_holds_an_ingest_period_of_spans_not_a_window() {
 
     let start = LIVE.load(Ordering::Relaxed);
     PEAK.store(start, Ordering::Relaxed);
-    let (outcome, experience) = run_one(scenario, seed);
+    let (outcome, _) = run_one(scenario, seed);
     let peak = (PEAK.load(Ordering::Relaxed) - start) as f64 / MIB;
 
     assert!(outcome.completions > 1_000, "{}", outcome.completions);
-    assert!(!experience.is_empty(), "FIRM recorded no experience");
+    let recorded = outcome.transitions + outcome.svm_examples;
+    assert!(recorded > 0, "FIRM recorded no experience");
     assert!(
         peak < BOUND_MIB,
         "{}: live heap peaked {peak:.2} MiB above its start (bound {BOUND_MIB} MiB)",
